@@ -272,22 +272,6 @@ class Quaternion:
         return f"Quat({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
 
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    return p * q
-
-
-def quat_conj(q: Quaternion) -> Quaternion:
-    return q.conj()
-
-
-def quat_trd(q: Quaternion) -> FieldElement:
-    return q.trd()
-
-
-def quat_nrd(q: Quaternion) -> FieldElement:
-    return q.nrd()
-
-
 # ---------------------------------------------------------------------------
 # Squareness of delta (unitary-family validation).
 
@@ -388,9 +372,9 @@ class AlgebraWithInvolution:
     def _key(self):
         params: tuple = ()
         if self.family == "unitary":
-            params = (self.ext.delta.coeffs,)
+            params = (self.ext.delta,)
         elif self.quat is not None:
-            params = (self.quat.a.coeffs, self.quat.b.coeffs)
+            params = (self.quat.a, self.quat.b)
         return (self.field.min_poly, self.family, self.n, params)
 
     def __eq__(self, other):
@@ -417,20 +401,9 @@ class AlgebraWithInvolution:
         return self.n * self.n * self.entry_dim
 
     @property
-    def involution_type(self) -> str:
-        return {"split_orth": "orthogonal", "unitary": "unitary",
-                "quat_symp": "symplectic", "quat_skew": "orthogonal"}[self.family]
-
-    @property
     def skew_gram(self) -> bool:
         """True when forms over this family carry skew-hermitian Grams."""
         return self.family == "quat_skew"
-
-    def matrix_size_at(self, ordering: Ordering) -> int:
-        """n_P, the matrix size of the scalar extension at a non-nil P."""
-        if self.is_nil(ordering):
-            raise ValueError("n_P is defined at non-nil orderings only")
-        return 2 * self.n if self.family == "quat_skew" else self.n
 
     @cached_property
     def _nil_tuple(self) -> tuple[Ordering, ...]:
@@ -673,9 +646,6 @@ class AlgebraWithInvolution:
                     for e in self.entry_basis:
                         out.append(AlgebraElement(self, pair(r, c, e, self.entry_conj(e))))
         return out
-
-    def sym_dim(self) -> int:
-        return len(self.sym_basis())
 
 
 class AlgebraElement:

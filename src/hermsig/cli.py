@@ -135,7 +135,9 @@ class _Runner:
         return self.doc.forms[self._arg(cmd, key)]
 
     def ordering(self, cmd, key="ordering"):
-        idx = self._arg(cmd, key)
+        return self._ordering_at(self._arg(cmd, key))
+
+    def _ordering_at(self, idx):
         orderings = self.doc.field.orderings
         if not isinstance(idx, int) or not 0 <= idx < len(orderings):
             raise HermsigError(f"no ordering with index {idx}")
@@ -156,6 +158,8 @@ class _Runner:
         from .session import _exact_number
 
         spec = self._arg(cmd, "ext")
+        if not isinstance(spec, dict) or not isinstance(spec.get("min_poly"), list):
+            raise HermsigError("'ext' must be an object with a 'min_poly' list")
         coeffs = spec["min_poly"]
         gen = spec.get("generator", "t")
         return NumberField([_exact_number(c, "command.ext.min_poly")
@@ -364,8 +368,9 @@ class _Runner:
     def cmd_morphisms(self, cmd):
         algebra = self.algebra(cmd)
         idx = self._arg(cmd, "orderings")
-        orderings = self.doc.field.orderings
-        p, q = orderings[idx[0]], orderings[idx[1]]
+        if not isinstance(idx, list) or len(idx) != 2:
+            raise HermsigError("'orderings' must be a list of two ordering indices")
+        p, q = self._ordering_at(idx[0]), self._ordering_at(idx[1])
         res = morphism_distinctness(algebra, p, q, self.reference(algebra))
         out = {"equivalent": res.equivalent,
                "trivial": [algebra.is_nil(p), algebra.is_nil(q)]}

@@ -392,7 +392,7 @@ def _split_orth_constructive(u: AlgebraElement) -> SquareCertificate:
     alg = u.algebra
     field = alg.field
     gram = GramQuadraticForm(field, [list(r) for r in u.rows])
-    dec = diagonalize(gram)
+    dec = diagonalize(gram, with_transform=True)
     s_inv = _invert_matrix(field, dec.transform)
     terms = []
     for p, d in enumerate(dec.form.entries):

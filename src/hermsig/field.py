@@ -202,6 +202,34 @@ class NumberField:
             raise ValueError("minimal polynomial must be squarefree")
         self.min_poly: tuple[Fraction, ...] = coeffs
         self.degree: int = len(coeffs) - 1
+        # L*m has integer coefficients for L the lcm of the denominators of
+        # m; products of elements are reduced by it (see _reduce).
+        self._scale: int = math.lcm(*(c.denominator for c in coeffs))
+        self._scaled_tail: tuple[int, ...] = tuple(
+            c.numerator * (self._scale // c.denominator) for c in coeffs[:-1])
+
+    def _reduce(self, p: list[int]) -> int:
+        """Reduce the integer polynomial p modulo m in place, leaving degree
+        < d.  Returns the factor s >= 1 the result carries: the output p,
+        divided by s, is congruent to the input p modulo m."""
+        d = self.degree
+        lead, tail = self._scale, self._scaled_tail
+        s = 1
+        for k in range(len(p) - 1, d - 1, -1):
+            c = p[k]
+            if not c:
+                continue
+            if lead != 1:
+                # L*p - c x^(k-d) (L*m) cancels the top term over integers.
+                for i in range(k):
+                    p[i] *= lead
+                s *= lead
+            base = k - d
+            for i, t in enumerate(tail):
+                if t:
+                    p[base + i] -= c * t
+        del p[d:]
+        return s
 
     @cached_property
     def sturm(self) -> list[tuple]:
@@ -217,15 +245,15 @@ class NumberField:
             coeffs = [coeffs]
         vec = [Fraction(c) for c in coeffs]
         rem = poly_divmod(tuple(vec), self.min_poly)[1] if len(vec) > self.degree else _trim(vec)
-        return FieldElement(self, rem)
+        return _from_fractions(self, rem)
 
     @cached_property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, ())
+        return FieldElement(self, (), 1)
 
     @cached_property
     def one(self) -> "FieldElement":
-        return FieldElement(self, (Fraction(1),))
+        return FieldElement(self, (1,), 1)
 
     @cached_property
     def gen(self) -> "FieldElement":
@@ -246,56 +274,110 @@ class NumberField:
 QQ = NumberField([0, 1])
 
 
+def _canonical(field: NumberField, num: list[int], den: int) -> "FieldElement":
+    """The element num/den: trailing zeros dropped, lowest terms."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return FieldElement(field, (), 1)
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
+    return FieldElement(field, tuple(num), den)
+
+
+def _from_fractions(field: NumberField, coeffs: Sequence[Fraction]) -> "FieldElement":
+    """The element with trimmed rational coefficients `coeffs`."""
+    den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+    # With den the lcm of reduced denominators, num/den is in lowest terms.
+    return FieldElement(field, tuple(c.numerator * (den // c.denominator)
+                                     for c in coeffs), den)
+
+
 class FieldElement:
-    """Element of a NumberField, stored as its reduced representative."""
+    """Element of a NumberField: its reduced representative sum c_i x^i
+    (i < d) stored as integer numerators over one common denominator,
+    c_i = num[i] / den, with den > 0, gcd(den, num) = 1 and no trailing
+    zero in num.  The representation is canonical, so equality is
+    equality of (num, den).  Arithmetic is integer polynomial arithmetic
+    reduced by the integer-scaled minimal polynomial."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: NumberField, coeffs: Sequence[Fraction]):
+    def __init__(self, field: NumberField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = _trim(coeffs)
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients c_0, ..., c_{d-1} as Fractions (trimmed)."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     # -- coercion -----------------------------------------------------------
     def _lift(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, (Fraction(other),))
+            if not other:
+                return FieldElement(self.field, (), 1)
+            return FieldElement(self.field, (int(other.numerator),), other.denominator)
         return None
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_rational(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     def as_fraction(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             return Fraction(0)
-        if len(self.coeffs) > 1:
+        if len(self.num) > 1:
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
+    def _add(self, o: "FieldElement", sign: int) -> "FieldElement":
+        a, da = self.num, self.den
+        b, db = o.num, o.den
+        if da == db:
+            sa = sb = 1
+            den = da
+        else:
+            g = math.gcd(da, db)
+            sa, sb = db // g, da // g
+            den = da * sa
+        out = [v * sa for v in a] if sa != 1 else list(a)
+        if len(b) > len(out):
+            out.extend([0] * (len(b) - len(out)))
+        sb *= sign
+        for i, v in enumerate(b):
+            out[i] += v * sb
+        return _canonical(self.field, out, den)
+
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, poly_add(self.coeffs, o.coeffs))
+        return self._add(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, poly_neg(self.coeffs))
+        return FieldElement(self.field, tuple(-v for v in self.num), self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, poly_sub(self.coeffs, o.coeffs))
+        return self._add(o, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -304,10 +386,24 @@ class FieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        prod = poly_mul(self.coeffs, o.coeffs)
-        if len(prod) > self.field.degree:
-            prod = poly_divmod(prod, self.field.min_poly)[1]
-        return FieldElement(self.field, prod)
+        a, b = self.num, o.num
+        field = self.field
+        if not a or not b:
+            return FieldElement(field, (), 1)
+        den = self.den * o.den
+        if len(a) == 1 or len(b) == 1:
+            if len(a) != 1:
+                a, b = b, a
+            c = a[0]
+            return _canonical(field, [c * v for v in b], den)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        if len(out) > field.degree:
+            den *= field._reduce(out)
+        return _canonical(field, out, den)
 
     __rmul__ = __mul__
 
@@ -323,7 +419,7 @@ class FieldElement:
             s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
         if len(r0) > 1:
             raise ZeroDivisionError("element is a zero divisor, not invertible")
-        return FieldElement(self.field, poly_scale(s0, 1 / r0[0]))
+        return _from_fractions(self.field, poly_scale(s0, 1 / r0[0]))
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -349,12 +445,13 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = FieldElement(self.field, (Fraction(other),))
-        return (isinstance(other, FieldElement) and other.field == self.field
-                and other.coeffs == self.coeffs)
+            other = self._lift(other)
+        return (isinstance(other, FieldElement) and other.num == self.num
+                and other.den == self.den
+                and (other.field is self.field or other.field == self.field))
 
     def __hash__(self) -> int:
-        return hash((self.field.min_poly, self.coeffs))
+        return hash((self.field.min_poly, self.num, self.den))
 
     def __repr__(self) -> str:
         return f"<{render_element(self)}>"
@@ -450,18 +547,18 @@ def sign_at(a: FieldElement, ordering: Ordering) -> int:
         raise FieldMismatchError("element and ordering belong to different fields")
     if a.is_zero():
         return 0
-    if a.field.degree == 1 or len(a.coeffs) == 1:
-        c = a.coeffs[0]
-        return 1 if c > 0 else -1
+    if a.field.degree == 1 or len(a.num) == 1:
+        return 1 if a.num[0] > 0 else -1
+    coeffs = a.coeffs
     m = a.field.min_poly
-    g = poly_gcd(a.coeffs, m)
+    g = poly_gcd(coeffs, m)
     if len(g) > 1 and count_roots(sturm_chain(g), ordering.lo, ordering.hi) >= 1:
         return 0
     while True:
         if ordering._exact_root is not None:
-            v = poly_eval(a.coeffs, ordering._exact_root)
+            v = poly_eval(coeffs, ordering._exact_root)
             return 1 if v > 0 else -1
-        vlo, vhi = poly_eval_interval(a.coeffs, ordering._cur_lo, ordering._cur_hi)
+        vlo, vhi = poly_eval_interval(coeffs, ordering._cur_lo, ordering._cur_hi)
         if vlo > 0:
             return 1
         if vhi < 0:

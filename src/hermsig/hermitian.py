@@ -116,14 +116,6 @@ class HermitianForm:
         return f"HermitianForm({self.algebra.family}, rank={self.rank})"
 
 
-def witt_perp_h(h1: HermitianForm, h2: HermitianForm) -> HermitianForm:
-    return h1.perp(h2)
-
-
-def witt_neg_h(h: HermitianForm) -> HermitianForm:
-    return h.neg()
-
-
 def scale_by_quadratic(q: QuadraticForm, h: HermitianForm) -> HermitianForm:
     """q . h: the Gram tensor of a diagonal quadratic form with h."""
     if q.field != h.algebra.field:

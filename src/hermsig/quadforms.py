@@ -80,87 +80,93 @@ class GramQuadraticForm:
 
 @dataclass
 class Diagonalization:
-    """Result of symmetric congruence reduction: S^t G S = diag(d, ..., 0)."""
+    """Result of symmetric congruence reduction: S^t G S = diag(d, ..., 0).
+
+    `transform` is S, or None when it was not asked for."""
 
     form: QuadraticForm
     radical_dim: int
-    transform: tuple[tuple[FieldElement, ...], ...]
+    transform: tuple[tuple[FieldElement, ...], ...] | None = None
 
 
-def diagonalize(gram: GramQuadraticForm) -> Diagonalization:
+def diagonalize(gram: GramQuadraticForm, *, with_transform: bool = False) -> Diagonalization:
     """Symmetric Gaussian elimination by congruence.
 
     Pivot rule: first nonzero diagonal entry; if the remaining diagonal is
     zero but the block is not, the leading 2x2 hyperbolic block [[0, c],
     [c, 0]] is replaced by diag(c, -c) via the congruence with columns
     (e_i + e_j/2, e_i - e_j/2).  Zero rows are reported as the radical.
+
+    Each pivot step replaces the trailing block by its Schur complement,
+    one product per lower-triangle entry, mirrored to keep the matrix
+    symmetric.  The transform S is built only when `with_transform` is set.
     """
     field = gram.field
     k = gram.size
+    # m is kept symmetric and indexed by original rows; order[pos] is the
+    # row at elimination position pos, so swaps move no entries.
     m = [list(row) for row in gram.rows]
-    zero, one = field.zero, field.one
-    s = [[one if i == j else zero for j in range(k)] for i in range(k)]
-
-    def col_op(dst: int, src: int, c: FieldElement) -> None:
-        # column_dst += c * column_src, mirrored on rows; S tracks columns.
-        for r in range(k):
-            m[r][dst] = m[r][dst] + c * m[r][src]
-        for r in range(k):
-            m[dst][r] = m[dst][r] + c * m[src][r]
-        for r in range(k):
-            s[r][dst] = s[r][dst] + c * s[r][src]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in range(k):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        m[i], m[j] = m[j], m[i]
-        for r in range(k):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-
-    def col_scale(i: int, c: FieldElement) -> None:
-        for r in range(k):
-            m[r][i] = m[r][i] * c
-        for r in range(k):
-            m[i][r] = m[i][r] * c
-        for r in range(k):
-            s[r][i] = s[r][i] * c
+    order = list(range(k))
+    zero = field.zero
+    # scol[r] is column r of S, kept by original index like m.
+    scol = ([[field.one if i == j else zero for i in range(k)] for j in range(k)]
+            if with_transform else None)
 
     diag: list[FieldElement] = []
     for p in range(k):
-        pivot = next((i for i in range(p, k) if not m[i][i].is_zero()), None)
+        pivot = next((pos for pos in range(p, k) if not m[order[pos]][order[pos]].is_zero()),
+                     None)
         if pivot is None:
             off = next(((i, j) for i in range(p, k) for j in range(i + 1, k)
-                        if not m[i][j].is_zero()), None)
+                        if not m[order[i]][order[j]].is_zero()), None)
             if off is None:
                 break
             i, j = off
-            if i != p:
-                col_swap(p, i)
-                j = i if j == p else j
+            order[p], order[i] = order[i], order[p]
             # columns (p, j) <- (c_p + c_j/2, c_p - c_j/2): block becomes
             # diag(c, -c) for the off-diagonal entry c.
             half = field.element(Fraction(1, 2))
-            for r in range(k):
-                cp, cj = m[r][p], m[r][j]
-                m[r][p], m[r][j] = cp + half * cj, cp - half * cj
-            mp, mj = m[p], m[j]
-            m[p] = [a + half * b for a, b in zip(mp, mj)]
-            m[j] = [a - half * b for a, b in zip(mp, mj)]
-            for r in range(k):
-                cp, cj = s[r][p], s[r][j]
-                s[r][p], s[r][j] = cp + half * cj, cp - half * cj
+            rp, rj = order[p], order[j]
+            c = m[rp][rj]
+            for r in order[p + 1:]:
+                if r == rj:
+                    continue
+                a, hb = m[r][rp], half * m[r][rj]
+                m[r][rp] = m[rp][r] = a + hb
+                m[r][rj] = m[rj][r] = a - hb
+            m[rp][rp], m[rj][rj] = c, -c
+            m[rp][rj] = m[rj][rp] = zero
+            if scol is not None:
+                sp, sj = scol[rp], scol[rj]
+                scol[rp] = [a + half * b for a, b in zip(sp, sj)]
+                scol[rj] = [a - half * b for a, b in zip(sp, sj)]
             pivot = p
-        if pivot != p:
-            col_swap(p, pivot)
-        d = m[p][p]
+        order[p], order[pivot] = order[pivot], order[p]
+        rp = order[p]
+        mp = m[rp]
+        d = mp[rp]
+        # The inverse also certifies that the pivot is not a zero divisor.
         inv = d.inverse()
-        for r in range(p + 1, k):
-            if not m[p][r].is_zero():
-                col_op(r, p, -(m[p][r] * inv))
-        diag.append(m[p][p])
+        rest = order[p + 1:]
+        for idx, r in enumerate(rest):
+            a = mp[r]
+            if a.is_zero():
+                continue
+            t = a * inv
+            mr = m[r]
+            for s in rest[:idx + 1]:
+                b = mp[s]
+                if not b.is_zero():
+                    mr[s] = m[s][r] = mr[s] - t * b
+            if scol is not None:
+                sp = scol[rp]
+                scol[r] = [x - t * y for x, y in zip(scol[r], sp)]
+        diag.append(d)
 
     radical = k - len(diag)
-    transform = tuple(tuple(row) for row in s)
+    transform = None
+    if scol is not None:
+        transform = tuple(tuple(scol[order[c]][r] for c in range(k)) for r in range(k))
     return Diagonalization(QuadraticForm(field, diag), radical, transform)
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,10 @@ from hermsig.field import (
     NumberField,
     enumerate_orderings,
     four_square_decomposition,
+    poly_add,
+    poly_divmod,
+    poly_mul,
+    poly_sub,
     sign_at,
 )
 
@@ -183,3 +188,54 @@ def test_non_monic_min_poly_normalized():
     field = NumberField([-4, 0, 2])  # 2x^2 - 4
     assert field.min_poly == (Fraction(-2), Fraction(0), Fraction(1))
     assert len(field.orderings) == 2
+
+
+# Oracle fields for the integer-numerator element arithmetic: the totally
+# real quintic, Q(sqrt 2), and a monic cubic with non-integral coefficients,
+# whose products need the scaled reduction by 15*m.
+F5 = NumberField([1, 3, -3, -4, 1, 1])
+ORACLE_FIELDS = [F5, SQRT2, NumberField([Fraction(-1, 5), Fraction(-1, 3), 0, 1])]
+
+_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@st.composite
+def _field_and_coeffs(draw, count):
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    vecs = [draw(st.lists(_rationals, min_size=field.degree, max_size=field.degree))
+            for _ in range(count)]
+    return field, vecs
+
+
+def _reference_reduce(field, p):
+    return poly_divmod(p, field.min_poly)[1]
+
+
+def _assert_canonical(e):
+    assert e.den > 0
+    assert not e.num or e.num[-1] != 0
+    assert math.gcd(e.den, *e.num) == 1
+
+
+@given(_field_and_coeffs(2))
+def test_element_arithmetic_matches_fraction_polynomials(case):
+    field, (u, v) = case
+    a, b = field.element(u), field.element(v)
+    pa, pb = _reference_reduce(field, tuple(u)), _reference_reduce(field, tuple(v))
+    assert a.coeffs == pa and b.coeffs == pb
+    results = {
+        "add": (a + b, poly_add(pa, pb)),
+        "sub": (a - b, poly_sub(pa, pb)),
+        "mul": (a * b, _reference_reduce(field, poly_mul(pa, pb))),
+        "neg": (-a, poly_sub((), pa)),
+        "scalar": (a * u[0], _reference_reduce(field, poly_mul(pa, (u[0],) if u[0] else ()))),
+    }
+    for name, (got, want) in results.items():
+        _assert_canonical(got)
+        assert got.coeffs == want, name
+    assert (a == b) == (pa == pb)
+    assert a == field.element(list(pa)) and hash(a) == hash(field.element(list(pa)))
+    if pa:
+        inv = a.inverse()
+        _assert_canonical(inv)
+        assert _reference_reduce(field, poly_mul(inv.coeffs, pa)) == (Fraction(1),)

@@ -39,7 +39,7 @@ def congruence_apply(gram, s):
 
 def test_hyperbolic_block_rule():
     g = GramQuadraticForm(QQ, [[0, 1], [1, 0]])
-    d = diagonalize(g)
+    d = diagonalize(g, with_transform=True)
     assert [e.as_fraction() for e in d.form.entries] == [1, -1]
     assert d.radical_dim == 0
     # verify the congruence witness
@@ -74,7 +74,7 @@ def test_diagonalize_transform_is_congruence_witness():
         entries = [[Fraction(rng.randint(-5, 5)) for _ in range(k)] for _ in range(k)]
         rows = [[entries[i][j] + entries[j][i] for j in range(k)] for i in range(k)]
         g = GramQuadraticForm(QQ, rows)
-        d = diagonalize(g)
+        d = diagonalize(g, with_transform=True)
         out = congruence_apply(g, d.transform)
         for i in range(k):
             for j in range(k):
@@ -82,6 +82,113 @@ def test_diagonalize_transform_is_congruence_witness():
                     assert out[i][j].is_zero()
         nonzero = [out[i][i] for i in range(k) if not out[i][i].is_zero()]
         assert len(nonzero) == d.form.rank
+
+
+def full_matrix_diagonalize(gram):
+    """Reference elimination: the full-matrix loop that always tracks S.
+
+    Same pivot rule and hyperbolic step as `diagonalize`, applied as column
+    operations mirrored on rows of the whole k x k matrix.  Returns the
+    pivots, the radical dimension and S."""
+    field = gram.field
+    k = gram.size
+    m = [list(row) for row in gram.rows]
+    s = [[field.one if i == j else field.zero for j in range(k)] for i in range(k)]
+
+    def col_op(dst, src, c):
+        for r in range(k):
+            m[r][dst] = m[r][dst] + c * m[r][src]
+        for r in range(k):
+            m[dst][r] = m[dst][r] + c * m[src][r]
+        for r in range(k):
+            s[r][dst] = s[r][dst] + c * s[r][src]
+
+    def col_swap(i, j):
+        for r in range(k):
+            m[r][i], m[r][j] = m[r][j], m[r][i]
+        m[i], m[j] = m[j], m[i]
+        for r in range(k):
+            s[r][i], s[r][j] = s[r][j], s[r][i]
+
+    diag = []
+    for p in range(k):
+        pivot = next((i for i in range(p, k) if not m[i][i].is_zero()), None)
+        if pivot is None:
+            off = next(((i, j) for i in range(p, k) for j in range(i + 1, k)
+                        if not m[i][j].is_zero()), None)
+            if off is None:
+                break
+            i, j = off
+            if i != p:
+                col_swap(p, i)
+            half = field.element(Fraction(1, 2))
+            for r in range(k):
+                cp, cj = m[r][p], m[r][j]
+                m[r][p], m[r][j] = cp + half * cj, cp - half * cj
+            mp, mj = m[p], m[j]
+            m[p] = [a + half * b for a, b in zip(mp, mj)]
+            m[j] = [a - half * b for a, b in zip(mp, mj)]
+            for r in range(k):
+                cp, cj = s[r][p], s[r][j]
+                s[r][p], s[r][j] = cp + half * cj, cp - half * cj
+            pivot = p
+        if pivot != p:
+            col_swap(p, pivot)
+        inv = m[p][p].inverse()
+        for r in range(p + 1, k):
+            if not m[p][r].is_zero():
+                col_op(r, p, -(m[p][r] * inv))
+        diag.append(m[p][p])
+    return diag, k - len(diag), [tuple(row) for row in s]
+
+
+F5 = NumberField([1, 3, -3, -4, 1, 1])
+
+
+def _random_element(rng, field):
+    return field.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                          if rng.random() < 0.7 else 0 for _ in range(field.degree)])
+
+
+def _singular_gram(rng, field, k):
+    """A^t diag(w) A for a random r x k matrix A with r < k."""
+    r = rng.randint(1, k - 1)
+    a = [[_random_element(rng, field) for _ in range(k)] for _ in range(r)]
+    w = [_random_element(rng, field) for _ in range(r)]
+    return [[sum((a[t][i] * w[t] * a[t][j] for t in range(r)), field.zero)
+             for j in range(k)] for i in range(k)]
+
+
+def _zero_diagonal_gram(rng, field, k):
+    """Zero diagonal, so the first pivot is hyperbolic; a zero first row
+    makes it start with a swap."""
+    rows = [[field.zero] * k for _ in range(k)]
+    first = rng.random() < 0.5
+    for i in range(k):
+        for j in range(i + 1, k):
+            if (i > 0 or first) and rng.random() < 0.6:
+                rows[i][j] = rows[j][i] = _random_element(rng, field)
+    return rows
+
+
+def test_diagonalize_matches_full_matrix_reference():
+    rng = random.Random(5)
+    cases = 0
+    for field in (QQ, SQRT2, F5):
+        for _ in range(12):
+            k = rng.randint(2, 6)
+            for rows in (_singular_gram(rng, field, k), _zero_diagonal_gram(rng, field, k)):
+                g = GramQuadraticForm(field, rows)
+                want_diag, want_radical, want_s = full_matrix_diagonalize(g)
+                plain = diagonalize(g)
+                witnessed = diagonalize(g, with_transform=True)
+                assert plain.transform is None
+                for d in (plain, witnessed):
+                    assert list(d.form.entries) == want_diag
+                    assert d.radical_dim == want_radical
+                assert list(witnessed.transform) == want_s
+                cases += 1
+    assert cases == 72
 
 
 def test_signature_examples():

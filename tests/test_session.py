@@ -295,6 +295,56 @@ def test_subprocess_determinism(tmp_path):
     assert out[0] == out[1]
 
 
+@pytest.mark.parametrize("name", ["full_session", "sqrt2_session"])
+def test_fixture_reports_match_golden(name):
+    """`hermsig run` on each fixture reproduces its recorded report byte for
+    byte; the .expected.json files were written before the integer-numerator
+    element representation and the symmetric elimination kernel."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "hermsig.cli", "run", str(FIXTURES / f"{name}.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    expected = (FIXTURES / f"{name}.expected.json").read_text(encoding="utf-8")
+    assert proc.stdout == expected
+
+
+def test_morphisms_ordering_indices_are_validated():
+    base = {
+        "field": {"min_poly": ["-2", "0", "1"]},
+        "algebras": [{"name": "ham", "family": "quat_symp", "a": "-1", "b": "-1"}],
+        "forms": [],
+    }
+    bad = [[0, -1], [2, 0], [0, "1"], [0], 0]
+    doc = dict(base, commands=[{"op": "morphisms", "algebra": "ham", "orderings": o}
+                               for o in bad])
+    report = run_session(parse_session(json.dumps(doc)))
+    assert [r["status"] for r in report.records] == ["error"] * len(bad)
+    assert "no ordering with index -1" in report.records[0]["error"]
+    assert "no ordering with index 2" in report.records[1]["error"]
+    assert "two ordering indices" in report.records[3]["error"]
+    good = dict(base, commands=[{"op": "morphisms", "algebra": "ham", "orderings": [0, 1]}])
+    assert run_session(parse_session(json.dumps(good))).records[0]["status"] == "ok"
+
+
+@pytest.mark.parametrize("ext", [5, "x^2 - 2", [], {"min_poly": "-2 + t^2"}, {}])
+def test_malformed_ext_is_an_error_record(ext):
+    doc = {
+        "field": {"min_poly": ["0", "1"]},
+        "algebras": [{"name": "ham", "family": "quat_symp", "a": "-1", "b": "-1"}],
+        "forms": [{"name": "h", "algebra": "ham", "diag": ["1"]}],
+        "commands": [
+            {"op": "transfer-check", "algebra": "ham", "ext": ext, "diag": ["1"]},
+            {"op": "going-up", "form": "h", "ext": ext},
+        ],
+    }
+    report = run_session(parse_session(json.dumps(doc)))
+    assert [r["status"] for r in report.records] == ["error", "error"]
+    assert all("'min_poly' list" in r["error"] for r in report.records)
+
+
 def test_cli_unitary_family_commands(tmp_path, capsys):
     doc = {
         "field": {"min_poly": ["0", "1"]},
