@@ -3,9 +3,12 @@
 A field is Q[x]/(m) for a monic squarefree m over Q.  Its orderings are in
 bijection with the real roots of m; each ordering is stored as an isolating
 interval with dyadic rational endpoints, certified by a Sturm count of 1.
-All sign decisions are exact: zero tests go through a gcd with the minimal
-polynomial and nonzero signs through interval refinement.  No floating
-point anywhere.
+All sign decisions are exact and run on integers: a sign is read off an
+integer interval evaluation over the root's current interval, refined by
+bisection, and only an element whose enclosure still contains 0 goes
+through the zero test, a gcd with the minimal polynomial.  Inverses solve
+the multiplication matrix by fraction-free (Bareiss) elimination.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -35,33 +38,8 @@ def poly_from(coeffs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return _trim([Fraction(c) for c in coeffs])
 
 
-def poly_add(p: tuple, q: tuple) -> tuple:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
 def poly_neg(p: tuple) -> tuple:
     return tuple(-c for c in p)
-
-
-def poly_sub(p: tuple, q: tuple) -> tuple:
-    return poly_add(p, poly_neg(q))
-
-
-def poly_mul(p: tuple, q: tuple) -> tuple:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return _trim(out)
 
 
 def poly_scale(p: tuple, c: Fraction) -> tuple:
@@ -104,15 +82,6 @@ def poly_eval(p: tuple, x: Fraction) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_eval_interval(p: tuple, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact interval Horner evaluation of p over [lo, hi]."""
-    alo = ahi = Fraction(0)
-    for c in reversed(p):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
 
 
 def sturm_chain(p: tuple) -> list[tuple]:
@@ -230,6 +199,15 @@ class NumberField:
                     p[base + i] -= c * t
         del p[d:]
         return s
+
+    def _scaled_value(self, n: int, dd: int) -> int:
+        """L * dd^d * m(n/dd) for dd > 0: an integer with the sign of
+        m(n/dd), by homogeneous Horner on the integer-scaled m."""
+        acc, pw = self._scale, 1
+        for c in reversed(self._scaled_tail):
+            pw *= dd
+            acc = acc * n + c * pw
+        return acc
 
     @cached_property
     def sturm(self) -> list[tuple]:
@@ -408,18 +386,53 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Extended gcd of the representative and the minimal polynomial."""
-        if self.is_zero():
+        """Solve num * y = 1 for the multiplication matrix of num by
+        fraction-free (Bareiss) elimination; singular exactly when the
+        element is a zero divisor."""
+        num, field = self.num, self.field
+        if not num:
             raise ZeroDivisionError("division by zero")
-        r0, r1 = self.field.min_poly, self.coeffs
-        s0, s1 = (), (Fraction(1),)
-        while r1:
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        if len(r0) > 1:
-            raise ZeroDivisionError("element is a zero divisor, not invertible")
-        return _from_fractions(self.field, poly_scale(s0, 1 / r0[0]))
+        if len(num) == 1:
+            c = num[0]
+            return FieldElement(field, (self.den if c > 0 else -self.den,), abs(c))
+        d = field.degree
+        # Column j is x^j * num reduced mod m; it carries the factor
+        # scales[j] >= 1, i.e. col / scales[j] is congruent to x^j * num.
+        col = list(num) + [0] * (d - len(num))
+        cols, scales = [col], [1]
+        for _ in range(d - 1):
+            col = [0] + col
+            scales.append(scales[-1] * field._reduce(col))
+            cols.append(col)
+        # Augmented rows [M | e_0] with M[i][j] = cols[j][i].
+        rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            if not rows[k][k]:
+                r = next((r for r in range(k + 1, d) if rows[r][k]), None)
+                if r is None:
+                    raise ZeroDivisionError("element is a zero divisor, not invertible")
+                rows[k], rows[r] = rows[r], rows[k]
+            pivot_row = rows[k]
+            p = pivot_row[k]
+            for i in range(k + 1, d):
+                row = rows[i]
+                a = row[k]
+                for j in range(k + 1, d + 1):
+                    row[j] = (p * row[j] - a * pivot_row[j]) // prev
+            prev = p
+        # prev = +-det(M), so det * solution is integral: back-substitute
+        # z_i = prev * y_i exactly.
+        z = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = rows[i]
+            acc = prev * row[d]
+            for j in range(i + 1, d):
+                acc -= row[j] * z[j]
+            z[i] = acc // row[i]
+        sign = 1 if prev > 0 else -1
+        den = self.den * sign
+        return _canonical(field, [den * s * v for s, v in zip(scales, z)], prev * sign)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -487,7 +500,9 @@ class Ordering:
 
     The defining interval is immutable (it is the identity of the ordering);
     sign queries refine a private copy monotonically, which never changes
-    any result, only the amount of work later queries do.
+    any result, only the amount of work later queries do.  The copy is kept
+    as integers (L, H, D) with D > 0, standing for [L/D, H/D]; a bisection
+    point that is an exact root collapses it to that point (L = H).
     """
 
     def __init__(self, field: NumberField, lo: Fraction, hi: Fraction, index: int):
@@ -495,30 +510,34 @@ class Ordering:
         self.lo = lo
         self.hi = hi
         self.index = index
-        self._cur_lo = lo
-        self._cur_hi = hi
-        self._exact_root: Fraction | None = None
-        if poly_eval(field.min_poly, lo) == 0 or poly_eval(field.min_poly, hi) == 0:
+        dd = math.lcm(lo.denominator, hi.denominator)
+        self._L = lo.numerator * (dd // lo.denominator)
+        self._H = hi.numerator * (dd // hi.denominator)
+        self._D = dd
+        at_lo = field._scaled_value(self._L, dd)
+        if at_lo == 0 or field._scaled_value(self._H, dd) == 0:
             raise ValueError("isolating interval endpoints must not be roots")
+        # m changes sign only at the root, so its sign at every later lower
+        # endpoint is this one.
+        self._lo_positive = at_lo > 0
 
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
     def _refine_once(self) -> None:
-        if self._exact_root is not None:
+        lo, hi, dd = self._L, self._H, self._D
+        if lo == hi:
             return
-        m = self.field.min_poly
-        mid = (self._cur_lo + self._cur_hi) / 2
-        v = poly_eval(m, mid)
+        mid = lo + hi
+        v = self.field._scaled_value(mid, 2 * dd)
         if v == 0:
-            self._exact_root = mid
-            return
-        lo_sign = poly_eval(m, self._cur_lo) > 0
-        if (v > 0) == lo_sign:
-            self._cur_lo = mid
+            self._L = self._H = mid
+        elif (v > 0) == self._lo_positive:
+            self._L, self._H = mid, 2 * hi
         else:
-            self._cur_hi = mid
+            self._L, self._H = 2 * lo, mid
+        self._D = 2 * dd
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Ordering) and other.field == self.field
@@ -536,33 +555,48 @@ def enumerate_orderings(field: NumberField) -> list[Ordering]:
     return list(field.orderings)
 
 
+def _vanishes_at(a: FieldElement, ordering: Ordering) -> bool:
+    """Whether a is 0 at the ordering: gcd(a, m) has a root in its
+    defining interval."""
+    g = poly_gcd(a.coeffs, a.field.min_poly)
+    return len(g) > 1 and count_roots(sturm_chain(g), ordering.lo, ordering.hi) >= 1
+
+
 def sign_at(a: FieldElement, ordering: Ordering) -> int:
     """Exact sign of a at the ordering: -1, 0 or +1.
 
-    Zero is decided by the gcd test (never by refinement, which cannot
-    terminate on true zeros); nonzero signs by interval evaluation with
-    bisection refinement of the root interval.
+    The numerator polynomial is evaluated over the current root interval
+    [L/D, H/D] by integer interval Horner: step j adds num[j] * D^(e-j),
+    so the enclosure is the rational one times D^e > 0.  While it contains
+    0 the interval is bisected; the zero test (_vanishes_at) runs once,
+    before the first bisection, because refinement never ends on a true
+    zero.
     """
     if a.field != ordering.field:
         raise FieldMismatchError("element and ordering belong to different fields")
-    if a.is_zero():
+    num = a.num
+    if not num:
         return 0
-    if a.field.degree == 1 or len(a.num) == 1:
-        return 1 if a.num[0] > 0 else -1
-    coeffs = a.coeffs
-    m = a.field.min_poly
-    g = poly_gcd(coeffs, m)
-    if len(g) > 1 and count_roots(sturm_chain(g), ordering.lo, ordering.hi) >= 1:
-        return 0
+    if len(num) == 1:
+        return 1 if num[0] > 0 else -1
+    zero_tested = False
     while True:
-        if ordering._exact_root is not None:
-            v = poly_eval(coeffs, ordering._exact_root)
-            return 1 if v > 0 else -1
-        vlo, vhi = poly_eval_interval(coeffs, ordering._cur_lo, ordering._cur_hi)
+        lo_end, hi_end, dd = ordering._L, ordering._H, ordering._D
+        vlo = vhi = 0
+        pw = 1
+        for c in reversed(num):
+            cands = (vlo * lo_end, vlo * hi_end, vhi * lo_end, vhi * hi_end)
+            c *= pw
+            vlo, vhi = min(cands) + c, max(cands) + c
+            pw *= dd
         if vlo > 0:
             return 1
         if vhi < 0:
             return -1
+        if not zero_tested:
+            if _vanishes_at(a, ordering):
+                return 0
+            zero_tested = True
         ordering._refine_once()
 
 

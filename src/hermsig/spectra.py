@@ -337,22 +337,23 @@ class ConeSpace:
 
 
 def generate_topology(size: int, subbasic: list[frozenset]) -> set[frozenset]:
-    """The topology on a finite space generated by the given sets."""
+    """The topology on a finite space generated by the given sets.
+
+    Every open set is the union of the minimal neighbourhoods
+    U_x = intersection of the subbasic sets containing x (the whole space
+    if none does) of its points, so the topology is {empty, whole} closed
+    under union with each distinct U_x."""
     whole = frozenset(range(size))
-    basis = {whole}
-    pool = set(subbasic)
-    while True:
-        new = {a & b for a in pool | basis for b in pool} - (pool | basis)
-        if not new:
-            break
-        pool |= new
-    basis |= pool
-    topo = {frozenset(), whole} | basis
-    while True:
-        new = {a | b for a in topo for b in topo} - topo
-        if not new:
-            break
-        topo |= new
+    minimal = set()
+    for x in whole:
+        u = whole
+        for s in subbasic:
+            if x in s:
+                u &= s
+        minimal.add(u)
+    topo = {frozenset(), whole}
+    for u in minimal:
+        topo |= {o | u for o in topo}
     return topo
 
 

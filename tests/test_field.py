@@ -9,16 +9,110 @@ from hermsig.errors import FieldMismatchError
 from hermsig.field import (
     QQ,
     NumberField,
+    count_roots,
     enumerate_orderings,
     four_square_decomposition,
-    poly_add,
     poly_divmod,
-    poly_mul,
-    poly_sub,
+    poly_eval,
+    poly_gcd,
     sign_at,
+    sturm_chain,
 )
 
 SQRT2 = NumberField([-2, 0, 1])
+
+
+# Fraction polynomial reference arithmetic: dense tuples of Fractions,
+# constant term first, trailing zeros stripped.
+def _trim(coeffs):
+    n = len(coeffs)
+    while n > 0 and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def poly_add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return _trim(out)
+
+
+def poly_sub(p, q):
+    return poly_add(p, tuple(-c for c in q))
+
+
+def poly_mul(p, q):
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def poly_eval_interval(p, lo, hi):
+    """Exact interval Horner evaluation of p over [lo, hi]."""
+    alo = ahi = Fraction(0)
+    for c in reversed(p):
+        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(cands) + c, max(cands) + c
+    return alo, ahi
+
+
+class FractionSigns:
+    """Reference sign oracle: the eager gcd zero test, then Fraction
+    interval Horner over a bisected root interval.  It keeps its own
+    current interval per ordering, (lo, hi) with lo == hi once a bisection
+    point is an exact root."""
+
+    def __init__(self):
+        self.current = {}
+
+    def sign_at(self, a, ordering):
+        coeffs, m = a.coeffs, a.field.min_poly
+        if not coeffs:
+            return 0
+        g = poly_gcd(coeffs, m)
+        if len(g) > 1 and count_roots(sturm_chain(g), ordering.lo, ordering.hi) >= 1:
+            return 0
+        key = id(ordering)
+        lo, hi = self.current.get(key, (ordering.lo, ordering.hi))
+        while True:
+            if lo == hi:
+                return 1 if poly_eval(coeffs, lo) > 0 else -1
+            vlo, vhi = poly_eval_interval(coeffs, lo, hi)
+            if vlo > 0 or vhi < 0:
+                self.current[key] = (lo, hi)
+                return 1 if vlo > 0 else -1
+            mid = (lo + hi) / 2
+            v = poly_eval(m, mid)
+            if v == 0:
+                lo = hi = mid
+                self.current[key] = (lo, hi)
+            elif (v > 0) == (poly_eval(m, lo) > 0):
+                lo = mid
+            else:
+                hi = mid
+
+
+def fraction_inverse(a):
+    """Reference inverse: extended Euclid of the representative and the
+    minimal polynomial."""
+    if a.is_zero():
+        raise ZeroDivisionError("division by zero")
+    r0, r1 = a.field.min_poly, a.coeffs
+    s0, s1 = (), (Fraction(1),)
+    while r1:
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
+    if len(r0) > 1:
+        raise ZeroDivisionError("element is a zero divisor, not invertible")
+    return a.field.element([c / r0[0] for c in s0])
 
 
 def test_rationals_have_a_unique_ordering():
@@ -57,7 +151,7 @@ def test_ordering_count_matches_sturm_over_cauchy_bound():
     # number of orderings equals the root count over (-B, B)
     for coeffs in ([-2, 0, 1], [0, 1], [1, 0, 1], [-2, 0, 0, 1], [1, -3, 0, 1]):
         field = NumberField(coeffs)
-        from hermsig.field import cauchy_bound, count_roots
+        from hermsig.field import cauchy_bound
 
         bound = cauchy_bound(field.min_poly)
         assert len(field.orderings) == count_roots(field.sturm, -bound, bound)
@@ -239,3 +333,96 @@ def test_element_arithmetic_matches_fraction_polynomials(case):
         inv = a.inverse()
         _assert_canonical(inv)
         assert _reference_reduce(field, poly_mul(inv.coeffs, pa)) == (Fraction(1),)
+
+
+# Fields for the integer sign and inverse kernels against the Fraction
+# oracles: the oracle fields plus the reducible moduli x^2 - 1, x^3 - x and
+# x^2 - 1/4, with factors of each modulus that make elements vanish at some
+# but not all of its roots.  On x^2 - 1/4 bisection of (0, 2) lands exactly
+# on the root 1/2.
+SIGN_FIELDS = {
+    (1, 3, -3, -4, 1, 1): [],
+    (-2, 0, 1): [],
+    (Fraction(-1, 5), Fraction(-1, 3), 0, 1): [],
+    (-1, 0, 1): [(-1, 1), (1, 1)],
+    (0, -1, 0, 1): [(0, 1), (-1, 1), (1, 1), (-1, 0, 1), (0, -1, 1)],
+    (Fraction(-1, 4), 0, 1): [(Fraction(-1, 2), 1), (Fraction(1, 2), 1)],
+}
+
+
+@st.composite
+def _sign_case(draw, count=6):
+    """A modulus and `count` coefficient vectors, each of degree < d; some
+    are multiples of a factor of the modulus."""
+    m = draw(st.sampled_from(sorted(SIGN_FIELDS, key=str)))
+    d = len(m) - 1
+    factors = SIGN_FIELDS[m]
+    vecs = []
+    for _ in range(count):
+        v = tuple(draw(st.lists(_rationals, min_size=d, max_size=d)))
+        if factors and draw(st.booleans()):
+            f = draw(st.sampled_from(factors))
+            v = poly_mul(v[:d - len(f) + 1], tuple(Fraction(c) for c in f))
+        vecs.append(v)
+    return m, vecs
+
+
+@given(_sign_case(), st.randoms(use_true_random=False))
+def test_sign_at_matches_fraction_oracle_in_any_query_order(case, rng):
+    m, vecs = case
+    queries = [(i, k) for i in range(len(vecs))
+               for k in range(len(NumberField(m).orderings))]
+    answers = []
+    for order in (queries, rng.sample(queries, len(queries))):
+        field, oracle = NumberField(m), FractionSigns()
+        elems = [field.element(list(v)) for v in vecs]
+        got = {}
+        for i, k in order:
+            p = field.orderings[k]
+            got[i, k] = sign_at(elems[i], p)
+            assert got[i, k] == oracle.sign_at(elems[i], p)
+            # Same refinement sequence: the integer interval is the
+            # oracle's Fraction interval.
+            assert (Fraction(p._L, p._D), Fraction(p._H, p._D)) == \
+                oracle.current.get(id(p), (p.lo, p.hi))
+        answers.append(got)
+    assert answers[0] == answers[1]
+
+
+def test_sign_at_bisection_lands_on_exact_root():
+    field = NumberField([Fraction(-1, 4), 0, 1])  # roots -1/2 and 1/2
+    neg, pos = field.orderings
+    assert (pos.lo, pos.hi) == (0, 2)
+    a = field.element([Fraction(-3, 4), 1])  # x - 3/4 is -1/4 at 1/2
+    assert sign_at(a, pos) == -1
+    assert pos._L * 2 == pos._H * 2 == pos._D  # collapsed to 1/2
+    assert sign_at(field.element([Fraction(-1, 2), 1]), pos) == 0
+    assert sign_at(field.element([Fraction(1, 2), 1]), pos) == 1
+    assert sign_at(field.element([Fraction(-1, 2), 1]), neg) == -1
+
+
+@given(_sign_case(count=3))
+def test_inverse_matches_fraction_oracle(case):
+    m, vecs = case
+    field = NumberField(m)
+    for v in vecs:
+        a = field.element(list(v))
+        try:
+            want = fraction_inverse(a)
+        except ZeroDivisionError as exc:
+            with pytest.raises(ZeroDivisionError, match=str(exc)):
+                a.inverse()
+            continue
+        inv = a.inverse()
+        _assert_canonical(inv)
+        assert inv == want
+        assert a * inv == 1
+
+
+def test_zero_divisor_inverse_raises():
+    field = NumberField([-1, 0, 1])
+    for a in (field.element([-1, 1]), field.element([3, 3])):
+        with pytest.raises(ZeroDivisionError, match="zero divisor"):
+            a.inverse()
+    a = field.element([2, 1])
+    assert a * a.inverse() == 1

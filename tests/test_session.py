@@ -295,11 +295,13 @@ def test_subprocess_determinism(tmp_path):
     assert out[0] == out[1]
 
 
-@pytest.mark.parametrize("name", ["full_session", "sqrt2_session"])
+@pytest.mark.parametrize("name", ["full_session", "sqrt2_session", "quintic_session"])
 def test_fixture_reports_match_golden(name):
     """`hermsig run` on each fixture reproduces its recorded report byte for
     byte; the .expected.json files were written before the integer-numerator
-    element representation and the symmetric elimination kernel."""
+    element representation and the symmetric elimination kernel, and the
+    quintic one (over x^5 + x^4 - 4x^3 - 3x^2 + 3x + 1) before the integer
+    sign and inverse kernels and the minimal-neighbourhood topology."""
     import subprocess
     import sys
 

@@ -139,6 +139,35 @@ def test_generate_topology_small():
     assert is_t0(2, topo)
 
 
+def union_closure_topology(size, subbasic):
+    """Reference: close the subbasis under pairwise intersection, then the
+    basis under pairwise union, round after round."""
+    whole = frozenset(range(size))
+    basis = {whole}
+    pool = set(subbasic)
+    while True:
+        new = {a & b for a in pool | basis for b in pool} - (pool | basis)
+        if not new:
+            break
+        pool |= new
+    topo = {frozenset(), whole} | basis | pool
+    while True:
+        new = {a | b for a in topo for b in topo} - topo
+        if not new:
+            break
+        topo |= new
+    return topo
+
+
+def test_generate_topology_matches_union_closure():
+    rng = random.Random(11)
+    for _ in range(200):
+        size = rng.randint(0, 6)
+        subbasic = [frozenset(x for x in range(size) if rng.random() < 0.5)
+                    for _ in range(rng.randint(0, 5))]
+        assert generate_topology(size, subbasic) == union_closure_topology(size, subbasic)
+
+
 def test_topology_compare_and_t0():
     theta = SQRT2.gen
     instances = [
