@@ -9,22 +9,26 @@ Four families, closed by construction:
                   conjugate-transpose), modeling the orthogonal
                   involutions Int(u) o conj by scaling
 
-Elements are n x n matrices over the entry ring (F, F(sqrt(delta)) or the
-quaternion algebra).  Everything is immutable and exact.
+Everything the code needs to know about a family is in its ``Family``
+record (the table ``FAMILIES``): the parameter names, the entry ring and
+its dimension over F, the trace-form divisor, whether Grams are skew, and
+the nil rule.  Elements are n x n matrices over the entry ring (F,
+F(sqrt(delta)) or the quaternion algebra); the three rings share one
+protocol (``zero``, ``one``, ``basis``, ``from_coords``, and entries with
+``conj``, ``coords``, ``trd``, ``is_zero``), so no code branches on the
+family name.  Everything is immutable and exact.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import AlgebraMismatchError, UnsupportedError
 from .field import FieldElement, NumberField, Ordering, sign_at
-
-FAMILIES = ("split_orth", "unitary", "quat_symp", "quat_skew")
-
 
 # ---------------------------------------------------------------------------
 # Entry rings.
@@ -55,6 +59,13 @@ class QuadExtension:
     def root(self):
         return self.element(0, 1)
 
+    @cached_property
+    def basis(self) -> tuple:
+        return (self.one, self.root)
+
+    def from_coords(self, coords: Sequence[FieldElement]) -> "QuadExtElement":
+        return QuadExtElement(self, coords[0], coords[1])
+
     def __eq__(self, other):
         return (isinstance(other, QuadExtension) and other.field == self.field
                 and other.delta == self.delta)
@@ -70,6 +81,10 @@ class QuadExtElement:
         self.ext = ext
         self.u = u
         self.v = v
+
+    @property
+    def ring(self) -> QuadExtension:
+        return self.ext
 
     def _lift(self, other):
         if isinstance(other, QuadExtElement):
@@ -111,6 +126,9 @@ class QuadExtElement:
 
     def conj(self) -> "QuadExtElement":
         return QuadExtElement(self.ext, self.u, -self.v)
+
+    def trd(self) -> FieldElement:
+        return self.u + self.u
 
     def norm(self) -> FieldElement:
         return self.u * self.u - self.ext.delta * self.v * self.v
@@ -168,6 +186,13 @@ class QuaternionAlgebra:
     def k(self):
         return self.element(0, 0, 0, 1)
 
+    @cached_property
+    def basis(self) -> tuple:
+        return (self.one, self.i, self.j, self.k)
+
+    def from_coords(self, coords: Sequence[FieldElement]) -> "Quaternion":
+        return Quaternion(self, *coords)
+
     def __eq__(self, other):
         return (isinstance(other, QuaternionAlgebra) and other.field == self.field
                 and other.a == self.a and other.b == self.b)
@@ -185,6 +210,10 @@ class Quaternion:
         self.x = x
         self.y = y
         self.z = z
+
+    @property
+    def ring(self) -> QuaternionAlgebra:
+        return self.alg
 
     def _lift(self, other):
         if isinstance(other, Quaternion):
@@ -325,6 +354,61 @@ def is_square_in_field(e: FieldElement) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The family table.
+
+
+def _unitary_ring(field: NumberField, delta: FieldElement) -> QuadExtension:
+    if is_square_in_field(delta):
+        raise ValueError("delta is a square; the unitary family requires "
+                         "a field center")
+    return QuadExtension(field, delta)
+
+
+@dataclass(frozen=True)
+class Family:
+    """The per-family facts of the catalogue.
+
+    ``nil`` decides whether an ordering is nil from the signs of the
+    parameters there; ``trace_divisor`` is the trace-form signature of a
+    form divided by its signature at the collapsed (n = 1) level;
+    ``build_ring`` makes the entry ring from the field and the parameters.
+    """
+
+    name: str
+    params: tuple[str, ...]
+    entry_dim: int
+    trace_divisor: int
+    skew: bool
+    nil: Callable[[tuple[int, ...]], bool]
+    build_ring: Callable
+
+    def make_ring(self, field: NumberField, given: dict) -> tuple[tuple, object]:
+        """Validate the given parameters; return them in order, as field
+        elements, with the entry ring they define."""
+        if any(v is not None for k, v in given.items() if k not in self.params):
+            raise ValueError(f"{self.name} takes " + (
+                f"only {' and '.join(self.params)}" if self.params else "no parameters"))
+        names = " and ".join(self.params)
+        if any(given.get(k) is None for k in self.params):
+            raise ValueError(f"{self.name} requires {names}")
+        values = tuple(v if isinstance(v, FieldElement) else field.element(v)
+                       for v in (given[k] for k in self.params))
+        if any(v.is_zero() for v in values):
+            raise ValueError(f"{names} must be nonzero")
+        return values, self.build_ring(field, *values)
+
+
+FAMILIES = {f.name: f for f in (
+    Family("split_orth", (), 1, 1, False, lambda s: False, lambda field: field),
+    Family("unitary", ("delta",), 2, 2, False, lambda s: s[0] > 0, _unitary_ring),
+    Family("quat_symp", ("a", "b"), 4, 4, False,
+           lambda s: s[0] > 0 or s[1] > 0, QuaternionAlgebra),
+    Family("quat_skew", ("a", "b"), 4, 2, True,
+           lambda s: s[0] < 0 and s[1] < 0, QuaternionAlgebra),
+)}
+
+
+# ---------------------------------------------------------------------------
 # Algebras with involution and their elements.
 
 
@@ -333,7 +417,8 @@ class AlgebraWithInvolution:
 
     def __init__(self, field: NumberField, family: str, n: int = 1, *,
                  a=None, b=None, delta=None):
-        if family not in FAMILIES:
+        spec = FAMILIES.get(family) if isinstance(family, str) else None
+        if spec is None:
             raise UnsupportedError(
                 f"unknown family {family!r}; the catalogue is closed "
                 f"(supported: {', '.join(FAMILIES)})")
@@ -341,41 +426,23 @@ class AlgebraWithInvolution:
             raise ValueError("matrix size n must be >= 1")
         self.field = field
         self.family = family
+        self.spec = spec
         self.n = n
-        coerce = lambda v: v if isinstance(v, FieldElement) else field.element(v)
-        if family == "split_orth":
-            if any(v is not None for v in (a, b, delta)):
-                raise ValueError("split_orth takes no parameters")
-            self.ext = None
-            self.quat = None
-        elif family == "unitary":
-            if delta is None:
-                raise ValueError("unitary requires delta")
-            delta = coerce(delta)
-            if delta.is_zero():
-                raise ValueError("delta must be nonzero")
-            if is_square_in_field(delta):
-                raise ValueError("delta is a square; the unitary family requires "
-                                 "a field center")
-            self.ext = QuadExtension(field, delta)
-            self.quat = None
-        else:
-            if a is None or b is None:
-                raise ValueError(f"{family} requires a and b")
-            a, b = coerce(a), coerce(b)
-            if a.is_zero() or b.is_zero():
-                raise ValueError("a and b must be nonzero")
-            self.ext = None
-            self.quat = QuaternionAlgebra(field, a, b)
+        self.params, self.ring = spec.make_ring(field, {"a": a, "b": b, "delta": delta})
+
+    def rebuild(self, *, field: NumberField | None = None, n: int | None = None,
+                coerce: Callable[[FieldElement], FieldElement] | None = None
+                ) -> "AlgebraWithInvolution":
+        """The same family over another field or matrix size, with the
+        parameters mapped by `coerce`."""
+        values = self.params if coerce is None else tuple(coerce(v) for v in self.params)
+        return AlgebraWithInvolution(self.field if field is None else field, self.family,
+                                     self.n if n is None else n,
+                                     **dict(zip(self.spec.params, values)))
 
     # -- identity -----------------------------------------------------------
     def _key(self):
-        params: tuple = ()
-        if self.family == "unitary":
-            params = (self.ext.delta,)
-        elif self.quat is not None:
-            params = (self.quat.a, self.quat.b)
-        return (self.field.min_poly, self.family, self.n, params)
+        return (self.field.min_poly, self.family, self.n, self.params)
 
     def __eq__(self, other):
         return isinstance(other, AlgebraWithInvolution) and other._key() == self._key()
@@ -384,17 +451,23 @@ class AlgebraWithInvolution:
         return hash(self._key())
 
     def __repr__(self):
-        params = ""
-        if self.family == "unitary":
-            params = f", delta={self.ext.delta!r}"
-        elif self.quat is not None:
-            params = f", a={self.quat.a!r}, b={self.quat.b!r}"
+        params = "".join(f", {k}={v!r}" for k, v in zip(self.spec.params, self.params))
         return f"AlgebraWithInvolution({self.family}, n={self.n}{params})"
 
     # -- structural invariants ------------------------------------------------
     @property
+    def ext(self) -> QuadExtension | None:
+        """The entry ring F(sqrt(delta)) of a unitary member, else None."""
+        return self.ring if isinstance(self.ring, QuadExtension) else None
+
+    @property
+    def quat(self) -> QuaternionAlgebra | None:
+        """The entry ring (a, b)_F of a quaternion member, else None."""
+        return self.ring if isinstance(self.ring, QuaternionAlgebra) else None
+
+    @property
     def entry_dim(self) -> int:
-        return {"split_orth": 1, "unitary": 2, "quat_symp": 4, "quat_skew": 4}[self.family]
+        return self.spec.entry_dim
 
     @property
     def dim_F(self) -> int:
@@ -403,22 +476,13 @@ class AlgebraWithInvolution:
     @property
     def skew_gram(self) -> bool:
         """True when forms over this family carry skew-hermitian Grams."""
-        return self.family == "quat_skew"
+        return self.spec.skew
 
     @cached_property
     def _nil_tuple(self) -> tuple[Ordering, ...]:
-        orderings = self.field.orderings
-        if self.family == "split_orth":
-            return ()
-        if self.family == "unitary":
-            delta = self.ext.delta
-            return tuple(p for p in orderings if sign_at(delta, p) > 0)
-        a, b = self.quat.a, self.quat.b
-        if self.family == "quat_symp":
-            return tuple(p for p in orderings
-                         if sign_at(a, p) > 0 or sign_at(b, p) > 0)
-        return tuple(p for p in orderings
-                     if sign_at(a, p) < 0 and sign_at(b, p) < 0)
+        nil = self.spec.nil
+        return tuple(p for p in self.field.orderings
+                     if nil(tuple(sign_at(v, p) for v in self.params)))
 
     def nil_orderings(self) -> list[Ordering]:
         return list(self._nil_tuple)
@@ -429,103 +493,45 @@ class AlgebraWithInvolution:
     def nonnil_orderings(self) -> list[Ordering]:
         return [p for p in self.field.orderings if p not in self._nil_tuple]
 
-    # -- entry ring dispatch ---------------------------------------------------
-    @cached_property
-    def entry_basis(self) -> tuple:
-        if self.family == "split_orth":
-            return (self.field.one,)
-        if self.family == "unitary":
-            return (self.ext.one, self.ext.root)
-        q = self.quat
-        return (q.one, q.i, q.j, q.k)
-
+    # -- entries ----------------------------------------------------------------
     @property
     def entry_zero(self):
-        if self.family == "split_orth":
-            return self.field.zero
-        if self.family == "unitary":
-            return self.ext.zero
-        return self.quat.zero
+        return self.ring.zero
 
     @property
     def entry_one(self):
-        return self.entry_basis[0]
+        return self.ring.one
 
     def entry(self, value):
-        """Coerce scalars, coordinate sequences or ready entries."""
-        if self.family == "split_orth":
-            if isinstance(value, FieldElement):
-                return value
-            if isinstance(value, (int, Fraction, str)):
-                return self.field.element(value)
-            if isinstance(value, (list, tuple)) and len(value) == 1:
-                return self._as_field(value[0])
-            raise ValueError("split_orth entries are field elements")
-        if self.family == "unitary":
-            if isinstance(value, QuadExtElement):
-                if value.ext != self.ext:
-                    raise AlgebraMismatchError("entry from a different extension")
-                return value
-            if isinstance(value, (int, Fraction, str, FieldElement)):
-                return self.ext.element(value, 0)
-            if isinstance(value, (list, tuple)) and len(value) == 2:
-                return self.ext.element(self._as_field(value[0]), self._as_field(value[1]))
-            raise ValueError("unitary entries are pairs (u, v) over F")
-        if isinstance(value, Quaternion):
-            if value.alg != self.quat:
-                raise AlgebraMismatchError("entry from a different quaternion algebra")
+        """Coerce a ready entry, a scalar of F or a coordinate sequence."""
+        if isinstance(value, (QuadExtElement, Quaternion)):
+            if value.ring != self.ring:
+                raise AlgebraMismatchError("entry from a different entry ring")
             return value
+        ed = self.entry_dim
         if isinstance(value, (int, Fraction, str, FieldElement)):
-            return self.quat.element(value)
-        if isinstance(value, (list, tuple)) and len(value) == 4:
-            return self.quat.element(*[self._as_field(c) for c in value])
-        raise ValueError("quaternion entries are 4-tuples (w, x, y, z) over F")
+            value = (value,) + (self.field.zero,) * (ed - 1)
+        if not isinstance(value, (list, tuple)) or len(value) != ed:
+            raise ValueError(f"{self.family} entries are scalars or "
+                             f"{ed}-component coordinate lists over F")
+        return self.ring.from_coords([self._as_field(c) for c in value])
 
     def _as_field(self, c) -> FieldElement:
         return c if isinstance(c, FieldElement) else self.field.element(c)
 
-    def entry_conj(self, e):
-        return e if self.family == "split_orth" else e.conj()
-
-    def entry_coords(self, e) -> tuple[FieldElement, ...]:
-        if self.family == "split_orth":
-            return (e,)
-        return e.coords()
-
-    def entry_from_coords(self, coords: Sequence[FieldElement]):
-        if self.family == "split_orth":
-            return coords[0]
-        if self.family == "unitary":
-            return QuadExtElement(self.ext, coords[0], coords[1])
-        return Quaternion(self.quat, *coords)
-
-    def entry_scale(self, c: FieldElement, e):
-        if self.family == "split_orth":
-            return c * e
-        return e * c
-
-    def entry_trace_to_F(self, e) -> FieldElement:
-        """Reduced trace of an entry down to F (with its field factor)."""
-        if self.family == "split_orth":
-            return e
-        if self.family == "unitary":
-            return e.u + e.u
-        return e.trd()
-
-    def entry_is_zero(self, e) -> bool:
-        return e.is_zero() if self.family != "split_orth" else e.is_zero()
-
-    def skew_twist_at(self, ordering: Ordering) -> Quaternion:
-        """The pure twist with positive reduced norm at a non-nil ordering
-        of the quat_skew family: Nrd(i) = -a, Nrd(j) = -b, Nrd(k) = ab.
+    # -- twists -------------------------------------------------------------------
+    def twist_at(self, ordering: Ordering) -> "Quaternion | None":
+        """None for the hermitian families.  For quat_skew, the pure twist
+        with positive reduced norm at a non-nil ordering: Nrd(i) = -a,
+        Nrd(j) = -b, Nrd(k) = ab.
 
         The twisted pairing Trd(conj(x)^t G y w) is the quadratic carrier
         of the signature only where Nrd(w) > 0; the choice per ordering is
         a choice of Morita identification, normalized later by the
         reference form.
         """
-        if self.family != "quat_skew":
-            raise UnsupportedError("twists apply to the quat_skew family")
+        if not self.skew_gram:
+            return None
         if self.is_nil(ordering):
             raise ValueError("no twist at a nil ordering")
         a_pos = sign_at(self.quat.a, ordering) > 0
@@ -536,8 +542,19 @@ class AlgebraWithInvolution:
             return self.quat.j
         return self.quat.i
 
+    @property
+    def default_twist(self) -> "Quaternion | None":
+        """The twist i of the involution convention Int(i) o conj of
+        quat_skew; None for the hermitian families."""
+        return self.quat.i if self.skew_gram else None
+
     @cached_property
     def _trace_structure_cache(self) -> dict:
+        return {}
+
+    @cached_property
+    def _reference_cache(self) -> dict:
+        # bound -> ReferenceForm, filled by hermitian.reference_form
         return {}
 
     def trace_structure(self, twist: "Quaternion | None" = None) -> tuple:
@@ -546,23 +563,23 @@ class AlgebraWithInvolution:
         quat_skew Grams need a pure twist to make the pairing symmetric
         (the untwisted one is antisymmetric on skew Grams).
         """
-        if (twist is None) == (self.family == "quat_skew"):
+        if (twist is None) == self.skew_gram:
             raise ValueError("a twist is required exactly for quat_skew")
         key = None if twist is None else twist.coords()
         cached = self._trace_structure_cache.get(key)
         if cached is not None:
             return cached
-        basis = self.entry_basis
+        basis = self.ring.basis
         table = []
         for bu in basis:
             row = []
             for bv in basis:
                 per_w = []
                 for bw in basis:
-                    prod = self.entry_conj(bu) * bw * bv
+                    prod = bu.conj() * bw * bv
                     if twist is not None:
                         prod = prod * twist
-                    per_w.append(self.entry_trace_to_F(prod))
+                    per_w.append(prod.trd())
                 row.append(tuple(per_w))
             table.append(tuple(row))
         result = tuple(table)
@@ -592,14 +609,7 @@ class AlgebraWithInvolution:
 
     def collapsed(self) -> "AlgebraWithInvolution":
         """The Morita-equivalent n = 1 member of the same family."""
-        if self.n == 1:
-            return self
-        if self.family == "split_orth":
-            return AlgebraWithInvolution(self.field, "split_orth", 1)
-        if self.family == "unitary":
-            return AlgebraWithInvolution(self.field, "unitary", 1, delta=self.ext.delta)
-        return AlgebraWithInvolution(self.field, self.family, 1,
-                                     a=self.quat.a, b=self.quat.b)
+        return self if self.n == 1 else self.rebuild(n=1)
 
     def is_symmetric_element(self, x: "AlgebraElement") -> bool:
         """Fixed by the involution: conj-transpose symmetric, or skew for
@@ -608,8 +618,13 @@ class AlgebraWithInvolution:
         return ct == (-x if self.skew_gram else x)
 
     def sym_basis(self) -> list["AlgebraElement"]:
-        """Deterministic F-basis of the involution-symmetric elements."""
+        """Deterministic F-basis of the involution-symmetric elements: the
+        basis entries e with conj(e) = +-e on the diagonal, then the pairs
+        (e, +-conj(e)) at (r, c), (c, r) for every basis entry e."""
         n, z = self.n, self.entry_zero
+
+        def flip(e):
+            return -e if self.skew_gram else e
 
         def unit(r, c, e):
             rows = [[z] * n for _ in range(n)]
@@ -622,29 +637,13 @@ class AlgebraWithInvolution:
             rows[c][r] = f
             return rows
 
-        out = []
-        if self.family == "quat_skew":
-            q = self.quat
-            for r in range(n):
-                for e in (q.i, q.j, q.k):
-                    out.append(AlgebraElement(self, unit(r, r, e)))
-            for r in range(n):
-                for c in range(r + 1, n):
-                    for e in self.entry_basis:
-                        out.append(AlgebraElement(self, pair(r, c, e, -self.entry_conj(e))))
-            return out
-        for r in range(n):
-            out.append(AlgebraElement(self, unit(r, r, self.entry_one)))
+        basis = self.ring.basis
+        diagonal = [e for e in basis if e.conj() == flip(e)]
+        out = [AlgebraElement(self, unit(r, r, e)) for r in range(n) for e in diagonal]
         for r in range(n):
             for c in range(r + 1, n):
-                if self.family == "split_orth":
-                    out.append(AlgebraElement(self, pair(r, c, self.entry_one, self.entry_one)))
-                elif self.family == "unitary":
-                    out.append(AlgebraElement(self, pair(r, c, self.ext.one, self.ext.one)))
-                    out.append(AlgebraElement(self, pair(r, c, self.ext.root, -self.ext.root)))
-                else:
-                    for e in self.entry_basis:
-                        out.append(AlgebraElement(self, pair(r, c, e, self.entry_conj(e))))
+                for e in basis:
+                    out.append(AlgebraElement(self, pair(r, c, e, flip(e.conj()))))
         return out
 
 
@@ -700,14 +699,12 @@ class AlgebraElement:
         return NotImplemented
 
     def scale(self, c: FieldElement) -> "AlgebraElement":
-        alg = self.algebra
-        return AlgebraElement(alg, [[alg.entry_scale(c, a) for a in row] for row in self.rows])
+        return AlgebraElement(self.algebra, [[a * c for a in row] for row in self.rows])
 
     def conj_transpose(self) -> "AlgebraElement":
-        alg = self.algebra
-        n = alg.n
-        return AlgebraElement(alg, [[alg.entry_conj(self.rows[c][r]) for c in range(n)]
-                                    for r in range(n)])
+        n = self.algebra.n
+        return AlgebraElement(self.algebra, [[self.rows[c][r].conj() for c in range(n)]
+                                             for r in range(n)])
 
     def trace(self):
         """Sum of diagonal entries, an entry-ring value."""
@@ -717,15 +714,10 @@ class AlgebraElement:
         return acc
 
     def is_zero(self) -> bool:
-        return all(self.algebra.entry_is_zero(a) for row in self.rows for a in row)
+        return all(a.is_zero() for row in self.rows for a in row)
 
     def coords(self) -> tuple[FieldElement, ...]:
-        alg = self.algebra
-        out = []
-        for row in self.rows:
-            for a in row:
-                out.extend(alg.entry_coords(a))
-        return tuple(out)
+        return tuple(c for row in self.rows for a in row for c in a.coords())
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraElement) and other.algebra == self.algebra
@@ -755,10 +747,10 @@ def is_invertible(x: AlgebraElement) -> bool:
     # columns of the matrix of v -> x v over the F-basis (slot, entry-basis)
     cols = []
     for slot in range(n):
-        for bu in alg.entry_basis:
+        for bu in alg.ring.basis:
             col = []
             for r in range(n):
-                col.extend(alg.entry_coords(x.rows[r][slot] * bu))
+                col.extend((x.rows[r][slot] * bu).coords())
             cols.append(col)
     m = [[cols[c][r] for c in range(dim)] for r in range(dim)]
     rank = 0

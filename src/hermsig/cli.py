@@ -52,6 +52,7 @@ from .session import (
     parse_algebra_element,
     parse_element,
     parse_session,
+    render_entry,
 )
 from .spectra import (
     FundamentalDescriptor,
@@ -88,16 +89,8 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _render_entry(algebra: AlgebraWithInvolution, entry, gen: str):
-    coords = algebra.entry_coords(entry)
-    if algebra.entry_dim == 1:
-        return render_element(coords[0], gen)
-    return [render_element(c, gen) for c in coords]
-
-
 def _render_algebra_element(element, gen: str):
-    alg = element.algebra
-    return [[_render_entry(alg, v, gen) for v in row] for row in element.rows]
+    return [[render_entry(v, gen) for v in row] for row in element.rows]
 
 
 def _render_certificate(cert: SquareCertificate, gen: str):
@@ -120,7 +113,6 @@ class _Runner:
         self.rng = random.Random(doc.seed)
         self.search_height = search_height
         self.search_terms = search_terms
-        self._references: dict = {}
 
     # -- helpers -------------------------------------------------------------
     def algebra(self, cmd) -> AlgebraWithInvolution:
@@ -142,13 +134,6 @@ class _Runner:
         if not isinstance(idx, int) or not 0 <= idx < len(orderings):
             raise HermsigError(f"no ordering with index {idx}")
         return orderings[idx]
-
-    def reference(self, algebra):
-        ref = self._references.get(algebra)
-        if ref is None:
-            ref = reference_form(algebra)
-            self._references[algebra] = ref
-        return ref
 
     def element(self, cmd, algebra, key="element"):
         return parse_algebra_element(self._arg(cmd, key), algebra,
@@ -176,7 +161,7 @@ class _Runner:
 
     def _signature_of(self, form, ordering) -> int:
         if isinstance(form, HermitianForm):
-            return signature(form, ordering, self.reference(form.algebra))
+            return signature(form, ordering, reference_form(form.algebra))
         if isinstance(form, GramQuadraticForm):
             return signature_q(form, ordering)
         return signature_q(form, ordering)
@@ -187,7 +172,7 @@ class _Runner:
     def cmd_total_sign(self, cmd):
         form = self.form(cmd)
         if isinstance(form, HermitianForm):
-            table = total_signature_h(form, self.reference(form.algebra))
+            table = total_signature_h(form, reference_form(form.algebra))
         else:
             if isinstance(form, GramQuadraticForm):
                 form = diagonalize(form).form
@@ -200,7 +185,7 @@ class _Runner:
     def cmd_torsion(self, cmd):
         form = self.form(cmd)
         if isinstance(form, HermitianForm):
-            return torsion_test_h(form, self.reference(form.algebra))
+            return torsion_test_h(form, reference_form(form.algebra))
         if isinstance(form, GramQuadraticForm):
             form = diagonalize(form).form
         return torsion_test_q(form)
@@ -223,7 +208,7 @@ class _Runner:
                 entries.append(parse_algebra_element(v, lifted_alg, ext_gen,
                                                      f"command.diag[{i}]"))
         form = HermitianForm.diagonal(lifted_alg, entries)
-        report = knebusch_check(form, self.reference(algebra))
+        report = knebusch_check(form, reference_form(algebra))
         return {"holds": report.holds, "transfer_side": report.transfer_side,
                 "sum_side": report.sum_side}
 
@@ -232,7 +217,7 @@ class _Runner:
         if not isinstance(form, HermitianForm):
             raise HermsigError("going-up applies to hermitian forms")
         ext, _ = self.ext_field(cmd)
-        base_ref = self.reference(form.algebra)
+        base_ref = reference_form(form.algebra)
         base = signature(form, self.doc.field.orderings[0], base_ref)
         lifted = going_up(form, ext)
         lifted_ref_form = going_up(base_ref.form, ext)
@@ -248,21 +233,21 @@ class _Runner:
 
     def cmd_reference_form(self, cmd):
         algebra = self.algebra(cmd)
-        ref = self.reference(algebra)
+        ref = reference_form(algebra)
         gen = self.doc.gen_name
         n = algebra.n
         diag = []
         for i in range(ref.form.rank):
             rows = [[ref.form.gram[i * n + r][i * n + c] for c in range(n)]
                     for r in range(n)]
-            diag.append([[_render_entry(algebra, v, gen) for v in row] for row in rows])
+            diag.append([[render_entry(v, gen) for v in row] for row in rows])
         return {"diagonal": diag,
                 "certificate": [[p.index, s] for p, s in sorted(
                     ref.certificate.items(), key=lambda kv: kv[0].index)]}
 
     def cmd_cones(self, cmd):
         algebra = self.algebra(cmd)
-        cones = enumerate_positive_cones(algebra, self.reference(algebra))
+        cones = enumerate_positive_cones(algebra)
         return {"count": len(cones),
                 "cones": [list(c.id_pair()) for c in cones],
                 "formally_real": formally_real(algebra)}
@@ -270,7 +255,7 @@ class _Runner:
     def cmd_cone_member(self, cmd):
         algebra = self.algebra(cmd)
         cone = PositiveCone(algebra, self.ordering(cmd),
-                            self._arg(cmd, "orientation"), self.reference(algebra))
+                            self._arg(cmd, "orientation"), reference_form(algebra))
         return cone.contains(self.element(cmd, algebra))
 
     def cmd_eta_max(self, cmd):
@@ -278,7 +263,7 @@ class _Runner:
 
         algebra = self.algebra(cmd)
         return eta_maximal(self.element(cmd, algebra), self.ordering(cmd),
-                           self.reference(algebra))
+                           reference_form(algebra))
 
     def cmd_sos_find(self, cmd):
         algebra = self.algebra(cmd)
@@ -334,7 +319,7 @@ class _Runner:
 
     def cmd_ideals(self, cmd):
         algebra = self.algebra(cmd)
-        ref = self.reference(algebra)
+        ref = reference_form(algebra)
         kind = self._arg(cmd, "kind")
         kwargs = {}
         if kind in ("signature", "mod_p"):
@@ -371,21 +356,20 @@ class _Runner:
         if not isinstance(idx, list) or len(idx) != 2:
             raise HermsigError("'orderings' must be a list of two ordering indices")
         p, q = self._ordering_at(idx[0]), self._ordering_at(idx[1])
-        res = morphism_distinctness(algebra, p, q, self.reference(algebra))
+        res = morphism_distinctness(algebra, p, q, reference_form(algebra))
         out = {"equivalent": res.equivalent,
                "trivial": [algebra.is_nil(p), algebra.is_nil(q)]}
         if res.witness is not None:
             gen = self.doc.gen_name
-            out["witness"] = [[_render_entry(algebra, v, gen) for v in row]
+            out["witness"] = [[render_entry(v, gen) for v in row]
                               for row in res.witness.gram]
         return out
 
     def cmd_topology(self, cmd):
         algebra = self.algebra(cmd)
-        ref = self.reference(algebra)
-        space, topo = cone_space_topology(algebra, ref)
+        space, topo = cone_space_topology(algebra)
         return {"space_size": len(space),
-                "topologies_agree": topology_compare(algebra, ref),
+                "topologies_agree": topology_compare(space),
                 "t0": is_t0(len(space), topo),
                 "open_sets": len(topo)}
 
@@ -393,8 +377,7 @@ class _Runner:
         algebra = self.algebra(cmd)
         if algebra.n == 1:
             return {"identity": True, "ok": True, "pairs": []}
-        report = morita_cone_maps(algebra, self.rng, self.reference(algebra),
-                                  samples=cmd.get("samples", 6))
+        report = morita_cone_maps(algebra, self.rng, samples=cmd.get("samples", 6))
         return {"identity": False, "ok": report.ok,
                 "pairs": [[list(a), list(b)] for a, b in report.pairs]}
 
@@ -404,7 +387,7 @@ class _Runner:
             raise HermsigError("decompose applies to hermitian forms")
         algebra = form.algebra
         cone = PositiveCone(algebra, self.ordering(cmd),
-                            self._arg(cmd, "orientation"), self.reference(algebra))
+                            self._arg(cmd, "orientation"), reference_form(algebra))
         dec = sylvester_decompose(form, cone)
         gen = self.doc.gen_name
         return {"weights": [render_element(w, gen) for w in dec.weights],

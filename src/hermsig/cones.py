@@ -60,10 +60,9 @@ class PositiveCone:
         if not alg.is_symmetric_element(element):
             raise ValueError("cone membership is defined for symmetric elements")
         form = HermitianForm(alg, element.rows)
-        twist = alg.skew_twist_at(self.ordering) if alg.family == "quat_skew" else None
         want = self._oriented_sign()
         return all(want * sign_at(d, self.ordering) >= 0
-                   for d in _trace_diag(form, twist))
+                   for d in _trace_diag(form, alg.twist_at(self.ordering)))
 
     def sample_member(self, rng, terms: int = 2, height: int = 2) -> AlgebraElement:
         """A random member: sum of weighted sandwiches of the oriented
@@ -98,14 +97,8 @@ class PositiveCone:
 
 def _random_element(alg: AlgebraWithInvolution, rng, height: int) -> AlgebraElement:
     ed = alg.entry_dim
-    rows = []
-    for _ in range(alg.n):
-        row = []
-        for _ in range(alg.n):
-            coords = [rng.randint(-height, height) for _ in range(ed)]
-            row.append(alg.entry(coords if ed > 1 else coords[0]))
-        rows.append(row)
-    return AlgebraElement(alg, rows)
+    return AlgebraElement(alg, [[[rng.randint(-height, height) for _ in range(ed)]
+                                 for _ in range(alg.n)] for _ in range(alg.n)])
 
 
 def _random_positive_scalar(alg: AlgebraWithInvolution, ordering: Ordering,
@@ -126,7 +119,7 @@ def maximal_generator(cone: PositiveCone) -> AlgebraElement:
     alg = cone.algebra
     p = cone.ordering
     want = cone._oriented_sign()
-    if alg.family != "quat_skew":
+    if not alg.skew_gram:
         c = alg.field.element(want)
         return alg.scalar_element(c)
     quat = alg.quat
@@ -192,9 +185,7 @@ def positivity_sets(algebra: AlgebraWithInvolution) -> PositivityReport:
     """X_sigma by the PSD test of the unit trace form at each ordering;
     (PS') holds iff X_sigma equals the non-nil set, which is also the
     sufficient condition for (PS)."""
-    unit = unit_form(algebra)
-    twist = algebra.quat.i if algebra.family == "quat_skew" else None
-    diag = _trace_diag(unit, twist)
+    diag = _trace_diag(unit_form(algebra), algebra.default_twist)
     x_sigma = [p for p in algebra.field.orderings
                if all(sign_at(d, p) >= 0 for d in diag)]
     x_tilde = algebra.nonnil_orderings()
@@ -429,7 +420,7 @@ def _search_pool(alg: AlgebraWithInvolution, slots, height: int):
     subsets = [tuple(i for i in range(t) if mask >> i & 1) for mask in range(1 << t)]
     pool = []
     for coords in vectors:
-        x = alg.element([[coords if ed > 1 else coords[0]]])
+        x = alg.element([[coords]])
         for wsub in subsets:
             for gmask in range(1 << t):
                 pool.append((coords, wsub, gmask, x))
@@ -451,7 +442,7 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     fld = alg.field
     if a is None:
         a = maximal_generator(PositiveCone(alg, alg.nonnil_orderings()[0], 1)) \
-            if alg.family == "quat_skew" and alg.nonnil_orderings() else alg.one_element
+            if alg.skew_gram and alg.nonnil_orderings() else alg.one_element
     if not alg.is_symmetric_element(u):
         raise ValueError("the target must be a symmetric element")
     if not alg.is_symmetric_element(a) or not is_invertible(a):
@@ -469,14 +460,13 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     for p in y_set:
         cone = PositiveCone(alg, p, 1, eta)
         if not cone.contains(u):
-            twist = alg.skew_twist_at(p) if alg.family == "quat_skew" else None
             want = cone._oriented_sign()
             form = HermitianForm(alg, u.rows)
-            witness = next(d for d in _trace_diag(form, twist)
+            witness = next(d for d in _trace_diag(form, alg.twist_at(p))
                            if want * sign_at(d, p) < 0)
             return SosSearchResult("refuted", refutation=Refutation(p, witness))
 
-    if alg.family == "split_orth" and fld.degree == 1 and a == alg.one_element:
+    if alg.entry_dim == 1 and fld.degree == 1 and a == alg.one_element:
         cert = _split_orth_constructive(u)
         return SosSearchResult("certificate", certificate=cert)
 

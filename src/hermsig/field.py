@@ -238,6 +238,14 @@ class NumberField:
         """The class of x; for d = 1 this is a rational number."""
         return self.element([0, 1])
 
+    # F as an entry ring (of the split_orth family): one coordinate.
+    @cached_property
+    def basis(self) -> tuple["FieldElement"]:
+        return (self.one,)
+
+    def from_coords(self, coords: Sequence["FieldElement"]) -> "FieldElement":
+        return coords[0]
+
     def __eq__(self, other) -> bool:
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
 
@@ -320,6 +328,16 @@ class FieldElement:
         if len(self.num) > 1:
             raise ValueError("element is not rational")
         return Fraction(self.num[0], self.den)
+
+    # -- as an entry: the involution is trivial on F ------------------------
+    def conj(self) -> "FieldElement":
+        return self
+
+    def coords(self) -> tuple["FieldElement"]:
+        return (self,)
+
+    def trd(self) -> "FieldElement":
+        return self
 
     # -- arithmetic ----------------------------------------------------------
     def _add(self, o: "FieldElement", sign: int) -> "FieldElement":

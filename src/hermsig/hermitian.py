@@ -4,9 +4,12 @@ A form of rank k over (M_n(D), -) is stored at entry level: a kn x kn
 matrix over the entry ring D, conj-transpose symmetric (skew for the
 quat_skew family, whose Grams are skew-hermitian data for the orthogonal
 involutions Int(u) o conj).  Signatures are computed through exact trace
-forms over F at the Morita-collapsed level and divided by the per-family
-constant (validated against independent oracles in the test suite); the
-sign ambiguity of the Morita reduction is fixed by a reference form.
+forms over F at the Morita-collapsed level and divided by the family's
+``Family.trace_divisor`` (validated against independent oracles in the
+test suite); quat_skew Grams are paired with the twist
+``AlgebraWithInvolution.twist_at(P)``.  The sign ambiguity of the Morita
+reduction is fixed by a reference form, memoized on the algebra per
+search bound.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ from .quadforms import (
     signature_q,
 )
 
-#: Trace-form divisor at the collapsed (n = 1) level, per family.
-TRACE_DIVISOR = {"split_orth": 1, "unitary": 2, "quat_symp": 4, "quat_skew": 2}
-
-
 class HermitianForm:
     """Gram matrix over the entry ring; rank k = size / n over the algebra."""
 
@@ -57,7 +56,7 @@ class HermitianForm:
         sign = -1 if algebra.skew_gram else 1
         for r in range(size):
             for c in range(r, size):
-                lhs = algebra.entry_conj(gram[c][r])
+                lhs = gram[c][r].conj()
                 rhs = gram[r][c] if sign == 1 else -gram[r][c]
                 if lhs != rhs:
                     kind = "skew-hermitian" if sign == -1 else "hermitian"
@@ -128,14 +127,14 @@ def scale_by_quadratic(q: QuadraticForm, h: HermitianForm) -> HermitianForm:
     for b, d in enumerate(q.entries):
         for r in range(s):
             for c in range(s):
-                rows[b * s + r][b * s + c] = alg.entry_scale(d, h.gram[r][c])
+                rows[b * s + r][b * s + c] = h.gram[r][c] * d
     return HermitianForm(alg, rows)
 
 
 def unit_form(algebra: AlgebraWithInvolution) -> HermitianForm:
     """<1>_sigma; for quat_skew the scaled skew Gram <(1/a) i> representing
     the unit form of the modeled involution Int(i) o conj."""
-    if algebra.family != "quat_skew":
+    if not algebra.skew_gram:
         return HermitianForm.diagonal(algebra, [algebra.one_element])
     quat = algebra.quat
     w_inv = quat.i.inverse()
@@ -157,7 +156,7 @@ def _entry_trace_rows(h: HermitianForm, twist=None) -> list[list[FieldElement]]:
     for r in range(h.size):
         for t in range(h.size):
             g = h.gram[r][t]
-            coords = alg.entry_coords(g)
+            coords = g.coords()
             if all(c.is_zero() for c in coords):
                 continue
             for u in range(ed):
@@ -172,10 +171,6 @@ def _entry_trace_rows(h: HermitianForm, twist=None) -> list[list[FieldElement]]:
     return rows
 
 
-def _default_twist(alg: AlgebraWithInvolution):
-    return alg.quat.i if alg.family == "quat_skew" else None
-
-
 def trace_form(h: HermitianForm) -> GramQuadraticForm:
     """The quadratic form x -> Trd(sigma(x)^t G x) on A^k over F, of
     dimension rank(h) * dim_F A (n orthogonal copies of the collapsed one).
@@ -184,7 +179,7 @@ def trace_form(h: HermitianForm) -> GramQuadraticForm:
     is paired with the fixed twist i.  Signature computations instead use
     the ordering-dependent twist with positive norm (see raw_signature).
     """
-    entry_rows = _entry_trace_rows(h, _default_twist(h.algebra))
+    entry_rows = _entry_trace_rows(h, h.algebra.default_twist)
     n = h.algebra.n
     base = len(entry_rows)
     zero = h.algebra.field.zero
@@ -219,9 +214,8 @@ def raw_signature(h: HermitianForm, ordering: Ordering) -> int:
         raise AlgebraMismatchError("ordering belongs to a different field")
     if alg.is_nil(ordering):
         return 0
-    twist = alg.skew_twist_at(ordering) if alg.family == "quat_skew" else None
-    total = sum(sign_at(d, ordering) for d in _trace_diag(h, twist))
-    div = TRACE_DIVISOR[alg.family]
+    total = sum(sign_at(d, ordering) for d in _trace_diag(h, alg.twist_at(ordering)))
+    div = alg.spec.trace_divisor
     if total % div != 0:
         raise InvariantError(
             f"trace-form signature {total} not divisible by {div} for "
@@ -232,14 +226,12 @@ def raw_signature(h: HermitianForm, ordering: Ordering) -> int:
 def is_nondegenerate(h: HermitianForm) -> bool:
     """Nondegeneracy via the trace form: its radical is trivial exactly
     when the Gram is invertible over the algebra."""
-    twist = _default_twist(h.algebra)
-    return len(_trace_diag(h, twist)) == h.size * h.algebra.entry_dim
+    return len(_trace_diag(h, h.algebra.default_twist)) == h.size * h.algebra.entry_dim
 
 
 def witt_rank(h: HermitianForm) -> int:
     """Rank of the nondegenerate part (the Witt-class rank)."""
-    twist = _default_twist(h.algebra)
-    nd = len(_trace_diag(h, twist))
+    nd = len(_trace_diag(h, h.algebra.default_twist))
     ed = h.algebra.entry_dim
     if nd % (ed * h.algebra.n) != 0:
         raise InvariantError("degenerate part is not a free-module form; "
@@ -252,7 +244,7 @@ def rank1_max_signature(algebra: AlgebraWithInvolution, ordering: Ordering) -> i
     the hermitian families, 2n for quat_skew (confirmed by basis search)."""
     if algebra.is_nil(ordering):
         return 0
-    if algebra.family != "quat_skew":
+    if not algebra.skew_gram:
         return algebra.n
     return _skew_max_signature(algebra, ordering)
 
@@ -288,11 +280,8 @@ class ReferenceForm:
         return self.form.algebra
 
 
-_REFERENCE_CACHE: dict[AlgebraWithInvolution, ReferenceForm] = {}
-
-
 def _reference_candidates(algebra: AlgebraWithInvolution, bound: int):
-    if algebra.family == "quat_skew":
+    if algebra.skew_gram:
         quat = algebra.quat
         for q in (quat.i, quat.j, quat.k, -quat.i, -quat.j, -quat.k):
             yield algebra.scalar_element(q)
@@ -333,11 +322,12 @@ def find_reference_form(algebra: AlgebraWithInvolution, bound: int = 2) -> Refer
 
 
 def reference_form(algebra: AlgebraWithInvolution, bound: int = 2) -> ReferenceForm:
-    """Cached reference form for the algebra."""
-    ref = _REFERENCE_CACHE.get(algebra)
+    """find_reference_form(algebra, bound), memoized on the algebra per
+    bound."""
+    memo = algebra._reference_cache
+    ref = memo.get(bound)
     if ref is None:
-        ref = find_reference_form(algebra, bound)
-        _REFERENCE_CACHE[algebra] = ref
+        ref = memo[bound] = find_reference_form(algebra, bound)
     return ref
 
 
@@ -380,14 +370,7 @@ def morita_expand(h: HermitianForm, n: int) -> HermitianForm:
         raise UnsupportedError("expand starts from a collapsed (n = 1) form")
     if h.size % n != 0:
         raise ValueError(f"rank {h.size} is not a multiple of {n}")
-    if alg.family == "split_orth":
-        target = AlgebraWithInvolution(alg.field, "split_orth", n)
-    elif alg.family == "unitary":
-        target = AlgebraWithInvolution(alg.field, "unitary", n, delta=alg.ext.delta)
-    else:
-        target = AlgebraWithInvolution(alg.field, alg.family, n,
-                                       a=alg.quat.a, b=alg.quat.b)
-    return HermitianForm(target, h.gram)
+    return HermitianForm(alg.rebuild(n=n), h.gram)
 
 
 def transport_reference(reference: ReferenceForm,
@@ -420,44 +403,19 @@ def _lift_field_element(e: FieldElement, ext: NumberField) -> FieldElement:
 def going_up_algebra(algebra: AlgebraWithInvolution, ext: NumberField) -> AlgebraWithInvolution:
     if algebra.field.degree != 1:
         raise UnsupportedError("going-up supports base field Q only")
-    if algebra.family == "split_orth":
-        return AlgebraWithInvolution(ext, "split_orth", algebra.n)
-    if algebra.family == "unitary":
-        return AlgebraWithInvolution(
-            ext, "unitary", algebra.n,
-            delta=_lift_field_element(algebra.ext.delta, ext))
-    return AlgebraWithInvolution(
-        ext, algebra.family, algebra.n,
-        a=_lift_field_element(algebra.quat.a, ext),
-        b=_lift_field_element(algebra.quat.b, ext))
+    return algebra.rebuild(field=ext, coerce=lambda e: _lift_field_element(e, ext))
 
 
 def going_up(h: HermitianForm, ext: NumberField) -> HermitianForm:
     """Reinterpret the structure constants and Gram entries over L."""
     target = going_up_algebra(h.algebra, ext)
-    rows = []
-    for row in h.gram:
-        out = []
-        for entry in row:
-            coords = [_lift_field_element(c, ext)
-                      for c in h.algebra.entry_coords(entry)]
-            out.append(target.entry_from_coords(coords))
-        rows.append(out)
+    rows = [[target.ring.from_coords([_lift_field_element(c, ext) for c in entry.coords()])
+             for entry in row] for row in h.gram]
     return HermitianForm(target, rows)
 
 
 def _descend_algebra(algebra: AlgebraWithInvolution) -> AlgebraWithInvolution:
-    def descend(e: FieldElement) -> FieldElement:
-        return QQ.element(e.as_fraction())
-
-    if algebra.family == "split_orth":
-        return AlgebraWithInvolution(QQ, "split_orth", algebra.n)
-    if algebra.family == "unitary":
-        return AlgebraWithInvolution(QQ, "unitary", algebra.n,
-                                     delta=descend(algebra.ext.delta))
-    return AlgebraWithInvolution(QQ, algebra.family, algebra.n,
-                                 a=descend(algebra.quat.a),
-                                 b=descend(algebra.quat.b))
+    return algebra.rebuild(field=QQ, coerce=lambda e: QQ.element(e.as_fraction()))
 
 
 def scharlau_transfer(h: HermitianForm) -> HermitianForm:
@@ -476,12 +434,12 @@ def scharlau_transfer(h: HermitianForm) -> HermitianForm:
     for s in range(h.size):
         for t in range(h.size):
             g = h.gram[s][t]
-            coords = h.algebra.entry_coords(g)
+            coords = g.coords()
             for alpha in range(d):
                 for beta in range(d):
                     scaled = [field_trace(c * powers[alpha] * powers[beta])
                               for c in coords]
-                    rows[s * d + alpha][t * d + beta] = base_alg.entry_from_coords(
+                    rows[s * d + alpha][t * d + beta] = base_alg.ring.from_coords(
                         [QQ.element(v) for v in scaled])
     return HermitianForm(base_alg, rows)
 
@@ -523,10 +481,8 @@ def knebusch_check(h: HermitianForm,
 # Hermitian congruence diagonalization (division-at-P scope).
 
 
-def _scalar_part(algebra: AlgebraWithInvolution, entry) -> FieldElement:
-    if algebra.family == "split_orth":
-        return entry
-    coords = algebra.entry_coords(entry)
+def _scalar_part(entry) -> FieldElement:
+    coords = entry.coords()
     if any(not c.is_zero() for c in coords[1:]):
         raise InvariantError("diagonal pivot is not a scalar")
     return coords[0]
@@ -549,33 +505,31 @@ def hermitian_diagonalize(h: HermitianForm) -> tuple[list[FieldElement], int]:
 
     diag: list[FieldElement] = []
     for p in range(s):
-        pivot = next((i for i in range(p, s)
-                      if not alg.entry_is_zero(m[i][i])), None)
+        pivot = next((i for i in range(p, s) if not m[i][i].is_zero()), None)
         if pivot is None:
             off = next(((i, j) for i in range(p, s) for j in range(i + 1, s)
-                        if not alg.entry_is_zero(m[i][j])), None)
+                        if not m[i][j].is_zero()), None)
             if off is None:
                 break
             i, j = off
-            lam = next(b for b in alg.entry_basis
-                       if not alg.entry_is_zero(
-                           m[i][j] * b + alg.entry_conj(m[i][j] * b)))
+            lam = next(b for b in alg.ring.basis
+                       if not (m[i][j] * b + (m[i][j] * b).conj()).is_zero())
             # e_i <- e_i + e_j lam
             for r in range(s):
                 m[r][i] = m[r][i] + m[r][j] * lam
-            lam_c = alg.entry_conj(lam)
+            lam_c = lam.conj()
             for r in range(s):
                 m[i][r] = m[i][r] + lam_c * m[j][r]
             pivot = i
         if pivot != p:
             swap(p, pivot)
-        f = _scalar_part(alg, m[p][p])
+        f = _scalar_part(m[p][p])
         inv = f.inverse()
         for r in range(p + 1, s):
-            if alg.entry_is_zero(m[p][r]):
+            if m[p][r].is_zero():
                 continue
-            c = alg.entry_scale(inv, m[p][r])
-            c_conj = alg.entry_conj(c)
+            c = m[p][r] * inv
+            c_conj = c.conj()
             for x in range(s):
                 m[x][r] = m[x][r] - m[x][p] * c
             for x in range(s):
@@ -611,7 +565,7 @@ def sylvester_decompose(h: HermitianForm, cone) -> SylvesterDecomposition:
     if alg.n != 1:
         raise UnsupportedError("apply morita_collapse first: decomposition "
                                "is defined at the n = 1 level")
-    if alg.family == "quat_skew":
+    if alg.skew_gram:
         raise UnsupportedError("non-division scope violation: A (x) F_P is "
                                "a full matrix algebra for quat_skew")
     p = cone.ordering
@@ -643,10 +597,10 @@ def split_oracle_signature(h: HermitianForm, ordering: Ordering) -> int:
     (I (x) J) phi(G) whose Sylvester signature is the oracle value.
     """
     alg = h.algebra
-    if alg.family not in ("quat_symp", "quat_skew"):
+    if alg.quat is None:
         raise UnsupportedError("oracle applies to the quaternion families")
     phi = SplitIsomorphism(alg.quat)
-    if alg.family == "quat_symp":
+    if not alg.skew_gram:
         return 0
     big = phi.apply_gram(h.gram)
     field = alg.field

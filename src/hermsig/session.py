@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .algebras import AlgebraElement, AlgebraWithInvolution
-from .field import FieldElement, NumberField
+from .field import FieldElement, NumberField, render_element
 from .hermitian import HermitianForm
 from .quadforms import GramQuadraticForm, QuadraticForm
 
@@ -25,6 +25,9 @@ COMMANDS = (
     "sos-find", "sos-verify", "positivity", "ideals", "morphisms",
     "topology", "morita-check", "decompose",
 )
+
+#: Command arguments that must be integers when present.
+INTEGER_ARGS = ("trials", "p", "height", "max_terms", "samples", "copies")
 
 
 class SessionParseError(Exception):
@@ -237,8 +240,7 @@ def _parse_entry(value, algebra: AlgebraWithInvolution, gen: str, path: str):
     ed = algebra.entry_dim
     if ed == 1 or not isinstance(value, list):
         # bare expressions denote scalar entries in any family
-        scalar = parse_element(value, algebra.field, gen, path)
-        return algebra.entry(scalar if ed == 1 else [scalar] + [0] * (ed - 1))
+        return algebra.entry(parse_element(value, algebra.field, gen, path))
     if len(value) != ed:
         raise SessionParseError(
             f"{algebra.family} entries are {ed}-component coordinate lists", path)
@@ -320,21 +322,22 @@ def _parse_form(spec, field: NumberField, gen: str,
         raise SessionParseError(str(exc), f"{path}.gram")
 
 
+def render_entry(entry, gen: str):
+    """An entry as a session document writes it: an expression for a field
+    element, else the list of its coordinates."""
+    coords = entry.coords()
+    if len(coords) == 1:
+        return render_element(coords[0], gen)
+    return [render_element(c, gen) for c in coords]
+
+
 def render_session(doc: SessionDocument) -> str:
     """Canonical JSON rendering; re-parsing yields a semantically identical
     document (hermitian forms are emitted as full entry Grams)."""
-    from .field import render_element
-
     gen = doc.gen_name
 
     def elem(e) -> str:
         return render_element(e, gen)
-
-    def entry(algebra, v):
-        coords = algebra.entry_coords(v)
-        if algebra.entry_dim == 1:
-            return elem(coords[0])
-        return [elem(c) for c in coords]
 
     out: dict = {
         "field": {"min_poly": [str(c) for c in doc.field.min_poly],
@@ -346,11 +349,7 @@ def render_session(doc: SessionDocument) -> str:
     }
     for name, alg in doc.algebras.items():
         spec = {"name": name, "family": alg.family, "n": alg.n}
-        if alg.family == "unitary":
-            spec["delta"] = elem(alg.ext.delta)
-        elif alg.quat is not None:
-            spec["a"] = elem(alg.quat.a)
-            spec["b"] = elem(alg.quat.b)
+        spec.update((k, elem(v)) for k, v in zip(alg.spec.params, alg.params))
         out["algebras"].append(spec)
     for name, form in doc.forms.items():
         if isinstance(form, QuadraticForm):
@@ -362,7 +361,7 @@ def render_session(doc: SessionDocument) -> str:
             alg_name = next(n for n, a in doc.algebras.items() if a == form.algebra)
             out["forms"].append({
                 "name": name, "algebra": alg_name,
-                "gram": [[entry(form.algebra, v) for v in row] for row in form.gram]})
+                "gram": [[render_entry(v, gen) for v in row] for row in form.gram]})
     return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
@@ -411,5 +410,11 @@ def parse_session(text: str) -> SessionDocument:
         if "algebra" in cmd and cmd["algebra"] not in algebras:
             raise SessionParseError(f"unresolved algebra name {cmd['algebra']!r}",
                                     f"commands[{i}].algebra")
+        for key in INTEGER_ARGS:
+            if key in cmd and (not isinstance(cmd[key], int) or isinstance(cmd[key], bool)):
+                raise SessionParseError(f"{key} must be an integer", f"commands[{i}].{key}")
+        if "certificate" in cmd and not isinstance(cmd["certificate"], dict):
+            raise SessionParseError("certificate must be an object",
+                                    f"commands[{i}].certificate")
 
     return SessionDocument(field, gen, algebras, forms, commands, seed, raw)

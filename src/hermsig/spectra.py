@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebras import AlgebraElement, AlgebraWithInvolution, is_invertible
 from .cones import enumerate_positive_cones
@@ -32,7 +33,7 @@ from .quadforms import QuadraticForm, signature_q
 def image_generator(algebra: AlgebraWithInvolution) -> int:
     """Generator of im(sign^eta_P) in Z: quadratic Morita ranks are even
     multiples for even n and for quat_skew, so the image is 2Z there."""
-    if algebra.family == "quat_skew" or algebra.n % 2 == 0:
+    if algebra.skew_gram or algebra.n % 2 == 0:
         return 2
     return 1
 
@@ -209,12 +210,10 @@ def prime_property_sample(pair: PrimeIdealPair, rng, trials: int = 40) -> PrimeS
     def random_h() -> HermitianForm:
         while True:
             k = rng.choice([1, 2])
-            ed = alg.entry_dim
             s = k * alg.n
-            rows = [[alg.entry([rng.randint(-2, 2) for _ in range(ed)])
-                     if ed > 1 else alg.entry(rng.randint(-2, 2))
+            rows = [[alg.entry([rng.randint(-2, 2) for _ in range(alg.entry_dim)])
                      for _ in range(s)] for _ in range(s)]
-            ct = [[alg.entry_conj(rows[c][r]) for c in range(s)] for r in range(s)]
+            ct = [[rows[c][r].conj() for c in range(s)] for r in range(s)]
             if alg.skew_gram:
                 gram = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(rows, ct)]
             else:
@@ -272,7 +271,7 @@ def _witness_candidates(algebra: AlgebraWithInvolution):
         scalars += [theta * theta] if fld.degree > 2 else []
     basis = algebra.sym_basis()
     singles = []
-    if algebra.family != "quat_skew":
+    if not algebra.skew_gram:
         singles.append(algebra.one_element)
     singles.extend(basis)
     for b1, b2 in itertools.combinations(basis, 2):
@@ -311,6 +310,11 @@ class ConeSpace:
         self.reference = reference if reference is not None else reference_form(algebra)
         self.cones = enumerate_positive_cones(algebra, self.reference)
         self._h_cache: dict = {}
+
+    @cached_property
+    def generators(self) -> list[AlgebraElement]:
+        """The deterministic pool of symmetric generators of the subbasis."""
+        return _generator_pool(self.algebra)
 
     def __len__(self) -> int:
         return len(self.cones)
@@ -366,7 +370,7 @@ def _generator_pool(algebra: AlgebraWithInvolution) -> list[AlgebraElement]:
             scalars += [c, -c]
     basis = algebra.sym_basis()
     seeds = list(basis)
-    if algebra.family != "quat_skew":
+    if not algebra.skew_gram:
         seeds.append(algebra.one_element)
     else:
         quat = algebra.quat
@@ -391,12 +395,11 @@ def _generator_pool(algebra: AlgebraWithInvolution) -> list[AlgebraElement]:
     return pool
 
 
-def topology_compare(algebra: AlgebraWithInvolution,
-                     reference: ReferenceForm | None = None) -> bool:
+def topology_compare(space: ConeSpace) -> bool:
     """Generate the cone-space topology from all sampled symmetric
-    generators and from the invertible ones only; the two must agree."""
-    space = ConeSpace(algebra, reference)
-    pool = _generator_pool(algebra)
+    generators and from the invertible ones only; the two must agree.
+    Membership sets already computed on the space are reused."""
+    pool = space.generators
     all_sets = [space._h_single(a) for a in pool]
     inv_sets = [space._h_single(a) for a in pool if is_invertible(a)]
     t_all = generate_topology(len(space), all_sets)
@@ -407,8 +410,7 @@ def topology_compare(algebra: AlgebraWithInvolution,
 def cone_space_topology(algebra: AlgebraWithInvolution,
                         reference: ReferenceForm | None = None) -> tuple[ConeSpace, set]:
     space = ConeSpace(algebra, reference)
-    pool = _generator_pool(algebra)
-    sets = [space._h_single(a) for a in pool]
+    sets = [space._h_single(a) for a in space.generators]
     return space, generate_topology(len(space), sets)
 
 
@@ -457,17 +459,15 @@ def morita_cone_maps(algebra: AlgebraWithInvolution, rng,
             if not cone_down.contains(tr):
                 trace_ok = False
             # a random column vector X as a matrix supported on one column
-            ed = algebra.entry_dim
-            col = [[algebra.entry([rng.randint(-2, 2) for _ in range(ed)])
-                    if ed > 1 else algebra.entry(rng.randint(-2, 2))]
+            col = [algebra.entry([rng.randint(-2, 2) for _ in range(algebra.entry_dim)])
                    for _ in range(n)]
-            x = algebra.element([[col[r][0] if c == 0 else algebra.entry_zero
+            x = algebra.element([[col[r] if c == 0 else algebra.entry_zero
                                   for c in range(n)] for r in range(n)])
             value = (x.conj_transpose() * m * x).rows[0][0]
             if not cone_down.contains(down_alg.element([[value]])):
                 values_ok = False
     pullback_ok = True
-    for a_down in _generator_pool(down_alg)[:16]:
+    for a_down in down.generators[:16]:
         h_down = down._h_single(a_down)
         entry = a_down.rows[0][0]
         rows = [[entry if r == c == 0 else algebra.entry_zero

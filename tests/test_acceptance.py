@@ -67,7 +67,7 @@ def random_form(alg, rng, rank, height=5):
     rows = [[alg.entry([rng.randint(-height, height) for _ in range(ed)])
              if ed > 1 else alg.entry(rng.randint(-height, height))
              for _ in range(s)] for _ in range(s)]
-    ct = [[alg.entry_conj(rows[c][r]) for c in range(s)] for r in range(s)]
+    ct = [[rows[c][r].conj() for c in range(s)] for r in range(s)]
     op = (lambda a, b: a - b) if alg.skew_gram else (lambda a, b: a + b)
     return HermitianForm(alg, [[op(a, b) for a, b in zip(r1, r2)]
                                for r1, r2 in zip(rows, ct)])
@@ -370,8 +370,8 @@ def test_criterion_9_topology():
     ]
     for alg in instances:
         assert len(alg.nonnil_orderings()) <= 3
-        assert topology_compare(alg), alg
         space, topo = cone_space_topology(alg)
+        assert topology_compare(space), alg
         assert is_t0(len(space), topo), alg
         if alg.n > 1:
             assert morita_cone_maps(alg, rng, samples=4).ok, alg

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from hermsig.algebras import (
+    FAMILIES,
     AlgebraWithInvolution,
     QuaternionAlgebra,
     is_invertible,
@@ -212,3 +214,88 @@ def test_nrd_zero_iff_zero_divisor_sampled():
             assert (q * witness).is_zero()
         else:
             assert q * q.inverse() == split.one
+
+
+def _nil_by_definition(family, signs):
+    """The nil rule as the per-family branches stated it before the Family
+    table: unitary over delta > 0, quat_symp split, quat_skew division."""
+    if family == "split_orth":
+        return False
+    if family == "unitary":
+        return signs[0] > 0
+    a, b = signs
+    if family == "quat_symp":
+        return a > 0 or b > 0
+    return a < 0 and b < 0
+
+
+# name -> (parameters over Q(sqrt 2), entry_dim, trace_divisor, skew)
+_FAMILY_FACTS = {
+    "split_orth": ({}, 1, 1, False),
+    "unitary": ({"delta": -3}, 2, 2, False),
+    "quat_symp": ({"a": -1, "b": Fraction(-5, 2)}, 4, 4, False),
+    "quat_skew": ({"a": Fraction(1, 3), "b": -7}, 4, 2, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_FACTS))
+def test_family_table(name):
+    from hermsig.hermitian import _descend_algebra, going_up_algebra
+
+    params, entry_dim, divisor, skew = _FAMILY_FACTS[name]
+    fam = FAMILIES[name]
+    assert fam.params == tuple(params)
+    assert (fam.entry_dim, fam.trace_divisor, fam.skew) == (entry_dim, divisor, skew)
+    for signs in itertools.product((-1, 0, 1), repeat=len(fam.params)):
+        assert fam.nil(signs) == _nil_by_definition(name, signs), signs
+
+    # the nil orderings of members with every sign pattern over Q(sqrt 2)
+    theta = SQRT2.gen
+    values = (1, -1, theta, -theta)
+    for vals in itertools.product(values, repeat=len(fam.params)):
+        if name == "unitary" and vals[0] == 1:
+            continue  # a square
+        alg = AlgebraWithInvolution(SQRT2, name, 2, **dict(zip(fam.params, vals)))
+        want = [p for p in SQRT2.orderings
+                if _nil_by_definition(name, [sign_at(v, p) for v in alg.params])]
+        assert alg.nil_orderings() == want
+
+    # the entry ring and its entries share one protocol
+    base = AlgebraWithInvolution(QQ, name, 2, **params)
+    ring = base.ring
+    assert len(ring.basis) == base.entry_dim and ring.basis[0] == base.entry_one
+    e = base.entry(list(range(1, entry_dim + 1)))
+    assert ring.from_coords(e.coords()) == e
+    assert e.conj().conj() == e and (e + e.conj()).trd() == e.trd() + e.trd()
+    assert base.entry(5) == ring.from_coords([QQ.element(5)] + [QQ.zero] * (entry_dim - 1))
+    assert (base.twist_at(QQ.orderings[0]) is None) == (not skew)
+    assert (base.default_twist is None) == (not skew)
+
+    # rebuild against the explicit constructions of the going-up, descent,
+    # collapse and expansion builders it replaces
+    ext = NumberField([-3, 0, 1])
+    lift = lambda c: ext.element(c.as_fraction())  # noqa: E731
+    up = AlgebraWithInvolution(ext, name, 2, **{k: ext.element(v) for k, v in params.items()})
+    assert base.rebuild(field=ext, coerce=lift) == up == going_up_algebra(base, ext)
+    descend = lambda c: QQ.element(c.as_fraction())  # noqa: E731
+    assert up.rebuild(field=QQ, coerce=descend) == base == _descend_algebra(up)
+    assert base.collapsed() == base.rebuild(n=1) == AlgebraWithInvolution(QQ, name, 1, **params)
+    assert base.collapsed().rebuild(n=2) == base
+    assert repr(base).startswith(f"AlgebraWithInvolution({name}, n=2")
+
+
+def test_family_parameter_validation():
+    with pytest.raises(ValueError, match="split_orth takes no parameters"):
+        AlgebraWithInvolution(QQ, "split_orth", 1, a=1)
+    with pytest.raises(ValueError, match="unitary takes only delta"):
+        AlgebraWithInvolution(QQ, "unitary", 1, delta=-1, a=1)
+    with pytest.raises(ValueError, match="unitary requires delta"):
+        AlgebraWithInvolution(QQ, "unitary", 1)
+    with pytest.raises(ValueError, match="quat_skew requires a and b"):
+        AlgebraWithInvolution(QQ, "quat_skew", 1, a=1)
+    with pytest.raises(ValueError, match="delta must be nonzero"):
+        AlgebraWithInvolution(QQ, "unitary", 1, delta=0)
+    with pytest.raises(ValueError, match="a and b must be nonzero"):
+        AlgebraWithInvolution(QQ, "quat_symp", 1, a=1, b=0)
+    with pytest.raises(UnsupportedError):
+        AlgebraWithInvolution(QQ, ["quat_symp"], 1)

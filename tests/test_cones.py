@@ -347,7 +347,7 @@ def test_membership_matches_algebra_level_diagonalization():
                     ed = alg.entry_dim
                     raw = [[alg.entry([rng.randint(-2, 2) for _ in range(ed)])
                             for _ in range(2)] for _ in range(2)]
-                    ct = [[alg.entry_conj(raw[c][r]) for c in range(2)] for r in range(2)]
+                    ct = [[raw[c][r].conj() for c in range(2)] for r in range(2)]
                     gram = [[a + b for a, b in zip(r1, r2)]
                             for r1, r2 in zip(raw, ct)]
                     form = HermitianForm(alg, gram)

@@ -28,7 +28,7 @@ def random_hermitian(alg, rng, rank, height=3):
     rows = [[alg.entry([rng.randint(-height, height) for _ in range(ed)])
              if ed > 1 else alg.entry(rng.randint(-height, height))
              for _ in range(s)] for _ in range(s)]
-    ct = [[alg.entry_conj(rows[c][r]) for c in range(s)] for r in range(s)]
+    ct = [[rows[c][r].conj() for c in range(s)] for r in range(s)]
     op = (lambda x, y: x - y) if alg.skew_gram else (lambda x, y: x + y)
     return HermitianForm(alg, [[op(x, y) for x, y in zip(r1, r2)]
                                for r1, r2 in zip(rows, ct)])

@@ -40,7 +40,7 @@ P0 = QQ.orderings[0]
 
 def conj_transpose_gram(alg, rows):
     s = len(rows)
-    return [[alg.entry_conj(rows[c][r]) for c in range(s)] for r in range(s)]
+    return [[rows[c][r].conj() for c in range(s)] for r in range(s)]
 
 
 def random_hermitian(alg, rng, rank, height=2):
@@ -491,3 +491,19 @@ def test_knebusch_for_division_quat_skew():
         for _ in range(5):
             h = random_hermitian(up_alg, rng, rank=rng.randint(1, 2))
             assert knebusch_check(h).holds
+
+
+def test_reference_form_memo_respects_the_bound():
+    """A reference form found within bound 1 does not answer a later query
+    with bound 0, which exhausts."""
+    from hermsig.errors import SearchExhaustedError
+
+    theta = SQRT2.gen
+    alg = AlgebraWithInvolution(SQRT2, "quat_skew", 1, a=theta, b=-1 - theta)
+    with pytest.raises(SearchExhaustedError):
+        find_reference_form(alg, 0)
+    ref = reference_form(alg, 1)
+    assert reference_form(alg, 1) is ref
+    assert ref.certificate == find_reference_form(alg, 1).certificate
+    with pytest.raises(SearchExhaustedError):
+        reference_form(alg, 0)

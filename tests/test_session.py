@@ -384,3 +384,40 @@ def test_readme_quick_tour_snippet():
     h = HermitianForm.diagonal(ham, [1, -2, field.gen])
     table = total_signature_h(h, eta)
     assert [v for _, v in table] == [-1, 1]
+
+
+def _sqrt2_with(command):
+    doc = json.loads((FIXTURES / "sqrt2_session.json").read_text(encoding="utf-8"))
+    doc["commands"].append(command)
+    return doc, f"commands[{len(doc['commands']) - 1}]"
+
+
+_IDEALS = {"op": "ideals", "algebra": "ham", "kind": "mod_p", "ordering": 1, "p": 3,
+           "q": "qtheta", "h": "htheta", "trials": 8}
+_UNIT = [[["2", "0", "0", "0"]]]
+
+
+@pytest.mark.parametrize("command, key", [
+    (dict(_IDEALS, trials="8"), "trials"),
+    (dict(_IDEALS, p="3"), "p"),
+    ({"op": "sos-find", "algebra": "ham", "element": _UNIT, "height": "2"}, "height"),
+    ({"op": "sos-verify", "algebra": "ham", "element": _UNIT, "certificate": 5},
+     "certificate"),
+], ids=["ideals-trials", "ideals-p", "sos-find-height", "sos-verify-certificate"])
+def test_malformed_command_arguments_are_parse_errors(command, key, tmp_path, capsys):
+    """Each of these used to pass `check` and escape `run` as a TypeError or
+    AttributeError traceback."""
+    doc, path = _sqrt2_with(command)
+    with pytest.raises(SessionParseError) as exc:
+        parse_session(json.dumps(doc))
+    assert exc.value.path == f"{path}.{key}"
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(f)]) == 2
+    assert f"{path}.{key}" in capsys.readouterr().err
+    # the well-formed command parses; booleans are not integers
+    good = dict(command, **{key: 2 if key != "certificate" else {"terms": []}})
+    parse_session(json.dumps(_sqrt2_with(good)[0]))
+    if key != "certificate":
+        with pytest.raises(SessionParseError):
+            parse_session(json.dumps(_sqrt2_with(dict(command, **{key: True}))[0]))
