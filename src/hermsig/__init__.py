@@ -37,7 +37,7 @@ from .quadforms import (
 from .algebras import (
     AlgebraElement,
     AlgebraWithInvolution,
-    Quaternion,
+    Entry,
     QuaternionAlgebra,
     is_invertible,
     nil_orderings,

@@ -12,11 +12,16 @@ Four families, closed by construction:
 Everything the code needs to know about a family is in its ``Family``
 record (the table ``FAMILIES``): the parameter names, the entry ring and
 its dimension over F, the trace-form divisor, whether Grams are skew, and
-the nil rule.  Elements are n x n matrices over the entry ring (F,
-F(sqrt(delta)) or the quaternion algebra); the three rings share one
-protocol (``zero``, ``one``, ``basis``, ``from_coords``, and entries with
-``conj``, ``coords``, ``trd``, ``is_zero``), so no code branches on the
-family name.  Everything is immutable and exact.
+the nil rule.  Elements are n x n matrices over the entry ring: F itself,
+or one ``EntryRing`` class, a composition algebra with its standard
+involution defined by two data, the products of its basis elements
+e_s e_t = c e_k and the diagonal norm form of Nrd.  F(sqrt(delta)) is the
+table sqrt(delta)^2 = delta with norms (1, -delta); (a, b)_F is the
+quaternion table with norms (1, -a, -b, ab).  Their entries are one class,
+``Entry``, and F and the ring share one protocol (``zero``, ``one``,
+``basis``, ``from_coords``, and entries with ``conj``, ``coords``,
+``trd``, ``is_zero``), so no code branches on the family name.  Everything
+is immutable and exact.
 """
 
 from __future__ import annotations
@@ -34,271 +39,189 @@ from .field import FieldElement, NumberField, Ordering, sign_at
 # Entry rings.
 
 
-class QuadExtension:
-    """K = F(sqrt(delta)) with conjugation sqrt(delta) -> -sqrt(delta)."""
+class EntryRing:
+    """A composition algebra over F with its standard involution.
 
-    def __init__(self, field: NumberField, delta: FieldElement):
+    The F-basis is e_0 = 1, e_1, ..., e_{d-1}; conj fixes e_0 and negates
+    the others, so Trd(x) = 2 x_0, and Nrd is the diagonal form
+    sum norms[t] x_t^2.  A ring is given by its products e_s e_t = c e_k
+    for s, t >= 1 (``table[(s, t)] = (c, k)``, c in F or an integer) and
+    by ``norms``; rings over one field are equal when their norms are,
+    which determine the table of each constructor below.
+    """
+
+    def __init__(self, field: NumberField, norms: tuple, table: dict):
         self.field = field
-        self.delta = delta
+        self.norms = norms
+        self.dim = d = len(norms)
 
-    def element(self, u, v=0) -> "QuadExtElement":
-        return QuadExtElement(self, self._coerce(u), self._coerce(v))
+        def product(s, t):  # e_s e_t = c e_k as (k, c), with None for c = 1
+            if s == 0 or t == 0:
+                return s + t, None
+            c, k = table[s, t]
+            return k, None if c == 1 else c * field.one
 
-    def _coerce(self, c) -> FieldElement:
-        return c if isinstance(c, FieldElement) else self.field.element(c)
+        self._mul = tuple(tuple(product(s, t) for t in range(d)) for s in range(d))
+        self._hash = hash((field, norms))
 
-    @cached_property
-    def zero(self):
-        return self.element(0, 0)
+    def element(self, *coords) -> "Entry":
+        cs = [c if isinstance(c, FieldElement) else self.field.element(c) for c in coords]
+        return Entry(self, tuple(cs) + (self.field.zero,) * (self.dim - len(cs)))
 
-    @cached_property
-    def one(self):
-        return self.element(1, 0)
-
-    @cached_property
-    def root(self):
-        return self.element(0, 1)
-
-    @cached_property
-    def basis(self) -> tuple:
-        return (self.one, self.root)
-
-    def from_coords(self, coords: Sequence[FieldElement]) -> "QuadExtElement":
-        return QuadExtElement(self, coords[0], coords[1])
-
-    def __eq__(self, other):
-        return (isinstance(other, QuadExtension) and other.field == self.field
-                and other.delta == self.delta)
-
-    def __hash__(self):
-        return hash((self.field, self.delta))
-
-
-class QuadExtElement:
-    __slots__ = ("ext", "u", "v")
-
-    def __init__(self, ext: QuadExtension, u: FieldElement, v: FieldElement):
-        self.ext = ext
-        self.u = u
-        self.v = v
-
-    @property
-    def ring(self) -> QuadExtension:
-        return self.ext
-
-    def _lift(self, other):
-        if isinstance(other, QuadExtElement):
-            return other
-        if isinstance(other, (int, Fraction, FieldElement)):
-            return self.ext.element(other, 0)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadExtElement(self.ext, self.u + o.u, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExtElement(self.ext, -self.u, -self.v)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        d = self.ext.delta
-        return QuadExtElement(self.ext, self.u * o.u + d * self.v * o.v,
-                              self.u * o.v + self.v * o.u)
-
-    def __rmul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self
-
-    def conj(self) -> "QuadExtElement":
-        return QuadExtElement(self.ext, self.u, -self.v)
-
-    def trd(self) -> FieldElement:
-        return self.u + self.u
-
-    def norm(self) -> FieldElement:
-        return self.u * self.u - self.ext.delta * self.v * self.v
-
-    def inverse(self) -> "QuadExtElement":
-        n = self.norm()
-        return QuadExtElement(self.ext, self.u / n, -self.v / n)
-
-    def is_zero(self) -> bool:
-        return self.u.is_zero() and self.v.is_zero()
-
-    def coords(self) -> tuple[FieldElement, FieldElement]:
-        return (self.u, self.v)
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        return o is not None and o.ext == self.ext and o.u == self.u and o.v == self.v
-
-    def __hash__(self):
-        return hash((self.ext, self.u, self.v))
-
-    def __repr__(self):
-        return f"({self.u!r} + {self.v!r} rt)"
-
-
-class QuaternionAlgebra:
-    """(a, b)_F with i^2 = a, j^2 = b, ij = k = -ji."""
-
-    def __init__(self, field: NumberField, a: FieldElement, b: FieldElement):
-        self.field = field
-        self.a = a
-        self.b = b
-
-    def element(self, w, x=0, y=0, z=0) -> "Quaternion":
-        c = lambda t: t if isinstance(t, FieldElement) else self.field.element(t)
-        return Quaternion(self, c(w), c(x), c(y), c(z))
+    def from_coords(self, coords: Sequence[FieldElement]) -> "Entry":
+        return Entry(self, tuple(coords))
 
     @cached_property
-    def zero(self):
-        return self.element(0)
+    def zero(self) -> "Entry":
+        return self.element()
 
     @cached_property
-    def one(self):
+    def one(self) -> "Entry":
         return self.element(1)
 
     @cached_property
-    def i(self):
-        return self.element(0, 1)
-
-    @cached_property
-    def j(self):
-        return self.element(0, 0, 1)
-
-    @cached_property
-    def k(self):
-        return self.element(0, 0, 0, 1)
-
-    @cached_property
     def basis(self) -> tuple:
-        return (self.one, self.i, self.j, self.k)
-
-    def from_coords(self, coords: Sequence[FieldElement]) -> "Quaternion":
-        return Quaternion(self, *coords)
+        return tuple(self.element(*[0] * t, 1) for t in range(self.dim))
 
     def __eq__(self, other):
-        return (isinstance(other, QuaternionAlgebra) and other.field == self.field
-                and other.a == self.a and other.b == self.b)
+        return (isinstance(other, EntryRing) and other.field == self.field
+                and other.norms == self.norms)
 
     def __hash__(self):
-        return hash((self.field, self.a, self.b))
+        return self._hash
 
 
-class Quaternion:
-    __slots__ = ("alg", "w", "x", "y", "z")
+class QuadExtension(EntryRing):
+    """K = F(sqrt(delta)) with conjugation sqrt(delta) -> -sqrt(delta)."""
 
-    def __init__(self, alg: QuaternionAlgebra, w, x, y, z):
-        self.alg = alg
-        self.w = w
-        self.x = x
-        self.y = y
-        self.z = z
+    def __init__(self, field: NumberField, delta: FieldElement):
+        self.delta = delta
+        super().__init__(field, (field.one, -delta), {(1, 1): (delta, 0)})
 
     @property
-    def ring(self) -> QuaternionAlgebra:
-        return self.alg
+    def root(self) -> "Entry":
+        return self.basis[1]
 
-    def _lift(self, other):
-        if isinstance(other, Quaternion):
-            if other.alg != self.alg:
-                raise AlgebraMismatchError("quaternions from different algebras")
+
+class QuaternionAlgebra(EntryRing):
+    """(a, b)_F with i^2 = a, j^2 = b, ij = k = -ji."""
+
+    def __init__(self, field: NumberField, a: FieldElement, b: FieldElement):
+        self.a = a
+        self.b = b
+        ab = a * b
+        super().__init__(field, (field.one, -a, -b, ab), {
+            (1, 1): (a, 0), (1, 2): (1, 3), (1, 3): (a, 2),
+            (2, 1): (-1, 3), (2, 2): (b, 0), (2, 3): (-b, 1),
+            (3, 1): (-a, 2), (3, 2): (b, 1), (3, 3): (-ab, 0)})
+
+    @property
+    def i(self) -> "Entry":
+        return self.basis[1]
+
+    @property
+    def j(self) -> "Entry":
+        return self.basis[2]
+
+    @property
+    def k(self) -> "Entry":
+        return self.basis[3]
+
+
+class Entry:
+    """An element of an entry ring: its coordinates in the basis e_t."""
+
+    __slots__ = ("ring", "c")
+
+    def __init__(self, ring: EntryRing, c: tuple[FieldElement, ...]):
+        self.ring = ring
+        self.c = c
+
+    def _lift(self, other) -> "Entry | None":
+        if isinstance(other, Entry):
+            if other.ring is not self.ring and other.ring != self.ring:
+                raise AlgebraMismatchError("entries from different entry rings")
             return other
         if isinstance(other, (int, Fraction, FieldElement)):
-            return self.alg.element(other)
+            return self.ring.element(other)
         return None
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Quaternion(self.alg, self.w + o.w, self.x + o.x, self.y + o.y, self.z + o.z)
+        return Entry(self.ring, tuple(p + q for p, q in zip(self.c, o.c)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Quaternion(self.alg, -self.w, -self.x, -self.y, -self.z)
+        return Entry(self.ring, tuple(-p for p in self.c))
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return Entry(self.ring, tuple(p - q for p, q in zip(self.c, o.c)))
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, FieldElement)):
+            return Entry(self.ring, tuple(p * other for p in self.c))
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        a, b = self.alg.a, self.alg.b
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = o.w, o.x, o.y, o.z
-        ab = a * b
-        return Quaternion(
-            self.alg,
-            w1 * w2 + a * x1 * x2 + b * y1 * y2 - ab * z1 * z2,
-            w1 * x2 + x1 * w2 - b * y1 * z2 + b * z1 * y2,
-            w1 * y2 + y1 * w2 + a * x1 * z2 - a * z1 * x2,
-            w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2,
-        )
+        ring = self.ring
+        out = [None] * ring.dim
+        # zero coordinates are common (scalars, basis entries): skip them
+        for xs, row in zip(self.c, ring._mul):
+            if not xs.num:
+                continue
+            for yt, (k, c) in zip(o.c, row):
+                if not yt.num:
+                    continue
+                p = xs * yt if c is None else xs * yt * c
+                out[k] = p if out[k] is None else out[k] + p
+        zero = ring.field.zero
+        return Entry(ring, tuple(zero if v is None else v for v in out))
 
-    def __rmul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self
+    # F is central, so a scalar on the left acts as on the right.
+    __rmul__ = __mul__
 
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.alg, self.w, -self.x, -self.y, -self.z)
+    def conj(self) -> "Entry":
+        return Entry(self.ring, (self.c[0],) + tuple(-p for p in self.c[1:]))
 
     def trd(self) -> FieldElement:
-        return self.w + self.w
+        return self.c[0] + self.c[0]
 
     def nrd(self) -> FieldElement:
-        a, b = self.alg.a, self.alg.b
-        return (self.w * self.w - a * self.x * self.x - b * self.y * self.y
-                + a * b * self.z * self.z)
+        acc = self.ring.field.zero
+        for p, n in zip(self.c, self.ring.norms):
+            if not p.is_zero():
+                acc = acc + p * p * n
+        return acc
 
-    def inverse(self) -> "Quaternion":
-        n = self.nrd()
-        inv = n.inverse()
-        c = self.conj()
-        return Quaternion(self.alg, c.w * inv, c.x * inv, c.y * inv, c.z * inv)
+    def inverse(self) -> "Entry":
+        return self.conj() * self.nrd().inverse()
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in (self.w, self.x, self.y, self.z))
+        return all(p.is_zero() for p in self.c)
 
     def is_pure(self) -> bool:
-        return self.w.is_zero()
+        return self.c[0].is_zero()
 
     def coords(self) -> tuple[FieldElement, ...]:
-        return (self.w, self.x, self.y, self.z)
+        return self.c
 
     def __eq__(self, other):
-        o = self._lift(other)
-        return (o is not None and o.alg == self.alg
-                and all(p == q for p, q in zip(self.coords(), o.coords())))
+        if isinstance(other, (int, Fraction, FieldElement)):
+            other = self.ring.element(other)
+        return (isinstance(other, Entry) and (other.ring is self.ring or other.ring == self.ring)
+                and other.c == self.c)
 
     def __hash__(self):
-        return hash((self.alg, self.coords()))
+        return hash((self.ring, self.c))
 
     def __repr__(self):
-        return f"Quat({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
+        return f"Entry({', '.join(map(repr, self.c))})"
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +427,8 @@ class AlgebraWithInvolution:
 
     def entry(self, value):
         """Coerce a ready entry, a scalar of F or a coordinate sequence."""
-        if isinstance(value, (QuadExtElement, Quaternion)):
-            if value.ring != self.ring:
+        if isinstance(value, Entry):
+            if value.ring is not self.ring and value.ring != self.ring:
                 raise AlgebraMismatchError("entry from a different entry ring")
             return value
         ed = self.entry_dim
@@ -514,16 +437,14 @@ class AlgebraWithInvolution:
         if not isinstance(value, (list, tuple)) or len(value) != ed:
             raise ValueError(f"{self.family} entries are scalars or "
                              f"{ed}-component coordinate lists over F")
-        return self.ring.from_coords([self._as_field(c) for c in value])
-
-    def _as_field(self, c) -> FieldElement:
-        return c if isinstance(c, FieldElement) else self.field.element(c)
+        return self.ring.from_coords(
+            [c if isinstance(c, FieldElement) else self.field.element(c) for c in value])
 
     # -- twists -------------------------------------------------------------------
-    def twist_at(self, ordering: Ordering) -> "Quaternion | None":
-        """None for the hermitian families.  For quat_skew, the pure twist
-        with positive reduced norm at a non-nil ordering: Nrd(i) = -a,
-        Nrd(j) = -b, Nrd(k) = ab.
+    def twist_at(self, ordering: Ordering) -> "Entry | None":
+        """None for the hermitian families.  For quat_skew, the first of
+        k, j, i with positive reduced norm at a non-nil ordering:
+        Nrd(k) = ab, Nrd(j) = -b, Nrd(i) = -a.
 
         The twisted pairing Trd(conj(x)^t G y w) is the quadratic carrier
         of the signature only where Nrd(w) > 0; the choice per ordering is
@@ -534,16 +455,11 @@ class AlgebraWithInvolution:
             return None
         if self.is_nil(ordering):
             raise ValueError("no twist at a nil ordering")
-        a_pos = sign_at(self.quat.a, ordering) > 0
-        b_pos = sign_at(self.quat.b, ordering) > 0
-        if a_pos and b_pos:
-            return self.quat.k
-        if a_pos:
-            return self.quat.j
-        return self.quat.i
+        ring = self.ring
+        return next(ring.basis[t] for t in (3, 2, 1) if sign_at(ring.norms[t], ordering) > 0)
 
     @property
-    def default_twist(self) -> "Quaternion | None":
+    def default_twist(self) -> "Entry | None":
         """The twist i of the involution convention Int(i) o conj of
         quat_skew; None for the hermitian families."""
         return self.quat.i if self.skew_gram else None
@@ -557,7 +473,7 @@ class AlgebraWithInvolution:
         # bound -> ReferenceForm, filled by hermitian.reference_form
         return {}
 
-    def trace_structure(self, twist: "Quaternion | None" = None) -> tuple:
+    def trace_structure(self, twist: "Entry | None" = None) -> tuple:
         """tau[u][v][w] with TrF(conj(b_u) g b_v [twist]) = sum_w g_w tau[u][v][w].
 
         quat_skew Grams need a pure twist to make the pairing symmetric
@@ -592,14 +508,11 @@ class AlgebraWithInvolution:
 
     @cached_property
     def zero_element(self) -> "AlgebraElement":
-        z = self.entry_zero
-        return AlgebraElement(self, [[z] * self.n for _ in range(self.n)])
+        return self.scalar_element(self.entry_zero)
 
     @cached_property
     def one_element(self) -> "AlgebraElement":
-        z, o = self.entry_zero, self.entry_one
-        return AlgebraElement(self, [[o if r == c else z for c in range(self.n)]
-                                     for r in range(self.n)])
+        return self.scalar_element(self.entry_one)
 
     def scalar_element(self, value) -> "AlgebraElement":
         e = self.entry(value)
@@ -626,24 +539,19 @@ class AlgebraWithInvolution:
         def flip(e):
             return -e if self.skew_gram else e
 
-        def unit(r, c, e):
-            rows = [[z] * n for _ in range(n)]
-            rows[r][c] = e
-            return rows
-
         def pair(r, c, e, f):
             rows = [[z] * n for _ in range(n)]
             rows[r][c] = e
             rows[c][r] = f
-            return rows
+            return AlgebraElement(self, rows)
 
         basis = self.ring.basis
         diagonal = [e for e in basis if e.conj() == flip(e)]
-        out = [AlgebraElement(self, unit(r, r, e)) for r in range(n) for e in diagonal]
+        out = [pair(r, r, e, e) for r in range(n) for e in diagonal]
         for r in range(n):
             for c in range(r + 1, n):
                 for e in basis:
-                    out.append(AlgebraElement(self, pair(r, c, e, flip(e.conj()))))
+                    out.append(pair(r, c, e, flip(e.conj())))
         return out
 
 
@@ -677,8 +585,7 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
-            c = self.algebra._as_field(other)
-            return self.scale(c)
+            return self.scale(other)
         self._check(other)
         n = self.algebra.n
         z = self.algebra.entry_zero
@@ -695,10 +602,10 @@ class AlgebraElement:
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
-            return self.scale(self.algebra._as_field(other))
+            return self.scale(other)
         return NotImplemented
 
-    def scale(self, c: FieldElement) -> "AlgebraElement":
+    def scale(self, c: int | Fraction | FieldElement) -> "AlgebraElement":
         return AlgebraElement(self.algebra, [[a * c for a in row] for row in self.rows])
 
     def conj_transpose(self) -> "AlgebraElement":
@@ -780,12 +687,12 @@ class SplitIsomorphism:
             raise ValueError("split isomorphism requires a = 1")
         self.quat = quat
 
-    def apply(self, q: Quaternion) -> list[list[FieldElement]]:
+    def apply(self, q: Entry) -> list[list[FieldElement]]:
         b = self.quat.b
-        w, x, y, z = q.w, q.x, q.y, q.z
+        w, x, y, z = q.coords()
         return [[w + x, b * (y + z)], [y - z, w - x]]
 
-    def apply_gram(self, entries: Sequence[Sequence[Quaternion]]) -> list[list[FieldElement]]:
+    def apply_gram(self, entries: Sequence[Sequence[Entry]]) -> list[list[FieldElement]]:
         """Blockwise image of a matrix over the quaternion algebra."""
         s = len(entries)
         out = [[None] * (2 * s) for _ in range(2 * s)]

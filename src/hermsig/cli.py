@@ -50,6 +50,7 @@ from .session import (
     SessionDocument,
     SessionParseError,
     parse_algebra_element,
+    parse_diagonal,
     parse_element,
     parse_session,
     render_entry,
@@ -196,17 +197,7 @@ class _Runner:
         algebra = self.algebra(cmd)
         ext, ext_gen = self.ext_field(cmd)
         lifted_alg = going_up_algebra(algebra, ext)
-        entries = []
-        for i, v in enumerate(self._arg(cmd, "diag")):
-            if lifted_alg.n == 1:
-                from .session import _parse_entry
-                from .algebras import AlgebraElement
-
-                entry = _parse_entry(v, lifted_alg, ext_gen, f"command.diag[{i}]")
-                entries.append(AlgebraElement(lifted_alg, [[entry]]))
-            else:
-                entries.append(parse_algebra_element(v, lifted_alg, ext_gen,
-                                                     f"command.diag[{i}]"))
+        entries = parse_diagonal(self._arg(cmd, "diag"), lifted_alg, ext_gen, "command.diag")
         form = HermitianForm.diagonal(lifted_alg, entries)
         report = knebusch_check(form, reference_form(algebra))
         return {"holds": report.holds, "transfer_side": report.transfer_side,

@@ -528,6 +528,8 @@ class Ordering:
         self.lo = lo
         self.hi = hi
         self.index = index
+        # orderings key dicts on hot paths; the identity never changes
+        self._hash = hash((field.min_poly, lo, hi))
         dd = math.lcm(lo.denominator, hi.denominator)
         self._L = lo.numerator * (dd // lo.denominator)
         self._H = hi.numerator * (dd // hi.denominator)
@@ -562,7 +564,7 @@ class Ordering:
                 and (other.lo, other.hi) == (self.lo, self.hi))
 
     def __hash__(self) -> int:
-        return hash((self.field.min_poly, self.lo, self.hi))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Ordering#{self.index}({self.lo}, {self.hi})"

@@ -26,8 +26,12 @@ COMMANDS = (
     "topology", "morita-check", "decompose",
 )
 
-#: Command arguments that must be integers when present.
-INTEGER_ARGS = ("trials", "p", "height", "max_terms", "samples", "copies")
+#: The JSON type each command argument must have when present (a boolean
+#: is not an integer).
+ARG_TYPES = {"trials": int, "p": int, "height": int, "max_terms": int, "samples": int,
+             "copies": int, "certificate": dict, "slots": list, "diag": list,
+             "generators": list, "closed": bool}
+_TYPE_NAMES = {int: "an integer", dict: "an object", list: "a list", bool: "a boolean"}
 
 
 class SessionParseError(Exception):
@@ -183,6 +187,21 @@ def _check_keys(obj: dict, allowed: set[str], path: str):
             raise SessionParseError(f"unknown key {k!r}", path)
 
 
+def _declared_name(spec: dict, path: str) -> str:
+    name = _require(spec, "name", path)
+    if not isinstance(name, str):
+        raise SessionParseError("name must be a string", f"{path}.name")
+    return name
+
+
+def _resolve(name, names: dict, kind: str, path: str):
+    if not isinstance(name, str):
+        raise SessionParseError(f"{kind} names are strings", path)
+    if name not in names:
+        raise SessionParseError(f"unresolved {kind} name {name!r}", path)
+    return names[name]
+
+
 def _parse_field(spec, path: str) -> tuple[NumberField, str]:
     if not isinstance(spec, dict):
         raise SessionParseError("field declaration must be an object", path)
@@ -220,7 +239,7 @@ def _parse_algebra(spec, field: NumberField, gen: str, path: str) -> tuple[str, 
     if not isinstance(spec, dict):
         raise SessionParseError("algebra declaration must be an object", path)
     _check_keys(spec, {"name", "family", "n", "a", "b", "delta"}, path)
-    name = _require(spec, "name", path)
+    name = _declared_name(spec, path)
     family = _require(spec, "family", path)
     n = spec.get("n", 1)
     if not isinstance(n, int) or n < 1:
@@ -263,14 +282,27 @@ def parse_algebra_element(value, algebra: AlgebraWithInvolution, gen: str,
         raise SessionParseError(str(exc), path)
 
 
+def parse_diagonal(values: list, algebra: AlgebraWithInvolution, gen: str,
+                   path: str) -> list:
+    """The diagonal of <a_1, ..., a_k>: entries when n = 1, else entry
+    matrices."""
+    parse = _parse_entry if algebra.n == 1 else parse_algebra_element
+    return [parse(v, algebra, gen, f"{path}[{i}]") for i, v in enumerate(values)]
+
+
 def _parse_form(spec, field: NumberField, gen: str,
                 algebras: dict[str, AlgebraWithInvolution], path: str):
     if not isinstance(spec, dict):
         raise SessionParseError("form declaration must be an object", path)
     _check_keys(spec, {"name", "algebra", "diag", "gram"}, path)
-    name = _require(spec, "name", path)
+    name = _declared_name(spec, path)
     if ("diag" in spec) == ("gram" in spec):
         raise SessionParseError("a form is either 'diag' or 'gram'", path)
+    if not isinstance(spec.get("diag", []), list):
+        raise SessionParseError("diag must be a list", f"{path}.diag")
+    rows = spec.get("gram", [])
+    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
+        raise SessionParseError("gram must be a row list", f"{path}.gram")
 
     if "algebra" not in spec:
         if "diag" in spec:
@@ -280,9 +312,6 @@ def _parse_form(spec, field: NumberField, gen: str,
                 return name, QuadraticForm(field, entries)
             except ValueError as exc:
                 raise SessionParseError(str(exc), f"{path}.diag")
-        rows = spec["gram"]
-        if not isinstance(rows, list):
-            raise SessionParseError("gram must be a row list", f"{path}.gram")
         parsed = [[parse_element(v, field, gen, f"{path}.gram[{r}][{c}]")
                    for c, v in enumerate(row)] for r, row in enumerate(rows)]
         try:
@@ -290,30 +319,13 @@ def _parse_form(spec, field: NumberField, gen: str,
         except ValueError as exc:
             raise SessionParseError(str(exc), f"{path}.gram")
 
-    alg_name = spec["algebra"]
-    if alg_name not in algebras:
-        raise SessionParseError(f"unresolved algebra name {alg_name!r}",
-                                f"{path}.algebra")
-    algebra = algebras[alg_name]
+    algebra = _resolve(spec["algebra"], algebras, "algebra", f"{path}.algebra")
     if "diag" in spec:
-        values = spec["diag"]
-        if not isinstance(values, list):
-            raise SessionParseError("diag must be a list", f"{path}.diag")
-        entries = []
-        for i, v in enumerate(values):
-            if algebra.n == 1:
-                entry = _parse_entry(v, algebra, gen, f"{path}.diag[{i}]")
-                entries.append(AlgebraElement(algebra, [[entry]]))
-            else:
-                entries.append(parse_algebra_element(v, algebra, gen,
-                                                     f"{path}.diag[{i}]"))
+        entries = parse_diagonal(spec["diag"], algebra, gen, f"{path}.diag")
         try:
             return name, HermitianForm.diagonal(algebra, entries)
         except ValueError as exc:
             raise SessionParseError(str(exc), f"{path}.diag")
-    rows = spec["gram"]
-    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-        raise SessionParseError("gram must be a row list", f"{path}.gram")
     parsed = [[_parse_entry(v, algebra, gen, f"{path}.gram[{r}][{c}]")
                for c, v in enumerate(row)] for r, row in enumerate(rows)]
     try:
@@ -403,18 +415,17 @@ def parse_session(text: str) -> SessionDocument:
         op = _require(cmd, "op", f"commands[{i}]")
         if op not in COMMANDS:
             raise SessionParseError(f"unknown command {op!r}", f"commands[{i}].op")
-        for key in ("form", "q", "h"):
-            if key in cmd and cmd[key] not in forms:
-                raise SessionParseError(f"unresolved form name {cmd[key]!r}",
+        for key, kind in ARG_TYPES.items():
+            if key in cmd and (not isinstance(cmd[key], kind)
+                               or kind is int and isinstance(cmd[key], bool)):
+                raise SessionParseError(f"{key} must be {_TYPE_NAMES[kind]}",
                                         f"commands[{i}].{key}")
-        if "algebra" in cmd and cmd["algebra"] not in algebras:
-            raise SessionParseError(f"unresolved algebra name {cmd['algebra']!r}",
-                                    f"commands[{i}].algebra")
-        for key in INTEGER_ARGS:
-            if key in cmd and (not isinstance(cmd[key], int) or isinstance(cmd[key], bool)):
-                raise SessionParseError(f"{key} must be an integer", f"commands[{i}].{key}")
-        if "certificate" in cmd and not isinstance(cmd["certificate"], dict):
-            raise SessionParseError("certificate must be an object",
-                                    f"commands[{i}].certificate")
+        for key in ("form", "q", "h"):
+            if key in cmd:
+                _resolve(cmd[key], forms, "form", f"commands[{i}].{key}")
+        for j, name in enumerate(cmd.get("generators", [])):
+            _resolve(name, forms, "form", f"commands[{i}].generators[{j}]")
+        if "algebra" in cmd:
+            _resolve(cmd["algebra"], algebras, "algebra", f"commands[{i}].algebra")
 
     return SessionDocument(field, gen, algebras, forms, commands, seed, raw)

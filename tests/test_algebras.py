@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermsig.algebras import (
     FAMILIES,
     AlgebraWithInvolution,
+    QuadExtension,
     QuaternionAlgebra,
     is_invertible,
     is_square_in_field,
@@ -14,10 +16,11 @@ from hermsig.algebras import (
     split_isomorphism,
     sym_basis,
 )
-from hermsig.errors import UnsupportedError
+from hermsig.errors import AlgebraMismatchError, UnsupportedError
 from hermsig.field import QQ, NumberField, sign_at
 
 SQRT2 = NumberField([-2, 0, 1])
+F5 = NumberField([1, 3, -3, -4, 1, 1])
 HAMILTON = QuaternionAlgebra(QQ, QQ.element(-1), QQ.element(-1))
 
 
@@ -60,12 +63,16 @@ def test_quaternion_inverse():
 
 
 def test_zero_divisors_in_split_algebra():
-    split = QuaternionAlgebra(QQ, QQ.element(1), QQ.element(1))
-    zd = split.one + split.i  # Nrd = 1 - 1 = 0
-    assert zd.nrd().is_zero()
-    assert not zd.is_zero()
-    other = split.one - split.i
-    assert (zd * other).is_zero()
+    for field in (QQ, SQRT2, F5):
+        split = QuaternionAlgebra(field, field.one, field.one)
+        zd = split.one + split.i  # Nrd = 1 - 1 = 0
+        assert zd.nrd().is_zero()
+        assert not zd.is_zero()
+        other = split.one - split.i
+        assert (zd * other).is_zero()
+        for x in (zd, split.j - split.k, split.zero):
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
 
 
 def test_nil_ordering_tables():
@@ -299,3 +306,97 @@ def test_family_parameter_validation():
         AlgebraWithInvolution(QQ, "quat_symp", 1, a=1, b=0)
     with pytest.raises(UnsupportedError):
         AlgebraWithInvolution(QQ, ["quat_symp"], 1)
+
+
+def test_entries_of_different_rings_do_not_mix():
+    """Over Q, sqrt(-1) * sqrt(-3) used to return -1 silently."""
+    r1 = AlgebraWithInvolution(QQ, "unitary", 1, delta=-1).ext.root
+    r3 = AlgebraWithInvolution(QQ, "unitary", 1, delta=-3).ext.root
+    for op in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(AlgebraMismatchError):
+            op(r1, r3)
+    with pytest.raises(AlgebraMismatchError):
+        HAMILTON.i * QuaternionAlgebra(QQ, QQ.element(-1), QQ.element(-3)).i
+    assert r1 != r3 and r1 == QuadExtension(QQ, QQ.element(-1)).root
+
+
+# The closed-form products and norms the multiplication tables replace.
+def _quat_mul(a, b, p, q):
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    ab = a * b
+    return (w1 * w2 + a * x1 * x2 + b * y1 * y2 - ab * z1 * z2,
+            w1 * x2 + x1 * w2 - b * y1 * z2 + b * z1 * y2,
+            w1 * y2 + y1 * w2 + a * x1 * z2 - a * z1 * x2,
+            w1 * z2 + z1 * w2 + x1 * y2 - y1 * x2)
+
+
+def _quat_nrd(a, b, p):
+    w, x, y, z = p
+    return w * w - a * x * x - b * y * y + a * b * z * z
+
+
+def _quad_mul(delta, p, q):
+    (u, v), (u2, v2) = p, q
+    return (u * u2 + delta * v * v2, u * v2 + v * u2)
+
+
+def _quad_norm(delta, p):
+    u, v = p
+    return u * u - delta * v * v
+
+
+_small = st.one_of(st.just(0), st.fractions(min_value=-9, max_value=9, max_denominator=5))
+
+
+@st.composite
+def _ring_case(draw):
+    """A ring over Q, Q(sqrt 2) or F5 (parameters often +-1, so split rings
+    and zero divisors come up), two entries and the closed-form oracles."""
+    field = draw(st.sampled_from([QQ, SQRT2, F5]))
+
+    def element(nonzero=False):
+        cs = draw(st.lists(_small, min_size=field.degree, max_size=field.degree))
+        e = field.element(cs)
+        return field.one if nonzero and e.is_zero() else e
+
+    def param():
+        if draw(st.booleans()):
+            return field.element(draw(st.sampled_from([1, -1, 2])))
+        return element(nonzero=True)
+
+    if draw(st.booleans()):
+        a, b = param(), param()
+        ring = QuaternionAlgebra(field, a, b)
+        mul, nrd = (lambda p, q: _quat_mul(a, b, p, q)), (lambda p: _quat_nrd(a, b, p))
+    else:
+        delta = param()
+        ring = QuadExtension(field, delta)
+        mul, nrd = (lambda p, q: _quad_mul(delta, p, q)), (lambda p: _quad_norm(delta, p))
+
+    def entry():
+        if draw(st.integers(0, 4)) == 0:  # a zero divisor when a = 1 or delta = 1
+            return ring.from_coords([field.one, field.one] + [field.zero] * (ring.dim - 2))
+        return ring.from_coords([element() for _ in range(ring.dim)])
+
+    return ring, entry(), entry(), mul, nrd
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ring_case())
+def test_table_products_match_closed_forms(case):
+    ring, x, y, mul, nrd = case
+    p, q = x.coords(), y.coords()
+    assert (x * y).coords() == mul(p, q)
+    assert x.conj().coords() == (p[0],) + tuple(-c for c in p[1:])
+    assert x.nrd() == nrd(p) and x.trd() == p[0] + p[0]
+    c = ring.field.gen + 3
+    assert (c * x).coords() == (x * c).coords() == tuple(c * v for v in p)
+    n = nrd(p)
+    if n.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        inv = n.inverse()
+        assert x.inverse().coords() == (p[0] * inv,) + tuple(-v * inv for v in p[1:])
+        assert x * x.inverse() == ring.one == x.inverse() * x

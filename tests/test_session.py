@@ -83,6 +83,21 @@ def test_schema_violations():
             algebras=[{"name": "a", "family": "quat_symp", "a": "-1", "b": "-1"}],
             forms=[{"name": "f", "algebra": "a",
                     "gram": [[["0", "1", "0", "0"]]]}]))
+    # names that are not strings, and diag/gram that are not lists, used to
+    # escape as TypeError tracebacks
+    for doc, path in [
+        (minimal_doc(algebras=[{"name": ["a1"], "family": "split_orth"}]), "algebras[0].name"),
+        (minimal_doc(forms=[{"name": 5, "diag": ["1"]}]), "forms[0].name"),
+        (minimal_doc(forms=[{"name": "g", "algebra": ["a1"], "diag": ["1"]}]),
+         "forms[0].algebra"),
+        (minimal_doc(forms=[{"name": "f1", "diag": 5}]), "forms[0].diag"),
+        (minimal_doc(forms=[{"name": "f1", "gram": [5]}]), "forms[0].gram"),
+        (minimal_doc(commands=[{"op": "ideals", "algebra": "a1", "kind": "fundamental",
+                                "generators": [["f1"]]}]), "commands[0].generators[0]"),
+    ]:
+        with pytest.raises(SessionParseError) as exc:
+            parse_session(doc)
+        assert exc.value.path == path
 
 
 def test_full_fixture_runs_every_command():
@@ -397,16 +412,35 @@ _IDEALS = {"op": "ideals", "algebra": "ham", "kind": "mod_p", "ordering": 1, "p"
 _UNIT = [[["2", "0", "0", "0"]]]
 
 
+_FUNDAMENTAL = {"op": "ideals", "algebra": "ham", "kind": "fundamental",
+                "generators": ["htheta"]}
+# a well-formed value for each key below (default 2)
+_WELL_FORMED = {"certificate": {"terms": []}, "form": "qtheta", "q": "qtheta",
+                "h": "htheta", "algebra": "ham", "slots": ["x"], "diag": ["1"],
+                "generators": ["htheta"], "closed": False}
+
+
 @pytest.mark.parametrize("command, key", [
     (dict(_IDEALS, trials="8"), "trials"),
     (dict(_IDEALS, p="3"), "p"),
     ({"op": "sos-find", "algebra": "ham", "element": _UNIT, "height": "2"}, "height"),
     ({"op": "sos-verify", "algebra": "ham", "element": _UNIT, "certificate": 5},
      "certificate"),
-], ids=["ideals-trials", "ideals-p", "sos-find-height", "sos-verify-certificate"])
+    ({"op": "sign", "form": ["f"], "ordering": 0}, "form"),
+    (dict(_IDEALS, q=["qtheta"]), "q"),
+    (dict(_IDEALS, h={"htheta": 1}), "h"),
+    ({"op": "nil", "algebra": ["ham"]}, "algebra"),
+    ({"op": "sos-find", "algebra": "ham", "element": _UNIT, "slots": 5}, "slots"),
+    ({"op": "transfer-check", "algebra": "ham", "ext": {"min_poly": [-3, 0, 1]},
+      "diag": 5}, "diag"),
+    (dict(_FUNDAMENTAL, generators=5), "generators"),
+    (dict(_FUNDAMENTAL, closed="yes"), "closed"),
+], ids=["ideals-trials", "ideals-p", "sos-find-height", "sos-verify-certificate",
+        "sign-form", "ideals-q", "ideals-h", "nil-algebra", "sos-find-slots",
+        "transfer-check-diag", "ideals-generators", "ideals-closed"])
 def test_malformed_command_arguments_are_parse_errors(command, key, tmp_path, capsys):
     """Each of these used to pass `check` and escape `run` as a TypeError or
-    AttributeError traceback."""
+    AttributeError traceback (an unhashable name already escaped `check`)."""
     doc, path = _sqrt2_with(command)
     with pytest.raises(SessionParseError) as exc:
         parse_session(json.dumps(doc))
@@ -415,9 +449,10 @@ def test_malformed_command_arguments_are_parse_errors(command, key, tmp_path, ca
     f.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check", str(f)]) == 2
     assert f"{path}.{key}" in capsys.readouterr().err
-    # the well-formed command parses; booleans are not integers
-    good = dict(command, **{key: 2 if key != "certificate" else {"terms": []}})
+    # the well-formed command parses; a boolean is no integer, object, name
+    # or list
+    good = dict(command, **{key: _WELL_FORMED.get(key, 2)})
     parse_session(json.dumps(_sqrt2_with(good)[0]))
-    if key != "certificate":
+    if key != "closed":
         with pytest.raises(SessionParseError):
             parse_session(json.dumps(_sqrt2_with(dict(command, **{key: True}))[0]))
