@@ -53,7 +53,6 @@ from .hermitian import (
     SylvesterDecomposition,
     find_reference_form,
     going_up,
-    hermitian_diagonalize,
     knebusch_check,
     morita_collapse,
     morita_expand,

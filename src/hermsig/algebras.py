@@ -34,6 +34,7 @@ from typing import Callable, Sequence
 
 from .errors import AlgebraMismatchError, UnsupportedError
 from .field import FieldElement, NumberField, Ordering, sign_at
+from .quadforms import diagonalize
 
 # ---------------------------------------------------------------------------
 # Entry rings.
@@ -517,8 +518,8 @@ class AlgebraWithInvolution:
     def scalar_element(self, value) -> "AlgebraElement":
         e = self.entry(value)
         z = self.entry_zero
-        return AlgebraElement(self, [[e if r == c else z for c in range(self.n)]
-                                     for r in range(self.n)])
+        return AlgebraElement._of(self, [[e if r == c else z for c in range(self.n)]
+                                         for r in range(self.n)])
 
     def collapsed(self) -> "AlgebraWithInvolution":
         """The Morita-equivalent n = 1 member of the same family."""
@@ -543,7 +544,7 @@ class AlgebraWithInvolution:
             rows = [[z] * n for _ in range(n)]
             rows[r][c] = e
             rows[c][r] = f
-            return AlgebraElement(self, rows)
+            return AlgebraElement._of(self, rows)
 
         basis = self.ring.basis
         diagonal = [e for e in basis if e.conj() == flip(e)]
@@ -568,17 +569,31 @@ class AlgebraElement:
             raise ValueError(f"element must be a {n}x{n} matrix")
         self.rows = mat
 
+    @classmethod
+    def _of(cls, algebra: AlgebraWithInvolution, rows) -> "AlgebraElement":
+        """An element from n rows that already hold entries of the ring
+        (results of ring arithmetic on elements): no coercion, no checks."""
+        x = object.__new__(cls)
+        x.algebra = algebra
+        x.rows = tuple(map(tuple, rows))
+        return x
+
+    # rows, size, ring and field: the input of quadforms.diagonalize
+    size = property(lambda self: self.algebra.n)
+    ring = property(lambda self: self.algebra.ring)
+    field = property(lambda self: self.algebra.field)
+
     def _check(self, other: "AlgebraElement"):
         if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
             raise AlgebraMismatchError("elements of different algebras")
 
     def __add__(self, other):
         self._check(other)
-        return AlgebraElement(self.algebra, [
+        return AlgebraElement._of(self.algebra, [
             [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, [[-a for a in row] for row in self.rows])
+        return AlgebraElement._of(self.algebra, [[-a for a in row] for row in self.rows])
 
     def __sub__(self, other):
         return self + (-other)
@@ -598,7 +613,7 @@ class AlgebraElement:
                     acc = acc + self.rows[r][t] * other.rows[t][c]
                 row.append(acc)
             rows.append(row)
-        return AlgebraElement(self.algebra, rows)
+        return AlgebraElement._of(self.algebra, rows)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -606,12 +621,12 @@ class AlgebraElement:
         return NotImplemented
 
     def scale(self, c: int | Fraction | FieldElement) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, [[a * c for a in row] for row in self.rows])
+        return AlgebraElement._of(self.algebra, [[a * c for a in row] for row in self.rows])
 
     def conj_transpose(self) -> "AlgebraElement":
         n = self.algebra.n
-        return AlgebraElement(self.algebra, [[self.rows[c][r].conj() for c in range(n)]
-                                             for r in range(n)])
+        return AlgebraElement._of(self.algebra, [[self.rows[c][r].conj() for c in range(n)]
+                                                 for r in range(n)])
 
     def trace(self):
         """Sum of diagonal entries, an entry-ring value."""
@@ -646,33 +661,10 @@ def sym_basis(algebra: AlgebraWithInvolution) -> list[AlgebraElement]:
 
 
 def is_invertible(x: AlgebraElement) -> bool:
-    """Invertibility in A via the F-linear rank of left multiplication on
-    the column module (exact Gaussian elimination over F)."""
-    alg = x.algebra
-    n, ed = alg.n, alg.entry_dim
-    dim = n * ed
-    # columns of the matrix of v -> x v over the F-basis (slot, entry-basis)
-    cols = []
-    for slot in range(n):
-        for bu in alg.ring.basis:
-            col = []
-            for r in range(n):
-                col.extend((x.rows[r][slot] * bu).coords())
-            cols.append(col)
-    m = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-    rank = 0
-    for c in range(dim):
-        piv = next((r for r in range(rank, dim) if not m[r][c].is_zero()), None)
-        if piv is None:
-            return False
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][c].inverse()
-        for r in range(rank + 1, dim):
-            if not m[r][c].is_zero():
-                f = m[r][c] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return True
+    """x is invertible exactly when the hermitian matrix x* x is (x* x is a
+    product of invertibles, and a left inverse of x in a finite-dimensional
+    algebra is an inverse): the congruence kernel finds no radical."""
+    return diagonalize(x.conj_transpose() * x).radical_dim == 0
 
 
 class SplitIsomorphism:

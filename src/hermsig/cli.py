@@ -390,7 +390,8 @@ class _Runner:
 
 def run_session(doc: SessionDocument, search_height: int = 3,
                 search_terms: int = 6) -> Report:
-    """Execute the command list in order; errors become records."""
+    """Execute the command list in order; every exception a command raises
+    becomes its error record, whose message starts with the type name."""
     runner = _Runner(doc, search_height, search_terms)
     records = []
     for i, cmd in enumerate(doc.commands):
@@ -398,10 +399,10 @@ def run_session(doc: SessionDocument, search_height: int = 3,
         try:
             record["result"] = runner.run_command(cmd)
             record["status"] = "ok"
-        except (HermsigError, SessionParseError, ValueError,
-                ZeroDivisionError, KeyError, IndexError) as exc:
+        except Exception as exc:
+            name = type(exc).__name__
             record["status"] = "error"
-            record["error"] = str(exc) or type(exc).__name__
+            record["error"] = f"{name}: {exc}" if str(exc) else name
         records.append(record)
     return Report(records)
 

@@ -1,11 +1,12 @@
 """Positive cones on catalogue algebras and sums-of-hermitian-squares.
 
 Cones are intensional: an ordering P, an orientation, and a membership
-procedure; they are never materialized.  Membership reduces to exact
-positive-semidefiniteness of the trace carrier of the rank-1 form <m>,
-which for the hermitian families is literally the diagonal sign rule of
-the congruence reduction, and for quat_skew covers the split-at-P cases
-where algebra-level pivoting can fail.
+procedure; they are never materialized.  Membership is the diagonal sign
+rule of the rank-1 form <m>: every value of its signature carrier lies on
+the oriented side at P.  For the hermitian families the values are the
+pivots of the congruence kernel on the entry Gram of m; for quat_skew they
+are the diagonal of the twisted trace form, which also covers the
+split-at-P cases where algebra-level pivoting can fail.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .field import FieldElement, Ordering, four_square_decomposition, sign_at
 from .hermitian import (
     HermitianForm,
     ReferenceForm,
+    _carrier,
     _trace_diag,
     rank1_max_signature,
     raw_signature,
@@ -51,9 +53,9 @@ class PositiveCone:
         return self.orientation * (1 if cert > 0 else -1)
 
     def contains(self, element: AlgebraElement) -> bool:
-        """Membership by congruence reduction of <element>: every diagonal
-        value of the trace carrier must lie on the oriented side (zero
-        pivots impose no constraint; 0 is always a member)."""
+        """Membership by congruence reduction of <element>: every value of
+        its signature carrier must lie on the oriented side (zero pivots
+        impose no constraint; 0 is always a member)."""
         alg = self.algebra
         if element.algebra != alg:
             raise AlgebraMismatchError("element of a different algebra")
@@ -61,8 +63,8 @@ class PositiveCone:
             raise ValueError("cone membership is defined for symmetric elements")
         form = HermitianForm(alg, element.rows)
         want = self._oriented_sign()
-        return all(want * sign_at(d, self.ordering) >= 0
-                   for d in _trace_diag(form, alg.twist_at(self.ordering)))
+        values, _ = _carrier(form, self.ordering)
+        return all(want * sign_at(d, self.ordering) >= 0 for d in values)
 
     def sample_member(self, rng, terms: int = 2, height: int = 2) -> AlgebraElement:
         """A random member: sum of weighted sandwiches of the oriented
@@ -182,7 +184,8 @@ class PositivityReport:
 
 
 def positivity_sets(algebra: AlgebraWithInvolution) -> PositivityReport:
-    """X_sigma by the PSD test of the unit trace form at each ordering;
+    """X_sigma by the PSD test of the unit trace form at each ordering (at
+    nil orderings too, where the pivot signs would answer differently);
     (PS') holds iff X_sigma equals the non-nil set, which is also the
     sufficient condition for (PS)."""
     diag = _trace_diag(unit_form(algebra), algebra.default_twist)
@@ -460,6 +463,8 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     for p in y_set:
         cone = PositiveCone(alg, p, 1, eta)
         if not cone.contains(u):
+            # the witness is the first trace-carrier value with the wrong
+            # sign, computed on this path only
             want = cone._oriented_sign()
             form = HermitianForm(alg, u.rows)
             witness = next(d for d in _trace_diag(form, alg.twist_at(p))

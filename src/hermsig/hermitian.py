@@ -3,19 +3,21 @@
 A form of rank k over (M_n(D), -) is stored at entry level: a kn x kn
 matrix over the entry ring D, conj-transpose symmetric (skew for the
 quat_skew family, whose Grams are skew-hermitian data for the orthogonal
-involutions Int(u) o conj).  Signatures are computed through exact trace
-forms over F at the Morita-collapsed level and divided by the family's
-``Family.trace_divisor`` (validated against independent oracles in the
-test suite); quat_skew Grams are paired with the twist
-``AlgebraWithInvolution.twist_at(P)``.  The sign ambiguity of the Morita
-reduction is fixed by a reference form, memoized on the algebra per
-search bound.
+involutions Int(u) o conj).  For the hermitian families the kn x kn entry
+Gram is reduced by the congruence kernel ``quadforms.diagonalize``; its
+pivots are F-scalars, and the signature at a non-nil ordering is the sum
+of their signs.  quat_skew Grams, whose pivots would be pure quaternions,
+go through the exact trace form over F paired with the twist
+``AlgebraWithInvolution.twist_at(P)``, divided by the family's
+``Family.trace_divisor``.  The sign ambiguity of the Morita reduction is
+fixed by a reference form, memoized on the algebra per search bound.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .algebras import (
@@ -32,6 +34,7 @@ from .errors import (
 )
 from .field import QQ, FieldElement, NumberField, Ordering, sign_at
 from .quadforms import (
+    Diagonalization,
     GramQuadraticForm,
     QuadraticForm,
     diagonalize,
@@ -50,8 +53,10 @@ class HermitianForm:
             raise ValueError("Gram matrix must be square")
         if size % algebra.n != 0:
             raise ValueError("Gram size must be a multiple of the matrix degree n")
-        self.gram = gram
+        # gram (also rows), size, ring and field: the input of diagonalize
+        self.gram = self.rows = gram
         self.size = size
+        self.ring, self.field = algebra.ring, algebra.field
         self._trace_diag_cache: dict = {}
         sign = -1 if algebra.skew_gram else 1
         for r in range(size):
@@ -86,6 +91,11 @@ class HermitianForm:
     @property
     def rank(self) -> int:
         return self.size // self.algebra.n
+
+    @cached_property
+    def _kernel(self) -> Diagonalization:
+        """The congruence kernel on the entry Gram (hermitian families)."""
+        return diagonalize(self)
 
     def perp(self, other: "HermitianForm") -> "HermitianForm":
         if other.algebra != self.algebra:
@@ -193,6 +203,7 @@ def trace_form(h: HermitianForm) -> GramQuadraticForm:
 
 
 def _trace_diag(h: HermitianForm, twist=None) -> list[FieldElement]:
+    """Diagonal of the trace form of h with the given twist, memoized."""
     key = None if twist is None else twist.coords()
     diag = h._trace_diag_cache.get(key)
     if diag is None:
@@ -202,9 +213,20 @@ def _trace_diag(h: HermitianForm, twist=None) -> list[FieldElement]:
     return diag
 
 
+def _carrier(h: HermitianForm, ordering: Ordering) -> tuple[Sequence[FieldElement], int]:
+    """F-values whose signs at a non-nil ordering sum to the signature of h
+    times a divisor, and that divisor: the kernel's pivots and 1 for the
+    hermitian families, the twisted trace-form diagonal and the family's
+    ``trace_divisor`` for quat_skew."""
+    alg = h.algebra
+    if alg.skew_gram:
+        return _trace_diag(h, alg.twist_at(ordering)), alg.spec.trace_divisor
+    return h._kernel.form.entries, 1
+
+
 def raw_signature(h: HermitianForm, ordering: Ordering) -> int:
-    """s_P(h): zero at nil orderings; otherwise the collapsed trace-form
-    signature divided by the family constant, which must be exact.
+    """s_P(h): zero at nil orderings; otherwise the sign sum of the signature
+    carrier divided by its divisor, which must be exact.
 
     quat_skew uses the positive-norm twist at the ordering; the resulting
     per-ordering Morita choice is normalized by the reference form.
@@ -214,8 +236,8 @@ def raw_signature(h: HermitianForm, ordering: Ordering) -> int:
         raise AlgebraMismatchError("ordering belongs to a different field")
     if alg.is_nil(ordering):
         return 0
-    total = sum(sign_at(d, ordering) for d in _trace_diag(h, alg.twist_at(ordering)))
-    div = alg.spec.trace_divisor
+    values, div = _carrier(h, ordering)
+    total = sum(sign_at(d, ordering) for d in values)
     if total % div != 0:
         raise InvariantError(
             f"trace-form signature {total} not divisible by {div} for "
@@ -223,20 +245,27 @@ def raw_signature(h: HermitianForm, ordering: Ordering) -> int:
     return total // div
 
 
+def _nondegenerate_dim(h: HermitianForm) -> int:
+    """F-dimension of the nondegenerate part of h (the trace-form rank)."""
+    alg = h.algebra
+    if alg.skew_gram:
+        return len(_trace_diag(h, alg.default_twist))
+    return (h.size - h._kernel.radical_dim) * alg.entry_dim
+
+
 def is_nondegenerate(h: HermitianForm) -> bool:
-    """Nondegeneracy via the trace form: its radical is trivial exactly
-    when the Gram is invertible over the algebra."""
-    return len(_trace_diag(h, h.algebra.default_twist)) == h.size * h.algebra.entry_dim
+    """The Gram is invertible over the algebra: the radical is trivial."""
+    return _nondegenerate_dim(h) == h.size * h.algebra.entry_dim
 
 
 def witt_rank(h: HermitianForm) -> int:
     """Rank of the nondegenerate part (the Witt-class rank)."""
-    nd = len(_trace_diag(h, h.algebra.default_twist))
-    ed = h.algebra.entry_dim
-    if nd % (ed * h.algebra.n) != 0:
+    nd = _nondegenerate_dim(h)
+    width = h.algebra.entry_dim * h.algebra.n
+    if nd % width != 0:
         raise InvariantError("degenerate part is not a free-module form; "
                              "width is not an algebra rank")
-    return nd // (ed * h.algebra.n)
+    return nd // width
 
 
 def rank1_max_signature(algebra: AlgebraWithInvolution, ordering: Ordering) -> int:
@@ -477,67 +506,6 @@ def knebusch_check(h: HermitianForm,
     return KnebuschReport(lhs == rhs, lhs, rhs)
 
 
-# ---------------------------------------------------------------------------
-# Hermitian congruence diagonalization (division-at-P scope).
-
-
-def _scalar_part(entry) -> FieldElement:
-    coords = entry.coords()
-    if any(not c.is_zero() for c in coords[1:]):
-        raise InvariantError("diagonal pivot is not a scalar")
-    return coords[0]
-
-
-def hermitian_diagonalize(h: HermitianForm) -> tuple[list[FieldElement], int]:
-    """Diagonalize by hermitian congruence; diagonal pivots are F-scalars
-    for the hermitian families.  Returns (pivots, radical dimension)."""
-    alg = h.algebra
-    if alg.skew_gram:
-        raise UnsupportedError("skew Grams have pure-quaternion diagonals; "
-                               "use the trace-form route")
-    s = h.size
-    m = [list(row) for row in h.gram]
-
-    def swap(i, j):
-        for r in range(s):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        m[i], m[j] = m[j], m[i]
-
-    diag: list[FieldElement] = []
-    for p in range(s):
-        pivot = next((i for i in range(p, s) if not m[i][i].is_zero()), None)
-        if pivot is None:
-            off = next(((i, j) for i in range(p, s) for j in range(i + 1, s)
-                        if not m[i][j].is_zero()), None)
-            if off is None:
-                break
-            i, j = off
-            lam = next(b for b in alg.ring.basis
-                       if not (m[i][j] * b + (m[i][j] * b).conj()).is_zero())
-            # e_i <- e_i + e_j lam
-            for r in range(s):
-                m[r][i] = m[r][i] + m[r][j] * lam
-            lam_c = lam.conj()
-            for r in range(s):
-                m[i][r] = m[i][r] + lam_c * m[j][r]
-            pivot = i
-        if pivot != p:
-            swap(p, pivot)
-        f = _scalar_part(m[p][p])
-        inv = f.inverse()
-        for r in range(p + 1, s):
-            if m[p][r].is_zero():
-                continue
-            c = m[p][r] * inv
-            c_conj = c.conj()
-            for x in range(s):
-                m[x][r] = m[x][r] - m[x][p] * c
-            for x in range(s):
-                m[r][x] = m[r][x] - c_conj * m[p][x]
-        diag.append(f)
-    return diag, s - len(diag)
-
-
 @dataclass
 class SylvesterDecomposition:
     """n_P^2 x <u_1..u_t> (x) h ~ <a_1..a_r> perp <b_1..b_s> with t = 1,
@@ -571,10 +539,10 @@ def sylvester_decompose(h: HermitianForm, cone) -> SylvesterDecomposition:
     p = cone.ordering
     if alg.is_nil(p):
         raise ValueError("cone ordering must be non-nil")
-    pivots, radical = hermitian_diagonalize(h)
+    dec = h._kernel
     orient = cone.orientation * (1 if cone.reference.certificate[p] > 0 else -1)
     pos, neg = [], []
-    for d in pivots:
+    for d in dec.form.entries:
         side = orient * sign_at(d, p)
         if side > 0:
             pos.append(d)
@@ -582,7 +550,7 @@ def sylvester_decompose(h: HermitianForm, cone) -> SylvesterDecomposition:
             neg.append(d)
         else:
             raise InvariantError("invertible diagonal entry on no side")
-    return SylvesterDecomposition((alg.field.one,), pos, neg, radical)
+    return SylvesterDecomposition((alg.field.one,), pos, neg, dec.radical_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +583,11 @@ def split_oracle_signature(h: HermitianForm, ordering: Ordering) -> int:
 
 
 def sylvester_count_oracle(h: HermitianForm, ordering: Ordering) -> int:
-    """Independent signature for division-at-P instances: diagonalize over
-    the algebra and count entry signs directly."""
-    pivots, _ = hermitian_diagonalize(h)
-    return sum(sign_at(d, ordering) for d in pivots)
+    """Independent signature for the hermitian families at a non-nil
+    ordering: the trace-form signature divided by the family's
+    ``trace_divisor``, off the pivot route of `raw_signature`."""
+    total = sum(sign_at(d, ordering) for d in _trace_diag(h))
+    q, r = divmod(total, h.algebra.spec.trace_divisor)
+    if r:
+        raise InvariantError(f"trace-form signature {total} is not a multiple of the divisor")
+    return q

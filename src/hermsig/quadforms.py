@@ -1,7 +1,9 @@
 """Quadratic forms over a number field at the Witt level.
 
 Diagonal forms carry the Witt-group operations; Gram matrices are the input
-convenience and are reduced by exact symmetric congruence.  Witt classes are
+convenience and are reduced by exact congruence.  `diagonalize` is the one
+congruence kernel of the package: it also reduces the entry Grams of
+hermitian forms over F(sqrt(delta)) and (a, b)_F.  Witt classes are
 represented by diagonal forms with syntactic cancellation of <a, -a> pairs
 only; no isotropy decision beyond signatures is attempted.
 """
@@ -74,42 +76,52 @@ class GramQuadraticForm:
     def size(self) -> int:
         return len(self.rows)
 
+    @property
+    def ring(self) -> NumberField:
+        return self.field
+
     def __repr__(self) -> str:
         return f"GramQuadraticForm({self.size}x{self.size})"
 
 
 @dataclass
 class Diagonalization:
-    """Result of symmetric congruence reduction: S^t G S = diag(d, ..., 0).
-
-    `transform` is S, or None when it was not asked for."""
+    """Result of congruence reduction: S* G S = diag(d, ..., 0), S* the
+    conjugate transpose.  `transform` is S, or None when not asked for."""
 
     form: QuadraticForm
     radical_dim: int
-    transform: tuple[tuple[FieldElement, ...], ...] | None = None
+    transform: tuple[tuple, ...] | None = None
 
 
-def diagonalize(gram: GramQuadraticForm, *, with_transform: bool = False) -> Diagonalization:
-    """Symmetric Gaussian elimination by congruence.
+def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
+    """Gaussian elimination by congruence: the one kernel of the package.
 
-    Pivot rule: first nonzero diagonal entry; if the remaining diagonal is
-    zero but the block is not, the leading 2x2 hyperbolic block [[0, c],
-    [c, 0]] is replaced by diag(c, -c) via the congruence with columns
-    (e_i + e_j/2, e_i - e_j/2).  Zero rows are reported as the radical.
+    `gram` has a square matrix ``rows`` of ``size`` over ``ring``, with
+    m[s][r] = conj(m[r][s]) and entries that have ``conj``, ``is_zero``,
+    ``coords`` and ring arithmetic: a `GramQuadraticForm` (``ring`` is F),
+    a hermitian-family ``HermitianForm``, or an ``AlgebraElement`` x* x.
+    Diagonal entries are conj-fixed, so each pivot is their F-scalar part.
 
-    Each pivot step replaces the trailing block by its Schur complement,
-    one product per lower-triangle entry, mirrored to keep the matrix
-    symmetric.  The transform S is built only when `with_transform` is set.
+    Pivot rule: first nonzero diagonal entry.  If the remaining diagonal is
+    zero but the block is not, take its first nonzero m_ij: over F the
+    block [[0, c], [c, 0]] becomes diag(c, -c) via the columns
+    (e_i + e_j/2, e_i - e_j/2); over an entry ring e_i <- e_i + e_j lam,
+    lam the first basis entry with Trd(m_ij lam) != 0, makes that trace
+    m_ii.  Zero rows are reported as the radical.  Each pivot d replaces the
+    trailing block by its Schur complement m_rs - m_rp d^-1 m_ps on the
+    lower triangle, mirrored by conj.  S is built only on request.
     """
-    field = gram.field
+    field, ring = gram.field, gram.ring
+    scalar = ring is field
     k = gram.size
-    # m is kept symmetric and indexed by original rows; order[pos] is the
+    # m is kept hermitian and indexed by original rows; order[pos] is the
     # row at elimination position pos, so swaps move no entries.
     m = [list(row) for row in gram.rows]
     order = list(range(k))
-    zero = field.zero
+    zero = ring.zero
     # scol[r] is column r of S, kept by original index like m.
-    scol = ([[field.one if i == j else zero for i in range(k)] for j in range(k)]
+    scol = ([[ring.one if i == j else zero for i in range(k)] for j in range(k)]
             if with_transform else None)
 
     diag: list[FieldElement] = []
@@ -123,44 +135,60 @@ def diagonalize(gram: GramQuadraticForm, *, with_transform: bool = False) -> Dia
                 break
             i, j = off
             order[p], order[i] = order[i], order[p]
-            # columns (p, j) <- (c_p + c_j/2, c_p - c_j/2): block becomes
-            # diag(c, -c) for the off-diagonal entry c.
-            half = field.element(Fraction(1, 2))
             rp, rj = order[p], order[j]
             c = m[rp][rj]
-            for r in order[p + 1:]:
-                if r == rj:
-                    continue
-                a, hb = m[r][rp], half * m[r][rj]
-                m[r][rp] = m[rp][r] = a + hb
-                m[r][rj] = m[rj][r] = a - hb
-            m[rp][rp], m[rj][rj] = c, -c
-            m[rp][rj] = m[rj][rp] = zero
-            if scol is not None:
-                sp, sj = scol[rp], scol[rj]
-                scol[rp] = [a + half * b for a, b in zip(sp, sj)]
-                scol[rj] = [a - half * b for a, b in zip(sp, sj)]
+            if scalar:
+                # columns (p, j) <- (c_p + c_j/2, c_p - c_j/2): block becomes
+                # diag(c, -c) for the off-diagonal entry c.
+                half = field.element(Fraction(1, 2))
+                for r in order[p + 1:]:
+                    if r == rj:
+                        continue
+                    a, hb = m[r][rp], half * m[r][rj]
+                    m[r][rp] = m[rp][r] = a + hb
+                    m[r][rj] = m[rj][r] = a - hb
+                m[rp][rp], m[rj][rj] = c, -c
+                m[rp][rj] = m[rj][rp] = zero
+                if scol is not None:
+                    sp, sj = scol[rp], scol[rj]
+                    scol[rp] = [a + half * b for a, b in zip(sp, sj)]
+                    scol[rj] = [a - half * b for a, b in zip(sp, sj)]
+            else:
+                # e_p <- e_p + e_j lam; m_jj = 0, so only row and column p
+                # change, and m_pp becomes Trd(c lam).
+                lam = next(b for b in ring.basis if not (c * b).trd().is_zero())
+                for r in order[p + 1:]:
+                    v = m[r][rj]
+                    if not v.is_zero():
+                        w = m[r][rp] = m[r][rp] + v * lam
+                        m[rp][r] = w.conj()
+                cl = c * lam
+                m[rp][rp] = cl + cl.conj()
+                if scol is not None:
+                    scol[rp] = [a + b * lam for a, b in zip(scol[rp], scol[rj])]
             pivot = p
         order[p], order[pivot] = order[pivot], order[p]
         rp = order[p]
         mp = m[rp]
-        d = mp[rp]
+        d = mp[rp] if scalar else mp[rp].coords()[0]
         # The inverse also certifies that the pivot is not a zero divisor.
         inv = d.inverse()
         rest = order[p + 1:]
         for idx, r in enumerate(rest):
-            a = mp[r]
+            mr = m[r]
+            a = mr[rp]
             if a.is_zero():
                 continue
             t = a * inv
-            mr = m[r]
             for s in rest[:idx + 1]:
                 b = mp[s]
                 if not b.is_zero():
-                    mr[s] = m[s][r] = mr[s] - t * b
+                    v = mr[s] = mr[s] - t * b
+                    m[s][r] = v if scalar else v.conj()
             if scol is not None:
-                sp = scol[rp]
-                scol[r] = [x - t * y for x, y in zip(scol[r], sp)]
+                # e_r <- e_r - e_p d^-1 m_pr, and d^-1 m_pr = conj(t)
+                tc = t if scalar else t.conj()
+                scol[r] = [x - y * tc for x, y in zip(scol[r], scol[rp])]
         diag.append(d)
 
     radical = k - len(diag)

@@ -400,3 +400,62 @@ def test_table_products_match_closed_forms(case):
         inv = n.inverse()
         assert x.inverse().coords() == (p[0] * inv,) + tuple(-v * inv for v in p[1:])
         assert x * x.inverse() == ring.one == x.inverse() * x
+
+
+def rank_is_invertible(x):
+    """Reference invertibility test: the F-linear rank of v -> x v on the
+    column module, by Gaussian elimination over F."""
+    alg = x.algebra
+    n, ed = alg.n, alg.entry_dim
+    dim = n * ed
+    cols = []
+    for slot in range(n):
+        for bu in alg.ring.basis:
+            col = []
+            for r in range(n):
+                col.extend((x.rows[r][slot] * bu).coords())
+            cols.append(col)
+    m = [[cols[c][r] for c in range(dim)] for r in range(dim)]
+    rank = 0
+    for c in range(dim):
+        piv = next((r for r in range(rank, dim) if not m[r][c].is_zero()), None)
+        if piv is None:
+            return False
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = m[rank][c].inverse()
+        for r in range(rank + 1, dim):
+            if not m[r][c].is_zero():
+                f = m[r][c] * inv
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return True
+
+
+@st.composite
+def _element_case(draw):
+    """An element of M_n(D), n = 1, 2, over Q(sqrt 2) or F5, for every
+    family; split quaternion parameters (a = 1) and entries built from
+    1 +- e_1 make zero divisors common."""
+    field = draw(st.sampled_from([SQRT2, F5]))
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    params = {"split_orth": {}, "unitary": {"delta": draw(st.sampled_from([-1, 3]))}}.get(
+        family, {"a": draw(st.sampled_from([1, -1])), "b": draw(st.sampled_from([-1, 3]))})
+    alg = AlgebraWithInvolution(field, family, draw(st.integers(1, 2)), **params)
+    ed = alg.entry_dim
+
+    def entry():
+        if ed > 1 and draw(st.integers(0, 3)) == 0:
+            return [1, draw(st.sampled_from([1, -1]))] + [0] * (ed - 2)
+        return [field.element([draw(st.integers(-2, 2)), draw(st.integers(-1, 1))])
+                for _ in range(ed)]
+
+    rows = [[entry() for _ in range(alg.n)] for _ in range(alg.n)]
+    if alg.n == 2 and draw(st.booleans()):
+        rows[1] = rows[0]  # equal rows: never invertible
+    return alg.element(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_element_case())
+def test_is_invertible_matches_rank_reference(x):
+    assert is_invertible(x) == rank_is_invertible(x)

@@ -324,7 +324,8 @@ def test_membership_matches_algebra_level_diagonalization():
     # the trace-carrier rule must agree with the pivot-sign rule of the
     # algebra-level congruence reduction for the hermitian families
     from hermsig.field import NumberField
-    from hermsig.hermitian import HermitianForm, hermitian_diagonalize
+    from hermsig.hermitian import HermitianForm
+    from test_hermitian import hermitian_diagonalize
 
     sqrt2 = NumberField([-2, 0, 1])
     theta = sqrt2.gen
@@ -398,3 +399,17 @@ def test_strongly_anisotropic_sufficient_flag():
     assert not strongly_anisotropic_flag(
         HermitianForm.diagonal(allnil, [1, 1]), eta_n)
     assert not formally_real(allnil)
+
+
+def test_sos_refutation_witness_is_the_trace_carrier_value():
+    # the witness is the first wrong-signed diagonal value of the trace
+    # form of <u> (here 2(1 + x)), not a kernel pivot (1 + x)
+    x = SQRT2.gen
+    alg = AlgebraWithInvolution(SQRT2, "quat_symp", 2, a=-1, b=x - 2)
+    q = alg.ring.element(1, 2, 0, -1)
+    u = alg.element([[x + 1, q], [q.conj(), -3]])
+    res = find_sos_certificate(u)
+    assert res.status == "refuted"
+    assert res.refutation.ordering.index == 0
+    assert res.refutation.witness == 2 + 2 * x
+    assert sign_at(res.refutation.witness, res.refutation.ordering) < 0

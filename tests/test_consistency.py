@@ -8,7 +8,6 @@ from hermsig.cones import PositiveCone
 from hermsig.field import QQ, NumberField
 from hermsig.hermitian import (
     HermitianForm,
-    hermitian_diagonalize,
     morita_collapse,
     raw_signature,
     reference_form,
@@ -16,6 +15,7 @@ from hermsig.hermitian import (
     sylvester_count_oracle,
     transport_reference,
 )
+from test_hermitian import hermitian_diagonalize
 
 SQRT2 = NumberField([-2, 0, 1])
 SQRT3 = NumberField([-3, 0, 1])

@@ -2,16 +2,16 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermsig.algebras import AlgebraWithInvolution
-from hermsig.errors import UnsupportedError
+from hermsig.errors import InvariantError, UnsupportedError
 from hermsig.field import QQ, NumberField
 from hermsig.hermitian import (
     HermitianForm,
     ReferenceForm,
     find_reference_form,
     going_up,
-    hermitian_diagonalize,
     knebusch_check,
     morita_collapse,
     morita_expand,
@@ -36,6 +36,65 @@ HAMILTON1 = AlgebraWithInvolution(QQ, "quat_symp", 1, a=-1, b=-1)
 RAT = AlgebraWithInvolution(QQ, "split_orth", 1)
 GAUSS = AlgebraWithInvolution(QQ, "unitary", 1, delta=-1)
 P0 = QQ.orderings[0]
+
+
+def _scalar_part(entry):
+    coords = entry.coords()
+    if any(not c.is_zero() for c in coords[1:]):
+        raise InvariantError("diagonal pivot is not a scalar")
+    return coords[0]
+
+
+def hermitian_diagonalize(h):
+    """Reference hermitian congruence: the full-matrix loop with physical
+    row and column swaps that `quadforms.diagonalize` replaced.  Returns
+    (pivots, radical dimension); the pivots are F-scalars for the hermitian
+    families."""
+    alg = h.algebra
+    if alg.skew_gram:
+        raise UnsupportedError("skew Grams have pure-quaternion diagonals; "
+                               "use the trace-form route")
+    s = h.size
+    m = [list(row) for row in h.gram]
+
+    def swap(i, j):
+        for r in range(s):
+            m[r][i], m[r][j] = m[r][j], m[r][i]
+        m[i], m[j] = m[j], m[i]
+
+    diag = []
+    for p in range(s):
+        pivot = next((i for i in range(p, s) if not m[i][i].is_zero()), None)
+        if pivot is None:
+            off = next(((i, j) for i in range(p, s) for j in range(i + 1, s)
+                        if not m[i][j].is_zero()), None)
+            if off is None:
+                break
+            i, j = off
+            lam = next(b for b in alg.ring.basis
+                       if not (m[i][j] * b + (m[i][j] * b).conj()).is_zero())
+            # e_i <- e_i + e_j lam
+            for r in range(s):
+                m[r][i] = m[r][i] + m[r][j] * lam
+            lam_c = lam.conj()
+            for r in range(s):
+                m[i][r] = m[i][r] + lam_c * m[j][r]
+            pivot = i
+        if pivot != p:
+            swap(p, pivot)
+        f = _scalar_part(m[p][p])
+        inv = f.inverse()
+        for r in range(p + 1, s):
+            if m[p][r].is_zero():
+                continue
+            c = m[p][r] * inv
+            c_conj = c.conj()
+            for x in range(s):
+                m[x][r] = m[x][r] - m[x][p] * c
+            for x in range(s):
+                m[r][x] = m[r][x] - c_conj * m[p][x]
+        diag.append(f)
+    return diag, s - len(diag)
 
 
 def conj_transpose_gram(alg, rows):
@@ -507,3 +566,106 @@ def test_reference_form_memo_respects_the_bound():
     assert ref.certificate == find_reference_form(alg, 1).certificate
     with pytest.raises(SearchExhaustedError):
         reference_form(alg, 0)
+
+
+# ---------------------------------------------------------------------------
+# The congruence kernel on entry Grams against the trace-form oracle.
+
+F5 = NumberField([1, 3, -3, -4, 1, 1])
+
+
+def _kernel_algebras():
+    out = []
+    for field in (SQRT2, F5):
+        x = field.gen
+        # unitary over F5 needs a rational delta (squareness is decided for
+        # rational values only); delta = 2 and the parameters with x are
+        # nil at some or all orderings
+        deltas = (-1, x - 3, x) if field is SQRT2 else (-1, -3, 2)
+        for n in (1, 2):
+            out.append(AlgebraWithInvolution(field, "split_orth", n))
+            out += [AlgebraWithInvolution(field, "unitary", n, delta=d) for d in deltas]
+            out += [AlgebraWithInvolution(field, "quat_symp", n, a=a, b=b)
+                    for a, b in ((-1, -1), (-1, x), (x - 3, -2))]
+    return out
+
+
+KERNEL_ALGEBRAS = _kernel_algebras()
+
+
+@st.composite
+def _kernel_case(draw):
+    """A hermitian Gram over a split_orth, unitary or quat_symp member over
+    Q(sqrt 2) or F5 (n = 1, 2): random, with an all-zero diagonal (which
+    forces the hyperbolic step), or C* D C of lower rank (dependent rows)."""
+    alg = draw(st.sampled_from(KERNEL_ALGEBRAS))
+    field, ring, ed = alg.field, alg.ring, alg.entry_dim
+    s = draw(st.integers(1, 2)) * alg.n
+
+    def scalar():
+        # a + b x^e: small, but not confined to Q
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        return field.element(a) + field.gen ** draw(st.integers(0, field.degree - 1)) * b
+
+    def entry():
+        return ring.from_coords([scalar() for _ in range(ed)]) if ed > 1 else scalar()
+
+    kind = draw(st.sampled_from(["random", "zero_diagonal", "dependent"]))
+    if kind == "dependent":
+        r = draw(st.integers(0, s - 1))
+        c = [[entry() for _ in range(s)] for _ in range(r)]
+        d = [scalar() for _ in range(r)]
+        zero = alg.entry_zero
+        gram = [[zero] * s for _ in range(s)]
+        for i in range(s):
+            for j in range(s):
+                for t in range(r):
+                    gram[i][j] = gram[i][j] + c[t][i].conj() * d[t] * c[t][j]
+    else:
+        raw = [[entry() for _ in range(s)] for _ in range(s)]
+        gram = [[raw[i][j] + raw[j][i].conj() for j in range(s)] for i in range(s)]
+        if kind == "zero_diagonal":
+            for i in range(s):
+                gram[i][i] = alg.entry_zero
+    return HermitianForm(alg, gram)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_case())
+def test_kernel_matches_trace_form_oracle(h):
+    from hermsig.field import sign_at
+    from hermsig.hermitian import _entry_trace_rows
+    from hermsig.quadforms import GramQuadraticForm, diagonalize
+    from test_quadforms import full_matrix_diagonalize
+
+    alg = h.algebra
+    dec = diagonalize(h, with_transform=True)
+    pivots = list(dec.form.entries)
+    assert dec.radical_dim == h.size - len(pivots)
+    trace = diagonalize(GramQuadraticForm(alg.field, _entry_trace_rows(h)))
+    assert trace.radical_dim == alg.entry_dim * dec.radical_dim
+    div = alg.spec.trace_divisor
+    for p in alg.nonnil_orderings():
+        total = sum(sign_at(d, p) for d in trace.form.entries)
+        assert total % div == 0
+        assert sum(sign_at(d, p) for d in pivots) == total // div == raw_signature(h, p)
+
+    # S* G S = diag(pivots, 0, ..., 0)
+    s_rows, g, k = dec.transform, h.gram, h.size
+    for i in range(k):
+        for j in range(k):
+            acc = alg.entry_zero
+            for r in range(k):
+                for c in range(k):
+                    acc = acc + s_rows[r][i].conj() * g[r][c] * s_rows[c][j]
+            assert acc == (pivots[i] if i == j and i < len(pivots) else 0)
+
+    if alg.entry_dim == 1:
+        want_diag, want_radical, want_s = full_matrix_diagonalize(h)
+        assert (pivots, dec.radical_dim) == (want_diag, want_radical)
+        assert list(dec.transform) == want_s
+        assert diagonalize(h).form.entries == dec.form.entries
+    else:
+        # the same pivots as the full-matrix hermitian reduction, which the
+        # decompose command used to render
+        assert (pivots, dec.radical_dim) == hermitian_diagonalize(h)

@@ -150,6 +150,25 @@ def test_error_records_carry_command_index():
     assert report.records[1]["index"] == 1
 
 
+def test_unexpected_handler_exception_is_an_error_record(tmp_path, capsys, monkeypatch):
+    # an exception type no handler anticipates (here a TypeError deep in a
+    # handler) becomes a record naming the type; later commands still run
+    from hermsig.cli import _Runner
+
+    def broken(self, cmd):
+        raise TypeError("unsupported operand type(s)")
+
+    monkeypatch.setattr(_Runner, "cmd_orderings", broken)
+    path = tmp_path / "doc.json"
+    path.write_text(minimal_doc(commands=[
+        {"op": "orderings"}, {"op": "sign", "form": "f1", "ordering": 0}]))
+    assert main(["run", str(path)]) == 3
+    records = json.loads(capsys.readouterr().out)
+    assert records[0]["status"] == "error"
+    assert records[0]["error"] == "TypeError: unsupported operand type(s)"
+    assert records[1] == {"index": 1, "op": "sign", "result": 1, "status": "ok"}
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(minimal_doc())
