@@ -369,7 +369,8 @@ class AlgebraWithInvolution:
         return (self.field.min_poly, self.family, self.n, self.params)
 
     def __eq__(self, other):
-        return isinstance(other, AlgebraWithInvolution) and other._key() == self._key()
+        return other is self or (isinstance(other, AlgebraWithInvolution)
+                                 and other._key() == self._key())
 
     def __hash__(self):
         return hash(self._key())
@@ -559,10 +560,12 @@ class AlgebraWithInvolution:
 class AlgebraElement:
     """n x n matrix over the entry ring of its algebra."""
 
-    __slots__ = ("algebra", "rows")
+    # _form: <x> once x is known to be symmetric (hermitian.rank1_form)
+    __slots__ = ("algebra", "rows", "_form")
 
     def __init__(self, algebra: AlgebraWithInvolution, rows):
         self.algebra = algebra
+        self._form = None
         n = algebra.n
         mat = tuple(tuple(algebra.entry(v) for v in row) for row in rows)
         if len(mat) != n or any(len(row) != n for row in mat):
@@ -576,6 +579,7 @@ class AlgebraElement:
         x = object.__new__(cls)
         x.algebra = algebra
         x.rows = tuple(map(tuple, rows))
+        x._form = None
         return x
 
     # rows, size, ring and field: the input of quadforms.diagonalize

@@ -6,7 +6,9 @@ rule of the rank-1 form <m>: every value of its signature carrier lies on
 the oriented side at P.  For the hermitian families the values are the
 pivots of the congruence kernel on the entry Gram of m; for quat_skew they
 are the diagonal of the twisted trace form, which also covers the
-split-at-P cases where algebra-level pivoting can fail.
+split-at-P cases where algebra-level pivoting can fail.  The values do not
+depend on the cone: <m> is built once per element (``rank1_form``), so one
+reduction serves every ordering and orientation.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .hermitian import (
     ReferenceForm,
     _carrier,
     _trace_diag,
+    rank1_form,
     rank1_max_signature,
     raw_signature,
     reference_form,
@@ -59,9 +62,7 @@ class PositiveCone:
         alg = self.algebra
         if element.algebra != alg:
             raise AlgebraMismatchError("element of a different algebra")
-        if not alg.is_symmetric_element(element):
-            raise ValueError("cone membership is defined for symmetric elements")
-        form = HermitianForm(alg, element.rows)
+        form = rank1_form(element, "cone membership is defined for symmetric elements")
         want = self._oriented_sign()
         values, _ = _carrier(form, self.ordering)
         return all(want * sign_at(d, self.ordering) >= 0 for d in values)
@@ -127,7 +128,7 @@ def maximal_generator(cone: PositiveCone) -> AlgebraElement:
     quat = alg.quat
     for q in (quat.k, quat.i, quat.j, -quat.k, -quat.i, -quat.j):
         cand = alg.scalar_element(q)
-        form = HermitianForm(alg, cand.rows)
+        form = rank1_form(cand, "pure quaternion scalars are symmetric for quat_skew")
         if raw_signature(form, p) == want * 2 * alg.n:
             return cand
     raise SearchExhaustedError("no definite pure generator found")
@@ -138,11 +139,9 @@ def eta_maximal(element: AlgebraElement, ordering: Ordering,
     """Maximal rank-1 signature at the ordering, with positive sign; at a
     nil ordering every invertible symmetric element is vacuously maximal."""
     alg = element.algebra
-    if not alg.is_symmetric_element(element):
-        raise ValueError("eta-maximality is defined for symmetric elements")
+    form = rank1_form(element, "eta-maximality is defined for symmetric elements")
     if not is_invertible(element):
         raise ValueError("eta-maximality is defined for invertible elements")
-    form = HermitianForm(alg, element.rows)
     return signature(form, ordering, reference) == rank1_max_signature(alg, ordering)
 
 
@@ -439,21 +438,23 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     Constructive for split_orth over Q with a = 1 (congruence reduction
     plus four squares, at most 4n vectors); bounded deterministic search
     otherwise (n = 1 members), returning the first certificate at minimal
-    height.
+    height.  The search prunes a remainder that some cone of the Harrison
+    set does not contain; its last term must equal the remainder, so it is
+    found by comparison, without subtracting or testing the differences.
     """
     alg = u.algebra
     fld = alg.field
     if a is None:
         a = maximal_generator(PositiveCone(alg, alg.nonnil_orderings()[0], 1)) \
             if alg.skew_gram and alg.nonnil_orderings() else alg.one_element
-    if not alg.is_symmetric_element(u):
-        raise ValueError("the target must be a symmetric element")
-    if not alg.is_symmetric_element(a) or not is_invertible(a):
-        raise ValueError("the generator a must be symmetric and invertible")
+    u_form = rank1_form(u, "the target must be a symmetric element")
+    a_error = "the generator a must be symmetric and invertible"
+    a_form = rank1_form(a, a_error)
+    if not is_invertible(a):
+        raise ValueError(a_error)
     slot_elems = [e if isinstance(e, FieldElement) else fld.element(e) for e in slots]
     y_set = harrison_set(fld, slot_elems)
     eta = reference_form(alg)
-    a_form = HermitianForm(alg, a.rows)
     for p in y_set:
         if signature(a_form, p, eta) != rank1_max_signature(alg, p):
             raise ValueError("a is not eta-maximal on the Harrison set")
@@ -466,8 +467,7 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
             # the witness is the first trace-carrier value with the wrong
             # sign, computed on this path only
             want = cone._oriented_sign()
-            form = HermitianForm(alg, u.rows)
-            witness = next(d for d in _trace_diag(form, alg.twist_at(p))
+            witness = next(d for d in _trace_diag(u_form, alg.twist_at(p))
                            if want * sign_at(d, p) < 0)
             return SosSearchResult("refuted", refutation=Refutation(p, witness))
 
@@ -502,6 +502,10 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
                 return None
             if not representable(rem):
                 return None
+            if len(chosen) + 1 == max_terms:
+                # the last term must be the remainder itself
+                last = next((v for v in values[start:] if v[3] == rem), None)
+                return None if last is None else chosen + [last[:3]]
             for idx in range(start, len(values)):
                 wsub, gmask, x, val = values[idx]
                 chosen.append((wsub, gmask, x))

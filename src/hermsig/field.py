@@ -482,7 +482,7 @@ class FieldElement:
                 and (other.field is self.field or other.field == self.field))
 
     def __hash__(self) -> int:
-        return hash((self.field.min_poly, self.num, self.den))
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"<{render_element(self)}>"

@@ -68,6 +68,18 @@ class HermitianForm:
                     raise ValueError(f"Gram matrix is not {kind} at ({r}, {c})")
 
     @classmethod
+    def _of(cls, algebra: AlgebraWithInvolution, rows) -> "HermitianForm":
+        """A form from rows of ring entries already known to be
+        (skew-)hermitian: no coercion, no checks."""
+        h = object.__new__(cls)
+        h.algebra = algebra
+        h.gram = h.rows = rows
+        h.size = len(rows)
+        h.ring, h.field = algebra.ring, algebra.field
+        h._trace_diag_cache = {}
+        return h
+
+    @classmethod
     def diagonal(cls, algebra: AlgebraWithInvolution, values: Iterable) -> "HermitianForm":
         """<a_1, ..., a_k> as a block-diagonal entry Gram."""
         blocks = []
@@ -123,6 +135,18 @@ class HermitianForm:
 
     def __repr__(self) -> str:
         return f"HermitianForm({self.algebra.family}, rank={self.rank})"
+
+
+def rank1_form(x: AlgebraElement, error: str) -> HermitianForm:
+    """<x> for a symmetric element x, built once and kept on x, so that its
+    kernel and trace diagonals serve every ordering and orientation; raises
+    ValueError(error) if x is not symmetric (a failure is not kept)."""
+    form = x._form
+    if form is None:
+        if not x.algebra.is_symmetric_element(x):
+            raise ValueError(error)
+        form = x._form = HermitianForm._of(x.algebra, x.rows)
+    return form
 
 
 def scale_by_quadratic(q: QuadraticForm, h: HermitianForm) -> HermitianForm:

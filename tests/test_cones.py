@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermsig.algebras import AlgebraWithInvolution, is_invertible
 from hermsig.cones import (
@@ -19,9 +20,10 @@ from hermsig.cones import (
     verify_certificate,
 )
 from hermsig.field import QQ, NumberField, sign_at
-from hermsig.hermitian import reference_form
+from hermsig.hermitian import HermitianForm, _carrier, reference_form
 
 SQRT2 = NumberField([-2, 0, 1])
+F5 = NumberField([1, 3, -3, -4, 1, 1])
 P0 = QQ.orderings[0]
 
 HAMILTON1 = AlgebraWithInvolution(QQ, "quat_symp", 1, a=-1, b=-1)
@@ -413,3 +415,142 @@ def test_sos_refutation_witness_is_the_trace_carrier_value():
     assert res.refutation.ordering.index == 0
     assert res.refutation.witness == 2 + 2 * x
     assert sign_at(res.refutation.witness, res.refutation.ordering) < 0
+
+
+# ---------------------------------------------------------------------------
+# One reduction of <x> serves every cone.
+
+
+def _membership_algebras():
+    # quat_skew (x, x - 1) over F5 has twist j at one non-nil ordering and
+    # k at the other, so the trace diagonals of <x> must be kept per twist
+    out = []
+    for field in (SQRT2, F5):
+        x = field.gen
+        for n in (1, 2):
+            out += [AlgebraWithInvolution(field, "split_orth", n),
+                    AlgebraWithInvolution(field, "unitary", n, delta=-1),
+                    AlgebraWithInvolution(field, "quat_symp", n, a=-1, b=x),
+                    AlgebraWithInvolution(field, "quat_skew", n, a=1, b=1),
+                    AlgebraWithInvolution(field, "quat_skew", n, a=x, b=x - 1)]
+    return out
+
+
+MEMBERSHIP_ALGEBRAS = _membership_algebras()
+
+
+@st.composite
+def _membership_case(draw):
+    """An element y of M_n(D) and x = y +- sigma(y)^t, which is symmetric
+    (skew for quat_skew); y itself is usually not."""
+    alg = draw(st.sampled_from(MEMBERSHIP_ALGEBRAS))
+    field, ed = alg.field, alg.entry_dim
+
+    def entry():
+        return [field.element([draw(st.integers(-2, 2)), draw(st.integers(-1, 1))])
+                for _ in range(ed)]
+
+    y = alg.element([[entry() for _ in range(alg.n)] for _ in range(alg.n)])
+    ct = y.conj_transpose()
+    return y, (y - ct if alg.skew_gram else y + ct)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_membership_case())
+def test_membership_on_one_element_matches_a_fresh_carrier(case):
+    y, x = case
+    alg = x.algebra
+    cones = enumerate_positive_cones(alg)
+    want = {}
+    for cone in cones:
+        values, _ = _carrier(HermitianForm(alg, x.rows), cone.ordering)
+        side = cone._oriented_sign()
+        want[cone] = all(side * sign_at(d, cone.ordering) >= 0 for d in values)
+    for cone in cones + cones[::-1]:
+        assert cone.contains(x) == want[cone]
+    if not alg.is_symmetric_element(y):
+        for cone in cones + cones[::-1]:
+            with pytest.raises(ValueError, match="symmetric elements"):
+                cone.contains(y)
+
+
+def _count_diagonalize(monkeypatch) -> list:
+    """Count calls of quadforms.diagonalize at every module that binds it."""
+    import sys
+
+    from hermsig import quadforms
+
+    original = quadforms.diagonalize
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].size)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hermsig" and \
+                getattr(module, "diagonalize", None) is original:
+            monkeypatch.setattr(module, "diagonalize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family,params", [
+    ("split_orth", {}), ("unitary", {"delta": -1}), ("quat_symp", {"a": -1, "b": -1})])
+def test_h_single_reduces_a_fresh_element_once(monkeypatch, family, params):
+    from hermsig.spectra import ConeSpace
+
+    alg = AlgebraWithInvolution(F5, family, 1, **params)
+    space = ConeSpace(alg)
+    assert len(space) == 10
+    calls = _count_diagonalize(monkeypatch)
+    ed = alg.entry_dim
+    x = alg.element([[[F5.gen - 1] + [0] * (ed - 1)]])
+    got = space._h_single(x)
+    # one reduction of the 1 x 1 entry Gram of <x> for all ten cones
+    assert calls == [1]
+    assert got == frozenset(i for i, cone in enumerate(space.cones)
+                            if all(cone._oriented_sign() * sign_at(d, cone.ordering) >= 0
+                                   for d in _carrier(HermitianForm(alg, x.rows),
+                                                     cone.ordering)[0]))
+
+
+def _cert_summary(res):
+    if res.certificate is None:
+        return res.status, None
+    return res.status, [(t.weight_subset, tuple(int(c.as_fraction()) for c in t.vector.coords()),
+                         t.generator_index) for t in res.certificate.terms]
+
+
+def test_find_sos_certificate_pinned_hamilton_seven():
+    u = HAMILTON1.scalar_element(7)
+    res = find_sos_certificate(u, height=2, max_terms=2)
+    assert _cert_summary(res) == ("certificate", [((), (0, 1, -1, -1), 0),
+                                                  ((), (1, -1, -1, -1), 1)])
+    assert verify_certificate(u, HAMILTON1.one_element, [], 2, res.certificate)
+
+
+def test_find_sos_certificate_pinned_quintic_targets(monkeypatch):
+    ham = AlgebraWithInvolution(F5, "quat_symp", 1, a=-1, b=-1)
+    u = ham.scalar_element(3)
+    res = find_sos_certificate(u, height=1, max_terms=3)
+    assert _cert_summary(res) == ("certificate", [((), (0, 0, 0, 1), i) for i in range(3)])
+    assert verify_certificate(u, ham.one_element, [], 3, res.certificate)
+    # 13 needs four terms of reduced norm at most 4.  Whatever the number of
+    # cones: one reduction for the invertibility test of the generator, one
+    # for <13> and one for each of the 40 first-term remainders (40 vectors
+    # of height 1); the last term is compared with the remainder, not
+    # subtracted and reduced
+    calls = _count_diagonalize(monkeypatch)
+    res = find_sos_certificate(ham.scalar_element(13), height=1, max_terms=2)
+    assert _cert_summary(res) == ("unknown", None)
+    assert len(calls) == 1 + 1 + 40
+
+
+def test_find_sos_certificate_one_term_short_is_unknown():
+    ham = AlgebraWithInvolution(F5, "quat_symp", 1, a=-1, b=-1)
+    u = ham.scalar_element(13)
+    assert find_sos_certificate(u, height=1, max_terms=3).status == "unknown"
+    res = find_sos_certificate(u, height=1, max_terms=4)
+    assert _cert_summary(res) == ("certificate", [((), (0, 0, 0, 1), 0)] + [
+        ((), (1, -1, -1, -1), i) for i in (1, 2, 3)])
+    assert verify_certificate(u, ham.one_element, [], 4, res.certificate)

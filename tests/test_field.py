@@ -426,3 +426,21 @@ def test_zero_divisor_inverse_raises():
             a.inverse()
     a = field.element([2, 1])
     assert a * a.inverse() == 1
+
+
+def test_hash_is_consistent_with_equality():
+    from hermsig.field import _from_fractions
+
+    for field in (SQRT2, F5):
+        x = field.gen
+        built = field.element([Fraction(1, 2), -3])
+        computed = (x * -6 + 1) / 2
+        from_fracs = _from_fractions(field, [Fraction(1, 2), Fraction(-3)])
+        assert built == computed == from_fracs
+        assert hash(built) == hash(computed) == hash(from_fracs)
+        assert len({built, computed, from_fracs}) == 1
+    # the same (num, den) in two fields: equal hashes, unequal elements
+    a, b = SQRT2.element([1, 2]), F5.element([1, 2])
+    assert (a.num, a.den) == (b.num, b.den)
+    assert a != b and b != a
+    assert len({a, b}) == 2
