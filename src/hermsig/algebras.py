@@ -237,8 +237,9 @@ def _is_rational_square(r: Fraction) -> bool:
 
 
 def is_square_in_field(e: FieldElement) -> bool:
-    """Exact squareness test; supports degree <= 2 fields, and rational
-    values over odd-degree fields.  Raises UnsupportedError otherwise."""
+    """Exact squareness test; supports degree <= 2 fields, rational values
+    over odd-degree fields, and elements negative at some ordering (never
+    squares).  Raises UnsupportedError otherwise."""
     field = e.field
     d = field.degree
     if e.is_zero():
@@ -273,6 +274,8 @@ def is_square_in_field(e: FieldElement) -> bool:
     if e.is_rational() and d % 2 == 1:
         # Q(sqrt(r)) has degree 1 or 2 over Q; 2 does not divide an odd degree.
         return _is_rational_square(e.as_fraction())
+    if any(sign_at(e, p) < 0 for p in field.orderings):
+        return False
     raise UnsupportedError(
         f"cannot decide squareness of {e!r} over a degree-{d} field")
 

@@ -14,28 +14,26 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .algebras import AlgebraWithInvolution
 from .cones import (
-    CertTerm,
     PositiveCone,
     SquareCertificate,
     enumerate_positive_cones,
+    eta_maximal,
     find_sos_certificate,
     formally_real,
     positivity_sets,
     verify_certificate,
 )
 from .errors import HermsigError
-from .field import NumberField, render_element
+from .field import render_element
 from .hermitian import (
     HermitianForm,
     going_up,
+    going_up_reference,
     knebusch_check,
-    raw_signature,
     reference_form,
     signature,
     sylvester_decompose,
-    torsion_test_h,
     total_signature_h,
 )
 from .quadforms import (
@@ -43,17 +41,14 @@ from .quadforms import (
     QuadraticForm,
     diagonalize,
     signature_q,
-    torsion_test_q,
     total_signature_q,
 )
 from .session import (
     SessionDocument,
     SessionParseError,
-    parse_algebra_element,
-    parse_diagonal,
-    parse_element,
     parse_session,
     render_entry,
+    resolve_args,
 )
 from .spectra import (
     FundamentalDescriptor,
@@ -82,16 +77,15 @@ class Report:
     def to_table(self) -> str:
         lines = []
         for rec in self.records:
-            head = f"[{rec['index']}] {rec['op']}: {rec['status']}"
-            lines.append(head)
+            lines.append(f"[{rec['index']}] {rec['op']}: {rec['status']}")
             body = rec.get("error") if rec["status"] == "error" else rec.get("result")
             for line in json.dumps(body, indent=2, sort_keys=True).splitlines():
                 lines.append("    " + line)
         return "\n".join(lines) + "\n"
 
 
-def _render_algebra_element(element, gen: str):
-    return [[render_entry(v, gen) for v in row] for row in element.rows]
+def _render_rows(rows, gen: str):
+    return [[render_entry(v, gen) for v in row] for row in rows]
 
 
 def _render_certificate(cert: SquareCertificate, gen: str):
@@ -100,7 +94,7 @@ def _render_certificate(cert: SquareCertificate, gen: str):
             {
                 "weight_subset": list(t.weight_subset),
                 "weight_root": render_element(t.weight_root, gen),
-                "vector": _render_algebra_element(t.vector, gen),
+                "vector": _render_rows(t.vector.rows, gen),
                 "generator_index": t.generator_index,
             }
             for t in cert.terms
@@ -109,163 +103,87 @@ def _render_certificate(cert: SquareCertificate, gen: str):
 
 
 class _Runner:
+    """Runs checked commands: `run_command` resolves the arguments by the
+    schema in `hermsig.session` and calls the op's handler `cmd_<op>`."""
+
     def __init__(self, doc: SessionDocument, search_height: int, search_terms: int):
         self.doc = doc
         self.rng = random.Random(doc.seed)
         self.search_height = search_height
         self.search_terms = search_terms
 
-    # -- helpers -------------------------------------------------------------
-    def algebra(self, cmd) -> AlgebraWithInvolution:
-        return self.doc.algebras[self._arg(cmd, "algebra")]
+    def run_command(self, i: int, cmd: dict):
+        args = resolve_args(self.doc, cmd, f"commands[{i}]")
+        return getattr(self, "cmd_" + cmd["op"].replace("-", "_"))(**args)
 
-    def _arg(self, cmd, key):
-        if key not in cmd:
-            raise HermsigError(f"command requires {key!r}")
-        return cmd[key]
-
-    def form(self, cmd, key="form"):
-        return self.doc.forms[self._arg(cmd, key)]
-
-    def ordering(self, cmd, key="ordering"):
-        return self._ordering_at(self._arg(cmd, key))
-
-    def _ordering_at(self, idx):
-        orderings = self.doc.field.orderings
-        if not isinstance(idx, int) or not 0 <= idx < len(orderings):
-            raise HermsigError(f"no ordering with index {idx}")
-        return orderings[idx]
-
-    def element(self, cmd, algebra, key="element"):
-        return parse_algebra_element(self._arg(cmd, key), algebra,
-                                     self.doc.gen_name, f"command.{key}")
-
-    def ext_field(self, cmd) -> tuple[NumberField, str]:
-        from .session import _exact_number
-
-        spec = self._arg(cmd, "ext")
-        if not isinstance(spec, dict) or not isinstance(spec.get("min_poly"), list):
-            raise HermsigError("'ext' must be an object with a 'min_poly' list")
-        coeffs = spec["min_poly"]
-        gen = spec.get("generator", "t")
-        return NumberField([_exact_number(c, "command.ext.min_poly")
-                            for c in coeffs]), gen
-
-    # -- command implementations ----------------------------------------------
-    def run_command(self, cmd) -> dict:
-        op = cmd["op"].replace("-", "_")
-        return getattr(self, f"cmd_{op}")(cmd)
-
-    def cmd_orderings(self, cmd):
+    def cmd_orderings(self):
         return [{"index": p.index, "interval": [str(p.lo), str(p.hi)]}
                 for p in self.doc.field.orderings]
 
-    def _signature_of(self, form, ordering) -> int:
+    def _total_signature(self, form):
+        if isinstance(form, HermitianForm):
+            return total_signature_h(form, reference_form(form.algebra))
+        return total_signature_q(form)
+
+    def cmd_sign(self, form, ordering):
         if isinstance(form, HermitianForm):
             return signature(form, ordering, reference_form(form.algebra))
-        if isinstance(form, GramQuadraticForm):
-            return signature_q(form, ordering)
         return signature_q(form, ordering)
 
-    def cmd_sign(self, cmd):
-        return self._signature_of(self.form(cmd), self.ordering(cmd))
+    def cmd_total_sign(self, form):
+        return [[p.index, v] for p, v in self._total_signature(form)]
 
-    def cmd_total_sign(self, cmd):
-        form = self.form(cmd)
-        if isinstance(form, HermitianForm):
-            table = total_signature_h(form, reference_form(form.algebra))
-        else:
-            if isinstance(form, GramQuadraticForm):
-                form = diagonalize(form).form
-            table = total_signature_q(form)
-        return [[p.index, v] for p, v in table]
+    def cmd_nil(self, algebra):
+        return [p.index for p in algebra.nil_orderings()]
 
-    def cmd_nil(self, cmd):
-        return [p.index for p in self.algebra(cmd).nil_orderings()]
+    def cmd_torsion(self, form):
+        return all(v == 0 for _, v in self._total_signature(form))
 
-    def cmd_torsion(self, cmd):
-        form = self.form(cmd)
-        if isinstance(form, HermitianForm):
-            return torsion_test_h(form, reference_form(form.algebra))
-        if isinstance(form, GramQuadraticForm):
-            form = diagonalize(form).form
-        return torsion_test_q(form)
-
-    def cmd_transfer_check(self, cmd):
-        from .hermitian import going_up_algebra
-
-        algebra = self.algebra(cmd)
-        ext, ext_gen = self.ext_field(cmd)
-        lifted_alg = going_up_algebra(algebra, ext)
-        entries = parse_diagonal(self._arg(cmd, "diag"), lifted_alg, ext_gen, "command.diag")
-        form = HermitianForm.diagonal(lifted_alg, entries)
-        report = knebusch_check(form, reference_form(algebra))
+    def cmd_transfer_check(self, algebra, ext, diag):
+        report = knebusch_check(diag, reference_form(algebra))
         return {"holds": report.holds, "transfer_side": report.transfer_side,
                 "sum_side": report.sum_side}
 
-    def cmd_going_up(self, cmd):
-        form = self.form(cmd)
+    def cmd_going_up(self, form, ext):
         if not isinstance(form, HermitianForm):
             raise HermsigError("going-up applies to hermitian forms")
-        ext, _ = self.ext_field(cmd)
+        ext_field, _ = ext
         base_ref = reference_form(form.algebra)
         base = signature(form, self.doc.field.orderings[0], base_ref)
-        lifted = going_up(form, ext)
-        lifted_ref_form = going_up(base_ref.form, ext)
-        from .hermitian import ReferenceForm
-
-        cert = {p: raw_signature(lifted_ref_form, p)
-                for p in lifted.algebra.nonnil_orderings()}
-        lifted_ref = ReferenceForm(lifted_ref_form, cert)
+        lifted = going_up(form, ext_field)
+        lifted_ref = going_up_reference(base_ref, ext_field)
         table = [[p.index, signature(lifted, p, lifted_ref)]
-                 for p in ext.orderings]
+                 for p in ext_field.orderings]
         return {"base": base, "lifted": table,
                 "agrees": all(v == base for _, v in table)}
 
-    def cmd_reference_form(self, cmd):
-        algebra = self.algebra(cmd)
+    def cmd_reference_form(self, algebra):
         ref = reference_form(algebra)
-        gen = self.doc.gen_name
-        n = algebra.n
-        diag = []
-        for i in range(ref.form.rank):
-            rows = [[ref.form.gram[i * n + r][i * n + c] for c in range(n)]
-                    for r in range(n)]
-            diag.append([[render_entry(v, gen) for v in row] for row in rows])
+        gram, n = ref.form.gram, algebra.n
+        diag = [_render_rows([row[i * n:(i + 1) * n] for row in gram[i * n:(i + 1) * n]],
+                             self.doc.gen_name) for i in range(ref.form.rank)]
         return {"diagonal": diag,
                 "certificate": [[p.index, s] for p, s in sorted(
                     ref.certificate.items(), key=lambda kv: kv[0].index)]}
 
-    def cmd_cones(self, cmd):
-        algebra = self.algebra(cmd)
+    def cmd_cones(self, algebra):
         cones = enumerate_positive_cones(algebra)
         return {"count": len(cones),
                 "cones": [list(c.id_pair()) for c in cones],
                 "formally_real": formally_real(algebra)}
 
-    def cmd_cone_member(self, cmd):
-        algebra = self.algebra(cmd)
-        cone = PositiveCone(algebra, self.ordering(cmd),
-                            self._arg(cmd, "orientation"), reference_form(algebra))
-        return cone.contains(self.element(cmd, algebra))
+    def cmd_cone_member(self, algebra, ordering, orientation, element):
+        cone = PositiveCone(algebra, ordering, orientation, reference_form(algebra))
+        return cone.contains(element)
 
-    def cmd_eta_max(self, cmd):
-        from .cones import eta_maximal
+    def cmd_eta_max(self, algebra, ordering, element):
+        return eta_maximal(element, ordering, reference_form(algebra))
 
-        algebra = self.algebra(cmd)
-        return eta_maximal(self.element(cmd, algebra), self.ordering(cmd),
-                           reference_form(algebra))
-
-    def cmd_sos_find(self, cmd):
-        algebra = self.algebra(cmd)
-        u = self.element(cmd, algebra)
+    def cmd_sos_find(self, algebra, element, a, slots, height, max_terms):
+        res = find_sos_certificate(element, a, slots,
+                                   height=height or self.search_height,
+                                   max_terms=max_terms or self.search_terms)
         gen = self.doc.gen_name
-        slots = [parse_element(s, algebra.field, gen, "command.slots")
-                 for s in cmd.get("slots", [])]
-        a = self.element(cmd, algebra, "a") if "a" in cmd else None
-        res = find_sos_certificate(u, a, slots,
-                                   height=cmd.get("height", self.search_height),
-                                   max_terms=cmd.get("max_terms", self.search_terms))
         out = {"status": res.status}
         if res.certificate is not None:
             out["certificate"] = _render_certificate(res.certificate, gen)
@@ -276,31 +194,14 @@ class _Runner:
             }
         return out
 
-    def cmd_sos_verify(self, cmd):
-        algebra = self.algebra(cmd)
-        u = self.element(cmd, algebra)
-        gen = self.doc.gen_name
-        a = self.element(cmd, algebra, "a") if "a" in cmd \
-            else algebra.one_element
-        slots = [parse_element(s, algebra.field, gen, "command.slots")
-                 for s in cmd.get("slots", [])]
-        spec = self._arg(cmd, "certificate")
-        terms = []
-        for i, t in enumerate(spec.get("terms", [])):
-            terms.append(CertTerm(
-                tuple(t.get("weight_subset", [])),
-                parse_element(t.get("weight_root", "1"), algebra.field, gen,
-                              f"command.certificate.terms[{i}].weight_root"),
-                parse_algebra_element(t["vector"], algebra, gen,
-                                      f"command.certificate.terms[{i}].vector"),
-                t["generator_index"],
-            ))
-        copies = cmd.get("copies", max((t.generator_index for t in terms),
-                                       default=-1) // (1 << len(slots)) + 1)
-        return verify_certificate(u, a, slots, copies, SquareCertificate(terms))
+    def cmd_sos_verify(self, algebra, element, certificate, a, slots, copies):
+        if copies is None:
+            copies = max((t.generator_index for t in certificate.terms),
+                         default=-1) // (1 << len(slots)) + 1
+        return verify_certificate(element, algebra.one_element if a is None else a,
+                                  slots, copies, certificate)
 
-    def cmd_positivity(self, cmd):
-        algebra = self.algebra(cmd)
+    def cmd_positivity(self, algebra):
         rep = positivity_sets(algebra)
         return {"x_sigma": [p.index for p in rep.x_sigma],
                 "x_tilde": [p.index for p in rep.x_tilde],
@@ -308,77 +209,51 @@ class _Runner:
                 "ps_sufficient": rep.ps_sufficient,
                 "formally_real": formally_real(algebra)}
 
-    def cmd_ideals(self, cmd):
-        algebra = self.algebra(cmd)
-        ref = reference_form(algebra)
-        kind = self._arg(cmd, "kind")
-        kwargs = {}
-        if kind in ("signature", "mod_p"):
-            kwargs["ordering"] = self.ordering(cmd)
-        if kind == "mod_p":
-            kwargs["p"] = self._arg(cmd, "p")
-        if kind == "fundamental":
-            gens = [self.doc.forms[name] for name in cmd.get("generators", [])]
-            if any(not isinstance(g, HermitianForm) for g in gens):
-                raise HermsigError("fundamental generators must be hermitian forms")
-            kwargs["descriptor"] = FundamentalDescriptor(
-                gens, closed=cmd.get("closed", True))
-        pair = PrimeIdealPair(kind, algebra, ref, **kwargs)
+    def cmd_ideals(self, algebra, kind, ordering, p, q, h, generators, closed, trials):
+        if any(not isinstance(g, HermitianForm) for g in generators):
+            raise HermsigError("fundamental generators must be hermitian forms")
+        pair = PrimeIdealPair(kind, algebra, reference_form(algebra), ordering, p,
+                              FundamentalDescriptor(list(generators), closed=closed))
         out = {}
-        if "q" in cmd and "h" in cmd:
-            q = self.form(cmd, "q")
-            h = self.form(cmd, "h")
+        if q is not None or h is not None:
             if isinstance(q, GramQuadraticForm):
                 q = diagonalize(q).form
             if not isinstance(q, QuadraticForm) or not isinstance(h, HermitianForm):
                 raise HermsigError("'q' must be quadratic and 'h' hermitian")
-            in_i, in_n = ideal_membership(q, h, pair)
-            out["q_in_ideal"] = in_i
-            out["h_in_submodule"] = in_n
-        sample = prime_property_sample(pair, self.rng,
-                                       trials=cmd.get("trials", 30))
+            out["q_in_ideal"], out["h_in_submodule"] = ideal_membership(q, h, pair)
+        sample = prime_property_sample(pair, self.rng, trials=trials)
         out["prime_sample"] = "pass" if sample.passed else \
             f"counterexample ({sample.failed_axiom})"
         return out
 
-    def cmd_morphisms(self, cmd):
-        algebra = self.algebra(cmd)
-        idx = self._arg(cmd, "orderings")
-        if not isinstance(idx, list) or len(idx) != 2:
-            raise HermsigError("'orderings' must be a list of two ordering indices")
-        p, q = self._ordering_at(idx[0]), self._ordering_at(idx[1])
+    def cmd_morphisms(self, algebra, orderings):
+        p, q = orderings
         res = morphism_distinctness(algebra, p, q, reference_form(algebra))
         out = {"equivalent": res.equivalent,
                "trivial": [algebra.is_nil(p), algebra.is_nil(q)]}
         if res.witness is not None:
-            gen = self.doc.gen_name
-            out["witness"] = [[render_entry(v, gen) for v in row]
-                              for row in res.witness.gram]
+            out["witness"] = _render_rows(res.witness.gram, self.doc.gen_name)
         return out
 
-    def cmd_topology(self, cmd):
-        algebra = self.algebra(cmd)
+    def cmd_topology(self, algebra):
         space, topo = cone_space_topology(algebra)
         return {"space_size": len(space),
                 "topologies_agree": topology_compare(space),
                 "t0": is_t0(len(space), topo),
                 "open_sets": len(topo)}
 
-    def cmd_morita_check(self, cmd):
-        algebra = self.algebra(cmd)
+    def cmd_morita_check(self, algebra, samples):
         if algebra.n == 1:
             return {"identity": True, "ok": True, "pairs": []}
-        report = morita_cone_maps(algebra, self.rng, samples=cmd.get("samples", 6))
+        report = morita_cone_maps(algebra, self.rng, samples=samples)
         return {"identity": False, "ok": report.ok,
                 "pairs": [[list(a), list(b)] for a, b in report.pairs]}
 
-    def cmd_decompose(self, cmd):
-        form = self.form(cmd)
+    def cmd_decompose(self, form, ordering, orientation):
         if not isinstance(form, HermitianForm):
             raise HermsigError("decompose applies to hermitian forms")
         algebra = form.algebra
-        cone = PositiveCone(algebra, self.ordering(cmd),
-                            self._arg(cmd, "orientation"), reference_form(algebra))
+        cone = PositiveCone(algebra, ordering, orientation, reference_form(algebra))
         dec = sylvester_decompose(form, cone)
         gen = self.doc.gen_name
         return {"weights": [render_element(w, gen) for w in dec.weights],
@@ -397,7 +272,7 @@ def run_session(doc: SessionDocument, search_height: int = 3,
     for i, cmd in enumerate(doc.commands):
         record = {"index": i, "op": cmd["op"]}
         try:
-            record["result"] = runner.run_command(cmd)
+            record["result"] = runner.run_command(i, cmd)
             record["status"] = "ok"
         except Exception as exc:
             name = type(exc).__name__

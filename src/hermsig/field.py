@@ -482,7 +482,12 @@ class FieldElement:
                 and (other.field is self.field or other.field == self.field))
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # a rational element hashes like the int or Fraction it equals
+        num = self.num
+        if len(num) > 1:
+            return hash((num, self.den))
+        n = num[0] if num else 0
+        return hash(n) if self.den == 1 else hash(Fraction(n, self.den))
 
     def __repr__(self) -> str:
         return f"<{render_element(self)}>"

@@ -354,14 +354,17 @@ def _reference_candidates(algebra: AlgebraWithInvolution, bound: int):
             yield elt
 
 
-def find_reference_form(algebra: AlgebraWithInvolution, bound: int = 2) -> ReferenceForm:
-    """Deterministic search for a reference form: diagonal <s> candidates
-    over sym_basis with coordinates up to the bound, first hit wins."""
+def _invertible_candidates(algebra: AlgebraWithInvolution, bound: int):
+    return (c for c in _reference_candidates(algebra, bound)
+            if not c.is_zero() and is_invertible(c))
+
+
+def _first_reference(algebra: AlgebraWithInvolution, diagonals, bound: int) -> ReferenceForm:
+    """The first diagonal form with nonzero raw signature at every non-nil
+    ordering."""
     nonnil = algebra.nonnil_orderings()
-    for cand in _reference_candidates(algebra, bound):
-        if cand.is_zero() or not is_invertible(cand):
-            continue
-        form = HermitianForm.diagonal(algebra, [cand])
+    for diagonal in diagonals:
+        form = HermitianForm.diagonal(algebra, diagonal)
         cert = {}
         for p in nonnil:
             s = raw_signature(form, p)
@@ -374,13 +377,29 @@ def find_reference_form(algebra: AlgebraWithInvolution, bound: int = 2) -> Refer
         f"no reference form found within bound {bound} for {algebra!r}")
 
 
+def find_reference_form(algebra: AlgebraWithInvolution, bound: int = 2) -> ReferenceForm:
+    """Deterministic search for a reference form: diagonal <s> candidates
+    over sym_basis with coordinates up to the bound, first hit wins."""
+    return _first_reference(
+        algebra, ([s] for s in _invertible_candidates(algebra, bound)), bound)
+
+
 def reference_form(algebra: AlgebraWithInvolution, bound: int = 2) -> ReferenceForm:
-    """find_reference_form(algebra, bound), memoized on the algebra per
-    bound."""
+    """find_reference_form(algebra, bound), else the first rank-2 form
+    <s, t> over pairs of distinct candidates below the bound (a pair spends
+    one unit of it); memoized on the algebra per bound.  quat_skew at n = 1
+    whose twist changes between orderings, such as (a, b) = (1, x) over
+    Q(sqrt 2), has only rank-2 references."""
     memo = algebra._reference_cache
     ref = memo.get(bound)
     if ref is None:
-        ref = memo[bound] = find_reference_form(algebra, bound)
+        try:
+            ref = find_reference_form(algebra, bound)
+        except SearchExhaustedError:
+            below = list(_invertible_candidates(algebra, bound - 1)) if bound > 0 else []
+            pairs = ([s, t] for i, s in enumerate(below) for t in below[i + 1:])
+            ref = _first_reference(algebra, pairs, bound)
+        memo[bound] = ref
     return ref
 
 
@@ -504,6 +523,19 @@ class KnebuschReport:
     sum_side: int
 
 
+def going_up_reference(eta: ReferenceForm, ext: NumberField) -> ReferenceForm:
+    """The reference form eta gone up to A (x) L, certified at the non-nil
+    orderings of L."""
+    form = going_up(eta.form, ext)
+    cert = {}
+    for q in form.algebra.nonnil_orderings():
+        s = raw_signature(form, q)
+        if s == 0:
+            raise InvariantError("lifted reference form lost its certificate")
+        cert[q] = s
+    return ReferenceForm(form, cert)
+
+
 def knebusch_check(h: HermitianForm,
                    base_reference: ReferenceForm | None = None) -> KnebuschReport:
     """Both sides of the trace formula for a form over A (x) L, base Q."""
@@ -512,16 +544,8 @@ def knebusch_check(h: HermitianForm,
     eta = base_reference if base_reference is not None else reference_form(base_alg)
     if eta.algebra != base_alg:
         raise AlgebraMismatchError("base reference over the wrong algebra")
-    eta_up_form = going_up(eta.form, ext)
-    up_alg = eta_up_form.algebra
-    cert = {}
-    for q in up_alg.nonnil_orderings():
-        s = raw_signature(eta_up_form, q)
-        if s == 0:
-            raise InvariantError("lifted reference form lost its certificate")
-        cert[q] = s
-    eta_up = ReferenceForm(eta_up_form, cert)
-    if h.algebra != up_alg:
+    eta_up = going_up_reference(eta, ext)
+    if h.algebra != eta_up.algebra:
         raise AlgebraMismatchError("form is not over the lifted algebra")
     transferred = scharlau_transfer(h)
     p0 = QQ.orderings[0]

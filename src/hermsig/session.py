@@ -11,28 +11,17 @@ the offset inside the expression string).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from .algebras import AlgebraElement, AlgebraWithInvolution
+from .cones import CertTerm, SquareCertificate
+from .errors import HermsigError
 from .field import FieldElement, NumberField, render_element
-from .hermitian import HermitianForm
+from .hermitian import HermitianForm, going_up_algebra
 from .quadforms import GramQuadraticForm, QuadraticForm
-
-COMMANDS = (
-    "orderings", "sign", "total-sign", "nil", "torsion", "transfer-check",
-    "going-up", "reference-form", "cones", "cone-member", "eta-max",
-    "sos-find", "sos-verify", "positivity", "ideals", "morphisms",
-    "topology", "morita-check", "decompose",
-)
-
-#: The JSON type each command argument must have when present (a boolean
-#: is not an integer).
-ARG_TYPES = {"trials": int, "p": int, "height": int, "max_terms": int, "samples": int,
-             "copies": int, "certificate": dict, "slots": list, "diag": list,
-             "generators": list, "closed": bool}
-_TYPE_NAMES = {int: "an integer", dict: "an object", list: "a list", bool: "a boolean"}
-
 
 class SessionParseError(Exception):
     def __init__(self, message: str, path: str = "", line: int | None = None,
@@ -140,7 +129,6 @@ class _ExprParser:
             self.fail(f"bad numeric literal {lit!r}")
 
     def uint(self) -> int:
-        start = self.pos
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
@@ -172,7 +160,6 @@ class SessionDocument:
     forms: dict[str, object]  # QuadraticForm | GramQuadraticForm | HermitianForm
     commands: list[dict]
     seed: int = 0
-    source: dict = dataclass_field(default_factory=dict)
 
 
 def _require(obj: dict, key: str, path: str):
@@ -181,10 +168,10 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str):
+def _check_keys(obj: dict, allowed, path: str):
     for k in obj:
         if k not in allowed:
-            raise SessionParseError(f"unknown key {k!r}", path)
+            raise SessionParseError(f"unknown key {k!r}", f"{path}.{k}")
 
 
 def _declared_name(spec: dict, path: str) -> str:
@@ -218,8 +205,6 @@ def _parse_field(spec, path: str) -> tuple[NumberField, str]:
                      for i, c in enumerate(coeffs)]
         field = NumberField(fractions)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        if isinstance(exc, SessionParseError):
-            raise
         raise SessionParseError(str(exc), f"{path}.min_poly")
     return field, gen
 
@@ -228,9 +213,7 @@ def _exact_number(c, path: str) -> Fraction:
     if isinstance(c, bool) or isinstance(c, float):
         raise SessionParseError(
             "numeric literals must be integers or exact strings like \"3/4\"", path)
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
+    if isinstance(c, (int, str)):
         return Fraction(c)
     raise SessionParseError("expected a number", path)
 
@@ -304,34 +287,192 @@ def _parse_form(spec, field: NumberField, gen: str,
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SessionParseError("gram must be a row list", f"{path}.gram")
 
-    if "algebra" not in spec:
-        if "diag" in spec:
-            entries = [parse_element(v, field, gen, f"{path}.diag[{i}]")
-                       for i, v in enumerate(spec["diag"])]
-            try:
-                return name, QuadraticForm(field, entries)
-            except ValueError as exc:
-                raise SessionParseError(str(exc), f"{path}.diag")
-        parsed = [[parse_element(v, field, gen, f"{path}.gram[{r}][{c}]")
-                   for c, v in enumerate(row)] for r, row in enumerate(rows)]
-        try:
-            return name, GramQuadraticForm(field, parsed)
-        except ValueError as exc:
-            raise SessionParseError(str(exc), f"{path}.gram")
+    key = "diag" if "diag" in spec else "gram"
+    where = f"{path}.{key}"
 
-    algebra = _resolve(spec["algebra"], algebras, "algebra", f"{path}.algebra")
-    if "diag" in spec:
-        entries = parse_diagonal(spec["diag"], algebra, gen, f"{path}.diag")
-        try:
-            return name, HermitianForm.diagonal(algebra, entries)
-        except ValueError as exc:
-            raise SessionParseError(str(exc), f"{path}.diag")
-    parsed = [[_parse_entry(v, algebra, gen, f"{path}.gram[{r}][{c}]")
-               for c, v in enumerate(row)] for r, row in enumerate(rows)]
+    def grid(parse):
+        return [[parse(v, f"{where}[{r}][{c}]") for c, v in enumerate(row)]
+                for r, row in enumerate(rows)]
+
     try:
-        return name, HermitianForm(algebra, parsed)
+        if "algebra" not in spec:
+            def scalar(v, p):
+                return parse_element(v, field, gen, p)
+            if key == "diag":
+                return name, QuadraticForm(field, [scalar(v, f"{where}[{i}]")
+                                                   for i, v in enumerate(spec["diag"])])
+            return name, GramQuadraticForm(field, grid(scalar))
+        algebra = _resolve(spec["algebra"], algebras, "algebra", f"{path}.algebra")
+        if key == "diag":
+            return name, HermitianForm.diagonal(
+                algebra, parse_diagonal(spec["diag"], algebra, gen, where))
+        return name, HermitianForm(algebra, grid(lambda v, p: _parse_entry(v, algebra, gen, p)))
     except ValueError as exc:
-        raise SessionParseError(str(exc), f"{path}.gram")
+        raise SessionParseError(str(exc), where)
+
+
+# ---------------------------------------------------------------------------
+# The command schema.  `ARGS` says what an argument key means in every op
+# that takes it: the JSON type `parse_session` checks (a boolean is never an
+# integer), the resolver that makes the handler's argument when the command
+# runs (`args` holds the keys resolved before it, in table order) and the
+# value of an absent optional key.  Names are resolved at parse time too.
+# `OPS` gives the required and optional keys of each op.
+
+
+def _named(table: str) -> Callable:
+    return lambda name, doc, args, path: _resolve(name, getattr(doc, table), table[:-1], path)
+
+
+_form = _named("forms")
+
+
+def _generators(names, doc, args, path):
+    return [_form(name, doc, args, f"{path}[{j}]") for j, name in enumerate(names)]
+
+
+def _ordering(idx, doc, args, path):
+    orderings = doc.field.orderings
+    if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < len(orderings):
+        raise HermsigError(f"no ordering with index {idx}")
+    return orderings[idx]
+
+
+def _two_orderings(value, doc, args, path):
+    if not isinstance(value, list) or len(value) != 2:
+        raise HermsigError("'orderings' must be a list of two ordering indices")
+    return [_ordering(idx, doc, args, path) for idx in value]
+
+
+def _element(value, doc, args, path):
+    return parse_algebra_element(value, args["algebra"], doc.gen_name, path)
+
+
+def _slots(values, doc, args, path):
+    return [parse_element(v, doc.field, doc.gen_name, f"{path}[{j}]")
+            for j, v in enumerate(values)]
+
+
+def _certificate(spec, doc, args, path):
+    algebra, gen = args["algebra"], doc.gen_name
+    return SquareCertificate([CertTerm(
+        tuple(t.get("weight_subset", [])),
+        parse_element(t.get("weight_root", "1"), doc.field, gen,
+                      f"{path}.terms[{j}].weight_root"),
+        parse_algebra_element(t["vector"], algebra, gen, f"{path}.terms[{j}].vector"),
+        t["generator_index"]) for j, t in enumerate(spec.get("terms", []))])
+
+
+def _ext(spec, doc, args, path) -> tuple[NumberField, str]:
+    if not isinstance(spec, dict) or not isinstance(spec.get("min_poly"), list):
+        raise HermsigError("'ext' must be an object with a 'min_poly' list")
+    return NumberField([_exact_number(c, f"{path}.min_poly[{j}]")
+                        for j, c in enumerate(spec["min_poly"])]), spec.get("generator", "t")
+
+
+def _lifted_diagonal(values, doc, args, path) -> HermitianForm:
+    ext, gen = args["ext"]
+    algebra = going_up_algebra(args["algebra"], ext)
+    return HermitianForm.diagonal(algebra, parse_diagonal(values, algebra, gen, path))
+
+
+@dataclass(frozen=True)
+class Arg:
+    json: type | None             # None: any value, checked when the command runs
+    resolve: Callable = lambda value, doc, args, path: value
+    default: object = None
+    positive: bool = False
+    by_name: bool = False         # a name or a list of names
+
+    def check(self, key: str, value, doc: "SessionDocument", path: str) -> None:
+        if self.json is not None and (not isinstance(value, self.json)
+                                      or isinstance(value, bool) and self.json is not bool
+                                      or self.positive and value < 1):
+            what = "a positive integer" if self.positive else {
+                int: "an integer", bool: "a boolean", str: "a string", list: "a list",
+                dict: "an object"}[self.json]
+            raise SessionParseError(f"{key} must be {what}", path)
+        if self.by_name:
+            self.resolve(value, doc, {}, path)
+
+
+ARGS = {
+    "algebra": Arg(str, _named("algebras"), by_name=True),
+    "form": Arg(str, _form, by_name=True),
+    "q": Arg(str, _form, by_name=True),
+    "h": Arg(str, _form, by_name=True),
+    "generators": Arg(list, _generators, (), by_name=True),
+    "ordering": Arg(int, _ordering),
+    "orderings": Arg(None, _two_orderings),
+    "orientation": Arg(int),
+    "element": Arg(list, _element),
+    "a": Arg(list, _element),                   # absent: the op's own generator
+    "slots": Arg(list, _slots, ()),
+    "certificate": Arg(dict, _certificate),
+    "copies": Arg(int),                         # absent: as many as the certificate uses
+    "height": Arg(int, positive=True),          # absent: the run's --search-height
+    "max_terms": Arg(int, positive=True),       # absent: the run's --search-terms
+    "ext": Arg(None, _ext),
+    "diag": Arg(list, _lifted_diagonal),
+    "kind": Arg(str),
+    "p": Arg(int),
+    "closed": Arg(bool, default=True),
+    "trials": Arg(int, default=30, positive=True),
+    "samples": Arg(int, default=6, positive=True),
+}
+
+OPS = {op: (tuple(required.split()), tuple(optional.split())) for op, required, optional in [
+    ("orderings", "", ""),
+    ("sign", "form ordering", ""),
+    ("total-sign", "form", ""),
+    ("nil", "algebra", ""),
+    ("torsion", "form", ""),
+    ("transfer-check", "algebra ext diag", ""),
+    ("going-up", "form ext", ""),
+    ("reference-form", "algebra", ""),
+    ("cones", "algebra", ""),
+    ("cone-member", "algebra ordering orientation element", ""),
+    ("eta-max", "algebra ordering element", ""),
+    ("sos-find", "algebra element", "a slots height max_terms"),
+    ("sos-verify", "algebra element certificate", "a slots copies"),
+    ("positivity", "algebra", ""),
+    ("ideals", "algebra kind", "ordering p q h generators closed trials"),
+    ("morphisms", "algebra orderings", ""),
+    ("topology", "algebra", ""),
+    ("morita-check", "algebra", "samples"),
+    ("decompose", "form ordering orientation", ""),
+]}
+
+
+def check_command(cmd, doc: "SessionDocument", path: str) -> None:
+    """Reject an unknown op or key, a missing required key, a value of the
+    wrong JSON type and a name that resolves to nothing."""
+    if not isinstance(cmd, dict):
+        raise SessionParseError("command must be an object", path)
+    op = _require(cmd, "op", path)
+    if not isinstance(op, str) or op not in OPS:
+        raise SessionParseError(f"unknown command {op!r}", f"{path}.op")
+    required, optional = OPS[op]
+    for key in required:
+        if key not in cmd:
+            raise SessionParseError(f"missing required key {key!r}", f"{path}.{key}")
+    _check_keys(cmd, ("op",) + required + optional, path)
+    for key, value in cmd.items():
+        if key != "op":
+            ARGS[key].check(key, value, doc, f"{path}.{key}")
+
+
+def resolve_args(doc: "SessionDocument", cmd: dict, path: str) -> dict:
+    """The handler arguments of a checked command: each present key
+    resolved, each absent optional key at its default."""
+    optional = OPS[cmd["op"]][1]
+    args: dict = {}
+    for key, arg in ARGS.items():
+        if key in cmd:
+            args[key] = arg.resolve(cmd[key], doc, args, f"{path}.{key}")
+        elif key in optional:
+            args[key] = arg.default
+    return args
 
 
 def render_entry(entry, gen: str):
@@ -347,10 +488,7 @@ def render_session(doc: SessionDocument) -> str:
     """Canonical JSON rendering; re-parsing yields a semantically identical
     document (hermitian forms are emitted as full entry Grams)."""
     gen = doc.gen_name
-
-    def elem(e) -> str:
-        return render_element(e, gen)
-
+    elem = partial(render_element, gen=gen)
     out: dict = {
         "field": {"min_poly": [str(c) for c in doc.field.min_poly],
                   "generator": gen},
@@ -409,23 +547,7 @@ def parse_session(text: str) -> SessionDocument:
     commands = raw.get("commands", [])
     if not isinstance(commands, list):
         raise SessionParseError("commands must be a list", "commands")
+    doc = SessionDocument(field, gen, algebras, forms, commands, seed)
     for i, cmd in enumerate(commands):
-        if not isinstance(cmd, dict):
-            raise SessionParseError("command must be an object", f"commands[{i}]")
-        op = _require(cmd, "op", f"commands[{i}]")
-        if op not in COMMANDS:
-            raise SessionParseError(f"unknown command {op!r}", f"commands[{i}].op")
-        for key, kind in ARG_TYPES.items():
-            if key in cmd and (not isinstance(cmd[key], kind)
-                               or kind is int and isinstance(cmd[key], bool)):
-                raise SessionParseError(f"{key} must be {_TYPE_NAMES[kind]}",
-                                        f"commands[{i}].{key}")
-        for key in ("form", "q", "h"):
-            if key in cmd:
-                _resolve(cmd[key], forms, "form", f"commands[{i}].{key}")
-        for j, name in enumerate(cmd.get("generators", [])):
-            _resolve(name, forms, "form", f"commands[{i}].generators[{j}]")
-        if "algebra" in cmd:
-            _resolve(cmd["algebra"], algebras, "algebra", f"commands[{i}].algebra")
-
-    return SessionDocument(field, gen, algebras, forms, commands, seed, raw)
+        check_command(cmd, doc, f"commands[{i}]")
+    return doc

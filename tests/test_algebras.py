@@ -149,6 +149,27 @@ def test_squareness_decisions():
         is_square_in_field(cubic.gen)
 
 
+def test_squareness_decided_by_a_negative_sign():
+    """An element negative at some ordering is no square, in any degree: the
+    unitary family with delta = -1 - x^2 over the quintic used to raise
+    "cannot decide squareness"."""
+    from hermsig.hermitian import HermitianForm, reference_form, total_signature_h
+
+    x = F5.gen
+    delta = -1 - x * x
+    assert not is_square_in_field(delta)
+    assert not is_square_in_field(x)  # negative at orderings 0-2
+    uni = AlgebraWithInvolution(F5, "unitary", 1, delta=delta)
+    h = HermitianForm.diagonal(uni, [uni.entry(1), uni.entry(x)])
+    table = total_signature_h(h, reference_form(uni))
+    assert [v for _, v in table] == [0, 0, 0, 2, 2]
+    # totally positive and not rational: still undecided, loudly
+    for value in (2 + x, x * x + 1):
+        assert all(sign_at(value, p) > 0 for p in F5.orderings)
+        with pytest.raises(UnsupportedError):
+            is_square_in_field(value)
+
+
 def test_closed_catalogue():
     with pytest.raises(UnsupportedError):
         AlgebraWithInvolution(QQ, "octonion", 1)

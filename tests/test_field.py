@@ -444,3 +444,10 @@ def test_hash_is_consistent_with_equality():
     assert (a.num, a.den) == (b.num, b.den)
     assert a != b and b != a
     assert len({a, b}) == 2
+    # a rational element hashes like the equal int or Fraction
+    for field in (SQRT2, F5):
+        for value in (0, 3, -7, Fraction(1, 2), Fraction(-9, 4), 2**70 + 1):
+            elt = field.element(value)
+            assert elt == value and hash(elt) == hash(value)
+            assert value in {elt} and elt in {value}
+        assert {field.element(3): "three"}[3] == "three"

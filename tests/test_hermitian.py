@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermsig.algebras import AlgebraWithInvolution
-from hermsig.errors import InvariantError, UnsupportedError
+from hermsig.errors import InvariantError, SearchExhaustedError, UnsupportedError
 from hermsig.field import QQ, NumberField
 from hermsig.hermitian import (
     HermitianForm,
@@ -669,3 +669,43 @@ def test_kernel_matches_trace_form_oracle(h):
         # the same pivots as the full-matrix hermitian reduction, which the
         # decompose command used to render
         assert (pivots, dec.radical_dim) == hermitian_diagonalize(h)
+
+
+@pytest.mark.parametrize("field", [SQRT2, F5], ids=["sqrt2", "quintic"])
+@pytest.mark.parametrize("a, b", [("1", "x"), ("x", "1"), ("x", "-x"), ("-x", "1")])
+def test_quat_skew_rank2_reference_forms(field, a, b):
+    """quat_skew at n = 1 whose twist changes between orderings has no rank-1
+    reference form within the default bound (the search used to end
+    exhausted); the rank-2 fallback finds one, and `reference-form`,
+    `total-sign` and `cones` run on it."""
+    import json
+
+    from hermsig.cli import run_session
+    from hermsig.session import parse_session
+
+    doc = {"field": {"min_poly": [str(c) for c in field.min_poly]},
+           "algebras": [{"name": "s", "family": "quat_skew", "a": a, "b": b}],
+           "forms": [{"name": "h", "algebra": "s",
+                      "diag": [["0", "1", "0", "0"], ["0", "0", "x", "1"]]}],
+           "commands": [{"op": "reference-form", "algebra": "s"},
+                        {"op": "total-sign", "form": "h"},
+                        {"op": "cones", "algebra": "s"}]}
+    parsed = parse_session(json.dumps(doc))
+    alg = parsed.algebras["s"]
+    with pytest.raises(SearchExhaustedError):
+        find_reference_form(alg)
+    records = run_session(parsed).records
+    assert [r["status"] for r in records] == ["ok"] * 3
+    ref, total, cones = (r["result"] for r in records)
+    nonnil = alg.nonnil_orderings()
+    assert len(ref["diagonal"]) == 2
+    assert [i for i, _ in ref["certificate"]] == [p.index for p in nonnil]
+    assert all(s != 0 for _, s in ref["certificate"])
+    # the table is the raw signature normalized by the reference's sign
+    eta = reference_form(alg)
+    h = parsed.forms["h"]
+    assert total == [[p.index, signature(h, p, eta)] for p in field.orderings]
+    for p in nonnil:
+        assert signature(eta.form, p, eta) == abs(eta.certificate[p]) > 0
+        assert abs(signature(h, p, eta)) == abs(raw_signature(h, p))
+    assert cones["count"] == 2 * len(nonnil)

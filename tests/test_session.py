@@ -155,7 +155,7 @@ def test_unexpected_handler_exception_is_an_error_record(tmp_path, capsys, monke
     # handler) becomes a record naming the type; later commands still run
     from hermsig.cli import _Runner
 
-    def broken(self, cmd):
+    def broken(self, **args):
         raise TypeError("unsupported operand type(s)")
 
     monkeypatch.setattr(_Runner, "cmd_orderings", broken)
@@ -475,3 +475,85 @@ def test_malformed_command_arguments_are_parse_errors(command, key, tmp_path, ca
     if key != "closed":
         with pytest.raises(SessionParseError):
             parse_session(json.dumps(_sqrt2_with(dict(command, **{key: True}))[0]))
+
+
+@pytest.mark.parametrize("command, key, message", [
+    ({"op": "sign", "form": "qtheta"}, "ordering", "missing required key"),
+    ({"op": "eta-max", "algebra": "ham", "element": _UNIT}, "ordering",
+     "missing required key"),
+    ({"op": "sos-find", "algebra": "ham", "element": _UNIT, "max_term": 2}, "max_term",
+     "unknown key"),
+    ({"op": "sign", "form": "qtheta", "ordering": True}, "ordering", "an integer"),
+    ({"op": "decompose", "form": "htheta", "ordering": 0, "orientation": True},
+     "orientation", "an integer"),
+    (dict(_IDEALS, trials=0), "trials", "a positive integer"),
+    (dict(_IDEALS, trials=-1), "trials", "a positive integer"),
+    ({"op": "morita-check", "algebra": "ham", "samples": 0}, "samples",
+     "a positive integer"),
+    ({"op": "sos-find", "algebra": "ham", "element": _UNIT, "max_terms": 0}, "max_terms",
+     "a positive integer"),
+], ids=["missing-ordering", "missing-ordering-eta-max", "misspelt-max-terms",
+        "ordering-true", "orientation-true", "trials-zero", "trials-negative",
+        "samples-zero", "max-terms-zero"])
+def test_check_rejects_what_would_run_wrong(command, key, message, tmp_path, capsys):
+    """Each of these used to pass `check` and then run on a silent default:
+    a dropped key, a misspelt key ignored, a boolean read as 1, or zero
+    trials reported as a pass."""
+    doc, path = _sqrt2_with(command)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}.{key}" in err and message in err
+
+
+def test_ideals_with_q_but_no_h_is_an_error_record():
+    """The membership answer used to be left out without a word."""
+    q_only = {k: v for k, v in _IDEALS.items() if k != "h"}
+    doc, _ = _sqrt2_with(q_only)
+    record = run_session(parse_session(json.dumps(doc))).records[-1]
+    assert record["status"] == "error"
+    assert "'h'" in record["error"]
+
+
+def test_element_errors_carry_the_command_path():
+    doc, path = _sqrt2_with({"op": "eta-max", "algebra": "ham", "ordering": 0,
+                             "element": [[["1", "z", "0", "0"]]]})
+    record = run_session(parse_session(json.dumps(doc))).records[-1]
+    assert record["status"] == "error"
+    assert f"{path}.element[0][0][1]" in record["error"]
+
+
+def test_handlers_receive_resolved_arguments(monkeypatch):
+    """`run_command` resolves every key by the schema, fills absent optional
+    keys with their defaults and calls `cmd_<op>` with keywords."""
+    from hermsig.cli import _Runner
+
+    seen = {}
+    monkeypatch.setattr(_Runner, "cmd_sos_find", lambda self, **args: seen.update(args))
+    doc = parse_session(FULL.read_text())
+    runner = _Runner(doc, 3, 6)
+    runner.run_command(0, {"op": "sos-find", "algebra": "ham",
+                           "element": [[["2", "0", "0", "0"]]], "slots": ["3"]})
+    assert seen["algebra"] is doc.algebras["ham"]
+    assert seen["element"].algebra is doc.algebras["ham"]
+    assert seen["slots"] == [doc.field.element(3)]
+    assert (seen["a"], seen["height"], seen["max_terms"]) == (None, None, None)
+
+
+def test_readme_command_table_matches_the_schema():
+    """README's per-op table lists exactly the ops and keys of `OPS`, and its
+    key table exactly the keys of `ARGS`."""
+    import re
+
+    from hermsig.session import ARGS, OPS
+
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    ops_section = text.split("### Commands\n", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \|([^|\n]*)\|([^|\n]*)\|$", ops_section, re.M)
+    listed = {op: (tuple(re.findall(r"`(\w+)`", req)), tuple(re.findall(r"`(\w+)`", opt)))
+              for op, req, opt in rows}
+    assert listed == OPS
+    keys_section = text.split("### Command keys\n", 1)[1].split("\n### ", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` \|", keys_section, re.M)
+    assert sorted(keys) == sorted(ARGS) and len(keys) == len(set(keys))
