@@ -6,6 +6,7 @@ from .errors import (
     FieldMismatchError,
     HermsigError,
     InvariantError,
+    NilOrderingError,
     SearchExhaustedError,
     UnsupportedError,
 )
@@ -89,6 +90,7 @@ from .spectra import (
     PrimeIdealPair,
     SignatureMorphismPair,
     cone_space_topology,
+    count_open_sets,
     ideal_membership,
     is_t0,
     morita_cone_maps,
@@ -97,6 +99,5 @@ from .spectra import (
     topology_compare,
 )
 from .session import SessionDocument, SessionParseError, parse_session, render_session
-from .cli import Report, run_session
 
 __all__ = [name for name in dir() if not name.startswith("_")]

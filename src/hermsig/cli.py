@@ -54,6 +54,7 @@ from .spectra import (
     FundamentalDescriptor,
     PrimeIdealPair,
     cone_space_topology,
+    count_open_sets,
     ideal_membership,
     is_t0,
     morita_cone_maps,
@@ -210,10 +211,17 @@ class _Runner:
                 "formally_real": formally_real(algebra)}
 
     def cmd_ideals(self, algebra, kind, ordering, p, q, h, generators, closed, trials):
+        for key, value, used in (("ordering", ordering, kind != "fundamental"),
+                                 ("p", p, kind == "mod_p"),
+                                 ("generators", generators, kind == "fundamental"),
+                                 ("closed", closed, kind == "fundamental")):
+            if value is not None and not used:
+                raise HermsigError(f"kind {kind!r} takes no {key!r}")
+        generators = generators or []
         if any(not isinstance(g, HermitianForm) for g in generators):
             raise HermsigError("fundamental generators must be hermitian forms")
         pair = PrimeIdealPair(kind, algebra, reference_form(algebra), ordering, p,
-                              FundamentalDescriptor(list(generators), closed=closed))
+                              FundamentalDescriptor(generators, closed=closed is not False))
         out = {}
         if q is not None or h is not None:
             if isinstance(q, GramQuadraticForm):
@@ -236,11 +244,11 @@ class _Runner:
         return out
 
     def cmd_topology(self, algebra):
-        space, topo = cone_space_topology(algebra)
+        space, minimal = cone_space_topology(algebra)
         return {"space_size": len(space),
                 "topologies_agree": topology_compare(space),
-                "t0": is_t0(len(space), topo),
-                "open_sets": len(topo)}
+                "t0": is_t0(minimal),
+                "open_sets": count_open_sets(minimal)}
 
     def cmd_morita_check(self, algebra, samples):
         if algebra.n == 1:

@@ -24,3 +24,8 @@ class SearchExhaustedError(HermsigError):
 
 class UnsupportedError(HermsigError):
     """Instance outside the supported catalogue or field tower."""
+
+
+class NilOrderingError(HermsigError):
+    """The question has no answer at nil orderings, where every signature
+    is zero."""

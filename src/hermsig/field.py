@@ -550,6 +550,13 @@ class Ordering:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
+    @cached_property
+    def separator(self) -> "FieldElement":
+        """s_P = -(theta - lo)(theta - hi) over the defining interval: positive
+        at this ordering only, whose root is the one inside (lo, hi)."""
+        fld = self.field
+        return -(fld.gen - fld.element(self.lo)) * (fld.gen - fld.element(self.hi))
+
     def _refine_once(self) -> None:
         lo, hi, dd = self._L, self._H, self._D
         if lo == hi:

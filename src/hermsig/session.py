@@ -401,7 +401,7 @@ ARGS = {
     "form": Arg(str, _form, by_name=True),
     "q": Arg(str, _form, by_name=True),
     "h": Arg(str, _form, by_name=True),
-    "generators": Arg(list, _generators, (), by_name=True),
+    "generators": Arg(list, _generators, by_name=True),
     "ordering": Arg(int, _ordering),
     "orderings": Arg(None, _two_orderings),
     "orientation": Arg(int),
@@ -416,7 +416,7 @@ ARGS = {
     "diag": Arg(list, _lifted_diagonal),
     "kind": Arg(str),
     "p": Arg(int),
-    "closed": Arg(bool, default=True),
+    "closed": Arg(bool),                        # absent: true
     "trials": Arg(int, default=30, positive=True),
     "samples": Arg(int, default=6, positive=True),
 }

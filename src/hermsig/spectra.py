@@ -2,27 +2,30 @@
 finite topology of the positive-cone space.
 
 Ordering spaces of number fields are finite, so the cone space is a finite
-set and its generated topology is computed literally: subbasic sets from a
-deterministic pool of symmetric generators, closed under intersection and
-union.  Prime-pair membership is decided on signature-visible invariants.
+space.  Its subbasis is the H-sets of one exact generator set, built from
+the Harrison-set separators s_P of the orderings, and its topology is kept
+as the minimal neighbourhoods U_x (McCord 1966): t0, agreement and the
+number of open sets are read off them, and no open set is listed.  Signature
+morphisms are separated by a constructed form.  Prime-pair membership is
+decided on signature-visible invariants.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .algebras import AlgebraElement, AlgebraWithInvolution, is_invertible
 from .cones import enumerate_positive_cones
-from .errors import AlgebraMismatchError, InvariantError, SearchExhaustedError
+from .errors import AlgebraMismatchError, InvariantError, NilOrderingError
 from .field import Ordering
 from .hermitian import (
     HermitianForm,
     ReferenceForm,
     is_nondegenerate,
     reference_form,
+    scale_by_quadratic,
     signature,
     transport_reference,
     witt_rank,
@@ -90,44 +93,32 @@ def _inv_vector(h: HermitianForm, reference: ReferenceForm,
     return (witt_rank(h),) + tuple(signature(h, p, reference) for p in nonnil)
 
 
-def _f2_span_contains(vectors: list[tuple[int, ...]], target: tuple[int, ...]) -> bool:
-    rows = [[v % 2 for v in vec] for vec in vectors]
-    t = [v % 2 for v in target]
-    cols = len(t)
-    pivot_col = 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[r])]
-        if t[c]:
-            t = [(a + b) % 2 for a, b in zip(t, rows[r])]
-        r += 1
-    return not any(t)
+def _span_contains(vectors: list[tuple[int, ...]], target: tuple[int, ...],
+                   modulus: int | None = None) -> bool:
+    """Whether target lies in the span of the vectors over Q (on
+    Fractions), or over F_2 for modulus 2 (on ints): Gauss-Jordan
+    elimination on the rows."""
+    def norm(v):
+        return v % modulus if modulus else v
 
-
-def _q_span_contains(vectors: list[tuple[int, ...]], target: tuple[int, ...]) -> bool:
-    rows = [[Fraction(v) for v in vec] for vec in vectors]
-    t = [Fraction(v) for v in target]
+    lift = norm if modulus else Fraction
+    rows = [[lift(v) for v in vec] for vec in vectors]
+    t = [lift(v) for v in target]
     r = 0
     for c in range(len(t)):
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
+        inv = pow(rows[r][c], -1, modulus) if modulus else 1 / rows[r][c]
+        rows[r] = [norm(v * inv) for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [norm(a - f * b) for a, b in zip(rows[i], rows[r])]
         if t[c] != 0:
             f = t[c]
-            t = [a - f * b for a, b in zip(t, rows[r])]
+            t = [norm(a - f * b) for a, b in zip(t, rows[r])]
         r += 1
     return not any(t)
 
@@ -137,9 +128,7 @@ def _descriptor_contains(pair: PrimeIdealPair, h: HermitianForm) -> bool:
     nonnil = pair.algebra.nonnil_orderings()
     vecs = [_inv_vector(g, pair.reference, nonnil) for g in desc.generators]
     target = _inv_vector(h, pair.reference, nonnil)
-    if desc.closed:
-        return _f2_span_contains(vecs, target)
-    return _q_span_contains(vecs, target)
+    return _span_contains(vecs, target, 2 if desc.closed else None)
 
 
 def _q_in_ideal(pair: PrimeIdealPair, q: QuadraticForm) -> bool:
@@ -182,8 +171,6 @@ def prime_property_sample(pair: PrimeIdealPair, rng, trials: int = 40) -> PrimeS
     """Sampled module-theoretic checks: N proper (some sampled form stays
     outside), I.M inside N, and r m in N implies r in I or m in N.
     Reports the first counterexample."""
-    from .hermitian import scale_by_quadratic
-
     alg = pair.algebra
     fld = alg.field
 
@@ -262,39 +249,24 @@ class MorphismComparison:
     witness: HermitianForm | None = None
 
 
-def _witness_candidates(algebra: AlgebraWithInvolution):
-    fld = algebra.field
-    scalars = [fld.one]
-    if fld.degree > 1:
-        theta = fld.gen
-        scalars += [theta, fld.one + theta, fld.one - theta]
-        scalars += [theta * theta] if fld.degree > 2 else []
-    basis = algebra.sym_basis()
-    singles = []
-    if not algebra.skew_gram:
-        singles.append(algebra.one_element)
-    singles.extend(basis)
-    for b1, b2 in itertools.combinations(basis, 2):
-        singles.append(b1 + b2)
-    for c in scalars:
-        for s in singles:
-            yield s.scale(c)
-
-
 def morphism_distinctness(algebra: AlgebraWithInvolution, p: Ordering, q: Ordering,
                           reference: ReferenceForm | None = None) -> MorphismComparison:
-    """A diagonal form separating the two signature morphisms, or
-    `equivalent` when the orderings coincide."""
+    """A form separating the two signature morphisms, or `equivalent` when
+    the orderings coincide.  The witness is built, not searched: eta when
+    its signatures at p and q differ (as when one of them is nil), else
+    <s_p> . eta, whose signatures there are sig and -sig because the
+    separator s_p is positive at p only."""
     if p == q:
         return MorphismComparison(True)
     ref = reference if reference is not None else reference_form(algebra)
-    for s in _witness_candidates(algebra):
-        if s.is_zero():
-            continue
-        form = HermitianForm(algebra, s.rows)
-        if signature(form, p, ref) != signature(form, q, ref):
-            return MorphismComparison(False, form)
-    raise SearchExhaustedError("no separating diagonal form within the bound")
+    eta = ref.form
+    if signature(eta, p, ref) != signature(eta, q, ref):
+        return MorphismComparison(False, eta)
+    if algebra.is_nil(p):
+        raise NilOrderingError(f"orderings {p.index} and {q.index} are both nil: "
+                               "both signature morphisms are zero")
+    return MorphismComparison(
+        False, scale_by_quadratic(QuadraticForm(algebra.field, [p.separator]), eta))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +285,7 @@ class ConeSpace:
 
     @cached_property
     def generators(self) -> list[AlgebraElement]:
-        """The deterministic pool of symmetric generators of the subbasis."""
+        """The exact generator set of the subbasis (`_generator_pool`)."""
         return _generator_pool(self.algebra)
 
     def __len__(self) -> int:
@@ -340,64 +312,39 @@ class ConeSpace:
         return sorted(self.cones[i].id_pair() for i in subset)
 
 
-def generate_topology(size: int, subbasic: list[frozenset]) -> set[frozenset]:
-    """The topology on a finite space generated by the given sets.
-
-    Every open set is the union of the minimal neighbourhoods
-    U_x = intersection of the subbasic sets containing x (the whole space
-    if none does) of its points, so the topology is {empty, whole} closed
-    under union with each distinct U_x."""
+def generate_topology(size: int, subbasic: list[frozenset]) -> tuple[frozenset, ...]:
+    """The topology on range(size) generated by the given sets, as its
+    minimal neighbourhoods: U_x is the intersection of the subbasic sets
+    containing x (the whole space if none does).  They fix the topology
+    (McCord 1966): its open sets are the unions of U_x."""
     whole = frozenset(range(size))
-    minimal = set()
-    for x in whole:
-        u = whole
-        for s in subbasic:
-            if x in s:
-                u &= s
-        minimal.add(u)
-    topo = {frozenset(), whole}
-    for u in minimal:
-        topo |= {o | u for o in topo}
-    return topo
+    return tuple(whole.intersection(*[s for s in subbasic if x in s]) for x in range(size))
 
 
 def _generator_pool(algebra: AlgebraWithInvolution) -> list[AlgebraElement]:
-    fld = algebra.field
-    scalars = [fld.one, -fld.one]
-    if fld.degree > 1:
-        theta = fld.gen
-        for c in (theta, fld.one + theta, fld.one - theta):
-            scalars += [c, -c]
-    basis = algebra.sym_basis()
-    seeds = list(basis)
-    if not algebra.skew_gram:
-        seeds.append(algebra.one_element)
-    else:
-        quat = algebra.quat
-        for pure in (quat.i, quat.j, quat.k):
-            seeds.append(algebra.scalar_element(pure))
-    # mixed-scalar pairs realize singletons on multi-ordering fields
-    # (e.g. diag(1, 1 + theta) is definite at one ordering only)
-    for b1, b2 in itertools.combinations(basis, 2):
-        for c in scalars:
-            seeds.append(b1 + b2.scale(c))
-    pool = []
-    seen = set()
-    for c in scalars:
-        for s in seeds:
-            e = s.scale(c)
-            if e.is_zero():
-                continue
-            key = e.coords()
-            if key not in seen:
-                seen.add(key)
-                pool.append(e)
-    return pool
+    """One exact generator set: `sym_basis` and the unit (for quat_skew the
+    pure i, j, k), scaled by +-1 and, when F has two orderings or more, by
+    +-s_P for every non-nil P.
+
+    It is complete.  Since s_P is positive at P only, H(1) & H(s_P) is the
+    single cone (P, sgn eta_P), and H(-1) & H(-s_P) is the other
+    orientation; for quat_skew the same holds with the pure q in {i, j, k}
+    definite at P, which `_skew_max_signature` requires to exist.  So every
+    singleton is open, the space is discrete, and no other symmetric
+    element can refine it."""
+    fld, quat = algebra.field, algebra.quat
+    units = (quat.i, quat.j, quat.k) if algebra.skew_gram else (algebra.entry_one,)
+    seeds = algebra.sym_basis()
+    seeds += [u for u in map(algebra.scalar_element, units) if u not in seeds]
+    scalars = [fld.one]
+    if len(fld.orderings) > 1:
+        scalars += [p.separator for p in algebra.nonnil_orderings()]
+    return [s.scale(e) for c in scalars for e in (c, -c) for s in seeds]
 
 
 def topology_compare(space: ConeSpace) -> bool:
-    """Generate the cone-space topology from all sampled symmetric
-    generators and from the invertible ones only; the two must agree.
+    """The topologies generated by all pool generators and by the
+    invertible ones only must agree: equal minimal neighbourhoods.
     Membership sets already computed on the space are reused."""
     pool = space.generators
     all_sets = [space._h_single(a) for a in pool]
@@ -408,18 +355,38 @@ def topology_compare(space: ConeSpace) -> bool:
 
 
 def cone_space_topology(algebra: AlgebraWithInvolution,
-                        reference: ReferenceForm | None = None) -> tuple[ConeSpace, set]:
+                        reference: ReferenceForm | None = None) -> tuple[ConeSpace, tuple]:
+    """The cone space and the minimal neighbourhoods of its topology."""
     space = ConeSpace(algebra, reference)
     sets = [space._h_single(a) for a in space.generators]
     return space, generate_topology(len(space), sets)
 
 
-def is_t0(size: int, topology: set) -> bool:
-    for i in range(size):
-        for j in range(i + 1, size):
-            if not any((i in u) != (j in u) for u in topology):
-                return False
-    return True
+def is_t0(minimal: tuple[frozenset, ...]) -> bool:
+    """T0: no two points have the same minimal neighbourhood."""
+    return len(set(minimal)) == len(minimal)
+
+
+def count_open_sets(minimal: tuple[frozenset, ...]) -> int:
+    """The number of open sets, i.e. of down-sets of the specialization
+    preorder (y <= x iff y is in U_x), counted without listing them.  A
+    down-set either holds x and so U_x, or avoids x and every point above
+    it; both branches recurse on the points left, memoized on the set, so
+    a discrete space or a chain takes linear time."""
+    below = [sum(1 << y for y in u) for u in minimal]
+    above = [sum(1 << y for y, u in enumerate(minimal) if x in u)
+             for x in range(len(minimal))]
+    memo = {0: 1}
+
+    def count(mask: int) -> int:
+        if mask in memo:
+            return memo[mask]
+        x = (mask & -mask).bit_length() - 1
+        got = count(mask & ~below[x]) + count(mask & ~above[x])
+        memo[mask] = got
+        return got
+
+    return count((1 << len(minimal)) - 1)
 
 
 # ---------------------------------------------------------------------------

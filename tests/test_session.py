@@ -335,7 +335,10 @@ def test_fixture_reports_match_golden(name):
     byte; the .expected.json files were written before the integer-numerator
     element representation and the symmetric elimination kernel, and the
     quintic one (over x^5 + x^4 - 4x^3 - 3x^2 + 3x + 1) before the integer
-    sign and inverse kernels and the minimal-neighbourhood topology."""
+    sign and inverse kernels and the minimal-neighbourhood topology.  The
+    sqrt2 `morphisms` witness and the quintic `topology` counts were
+    rewritten when the Harrison separators replaced the heuristic
+    generators (the quintic space was reported with 256 open sets, not T0)."""
     import subprocess
     import sys
 
@@ -345,6 +348,18 @@ def test_fixture_reports_match_golden(name):
     assert proc.returncode == 0
     expected = (FIXTURES / f"{name}.expected.json").read_text(encoding="utf-8")
     assert proc.stdout == expected
+
+
+def test_cli_module_runs_once():
+    """The package used to import `hermsig.cli`, so `python -m hermsig.cli`
+    warned on stderr and executed the module twice."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "hermsig.cli", "check", str(FIXTURES / "sqrt2_session.json")],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 def test_morphisms_ordering_indices_are_validated():
@@ -505,6 +520,30 @@ def test_check_rejects_what_would_run_wrong(command, key, message, tmp_path, cap
     assert main(["check", str(f)]) == 2
     err = capsys.readouterr().err
     assert f"{path}.{key}" in err and message in err
+
+
+@pytest.mark.parametrize("kind, extra, key", [
+    ("signature", {"p": 4, "generators": ["htheta"], "closed": False}, "p"),
+    ("signature", {"generators": ["htheta"]}, "generators"),
+    ("signature", {"closed": True}, "closed"),
+    ("mod_p", {"p": 3, "generators": []}, "generators"),
+    ("mod_p", {"p": 3, "closed": False}, "closed"),
+    ("fundamental", {"p": 3}, "p"),
+    ("fundamental", {"ordering": 0}, "ordering"),
+], ids=["signature-all", "signature-generators", "signature-closed",
+        "mod_p-generators", "mod_p-closed", "fundamental-p", "fundamental-ordering"])
+def test_ideals_rejects_keys_its_kind_ignores(kind, extra, key):
+    """These ran `ok` with the key silently unused."""
+    command = dict({"op": "ideals", "algebra": "ham", "kind": kind, "trials": 2}, **extra)
+    if kind != "fundamental":
+        command["ordering"] = 0
+    record = run_session(parse_session(json.dumps(_sqrt2_with(command)[0]))).records[-1]
+    assert record["status"] == "error"
+    assert f"takes no {key!r}" in record["error"]
+    if kind != "signature":
+        del command[key]
+        record = run_session(parse_session(json.dumps(_sqrt2_with(command)[0]))).records[-1]
+        assert record["status"] == "ok"
 
 
 def test_ideals_with_q_but_no_h_is_an_error_record():

@@ -1,16 +1,20 @@
+import itertools
 import random
+import time
 
 import pytest
 
 from hermsig.algebras import AlgebraWithInvolution
+from hermsig.errors import NilOrderingError
 from hermsig.field import QQ, NumberField
-from hermsig.hermitian import HermitianForm, reference_form
+from hermsig.hermitian import HermitianForm, reference_form, signature
 from hermsig.quadforms import QuadraticForm
 from hermsig.spectra import (
     ConeSpace,
     FundamentalDescriptor,
     PrimeIdealPair,
     cone_space_topology,
+    count_open_sets,
     generate_topology,
     ideal_membership,
     image_generator,
@@ -23,6 +27,9 @@ from hermsig.spectra import (
 )
 
 SQRT2 = NumberField([-2, 0, 1])
+# the totally real quintic of the cone_search workload, and 2cos(pi/16)
+F5 = NumberField([1, 3, -3, -4, 1, 1])
+F8 = NumberField([2, 0, -16, 0, 20, 0, -8, 0, 1])
 P0 = QQ.orderings[0]
 
 HAMILTON1 = AlgebraWithInvolution(QQ, "quat_symp", 1, a=-1, b=-1)
@@ -130,13 +137,14 @@ def test_cone_space_counts_and_basic_opens():
 
 
 def test_generate_topology_small():
-    topo = generate_topology(2, [frozenset({0})])
-    assert topo == {frozenset(), frozenset({0}), frozenset({0, 1})}
-    assert is_t0(2, topo)  # Sierpinski space
+    sierpinski = generate_topology(2, [frozenset({0})])
+    assert sierpinski == (frozenset({0}), frozenset({0, 1}))
+    assert is_t0(sierpinski) and count_open_sets(sierpinski) == 3
     indiscrete = generate_topology(2, [])
-    assert not is_t0(2, indiscrete)
-    topo = generate_topology(2, [frozenset({0}), frozenset({1})])
-    assert is_t0(2, topo)
+    assert not is_t0(indiscrete) and count_open_sets(indiscrete) == 2
+    discrete = generate_topology(2, [frozenset({0}), frozenset({1})])
+    assert is_t0(discrete) and count_open_sets(discrete) == 4
+    assert generate_topology(0, []) == () and count_open_sets(()) == 1
 
 
 def union_closure_topology(size, subbasic):
@@ -160,12 +168,28 @@ def union_closure_topology(size, subbasic):
 
 
 def test_generate_topology_matches_union_closure():
+    """The minimal neighbourhoods, the T0 verdict and the open-set count
+    agree with the listed topology on random subbases."""
     rng = random.Random(11)
     for _ in range(200):
         size = rng.randint(0, 6)
         subbasic = [frozenset(x for x in range(size) if rng.random() < 0.5)
                     for _ in range(rng.randint(0, 5))]
-        assert generate_topology(size, subbasic) == union_closure_topology(size, subbasic)
+        topo = union_closure_topology(size, subbasic)
+        minimal = generate_topology(size, subbasic)
+        assert minimal == tuple(frozenset.intersection(*[u for u in topo if x in u])
+                                for x in range(size))
+        assert count_open_sets(minimal) == len(topo)
+        assert is_t0(minimal) == all(any((i in u) != (j in u) for u in topo)
+                                     for i, j in itertools.combinations(range(size), 2))
+
+
+def test_count_open_sets_scales_without_listing():
+    start = time.monotonic()
+    assert count_open_sets(tuple(frozenset({i}) for i in range(40))) == 2 ** 40
+    chain = tuple(frozenset(range(i + 1)) for i in range(30))
+    assert count_open_sets(chain) == 31 and is_t0(chain)
+    assert time.monotonic() - start < 0.5
 
 
 def test_topology_compare_and_t0():
@@ -184,26 +208,17 @@ def test_topology_compare_and_t0():
     for alg in instances:
         space, topo = cone_space_topology(alg)
         assert topology_compare(space), alg
-        assert is_t0(len(space), topo), alg
+        assert is_t0(topo), alg
 
 
 def test_singletons_cover_basic_opens_on_matrix_instances():
-    # subbasis adequacy on instances with enough symmetric elements
-    theta = SQRT2.gen
+    # the exact generator set makes every cone its own minimal neighbourhood
     for alg in (
         AlgebraWithInvolution(SQRT2, "split_orth", 2),
         AlgebraWithInvolution(QQ, "quat_skew", 1, a=1, b=1),
     ):
-        space, topo = cone_space_topology(alg)
-        from hermsig.spectra import _generator_pool
-
-        singles = {space._h_single(a) for a in _generator_pool(alg)}
-        singletons = {s for s in singles if len(s) == 1}
-        for i in range(len(space)):
-            assert frozenset({i}) in singletons
-        for u in singles:
-            assert u == frozenset().union(*[s for s in singletons if s <= u]) \
-                or len(u) <= 1
+        space, minimal = cone_space_topology(alg)
+        assert minimal == tuple(frozenset({i}) for i in range(len(space)))
 
 
 def test_morita_cone_maps_quat2():
@@ -264,4 +279,79 @@ def test_topology_compare_quat_skew_matrix():
     alg = AlgebraWithInvolution(QQ, "quat_skew", 2, a=1, b=1)
     space, topo = cone_space_topology(alg)
     assert topology_compare(space)
-    assert is_t0(len(space), topo)
+    assert is_t0(topo)
+
+
+def _assert_separated(alg, pairs):
+    eta = reference_form(alg)
+    orderings = alg.field.orderings
+    for i, j in pairs:
+        res = morphism_distinctness(alg, orderings[i], orderings[j], eta)
+        assert not res.equivalent
+        assert (signature(res.witness, orderings[i], eta)
+                != signature(res.witness, orderings[j], eta)), (alg, i, j)
+
+
+CONE_SEARCH_F5 = [
+    (AlgebraWithInvolution(F5, "split_orth", 1), 1024),
+    (AlgebraWithInvolution(F5, "unitary", 1, delta=-1), 1024),
+    (AlgebraWithInvolution(F5, "quat_symp", 1, a=-1, b=-1), 1024),
+    (AlgebraWithInvolution(F5, "quat_symp", 1, a=-1, b=F5.gen), 64),
+]
+
+
+@pytest.mark.parametrize("alg, open_sets", CONE_SEARCH_F5,
+                         ids=["split_orth", "unitary", "quat_symp", "quat_symp_mix"])
+def test_quintic_cone_spaces_are_discrete(alg, open_sets):
+    """The theta, 1 +- theta generators left adjacent orderings unseparated:
+    256 and 16 open sets, not T0."""
+    space, minimal = cone_space_topology(alg)
+    assert topology_compare(space) and is_t0(minimal)
+    assert count_open_sets(minimal) == open_sets == 2 ** len(space)
+
+
+@pytest.mark.parametrize("alg", [alg for alg, _ in CONE_SEARCH_F5]
+                         + [AlgebraWithInvolution(F5, "quat_skew", 1, a=1, b=1)],
+                         ids=["split_orth", "unitary", "quat_symp", "quat_symp_mix",
+                              "quat_skew"])
+def test_quintic_morphisms_separate_every_pair(alg):
+    """Adjacent orderings such as (0, 1) used to exhaust the witness search;
+    two nil orderings have no witness, and say so."""
+    nil = {p.index for p in alg.nil_orderings()}
+    pairs = [(i, j) for i, j in itertools.permutations(range(5), 2)
+             if not {i, j} <= nil]
+    _assert_separated(alg, pairs)
+    if nil:
+        p, q = (F5.orderings[i] for i in sorted(nil))
+        assert (p.index, q.index) == (3, 4)
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(NilOrderingError, match="both nil"):
+                morphism_distinctness(alg, a, b)
+
+
+@pytest.mark.parametrize("family, params", [("split_orth", {}),
+                                            ("quat_symp", {"a": -1, "b": -1})])
+def test_degree_eight_cone_space_is_discrete(family, params):
+    alg = AlgebraWithInvolution(F8, family, 1, **params)
+    start = time.monotonic()
+    space, minimal = cone_space_topology(alg)
+    assert len(space) == 16 and is_t0(minimal)
+    assert count_open_sets(minimal) == 65536 and topology_compare(space)
+    assert time.monotonic() - start < 1
+    _assert_separated(alg, itertools.permutations(range(8), 2))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_quintic_quat_skew_neighbourhoods_are_singletons(n):
+    space, minimal = cone_space_topology(AlgebraWithInvolution(F5, "quat_skew", n, a=1, b=1))
+    assert len(space) == 10
+    assert minimal == tuple(frozenset({i}) for i in range(10))
+
+
+def test_separator_is_positive_at_its_ordering_only():
+    from hermsig.field import sign_at
+
+    for fld in (SQRT2, F5, F8):
+        for p in fld.orderings:
+            assert [sign_at(p.separator, q) for q in fld.orderings] == \
+                [1 if q == p else -1 for q in fld.orderings]
