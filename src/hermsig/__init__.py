@@ -7,7 +7,6 @@ from .errors import (
     HermsigError,
     InvariantError,
     NilOrderingError,
-    SearchExhaustedError,
     UnsupportedError,
 )
 from .field import (

@@ -342,6 +342,8 @@ FAMILIES = {f.name: f for f in (
 class AlgebraWithInvolution:
     """A catalogue member over a number field; immutable."""
 
+    _reference = None  # the ReferenceForm, memoized by hermitian.reference_form
+
     def __init__(self, field: NumberField, family: str, n: int = 1, *,
                  a=None, b=None, delta=None):
         spec = FAMILIES.get(family) if isinstance(family, str) else None
@@ -471,11 +473,6 @@ class AlgebraWithInvolution:
 
     @cached_property
     def _trace_structure_cache(self) -> dict:
-        return {}
-
-    @cached_property
-    def _reference_cache(self) -> dict:
-        # bound -> ReferenceForm, filled by hermitian.reference_form
         return {}
 
     def trace_structure(self, twist: "Entry | None" = None) -> tuple:

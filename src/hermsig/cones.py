@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebras import AlgebraElement, AlgebraWithInvolution, is_invertible
-from .errors import AlgebraMismatchError, SearchExhaustedError
+from .errors import AlgebraMismatchError
 from .field import FieldElement, Ordering, four_square_decomposition, sign_at
 from .hermitian import (
     HermitianForm,
@@ -118,20 +118,16 @@ def cone_membership(element: AlgebraElement, cone: PositiveCone) -> bool:
 
 
 def maximal_generator(cone: PositiveCone) -> AlgebraElement:
-    """An invertible element of the cone with maximal rank-1 signature."""
+    """An invertible element of the cone with maximal rank-1 signature: the
+    oriented unit for the hermitian families, +-twist_at(P) for quat_skew."""
     alg = cone.algebra
     p = cone.ordering
     want = cone._oriented_sign()
     if not alg.skew_gram:
-        c = alg.field.element(want)
-        return alg.scalar_element(c)
-    quat = alg.quat
-    for q in (quat.k, quat.i, quat.j, -quat.k, -quat.i, -quat.j):
-        cand = alg.scalar_element(q)
-        form = rank1_form(cand, "pure quaternion scalars are symmetric for quat_skew")
-        if raw_signature(form, p) == want * 2 * alg.n:
-            return cand
-    raise SearchExhaustedError("no definite pure generator found")
+        return alg.scalar_element(alg.field.element(want))
+    gen = alg.scalar_element(alg.twist_at(p))
+    form = rank1_form(gen, "pure quaternion scalars are symmetric for quat_skew")
+    return gen if want * raw_signature(form, p) > 0 else -gen
 
 
 def eta_maximal(element: AlgebraElement, ordering: Ordering,

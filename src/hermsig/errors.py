@@ -18,10 +18,6 @@ class InvariantError(HermsigError):
     an instance outside the validated catalogue."""
 
 
-class SearchExhaustedError(HermsigError):
-    """A bounded deterministic search ran out of candidates."""
-
-
 class UnsupportedError(HermsigError):
     """Instance outside the supported catalogue or field tower."""
 

@@ -10,12 +10,12 @@ of their signs.  quat_skew Grams, whose pivots would be pure quaternions,
 go through the exact trace form over F paired with the twist
 ``AlgebraWithInvolution.twist_at(P)``, divided by the family's
 ``Family.trace_divisor``.  The sign ambiguity of the Morita reduction is
-fixed by a reference form, memoized on the algebra per search bound.
+fixed by a reference form, constructed per family and memoized on the
+algebra.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -29,7 +29,6 @@ from .algebras import (
 from .errors import (
     AlgebraMismatchError,
     InvariantError,
-    SearchExhaustedError,
     UnsupportedError,
 )
 from .field import QQ, FieldElement, NumberField, Ordering, sign_at
@@ -294,23 +293,10 @@ def witt_rank(h: HermitianForm) -> int:
 
 def rank1_max_signature(algebra: AlgebraWithInvolution, ordering: Ordering) -> int:
     """Largest rank-1 signature at the ordering: 0 at nil orderings, n for
-    the hermitian families, 2n for quat_skew (confirmed by basis search)."""
+    the hermitian families, 2n for quat_skew (attained by <twist_at(P)>)."""
     if algebra.is_nil(ordering):
         return 0
-    if not algebra.skew_gram:
-        return algebra.n
-    return _skew_max_signature(algebra, ordering)
-
-
-def _skew_max_signature(algebra: AlgebraWithInvolution, ordering: Ordering) -> int:
-    quat = algebra.quat
-    for q in (quat.k, quat.i, quat.j):
-        # the rank-1 form <q I_n>; one of the basis pures is definite at P
-        cand = HermitianForm.diagonal(algebra, [algebra.scalar_element(q)])
-        if abs(raw_signature(cand, ordering)) == 2 * algebra.n:
-            return 2 * algebra.n
-    raise InvariantError("no definite pure quaternion among i, j, k at a "
-                         "non-nil ordering")
+    return 2 * algebra.n if algebra.skew_gram else algebra.n
 
 
 # ---------------------------------------------------------------------------
@@ -333,74 +319,36 @@ class ReferenceForm:
         return self.form.algebra
 
 
-def _reference_candidates(algebra: AlgebraWithInvolution, bound: int):
+def find_reference_form(algebra: AlgebraWithInvolution) -> ReferenceForm:
+    """The reference form, built: <1> for the hermitian families, whose
+    kernel pivots are all 1, so s_P = n at every non-nil P.  For quat_skew,
+    <t I_n> for each distinct twist t = `twist_at(P)` over the non-nil P, in
+    (i, j, k) order, or <i> without non-nil orderings: at a non-nil P the
+    twist is the one pure of i, j, k with Nrd >_P 0, so its block gives
+    |s_P| = 2n and the other two give 0.
+
+    Both claims are checked, not assumed: the entries must be invertible (a
+    reference form is nonsingular), and `ReferenceForm` rejects a zero in
+    the certificate that `raw_signature` reads."""
+    nonnil = algebra.nonnil_orderings()
     if algebra.skew_gram:
         quat = algebra.quat
-        for q in (quat.i, quat.j, quat.k, -quat.i, -quat.j, -quat.k):
-            yield algebra.scalar_element(q)
+        twists = {algebra.twist_at(p) for p in nonnil} or {quat.i}
+        diagonal = [algebra.scalar_element(t) for t in (quat.i, quat.j, quat.k)
+                    if t in twists]
     else:
-        yield algebra.one_element
-    basis = algebra.sym_basis()
-    m = len(basis)
-    for height in range(1, bound + 1):
-        vals = [0] + [s * k for k in range(1, height + 1) for s in (1, -1)]
-        for vec in itertools.product(vals, repeat=m):
-            if not vec or max(abs(v) for v in vec) != height:
-                continue
-            elt = algebra.zero_element
-            for c, b in zip(vec, basis):
-                if c:
-                    elt = elt + b.scale(algebra.field.element(c))
-            yield elt
+        diagonal = [algebra.one_element]
+    if not all(is_invertible(d) for d in diagonal):
+        raise InvariantError("reference diagonal entries must be invertible")
+    form = HermitianForm.diagonal(algebra, diagonal)
+    return ReferenceForm(form, {p: raw_signature(form, p) for p in nonnil})
 
 
-def _invertible_candidates(algebra: AlgebraWithInvolution, bound: int):
-    return (c for c in _reference_candidates(algebra, bound)
-            if not c.is_zero() and is_invertible(c))
-
-
-def _first_reference(algebra: AlgebraWithInvolution, diagonals, bound: int) -> ReferenceForm:
-    """The first diagonal form with nonzero raw signature at every non-nil
-    ordering."""
-    nonnil = algebra.nonnil_orderings()
-    for diagonal in diagonals:
-        form = HermitianForm.diagonal(algebra, diagonal)
-        cert = {}
-        for p in nonnil:
-            s = raw_signature(form, p)
-            if s == 0:
-                break
-            cert[p] = s
-        else:
-            return ReferenceForm(form, cert)
-    raise SearchExhaustedError(
-        f"no reference form found within bound {bound} for {algebra!r}")
-
-
-def find_reference_form(algebra: AlgebraWithInvolution, bound: int = 2) -> ReferenceForm:
-    """Deterministic search for a reference form: diagonal <s> candidates
-    over sym_basis with coordinates up to the bound, first hit wins."""
-    return _first_reference(
-        algebra, ([s] for s in _invertible_candidates(algebra, bound)), bound)
-
-
-def reference_form(algebra: AlgebraWithInvolution, bound: int = 2) -> ReferenceForm:
-    """find_reference_form(algebra, bound), else the first rank-2 form
-    <s, t> over pairs of distinct candidates below the bound (a pair spends
-    one unit of it); memoized on the algebra per bound.  quat_skew at n = 1
-    whose twist changes between orderings, such as (a, b) = (1, x) over
-    Q(sqrt 2), has only rank-2 references."""
-    memo = algebra._reference_cache
-    ref = memo.get(bound)
-    if ref is None:
-        try:
-            ref = find_reference_form(algebra, bound)
-        except SearchExhaustedError:
-            below = list(_invertible_candidates(algebra, bound - 1)) if bound > 0 else []
-            pairs = ([s, t] for i, s in enumerate(below) for t in below[i + 1:])
-            ref = _first_reference(algebra, pairs, bound)
-        memo[bound] = ref
-    return ref
+def reference_form(algebra: AlgebraWithInvolution) -> ReferenceForm:
+    """find_reference_form(algebra), memoized on the algebra."""
+    if algebra._reference is None:
+        algebra._reference = find_reference_form(algebra)
+    return algebra._reference
 
 
 def signature(h: HermitianForm, ordering: Ordering, reference: ReferenceForm) -> int:

@@ -382,6 +382,7 @@ class Arg:
     resolve: Callable = lambda value, doc, args, path: value
     default: object = None
     positive: bool = False
+    cap: int | None = None        # the largest integer accepted
     by_name: bool = False         # a name or a list of names
 
     def check(self, key: str, value, doc: "SessionDocument", path: str) -> None:
@@ -392,6 +393,8 @@ class Arg:
                 int: "an integer", bool: "a boolean", str: "a string", list: "a list",
                 dict: "an object"}[self.json]
             raise SessionParseError(f"{key} must be {what}", path)
+        if self.cap is not None and value > self.cap:
+            raise SessionParseError(f"{key} must be at most {self.cap}", path)
         if self.by_name:
             self.resolve(value, doc, {}, path)
 
@@ -415,7 +418,7 @@ ARGS = {
     "ext": Arg(None, _ext),
     "diag": Arg(list, _lifted_diagonal),
     "kind": Arg(str),
-    "p": Arg(int),
+    "p": Arg(int, cap=2**31 - 1),               # trial division decides primality
     "closed": Arg(bool),                        # absent: true
     "trials": Arg(int, default=30, positive=True),
     "samples": Arg(int, default=6, positive=True),

@@ -12,6 +12,7 @@ decided on signature-visible invariants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -81,7 +82,7 @@ class PrimeIdealPair:
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for d in range(2, int(n ** 0.5) + 1):
+    for d in range(2, math.isqrt(n) + 1):
         if n % d == 0:
             return False
     return True
@@ -329,7 +330,7 @@ def _generator_pool(algebra: AlgebraWithInvolution) -> list[AlgebraElement]:
     It is complete.  Since s_P is positive at P only, H(1) & H(s_P) is the
     single cone (P, sgn eta_P), and H(-1) & H(-s_P) is the other
     orientation; for quat_skew the same holds with the pure q in {i, j, k}
-    definite at P, which `_skew_max_signature` requires to exist.  So every
+    definite at P, the twist `twist_at(P)`, which always exists.  So every
     singleton is open, the space is discrete, and no other symmetric
     element can refine it."""
     fld, quat = algebra.field, algebra.quat

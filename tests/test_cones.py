@@ -15,12 +15,20 @@ from hermsig.cones import (
     eta_maximal,
     find_sos_certificate,
     formally_real,
+    maximal_generator,
     positivity_sets,
     prepositive_axiom_check,
     verify_certificate,
 )
 from hermsig.field import QQ, NumberField, sign_at
-from hermsig.hermitian import HermitianForm, _carrier, reference_form
+from hermsig.hermitian import (
+    HermitianForm,
+    _carrier,
+    rank1_form,
+    rank1_max_signature,
+    reference_form,
+    signature,
+)
 
 SQRT2 = NumberField([-2, 0, 1])
 F5 = NumberField([1, 3, -3, -4, 1, 1])
@@ -554,3 +562,41 @@ def test_find_sos_certificate_one_term_short_is_unknown():
     assert _cert_summary(res) == ("certificate", [((), (0, 0, 0, 1), 0)] + [
         ((), (1, -1, -1, -1), i) for i in (1, 2, 3)])
     assert verify_certificate(u, ham.one_element, [], 4, res.certificate)
+
+
+def grid_algebras(field, family):
+    """The family at n = 1 and 2 with each parameter in 1, -1, x, -x, 1 + x,
+    -1 - x (x the generator of F; over Q, x = 0, and the zero and repeated
+    values drop), less the square delta = 1 of the unitary family."""
+    x, one = field.gen, field.one
+    values = list(dict.fromkeys(v for v in (one, -one, x, -x, one + x, -one - x)
+                                if not v.is_zero()))
+    params = {"split_orth": [{}],
+              "unitary": [{"delta": d} for d in values if d != one],
+              "quat_symp": [{"a": a, "b": b} for a in values for b in values],
+              "quat_skew": [{"a": a, "b": b} for a in values for b in values]}[family]
+    return [AlgebraWithInvolution(field, family, n, **kw) for n in (1, 2) for kw in params]
+
+
+@pytest.mark.parametrize("family", ["split_orth", "unitary", "quat_symp", "quat_skew"])
+@pytest.mark.parametrize("field", [QQ, SQRT2, F5], ids=["Q", "sqrt2", "quintic"])
+def test_constructed_reference_form_and_maximal_generator(field, family):
+    """Every grid algebra has a memoized reference form with a nonzero
+    certificate at each non-nil ordering.  The maximal generator of each
+    cone is the unit, or the twist for quat_skew, up to sign: a member of
+    the cone whose rank-1 signature is the maximum on the cone's side."""
+    for alg in grid_algebras(field, family):
+        eta = reference_form(alg)
+        assert reference_form(alg) is eta
+        nonnil = alg.nonnil_orderings()
+        assert sorted(eta.certificate, key=lambda p: p.index) == nonnil
+        assert all(eta.certificate.values())
+        for p in nonnil:
+            unit = alg.scalar_element(alg.twist_at(p) if alg.skew_gram else alg.entry_one)
+            for eps in (1, -1):
+                cone = PositiveCone(alg, p, eps, eta)
+                gen = maximal_generator(cone)
+                assert gen == unit or gen == -unit
+                assert cone.contains(gen)
+                form = rank1_form(gen, "the generator is symmetric")
+                assert signature(form, p, eta) == eps * rank1_max_signature(alg, p)

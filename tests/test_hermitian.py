@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermsig.algebras import AlgebraWithInvolution
-from hermsig.errors import InvariantError, SearchExhaustedError, UnsupportedError
+from hermsig.errors import InvariantError, UnsupportedError
 from hermsig.field import QQ, NumberField
 from hermsig.hermitian import (
     HermitianForm,
     ReferenceForm,
-    find_reference_form,
     going_up,
     knebusch_check,
     morita_collapse,
@@ -442,17 +441,6 @@ def test_degenerate_forms_use_nondegenerate_part():
     assert len(pivots) == 1 and radical == 1
 
 
-def test_reference_search_exhaustion_is_reported():
-    # mixed sign patterns of (a, b) leave no rational-coordinate reference
-    theta = SQRT2.gen
-    alg = AlgebraWithInvolution(SQRT2, "quat_skew", 1, a=theta, b=-theta)
-    with pytest.raises(Exception) as exc:
-        find_reference_form(alg, bound=2)
-    from hermsig.errors import SearchExhaustedError
-
-    assert isinstance(exc.value, SearchExhaustedError)
-
-
 def test_signature_bounded_by_rank_times_max():
     from hermsig.hermitian import rank1_max_signature
 
@@ -550,22 +538,6 @@ def test_knebusch_for_division_quat_skew():
         for _ in range(5):
             h = random_hermitian(up_alg, rng, rank=rng.randint(1, 2))
             assert knebusch_check(h).holds
-
-
-def test_reference_form_memo_respects_the_bound():
-    """A reference form found within bound 1 does not answer a later query
-    with bound 0, which exhausts."""
-    from hermsig.errors import SearchExhaustedError
-
-    theta = SQRT2.gen
-    alg = AlgebraWithInvolution(SQRT2, "quat_skew", 1, a=theta, b=-1 - theta)
-    with pytest.raises(SearchExhaustedError):
-        find_reference_form(alg, 0)
-    ref = reference_form(alg, 1)
-    assert reference_form(alg, 1) is ref
-    assert ref.certificate == find_reference_form(alg, 1).certificate
-    with pytest.raises(SearchExhaustedError):
-        reference_form(alg, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -672,16 +644,18 @@ def test_kernel_matches_trace_form_oracle(h):
 
 
 @pytest.mark.parametrize("field", [SQRT2, F5], ids=["sqrt2", "quintic"])
-@pytest.mark.parametrize("a, b", [("1", "x"), ("x", "1"), ("x", "-x"), ("-x", "1")])
+@pytest.mark.parametrize("a, b", [("1", "x"), ("x", "1"), ("x", "-x"), ("-x", "1"),
+                                  ("-x", "1+x"), ("1+x", "-x")])
 def test_quat_skew_rank2_reference_forms(field, a, b):
     """quat_skew at n = 1 whose twist changes between orderings has no rank-1
-    reference form within the default bound (the search used to end
-    exhausted); the rank-2 fallback finds one, and `reference-form`,
-    `total-sign` and `cones` run on it."""
+    reference form; the constructed one is the diagonal of the distinct
+    twists, and `reference-form`, `total-sign` and `cones` run on it.  Over
+    F5, (-x, 1+x) and (1+x, -x) have all of i, j, k as twists, and had no
+    reference form before it was constructed."""
     import json
 
     from hermsig.cli import run_session
-    from hermsig.session import parse_session
+    from hermsig.session import parse_session, render_entry
 
     doc = {"field": {"min_poly": [str(c) for c in field.min_poly]},
            "algebras": [{"name": "s", "family": "quat_skew", "a": a, "b": b}],
@@ -692,13 +666,15 @@ def test_quat_skew_rank2_reference_forms(field, a, b):
                         {"op": "cones", "algebra": "s"}]}
     parsed = parse_session(json.dumps(doc))
     alg = parsed.algebras["s"]
-    with pytest.raises(SearchExhaustedError):
-        find_reference_form(alg)
     records = run_session(parsed).records
     assert [r["status"] for r in records] == ["ok"] * 3
     ref, total, cones = (r["result"] for r in records)
     nonnil = alg.nonnil_orderings()
-    assert len(ref["diagonal"]) == 2
+    twists = {alg.twist_at(p) for p in nonnil}
+    assert len(twists) == (3 if field is F5 and "1+x" in (a, b) else 2)
+    quat = alg.quat
+    assert ref["diagonal"] == [[[render_entry(t, "x")]]
+                               for t in (quat.i, quat.j, quat.k) if t in twists]
     assert [i for i, _ in ref["certificate"]] == [p.index for p in nonnil]
     assert all(s != 0 for _, s in ref["certificate"])
     # the table is the raw signature normalized by the reference's sign
@@ -709,3 +685,20 @@ def test_quat_skew_rank2_reference_forms(field, a, b):
         assert signature(eta.form, p, eta) == abs(eta.certificate[p]) > 0
         assert abs(signature(h, p, eta)) == abs(raw_signature(h, p))
     assert cones["count"] == 2 * len(nonnil)
+
+
+def test_quat_skew_reference_signs_agree_with_the_collapsed_member():
+    """Over Q(sqrt 2), every quat_skew (a, b) with a, b in 1, -1, x, -x, 1+x,
+    -1-x has, at n = 2, the certificate signs of its n = 1 member, so
+    signatures keep their sign convention under Morita collapse."""
+    x, one = SQRT2.gen, SQRT2.one
+    values = (one, -one, x, -x, one + x, -one - x)
+    differ = []
+    for a in values:
+        for b in values:
+            alg = AlgebraWithInvolution(SQRT2, "quat_skew", 2, a=a, b=b)
+            signs = [{p: s > 0 for p, s in reference_form(m).certificate.items()}
+                     for m in (alg, alg.collapsed())]
+            if signs[0] != signs[1]:
+                differ.append((a, b))
+    assert differ == []

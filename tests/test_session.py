@@ -329,7 +329,8 @@ def test_subprocess_determinism(tmp_path):
     assert out[0] == out[1]
 
 
-@pytest.mark.parametrize("name", ["full_session", "sqrt2_session", "quintic_session"])
+@pytest.mark.parametrize("name", ["full_session", "sqrt2_session", "quintic_session",
+                                  "skew_session"])
 def test_fixture_reports_match_golden(name):
     """`hermsig run` on each fixture reproduces its recorded report byte for
     byte; the .expected.json files were written before the integer-numerator
@@ -338,7 +339,10 @@ def test_fixture_reports_match_golden(name):
     sign and inverse kernels and the minimal-neighbourhood topology.  The
     sqrt2 `morphisms` witness and the quintic `topology` counts were
     rewritten when the Harrison separators replaced the heuristic
-    generators (the quintic space was reported with 256 open sets, not T0)."""
+    generators (the quintic space was reported with 256 open sets, not T0).
+    The skew one pins the constructed quat_skew reference forms over the
+    quintic field, including <i, j, k> for (a, b) = (-x, 1 + x), which had
+    none before they were constructed."""
     import subprocess
     import sys
 
@@ -544,6 +548,22 @@ def test_ideals_rejects_keys_its_kind_ignores(kind, extra, key):
         del command[key]
         record = run_session(parse_session(json.dumps(_sqrt2_with(command)[0]))).records[-1]
         assert record["status"] == "ok"
+
+
+def test_ideals_p_above_its_cap_is_a_parse_error(tmp_path, capsys):
+    """`p` is tested prime by trial division, so a value above 2^31 - 1 is
+    refused at parse time, with the cap in the message, rather than run:
+    p = 10**400 used to raise OverflowError when the command ran."""
+    doc, path = _sqrt2_with(dict(_IDEALS, p=10**400))
+    with pytest.raises(SessionParseError) as exc:
+        parse_session(json.dumps(doc))
+    assert exc.value.path == f"{path}.p"
+    assert exc.value.message == "p must be at most 2147483647"
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(f)]) == 2
+    assert "2147483647" in capsys.readouterr().err
+    parse_session(json.dumps(_sqrt2_with(dict(_IDEALS, p=2**31 - 1))[0]))
 
 
 def test_ideals_with_q_but_no_h_is_an_error_record():

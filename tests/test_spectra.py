@@ -92,6 +92,18 @@ def test_prime_property_samples_pass_for_honest_pairs():
         assert prime_property_sample(pair, rng, trials=25).passed
 
 
+def test_is_prime_reads_the_integer_square_root():
+    """Trial division stops at isqrt(n); the float square root it read
+    before raised OverflowError on 10**400."""
+    from hermsig.spectra import _is_prime
+
+    assert _is_prime(2**31 - 1)
+    assert not _is_prime(10**400)
+    assert not _is_prime(10**400 + 1)  # 353 divides 10^16 + 1, hence 10^400 + 1
+    assert not _is_prime(1_000_003 ** 2)
+    assert [n for n in range(30) if _is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
 def test_fabricated_raw_descriptor_fails_ideal_axiom():
     # over Q(sqrt2) a raw descriptor without the fundamental-ideal closure
     # is caught by the sampler
