@@ -65,9 +65,7 @@ from .hermitian import (
     sylvester_decompose,
     torsion_test_h,
     total_signature_h,
-    trace_form,
     transport_reference,
-    unit_form,
 )
 from .cones import (
     CertTerm,

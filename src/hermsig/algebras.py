@@ -12,10 +12,10 @@ Four families, closed by construction:
 Everything the code needs to know about a family is in its ``Family``
 record (the table ``FAMILIES``): the parameter names, the entry ring and
 its dimension over F, the trace-form divisor, whether Grams are skew, and
-the nil rule.  Elements are n x n matrices over the entry ring: F itself,
-or one ``EntryRing`` class, a composition algebra with its standard
-involution defined by two data, the products of its basis elements
-e_s e_t = c e_k and the diagonal norm form of Nrd.  F(sqrt(delta)) is the
+the sign rules for nil orderings and X_sigma.  Elements are n x n matrices
+over the entry ring: F itself, or one ``EntryRing`` class, a composition
+algebra with its standard involution defined by two data, the products of
+its basis elements e_s e_t = c e_k and the diagonal norm form of Nrd.  F(sqrt(delta)) is the
 table sqrt(delta)^2 = delta with norms (1, -delta); (a, b)_F is the
 quaternion table with norms (1, -a, -b, ab).  Their entries are one class,
 ``Entry``, and F and the ring share one protocol (``zero``, ``one``,
@@ -296,9 +296,12 @@ class Family:
     """The per-family facts of the catalogue.
 
     ``nil`` decides whether an ordering is nil from the signs of the
-    parameters there; ``trace_divisor`` is the trace-form signature of a
-    form divided by its signature at the collapsed (n = 1) level;
-    ``build_ring`` makes the entry ring from the field and the parameters.
+    parameters there, and ``x_sigma`` whether the unit trace form is PSD
+    there (n copies of 2, <1, -delta>, <1, -a, -b, ab>, or for quat_skew
+    one definite exactly where a < 0 < b); ``trace_divisor`` is the
+    trace-form signature of a form divided by its signature at the
+    collapsed (n = 1) level; ``build_ring`` makes the entry ring from the
+    field and the parameters.
     """
 
     name: str
@@ -307,6 +310,7 @@ class Family:
     trace_divisor: int
     skew: bool
     nil: Callable[[tuple[int, ...]], bool]
+    x_sigma: Callable[[tuple[int, ...]], bool]
     build_ring: Callable
 
     def make_ring(self, field: NumberField, given: dict) -> tuple[tuple, object]:
@@ -326,12 +330,14 @@ class Family:
 
 
 FAMILIES = {f.name: f for f in (
-    Family("split_orth", (), 1, 1, False, lambda s: False, lambda field: field),
-    Family("unitary", ("delta",), 2, 2, False, lambda s: s[0] > 0, _unitary_ring),
-    Family("quat_symp", ("a", "b"), 4, 4, False,
-           lambda s: s[0] > 0 or s[1] > 0, QuaternionAlgebra),
-    Family("quat_skew", ("a", "b"), 4, 2, True,
+    Family("split_orth", (), 1, 1, False, lambda s: False, lambda s: True,
+           lambda field: field),
+    Family("unitary", ("delta",), 2, 2, False, lambda s: s[0] > 0, lambda s: s[0] < 0,
+           _unitary_ring),
+    Family("quat_symp", ("a", "b"), 4, 4, False, lambda s: s[0] > 0 or s[1] > 0,
            lambda s: s[0] < 0 and s[1] < 0, QuaternionAlgebra),
+    Family("quat_skew", ("a", "b"), 4, 2, True, lambda s: s[0] < 0 and s[1] < 0,
+           lambda s: s[0] < 0 < s[1], QuaternionAlgebra),
 )}
 
 
@@ -408,11 +414,15 @@ class AlgebraWithInvolution:
         """True when forms over this family carry skew-hermitian Grams."""
         return self.spec.skew
 
+    def where(self, rule: Callable[[tuple[int, ...]], bool]) -> tuple[Ordering, ...]:
+        """The orderings at whose parameter signs `rule` (a ``Family``
+        sign rule) holds."""
+        return tuple(p for p in self.field.orderings
+                     if rule(tuple(sign_at(v, p) for v in self.params)))
+
     @cached_property
     def _nil_tuple(self) -> tuple[Ordering, ...]:
-        nil = self.spec.nil
-        return tuple(p for p in self.field.orderings
-                     if nil(tuple(sign_at(v, p) for v in self.params)))
+        return self.where(self.spec.nil)
 
     def nil_orderings(self) -> list[Ordering]:
         return list(self._nil_tuple)
@@ -453,9 +463,9 @@ class AlgebraWithInvolution:
         k, j, i with positive reduced norm at a non-nil ordering:
         Nrd(k) = ab, Nrd(j) = -b, Nrd(i) = -a.
 
-        The twisted pairing Trd(conj(x)^t G y w) is the quadratic carrier
-        of the signature only where Nrd(w) > 0; the choice per ordering is
-        a choice of Morita identification, normalized later by the
+        The signature carrier reads the pure pivots q of a skew Gram
+        through Trd(w q), which is a Morita identification only where
+        Nrd(w) > 0; the choice per ordering is normalized later by the
         reference form.
         """
         if not self.skew_gram:
@@ -464,45 +474,6 @@ class AlgebraWithInvolution:
             raise ValueError("no twist at a nil ordering")
         ring = self.ring
         return next(ring.basis[t] for t in (3, 2, 1) if sign_at(ring.norms[t], ordering) > 0)
-
-    @property
-    def default_twist(self) -> "Entry | None":
-        """The twist i of the involution convention Int(i) o conj of
-        quat_skew; None for the hermitian families."""
-        return self.quat.i if self.skew_gram else None
-
-    @cached_property
-    def _trace_structure_cache(self) -> dict:
-        return {}
-
-    def trace_structure(self, twist: "Entry | None" = None) -> tuple:
-        """tau[u][v][w] with TrF(conj(b_u) g b_v [twist]) = sum_w g_w tau[u][v][w].
-
-        quat_skew Grams need a pure twist to make the pairing symmetric
-        (the untwisted one is antisymmetric on skew Grams).
-        """
-        if (twist is None) == self.skew_gram:
-            raise ValueError("a twist is required exactly for quat_skew")
-        key = None if twist is None else twist.coords()
-        cached = self._trace_structure_cache.get(key)
-        if cached is not None:
-            return cached
-        basis = self.ring.basis
-        table = []
-        for bu in basis:
-            row = []
-            for bv in basis:
-                per_w = []
-                for bw in basis:
-                    prod = bu.conj() * bw * bv
-                    if twist is not None:
-                        prod = prod * twist
-                    per_w.append(prod.trd())
-                row.append(tuple(per_w))
-            table.append(tuple(row))
-        result = tuple(table)
-        self._trace_structure_cache[key] = result
-        return result
 
     # -- elements ---------------------------------------------------------------
     def element(self, rows) -> "AlgebraElement":
@@ -582,7 +553,9 @@ class AlgebraElement:
         x._form = None
         return x
 
-    # rows, size, ring and field: the input of quadforms.diagonalize
+    # rows, size, ring, field and skew: the input of quadforms.diagonalize,
+    # which reduces products x* x, hermitian in every family
+    skew = False
     size = property(lambda self: self.algebra.n)
     ring = property(lambda self: self.algebra.ring)
     field = property(lambda self: self.algebra.field)

@@ -3,12 +3,12 @@
 Cones are intensional: an ordering P, an orientation, and a membership
 procedure; they are never materialized.  Membership is the diagonal sign
 rule of the rank-1 form <m>: every value of its signature carrier lies on
-the oriented side at P.  For the hermitian families the values are the
-pivots of the congruence kernel on the entry Gram of m; for quat_skew they
-are the diagonal of the twisted trace form, which also covers the
-split-at-P cases where algebra-level pivoting can fail.  The values do not
-depend on the cone: <m> is built once per element (``rank1_form``), so one
-reduction serves every ordering and orientation.
+the oriented side at P.  The values are read from the pivots of the
+congruence kernel on the entry Gram of m: the pivots themselves for the
+hermitian families, two values per pure pivot for quat_skew
+(``hermitian._carrier``).  The pivots do not depend on the cone: <m> is
+built once per element (``rank1_form``), so one reduction serves every
+ordering and orientation.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ from .hermitian import (
     HermitianForm,
     ReferenceForm,
     _carrier,
-    _trace_diag,
     rank1_form,
     rank1_max_signature,
     raw_signature,
     reference_form,
     signature,
-    unit_form,
 )
 from .quadforms import GramQuadraticForm, diagonalize, harrison_set
 
@@ -64,8 +62,8 @@ class PositiveCone:
             raise AlgebraMismatchError("element of a different algebra")
         form = rank1_form(element, "cone membership is defined for symmetric elements")
         want = self._oriented_sign()
-        values, _ = _carrier(form, self.ordering)
-        return all(want * sign_at(d, self.ordering) >= 0 for d in values)
+        return all(want * sign_at(d, self.ordering) >= 0
+                   for d in _carrier(form, self.ordering))
 
     def sample_member(self, rng, terms: int = 2, height: int = 2) -> AlgebraElement:
         """A random member: sum of weighted sandwiches of the oriented
@@ -179,13 +177,10 @@ class PositivityReport:
 
 
 def positivity_sets(algebra: AlgebraWithInvolution) -> PositivityReport:
-    """X_sigma by the PSD test of the unit trace form at each ordering (at
-    nil orderings too, where the pivot signs would answer differently);
-    (PS') holds iff X_sigma equals the non-nil set, which is also the
-    sufficient condition for (PS)."""
-    diag = _trace_diag(unit_form(algebra), algebra.default_twist)
-    x_sigma = [p for p in algebra.field.orderings
-               if all(sign_at(d, p) >= 0 for d in diag)]
+    """X_sigma, where the unit trace form is PSD (nil orderings included),
+    by the sign rule of the family; (PS') holds iff X_sigma equals the
+    non-nil set, which is also the sufficient condition for (PS)."""
+    x_sigma = list(algebra.where(algebra.spec.x_sigma))
     x_tilde = algebra.nonnil_orderings()
     same = set(x_sigma) == set(x_tilde)
     return PositivityReport(x_sigma, x_tilde, same, same)
@@ -384,7 +379,7 @@ def _split_orth_constructive(u: AlgebraElement) -> SquareCertificate:
     dec = diagonalize(gram, with_transform=True)
     s_inv = _invert_matrix(field, dec.transform)
     terms = []
-    for p, d in enumerate(dec.form.entries):
+    for p, d in enumerate(dec.pivots):
         dv = d.as_fraction()
         row = s_inv[p]
         for c in four_square_decomposition(dv):
@@ -460,11 +455,9 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     for p in y_set:
         cone = PositiveCone(alg, p, 1, eta)
         if not cone.contains(u):
-            # the witness is the first trace-carrier value with the wrong
-            # sign, computed on this path only
+            # the witness is the first carrier value with the wrong sign
             want = cone._oriented_sign()
-            witness = next(d for d in _trace_diag(u_form, alg.twist_at(p))
-                           if want * sign_at(d, p) < 0)
+            witness = next(d for d in _carrier(u_form, p) if want * sign_at(d, p) < 0)
             return SosSearchResult("refuted", refutation=Refutation(p, witness))
 
     if alg.entry_dim == 1 and fld.degree == 1 and a == alg.one_element:

@@ -3,15 +3,15 @@
 A form of rank k over (M_n(D), -) is stored at entry level: a kn x kn
 matrix over the entry ring D, conj-transpose symmetric (skew for the
 quat_skew family, whose Grams are skew-hermitian data for the orthogonal
-involutions Int(u) o conj).  For the hermitian families the kn x kn entry
-Gram is reduced by the congruence kernel ``quadforms.diagonalize``; its
-pivots are F-scalars, and the signature at a non-nil ordering is the sum
-of their signs.  quat_skew Grams, whose pivots would be pure quaternions,
-go through the exact trace form over F paired with the twist
-``AlgebraWithInvolution.twist_at(P)``, divided by the family's
-``Family.trace_divisor``.  The sign ambiguity of the Morita reduction is
-fixed by a reference form, constructed per family and memoized on the
-algebra.
+involutions Int(u) o conj).  In every family the kn x kn entry Gram is
+reduced by the one congruence kernel ``quadforms.diagonalize``.  Its pivots
+are F-scalars for the hermitian families and pure quaternions q for
+quat_skew; ``_carrier`` reads them as F-values (for q, through the twist
+``AlgebraWithInvolution.twist_at(P)``), and the signature at a non-nil
+ordering is the sum of their signs.  The sign ambiguity of the Morita
+reduction is fixed by a reference form, constructed per family and
+memoized on the algebra.  The trace form over F is not on this path; it
+serves the oracle ``sylvester_count_oracle`` only.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class HermitianForm:
         self.gram = self.rows = gram
         self.size = size
         self.ring, self.field = algebra.ring, algebra.field
-        self._trace_diag_cache: dict = {}
         sign = -1 if algebra.skew_gram else 1
         for r in range(size):
             for c in range(r, size):
@@ -75,7 +74,6 @@ class HermitianForm:
         h.gram = h.rows = rows
         h.size = len(rows)
         h.ring, h.field = algebra.ring, algebra.field
-        h._trace_diag_cache = {}
         return h
 
     @classmethod
@@ -99,13 +97,16 @@ class HermitianForm:
                     rows[b * n + r][b * n + c] = block[r][c]
         return cls(algebra, rows)
 
+    # with gram, size, ring and field: the input of diagonalize
+    skew = property(lambda self: self.algebra.skew_gram)
+
     @property
     def rank(self) -> int:
         return self.size // self.algebra.n
 
     @cached_property
     def _kernel(self) -> Diagonalization:
-        """The congruence kernel on the entry Gram (hermitian families)."""
+        """The congruence kernel on the entry Gram."""
         return diagonalize(self)
 
     def perp(self, other: "HermitianForm") -> "HermitianForm":
@@ -138,7 +139,7 @@ class HermitianForm:
 
 def rank1_form(x: AlgebraElement, error: str) -> HermitianForm:
     """<x> for a symmetric element x, built once and kept on x, so that its
-    kernel and trace diagonals serve every ordering and orientation; raises
+    kernel pivots serve every ordering and orientation; raises
     ValueError(error) if x is not symmetric (a failure is not kept)."""
     form = x._form
     if form is None:
@@ -164,92 +165,31 @@ def scale_by_quadratic(q: QuadraticForm, h: HermitianForm) -> HermitianForm:
     return HermitianForm(alg, rows)
 
 
-def unit_form(algebra: AlgebraWithInvolution) -> HermitianForm:
-    """<1>_sigma; for quat_skew the scaled skew Gram <(1/a) i> representing
-    the unit form of the modeled involution Int(i) o conj."""
-    if not algebra.skew_gram:
-        return HermitianForm.diagonal(algebra, [algebra.one_element])
-    quat = algebra.quat
-    w_inv = quat.i.inverse()
-    return HermitianForm.diagonal(
-        algebra, [algebra.scalar_element(w_inv)])
-
-
 # ---------------------------------------------------------------------------
-# Trace forms and raw signatures.
+# Signature carriers and raw signatures.
 
 
-def _entry_trace_rows(h: HermitianForm, twist=None) -> list[list[FieldElement]]:
-    alg = h.algebra
-    tau = alg.trace_structure(twist)
-    ed = alg.entry_dim
-    zero = alg.field.zero
-    dim = h.size * ed
-    rows = [[zero] * dim for _ in range(dim)]
-    for r in range(h.size):
-        for t in range(h.size):
-            g = h.gram[r][t]
-            coords = g.coords()
-            if all(c.is_zero() for c in coords):
-                continue
-            for u in range(ed):
-                for v in range(ed):
-                    acc = zero
-                    for w, gw in enumerate(coords):
-                        if not gw.is_zero():
-                            tw = tau[u][v][w]
-                            if not tw.is_zero():
-                                acc = acc + gw * tw
-                    rows[r * ed + u][t * ed + v] = acc
-    return rows
+def _carrier(h: HermitianForm, ordering: Ordering) -> Sequence[FieldElement]:
+    """F-values whose signs at a non-nil ordering sum to the signature of h,
+    and which all lie on a cone's side exactly when h does.
 
-
-def trace_form(h: HermitianForm) -> GramQuadraticForm:
-    """The quadratic form x -> Trd(sigma(x)^t G x) on A^k over F, of
-    dimension rank(h) * dim_F A (n orthogonal copies of the collapsed one).
-
-    For quat_skew the involution convention is Int(i) o conj, so the Gram
-    is paired with the fixed twist i.  Signature computations instead use
-    the ordering-dependent twist with positive norm (see raw_signature).
-    """
-    entry_rows = _entry_trace_rows(h, h.algebra.default_twist)
-    n = h.algebra.n
-    base = len(entry_rows)
-    zero = h.algebra.field.zero
-    dim = base * n
-    rows = [[zero] * dim for _ in range(dim)]
-    for copy in range(n):
-        for r in range(base):
-            for c in range(base):
-                rows[copy * base + r][copy * base + c] = entry_rows[r][c]
-    return GramQuadraticForm(h.algebra.field, rows)
-
-
-def _trace_diag(h: HermitianForm, twist=None) -> list[FieldElement]:
-    """Diagonal of the trace form of h with the given twist, memoized."""
-    key = None if twist is None else twist.coords()
-    diag = h._trace_diag_cache.get(key)
-    if diag is None:
-        gram = GramQuadraticForm(h.algebra.field, _entry_trace_rows(h, twist))
-        diag = list(diagonalize(gram).form.entries)
-        h._trace_diag_cache[key] = diag
-    return diag
-
-
-def _carrier(h: HermitianForm, ordering: Ordering) -> tuple[Sequence[FieldElement], int]:
-    """F-values whose signs at a non-nil ordering sum to the signature of h
-    times a divisor, and that divisor: the kernel's pivots and 1 for the
-    hermitian families, the twisted trace-form diagonal and the family's
-    ``trace_divisor`` for quat_skew."""
-    alg = h.algebra
-    if alg.skew_gram:
-        return _trace_diag(h, alg.twist_at(ordering)), alg.spec.trace_divisor
-    return h._kernel.form.entries, 1
+    For the hermitian families these are the kernel's pivots.  For
+    quat_skew each pure pivot q gives two values, with u = `twist_at(P)`:
+    (Trd(u q), Trd(u q) Nrd(q)), or (Nrd(q), -Nrd(q)) when Trd(u q) = 0,
+    which forces Nrd(q) <_P 0 because u^perp is negative definite at P."""
+    pivots = h._kernel.pivots
+    if not h.skew:
+        return pivots
+    u = h.algebra.twist_at(ordering)
+    values = []
+    for q in pivots:
+        t, n = (u * q).trd(), q.nrd()
+        values += (n, -n) if t.is_zero() else (t, t * n)
+    return values
 
 
 def raw_signature(h: HermitianForm, ordering: Ordering) -> int:
-    """s_P(h): zero at nil orderings; otherwise the sign sum of the signature
-    carrier divided by its divisor, which must be exact.
+    """s_P(h): zero at nil orderings, otherwise the sign sum of the carrier.
 
     quat_skew uses the positive-norm twist at the ordering; the resulting
     per-ordering Morita choice is normalized by the reference form.
@@ -259,21 +199,17 @@ def raw_signature(h: HermitianForm, ordering: Ordering) -> int:
         raise AlgebraMismatchError("ordering belongs to a different field")
     if alg.is_nil(ordering):
         return 0
-    values, div = _carrier(h, ordering)
-    total = sum(sign_at(d, ordering) for d in values)
-    if total % div != 0:
-        raise InvariantError(
-            f"trace-form signature {total} not divisible by {div} for "
-            f"{alg.family}; the normalization invariant is broken")
-    return total // div
+    return sum(sign_at(d, ordering) for d in _carrier(h, ordering))
 
 
 def _nondegenerate_dim(h: HermitianForm) -> int:
-    """F-dimension of the nondegenerate part of h (the trace-form rank)."""
-    alg = h.algebra
-    if alg.skew_gram:
-        return len(_trace_diag(h, alg.default_twist))
-    return (h.size - h._kernel.radical_dim) * alg.entry_dim
+    """F-dimension of the nondegenerate part of h: entry_dim per pivot, but
+    2 for a quat_skew pivot with Nrd = 0, whose qD has dimension 2."""
+    pivots = h._kernel.pivots
+    ed = h.algebra.entry_dim
+    if not h.skew:
+        return len(pivots) * ed
+    return sum(2 if q.nrd().is_zero() else ed for q in pivots)
 
 
 def is_nondegenerate(h: HermitianForm) -> bool:
@@ -538,7 +474,7 @@ def sylvester_decompose(h: HermitianForm, cone) -> SylvesterDecomposition:
     dec = h._kernel
     orient = cone.orientation * (1 if cone.reference.certificate[p] > 0 else -1)
     pos, neg = [], []
-    for d in dec.form.entries:
+    for d in dec.pivots:
         side = orient * sign_at(d, p)
         if side > 0:
             pos.append(d)
@@ -578,11 +514,22 @@ def split_oracle_signature(h: HermitianForm, ordering: Ordering) -> int:
     return signature_q(GramQuadraticForm(field, rows), ordering)
 
 
+def _entry_trace_rows(h: HermitianForm) -> list[list[FieldElement]]:
+    """Gram over F of (x, y) -> Trd(conj(x)^t G y) in the F-basis of the
+    entry vectors (alternating for a skew Gram)."""
+    basis, g = h.ring.basis, h.gram
+    return [[(bu.conj() * g[r][t] * bv).trd() for t in range(h.size) for bv in basis]
+            for r in range(h.size) for bu in basis]
+
+
 def sylvester_count_oracle(h: HermitianForm, ordering: Ordering) -> int:
     """Independent signature for the hermitian families at a non-nil
     ordering: the trace-form signature divided by the family's
     ``trace_divisor``, off the pivot route of `raw_signature`."""
-    total = sum(sign_at(d, ordering) for d in _trace_diag(h))
+    if h.skew:
+        raise UnsupportedError("the untwisted trace form of a skew Gram is alternating")
+    trace = diagonalize(GramQuadraticForm(h.field, _entry_trace_rows(h)))
+    total = sum(sign_at(d, ordering) for d in trace.pivots)
     q, r = divmod(total, h.algebra.spec.trace_divisor)
     if r:
         raise InvariantError(f"trace-form signature {total} is not a multiple of the divisor")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError
@@ -59,6 +60,8 @@ class QuadraticForm:
 class GramQuadraticForm:
     """Symmetric Gram matrix over the field; possibly degenerate."""
 
+    skew = False  # the input protocol of diagonalize
+
     def __init__(self, field: NumberField, rows: Sequence[Sequence]):
         self.field = field
         self.rows: tuple[tuple[FieldElement, ...], ...] = tuple(
@@ -86,37 +89,67 @@ class GramQuadraticForm:
 
 @dataclass
 class Diagonalization:
-    """Result of congruence reduction: S* G S = diag(d, ..., 0), S* the
-    conjugate transpose.  `transform` is S, or None when not asked for."""
+    """Result of congruence reduction: S* G S = diag(pivots, 0, ..., 0), S*
+    the conjugate transpose.  The pivots are F-scalars, except for a skew
+    Gram, whose pivots are pure quaternions.  `transform` is S, or None when
+    not asked for."""
 
-    form: QuadraticForm
+    field: NumberField
+    pivots: tuple
     radical_dim: int
     transform: tuple[tuple, ...] | None = None
+
+    @cached_property
+    def form(self) -> QuadraticForm:
+        """<pivots> over F (F-scalar pivots only)."""
+        return QuadraticForm(self.field, self.pivots)
+
+
+def _generalized_inverse(q, ring):
+    """G with q G q = q for a nonzero pure q with Nrd(q) = 0: with w the
+    first basis entry with tau = Trd(q w) != 0, q w q = tau q and
+    q conj(w) q = -tau q give G = (w - conj(w) + conj(w) q w / tau) / tau."""
+    w = next(b for b in ring.basis if not (q * b).trd().is_zero())
+    ti = (q * w).trd().inverse()
+    wc = w.conj()
+    return (w - wc + wc * q * w * ti) * ti
 
 
 def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
     """Gaussian elimination by congruence: the one kernel of the package.
 
-    `gram` has a square matrix ``rows`` of ``size`` over ``ring``, with
-    m[s][r] = conj(m[r][s]) and entries that have ``conj``, ``is_zero``,
-    ``coords`` and ring arithmetic: a `GramQuadraticForm` (``ring`` is F),
-    a hermitian-family ``HermitianForm``, or an ``AlgebraElement`` x* x.
-    Diagonal entries are conj-fixed, so each pivot is their F-scalar part.
+    `gram` has a square matrix ``rows`` of ``size`` over ``ring``, entries
+    with ``conj``, ``is_zero``, ``coords`` and ring arithmetic, and a flag
+    ``skew``: a `GramQuadraticForm` (``ring`` is F), a ``HermitianForm``, or
+    an ``AlgebraElement`` x* x.  A hermitian Gram has m[s][r] = conj(m[r][s])
+    and conj-fixed diagonal entries, so each pivot is their F-scalar part.
+    A skew Gram (a quat_skew ``HermitianForm``) has m[s][r] = -conj(m[r][s])
+    and pure-quaternion diagonal entries, which are kept as the pivots.
 
-    Pivot rule: first nonzero diagonal entry.  If the remaining diagonal is
-    zero but the block is not, take its first nonzero m_ij: over F the
-    block [[0, c], [c, 0]] becomes diag(c, -c) via the columns
+    Pivot rule: the first nonzero diagonal entry; for a skew Gram the first
+    with Nrd != 0 if there is one.  If the remaining diagonal is zero but
+    the block is not, take its first nonzero m_ij: over F the block
+    [[0, c], [c, 0]] becomes diag(c, -c) via the columns
     (e_i + e_j/2, e_i - e_j/2); over an entry ring e_i <- e_i + e_j lam,
-    lam the first basis entry with Trd(m_ij lam) != 0, makes that trace
-    m_ii.  Zero rows are reported as the radical.  Each pivot d replaces the
-    trailing block by its Schur complement m_rs - m_rp d^-1 m_ps on the
-    lower triangle, mirrored by conj.  S is built only on request.
+    lam the first basis entry that makes the new m_ii = c lam +- conj(c lam)
+    nonzero.  Each pivot d replaces the trailing block by its Schur
+    complement m_rs - m_rp d^-1 m_ps on the lower triangle, mirrored.
+
+    A skew pivot q with Nrd(q) = 0 is nilpotent (q^2 = -Nrd(q)) and has no
+    inverse.  If q m_pr = 0 for every later row r, each m_pr lies in qD,
+    the right annihilator of q, and a G with q G q = q stands in for q^-1.
+    Otherwise, for the first r with q m_pr != 0, e_p <- e_p + e_r t mu, mu
+    the first basis entry with Trd(q m_pr mu) != 0: the new Nrd(m_pp) is a
+    quartic in t with a simple root at 0, so one of t = 1..4 makes it
+    nonzero.  Zero rows are reported as the radical.  S is built only on
+    request.
     """
     field, ring = gram.field, gram.ring
     scalar = ring is field
+    skew = gram.skew
     k = gram.size
-    # m is kept hermitian and indexed by original rows; order[pos] is the
-    # row at elimination position pos, so swaps move no entries.
+    # m is kept (skew-)hermitian and indexed by original rows; order[pos] is
+    # the row at elimination position pos, so swaps move no entries.
     m = [list(row) for row in gram.rows]
     order = list(range(k))
     zero = ring.zero
@@ -124,10 +157,35 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
     scol = ([[ring.one if i == j else zero for i in range(k)] for j in range(k)]
             if with_transform else None)
 
-    diag: list[FieldElement] = []
+    def mirror(v):  # m_sr from m_rs over an entry ring
+        return -v.conj() if skew else v.conj()
+
+    def sheared(rp, r, c):
+        """m_pp after e_p <- e_p + e_r c."""
+        x = m[rp][r] * c
+        return m[rp][rp] + x + mirror(x) + c.conj() * m[r][r] * c
+
+    def shear(p, r, c):
+        """e_p <- e_p + e_r c over an entry ring: only row and column p
+        change."""
+        rp = order[p]
+        pp = sheared(rp, r, c)
+        for s in order[p + 1:]:
+            v = m[s][r]
+            if not v.is_zero():
+                w = m[s][rp] = m[s][rp] + v * c
+                m[rp][s] = mirror(w)
+        m[rp][rp] = pp
+        if scol is not None:
+            scol[rp] = [a + b * c for a, b in zip(scol[rp], scol[r])]
+
+    diag: list = []
     for p in range(k):
         pivot = next((pos for pos in range(p, k) if not m[order[pos]][order[pos]].is_zero()),
                      None)
+        if skew and pivot is not None:
+            pivot = next((pos for pos in range(pivot, k)
+                          if not m[order[pos]][order[pos]].nrd().is_zero()), pivot)
         if pivot is None:
             off = next(((i, j) for i in range(p, k) for j in range(i + 1, k)
                         if not m[order[i]][order[j]].is_zero()), None)
@@ -136,10 +194,10 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
             i, j = off
             order[p], order[i] = order[i], order[p]
             rp, rj = order[p], order[j]
-            c = m[rp][rj]
             if scalar:
                 # columns (p, j) <- (c_p + c_j/2, c_p - c_j/2): block becomes
                 # diag(c, -c) for the off-diagonal entry c.
+                c = m[rp][rj]
                 half = field.element(Fraction(1, 2))
                 for r in order[p + 1:]:
                     if r == rj:
@@ -154,26 +212,28 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
                     scol[rp] = [a + half * b for a, b in zip(sp, sj)]
                     scol[rj] = [a - half * b for a, b in zip(sp, sj)]
             else:
-                # e_p <- e_p + e_j lam; m_jj = 0, so only row and column p
-                # change, and m_pp becomes Trd(c lam).
-                lam = next(b for b in ring.basis if not (c * b).trd().is_zero())
-                for r in order[p + 1:]:
-                    v = m[r][rj]
-                    if not v.is_zero():
-                        w = m[r][rp] = m[r][rp] + v * lam
-                        m[rp][r] = w.conj()
-                cl = c * lam
-                m[rp][rp] = cl + cl.conj()
-                if scol is not None:
-                    scol[rp] = [a + b * lam for a, b in zip(scol[rp], scol[rj])]
+                shear(p, rj, next(b for b in ring.basis
+                                  if not sheared(rp, rj, b).is_zero()))
             pivot = p
         order[p], order[pivot] = order[pivot], order[p]
         rp = order[p]
         mp = m[rp]
-        d = mp[rp] if scalar else mp[rp].coords()[0]
-        # The inverse also certifies that the pivot is not a zero divisor.
-        inv = d.inverse()
         rest = order[p + 1:]
+        d = mp[rp] if scalar or skew else mp[rp].coords()[0]
+        if skew and d.nrd().is_zero():
+            r = next((r for r in rest if not (d * mp[r]).is_zero()), None)
+            if r is None:
+                inv = _generalized_inverse(d, ring)
+            else:
+                dm = d * mp[r]
+                mu = next(b for b in ring.basis if not (dm * b).trd().is_zero())
+                shear(p, r, next(mu * t for t in range(1, 5)
+                                 if not sheared(rp, r, mu * t).nrd().is_zero()))
+                d = mp[rp]
+                inv = d.inverse()
+        else:
+            # The inverse also certifies that the pivot is not a zero divisor.
+            inv = d.inverse()
         for idx, r in enumerate(rest):
             mr = m[r]
             a = mr[rp]
@@ -184,7 +244,7 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
                 b = mp[s]
                 if not b.is_zero():
                     v = mr[s] = mr[s] - t * b
-                    m[s][r] = v if scalar else v.conj()
+                    m[s][r] = v if scalar else (-v.conj() if skew else v.conj())
             if scol is not None:
                 # e_r <- e_r - e_p d^-1 m_pr, and d^-1 m_pr = conj(t)
                 tc = t if scalar else t.conj()
@@ -195,7 +255,7 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
     transform = None
     if scol is not None:
         transform = tuple(tuple(scol[order[c]][r] for c in range(k)) for r in range(k))
-    return Diagonalization(QuadraticForm(field, diag), radical, transform)
+    return Diagonalization(field, tuple(diag), radical, transform)
 
 
 def signature_q(form: QuadraticForm | GramQuadraticForm, ordering: Ordering) -> int:

@@ -38,6 +38,8 @@ class SessionParseError(Exception):
 # Element expressions: polynomials in the field generator with rational
 # coefficients; numbers as integers, exact decimals or fractions "p/q".
 
+MAX_EXPONENT = 64  # the largest n accepted in "^n"
+
 
 class _ExprParser:
     def __init__(self, text: str, gen_name: str, field: NumberField, path: str):
@@ -93,7 +95,7 @@ class _ExprParser:
         value = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            value = value ** self.uint()
+            value = value ** self.exponent()
         return value
 
     def atom(self) -> FieldElement:
@@ -128,14 +130,18 @@ class _ExprParser:
             self.pos = start
             self.fail(f"bad numeric literal {lit!r}")
 
-    def uint(self) -> int:
+    def exponent(self) -> int:
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if start == self.pos:
             self.fail("expected an exponent")
-        return int(self.text[start:self.pos])
+        digits = self.text[start:self.pos].lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            self.pos = start
+            self.fail(f"exponent must be at most {MAX_EXPONENT}")
+        return int(digits or 0)
 
 
 def parse_element(value, field: NumberField, gen_name: str, path: str) -> FieldElement:

@@ -18,6 +18,7 @@ from hermsig.algebras import (
 )
 from hermsig.errors import AlgebraMismatchError, UnsupportedError
 from hermsig.field import QQ, NumberField, sign_at
+from trace_oracle import default_twist
 
 SQRT2 = NumberField([-2, 0, 1])
 F5 = NumberField([1, 3, -3, -4, 1, 1])
@@ -297,7 +298,7 @@ def test_family_table(name):
     assert e.conj().conj() == e and (e + e.conj()).trd() == e.trd() + e.trd()
     assert base.entry(5) == ring.from_coords([QQ.element(5)] + [QQ.zero] * (entry_dim - 1))
     assert (base.twist_at(QQ.orderings[0]) is None) == (not skew)
-    assert (base.default_twist is None) == (not skew)
+    assert (default_twist(base) is None) == (not skew)
 
     # rebuild against the explicit constructions of the going-up, descent,
     # collapse and expansion builders it replaces

@@ -23,12 +23,12 @@ from hermsig.cones import (
 from hermsig.field import QQ, NumberField, sign_at
 from hermsig.hermitian import (
     HermitianForm,
-    _carrier,
     rank1_form,
     rank1_max_signature,
     reference_form,
     signature,
 )
+from trace_oracle import trace_carrier, trace_diag
 
 SQRT2 = NumberField([-2, 0, 1])
 F5 = NumberField([1, 3, -3, -4, 1, 1])
@@ -151,6 +151,32 @@ def test_positivity_sets():
     rep = positivity_sets(mixed)
     assert {p.index for p in rep.x_tilde} == {0}
     assert rep.ps_prime_holds == ({p.index for p in rep.x_sigma} == {0})
+
+
+def test_x_sigma_sign_rule_matches_the_unit_trace_form():
+    """X_sigma is read from the signs of the parameters (``Family.x_sigma``);
+    it is where the unit trace form (the oracle) is PSD, nil orderings
+    included: every family at n = 1, 2 over Q, Q(sqrt 2) and F5."""
+    from trace_oracle import default_twist, unit_form
+
+    checked = 0
+    for field in (QQ, SQRT2, F5):
+        one = field.one
+        x = field.gen if field.degree > 1 else 5 * one
+        values = (one, -one, x, -x, one + x, -one - x)
+        for n in (1, 2):
+            algebras = [AlgebraWithInvolution(field, "split_orth", n)]
+            algebras += [AlgebraWithInvolution(field, "unitary", n, delta=d)
+                         for d in values if d != one]
+            algebras += [AlgebraWithInvolution(field, family, n, a=a, b=b)
+                         for family in ("quat_symp", "quat_skew")
+                         for a in values for b in values]
+            for alg in algebras:
+                diag = trace_diag(unit_form(alg), default_twist(alg))
+                want = [p for p in field.orderings if all(sign_at(d, p) >= 0 for d in diag)]
+                assert positivity_sets(alg).x_sigma == want, alg
+                checked += 1
+    assert checked == 3 * 2 * (1 + 5 + 72)
 
 
 def test_membership_respects_cone_axioms_sampled():
@@ -366,10 +392,7 @@ def test_membership_matches_algebra_level_diagonalization():
                     pivot_rule = all(want * sign_at(d, p) >= 0 for d in pivots)
                     # reread the Gram as a rank-2 "element" is not possible
                     # for n = 1; compare through the trace diagonal instead
-                    from hermsig.hermitian import _trace_diag
-
-                    carrier = all(want * sign_at(d, p) >= 0
-                                  for d in _trace_diag(form, None))
+                    carrier = all(want * sign_at(d, p) >= 0 for d in trace_diag(form))
                     assert carrier == pivot_rule
 
 
@@ -411,9 +434,9 @@ def test_strongly_anisotropic_sufficient_flag():
     assert not formally_real(allnil)
 
 
-def test_sos_refutation_witness_is_the_trace_carrier_value():
-    # the witness is the first wrong-signed diagonal value of the trace
-    # form of <u> (here 2(1 + x)), not a kernel pivot (1 + x)
+def test_sos_refutation_witness_is_the_carrier_pivot():
+    # the witness is the first wrong-signed carrier value of <u>, the kernel
+    # pivot 1 + x (the trace form's diagonal value was 2(1 + x))
     x = SQRT2.gen
     alg = AlgebraWithInvolution(SQRT2, "quat_symp", 2, a=-1, b=x - 2)
     q = alg.ring.element(1, 2, 0, -1)
@@ -421,7 +444,7 @@ def test_sos_refutation_witness_is_the_trace_carrier_value():
     res = find_sos_certificate(u)
     assert res.status == "refuted"
     assert res.refutation.ordering.index == 0
-    assert res.refutation.witness == 2 + 2 * x
+    assert res.refutation.witness == 1 + x
     assert sign_at(res.refutation.witness, res.refutation.ordering) < 0
 
 
@@ -431,7 +454,7 @@ def test_sos_refutation_witness_is_the_trace_carrier_value():
 
 def _membership_algebras():
     # quat_skew (x, x - 1) over F5 has twist j at one non-nil ordering and
-    # k at the other, so the trace diagonals of <x> must be kept per twist
+    # k at the other, so one set of pivots of <x> serves two twists
     out = []
     for field in (SQRT2, F5):
         x = field.gen
@@ -471,7 +494,7 @@ def test_membership_on_one_element_matches_a_fresh_carrier(case):
     cones = enumerate_positive_cones(alg)
     want = {}
     for cone in cones:
-        values, _ = _carrier(HermitianForm(alg, x.rows), cone.ordering)
+        values, _ = trace_carrier(HermitianForm(alg, x.rows), cone.ordering)
         side = cone._oriented_sign()
         want[cone] = all(side * sign_at(d, cone.ordering) >= 0 for d in values)
     for cone in cones + cones[::-1]:
@@ -518,8 +541,8 @@ def test_h_single_reduces_a_fresh_element_once(monkeypatch, family, params):
     assert calls == [1]
     assert got == frozenset(i for i, cone in enumerate(space.cones)
                             if all(cone._oriented_sign() * sign_at(d, cone.ordering) >= 0
-                                   for d in _carrier(HermitianForm(alg, x.rows),
-                                                     cone.ordering)[0]))
+                                   for d in trace_carrier(HermitianForm(alg, x.rows),
+                                                          cone.ordering)[0]))
 
 
 def _cert_summary(res):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -23,11 +24,10 @@ from hermsig.hermitian import (
     sylvester_count_oracle,
     sylvester_decompose,
     torsion_test_h,
-    trace_form,
     transport_reference,
-    unit_form,
 )
 from hermsig.quadforms import QuadraticForm, signature_q
+from trace_oracle import trace_form, unit_form
 
 SQRT2 = NumberField([-2, 0, 1])
 
@@ -227,8 +227,8 @@ def test_quat_symp_split_oracle_zero():
 
 
 def test_quat_skew_split_oracle_agreement():
-    # raw trace-route values equal the explicit Morita oracle up to one
-    # global sign per ordering
+    # raw signatures equal the explicit Morita oracle up to one global sign
+    # per ordering
     rng = random.Random(45)
     for b in (1, 3):
         alg = AlgebraWithInvolution(QQ, "quat_skew", 1, a=1, b=b)
@@ -641,6 +641,167 @@ def test_kernel_matches_trace_form_oracle(h):
         # the same pivots as the full-matrix hermitian reduction, which the
         # decompose command used to render
         assert (pivots, dec.radical_dim) == hermitian_diagonalize(h)
+
+
+def _skew_algebras():
+    out = []
+    for field in (SQRT2, F5):
+        x = field.gen
+        for n in (1, 2):
+            out += [AlgebraWithInvolution(field, "quat_skew", n, a=a, b=b)
+                    for a, b in ((1, 1), (1, x), (x, x - 1))]
+    return out
+
+
+SKEW_ALGEBRAS = _skew_algebras()
+SKEW_KINDS = ("random", "nilpotent_diagonal", "annihilated", "shear_trap",
+              "zero_diagonal", "dependent")
+
+
+@st.composite
+def _skew_case(draw):
+    """A skew-hermitian Gram over quat_skew (1, 1), (1, x) or (x, x - 1) over
+    Q(sqrt 2) or F5 (n = 1, 2).  In the split members (a = 1) the diagonal
+    can be made of pure q with Nrd(q) = 0, g (j + k) conj(g): with rows in qD
+    ("annihilated", the generalized inverse), with a first step whose
+    t = 1 gives a nilpotent m_pp ("shear_trap"), or random.  Also: an
+    all-zero diagonal (the hyperbolic step) and C* D C of lower rank."""
+    alg = draw(st.sampled_from(SKEW_ALGEBRAS))
+    field, ring, quat = alg.field, alg.ring, alg.quat
+    split = quat.a == field.one
+    kinds = SKEW_KINDS if split else ("random", "zero_diagonal", "dependent")
+    kind = draw(st.sampled_from(kinds))
+    s = 2 * alg.n if kind == "shear_trap" else draw(st.integers(1, 2)) * alg.n
+
+    def scalar():
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        return field.element(a) + field.gen ** draw(st.integers(0, field.degree - 1)) * b
+
+    def entry():
+        return ring.from_coords([scalar() for _ in range(4)])
+
+    def pure():
+        return ring.from_coords([field.zero] + [scalar() for _ in range(3)])
+
+    def nilpotent():
+        q = quat.j + quat.k
+        g = entry()
+        return (g * q * g.conj() if not g.nrd().is_zero() else q) * draw(st.sampled_from(
+            (1, -2, field.gen)))
+
+    zero = alg.entry_zero
+    if kind == "dependent":
+        r = draw(st.integers(0, s - 1))
+        c = [[entry() for _ in range(s)] for _ in range(r)]
+        d = [nilpotent() if split and draw(st.booleans()) else pure() for _ in range(r)]
+        gram = [[zero] * s for _ in range(s)]
+        for i in range(s):
+            for j in range(s):
+                for t in range(r):
+                    gram[i][j] = gram[i][j] + c[t][i].conj() * d[t] * c[t][j]
+        return HermitianForm(alg, gram)
+    raw = [[entry() for _ in range(s)] for _ in range(s)]
+    gram = [[raw[i][j] - raw[j][i].conj() for j in range(s)] for i in range(s)]
+    if kind == "zero_diagonal":
+        for i in range(s):
+            gram[i][i] = zero
+    elif kind == "nilpotent_diagonal":
+        for i in range(s):
+            gram[i][i] = nilpotent()
+    elif kind == "annihilated":
+        q = nilpotent()
+        gram[0][0] = q
+        for r in range(1, s):
+            y = q * entry()
+            gram[0][r] = q if y.is_zero() else y
+            gram[r][0] = -gram[0][r].conj()
+            gram[r][r] = nilpotent()
+    elif kind == "shear_trap":
+        # diag(q, 0) with m_01 = c + (z - q)/2, Trd(q z) != 0: the first
+        # shear e_0 <- e_0 + e_1 t (mu = 1) gives m_00 = z at t = 1
+        q, z = nilpotent(), nilpotent()
+        gram = [[zero] * s for _ in range(s)]
+        gram[0][0] = q
+        gram[0][1] = scalar() + (z - q) * field.element(Fraction(1, 2))
+        gram[1][0] = -gram[0][1].conj()
+    return HermitianForm(alg, gram)
+
+
+def _first_step(h) -> str:
+    """The kernel's first step on h, read off its Gram."""
+    g, k = h.gram, h.size
+    diag = [g[i][i] for i in range(k)]
+    if any(not d.nrd().is_zero() for d in diag):
+        return "invertible"
+    p = next((i for i, d in enumerate(diag) if not d.is_zero()), None)
+    if p is None:
+        return "hyperbolic" if any(not v.is_zero() for row in g for v in row) else "zero"
+    if all((diag[p] * g[p][r]).is_zero() for r in range(k) if r != p):
+        return "generalized_inverse"
+    return "shear"
+
+
+def test_skew_kernel_matches_twisted_trace_oracle():
+    """The pure-quaternion pivots of a skew Gram against the twisted trace
+    form: signatures at every ordering, nondegeneracy and Witt rank, the
+    congruence S* G S = diag(pivots, 0), cone membership of rank-1 forms,
+    and the split oracle where a = 1.  Each skew-only branch of the kernel
+    is reached."""
+    from hermsig.algebras import AlgebraElement
+    from hermsig.cones import enumerate_positive_cones
+    from hermsig.field import sign_at
+    from hermsig.hermitian import is_nondegenerate, witt_rank
+    from hermsig.quadforms import diagonalize
+    from trace_oracle import trace_carrier, trace_rank, trace_signature
+
+    seen = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_skew_case())
+    def check(h):
+        alg, k = h.algebra, h.size
+        seen.add(_first_step(h))
+        for p in alg.field.orderings:
+            assert raw_signature(h, p) == trace_signature(h, p)
+
+        rank = trace_rank(h)
+        assert is_nondegenerate(h) == (rank == 4 * k)
+        width = 4 * alg.n
+        if rank % width:
+            with pytest.raises(InvariantError):
+                witt_rank(h)
+        else:
+            assert witt_rank(h) == rank // width
+
+        dec = diagonalize(h, with_transform=True)
+        pivots, s_rows, g = dec.pivots, dec.transform, h.gram
+        assert all(q.is_pure() and not q.is_zero() for q in pivots)
+        assert dec.radical_dim == k - len(pivots)
+        for i in range(k):
+            for j in range(k):
+                acc = alg.entry_zero
+                for r in range(k):
+                    for c in range(k):
+                        acc = acc + s_rows[r][i].conj() * g[r][c] * s_rows[c][j]
+                assert acc == (pivots[i] if i == j and i < len(pivots) else 0)
+
+        if k == alg.n:
+            x = AlgebraElement(alg, g)
+            for cone in enumerate_positive_cones(alg):
+                side, p = cone._oriented_sign(), cone.ordering
+                values, _ = trace_carrier(h, p)
+                assert cone.contains(x) == all(side * sign_at(d, p) >= 0 for d in values)
+
+        if alg.quat.a == alg.field.one:
+            for p in alg.nonnil_orderings():
+                twist = HermitianForm.diagonal(alg, [alg.scalar_element(alg.twist_at(p))])
+                base, raw = split_oracle_signature(twist, p), raw_signature(twist, p)
+                assert abs(base) == abs(raw) == 2 * alg.n
+                eps = base // raw
+                assert split_oracle_signature(h, p) == eps * raw_signature(h, p)
+
+    check()
+    assert {"generalized_inverse", "shear", "hyperbolic"} <= seen
 
 
 @pytest.mark.parametrize("field", [SQRT2, F5], ids=["sqrt2", "quintic"])

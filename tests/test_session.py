@@ -566,6 +566,42 @@ def test_ideals_p_above_its_cap_is_a_parse_error(tmp_path, capsys):
     parse_session(json.dumps(_sqrt2_with(dict(_IDEALS, p=2**31 - 1))[0]))
 
 
+def test_exponent_above_its_cap_is_a_parse_error(tmp_path, capsys):
+    """`^` takes exponents up to MAX_EXPONENT: "3^2000000000" used to run
+    `check` until it was killed, and a 5000-digit exponent overran int()."""
+    from hermsig.session import MAX_EXPONENT
+
+    doc = json.loads((FIXTURES / "sqrt2_session.json").read_text(encoding="utf-8"))
+    for big in ("3^2000000000", "x^" + "9" * 5000, f"(1 + x)^{MAX_EXPONENT + 1}"):
+        doc["forms"][0]["diag"][1] = big
+        with pytest.raises(SessionParseError) as exc:
+            parse_session(json.dumps(doc))
+        assert exc.value.path == "forms[0].diag[1]"
+        assert exc.value.message.startswith(f"exponent must be at most {MAX_EXPONENT} ")
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(f)]) == 2
+        assert f"at most {MAX_EXPONENT}" in capsys.readouterr().err
+    doc["forms"][0]["diag"][1] = f"(1 + x)^{MAX_EXPONENT}"
+    parse_session(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", ["full_session", "sqrt2_session", "quintic_session",
+                                  "skew_session"])
+def test_fixture_reports_do_not_read_the_trace_form(monkeypatch, name):
+    """Every command reads the congruence kernel: each golden report is
+    reproduced with the trace form of a hermitian form unavailable."""
+    from hermsig import hermitian
+
+    def unavailable(h):
+        raise AssertionError("the trace form was read")
+
+    monkeypatch.setattr(hermitian, "_entry_trace_rows", unavailable)
+    text = (FIXTURES / f"{name}.json").read_text(encoding="utf-8")
+    expected = (FIXTURES / f"{name}.expected.json").read_text(encoding="utf-8")
+    assert run_session(parse_session(text)).to_json() == expected
+
+
 def test_ideals_with_q_but_no_h_is_an_error_record():
     """The membership answer used to be left out without a word."""
     q_only = {k: v for k, v in _IDEALS.items() if k != "h"}
