@@ -1,5 +1,8 @@
 """Exact signatures of quadratic and hermitian forms over real number
-fields and algebras with involution."""
+fields and algebras with involution.
+
+The public API is ``__all__``, the list the README states under "Public
+API"; the CLI (``hermsig.cli``) imports the modules directly."""
 
 from .errors import (
     AlgebraMismatchError,
@@ -9,83 +12,49 @@ from .errors import (
     NilOrderingError,
     UnsupportedError,
 )
-from .field import (
-    QQ,
-    FieldElement,
-    NumberField,
-    Ordering,
-    enumerate_orderings,
-    evaluate_poly,
-    four_square_decomposition,
-    sign_at,
-)
+from .field import QQ, FieldElement, NumberField, Ordering, sign_at
 from .quadforms import (
     Diagonalization,
     GramQuadraticForm,
     QuadraticForm,
     diagonalize,
     harrison_set,
-    knebusch_identity_holds,
-    pfister,
     signature_q,
-    torsion_test_q,
     total_signature_q,
-    transfer,
-    witt_sum,
-    witt_tensor,
 )
-from .algebras import (
-    AlgebraElement,
-    AlgebraWithInvolution,
-    Entry,
-    QuaternionAlgebra,
-    is_invertible,
-    nil_orderings,
-    split_isomorphism,
-    sym_basis,
-)
+from .algebras import AlgebraElement, AlgebraWithInvolution, Entry, is_invertible
 from .hermitian import (
     HermitianForm,
-    KnebuschReport,
     ReferenceForm,
-    is_nondegenerate,
-    witt_rank,
-    SylvesterDecomposition,
-    find_reference_form,
     going_up,
+    is_nondegenerate,
     knebusch_check,
     morita_collapse,
     morita_expand,
     raw_signature,
     reference_form,
     scale_by_quadratic,
-    scharlau_transfer,
     signature,
-    split_oracle_signature,
     sylvester_decompose,
-    torsion_test_h,
     total_signature_h,
     transport_reference,
+    witt_rank,
 )
 from .cones import (
     CertTerm,
     PositiveCone,
-    strongly_anisotropic_flag,
     SquareCertificate,
-    cone_membership,
     enumerate_positive_cones,
     eta_maximal,
     find_sos_certificate,
     formally_real,
     positivity_sets,
-    prepositive_axiom_check,
     verify_certificate,
 )
 from .spectra import (
     ConeSpace,
     FundamentalDescriptor,
     PrimeIdealPair,
-    SignatureMorphismPair,
     cone_space_topology,
     count_open_sets,
     ideal_membership,
@@ -95,6 +64,33 @@ from .spectra import (
     prime_property_sample,
     topology_compare,
 )
-from .session import SessionDocument, SessionParseError, parse_session, render_session
+from .session import SessionDocument, SessionParseError, parse_session
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # errors
+    "HermsigError", "AlgebraMismatchError", "FieldMismatchError", "InvariantError",
+    "NilOrderingError", "UnsupportedError",
+    # fields and orderings
+    "QQ", "NumberField", "FieldElement", "Ordering", "sign_at",
+    # quadratic forms and the congruence kernel
+    "QuadraticForm", "GramQuadraticForm", "Diagonalization", "diagonalize",
+    "signature_q", "total_signature_q", "harrison_set",
+    # algebras with involution
+    "AlgebraWithInvolution", "AlgebraElement", "Entry", "is_invertible",
+    # hermitian forms and signatures
+    "HermitianForm", "ReferenceForm", "reference_form", "raw_signature", "signature",
+    "total_signature_h", "is_nondegenerate", "witt_rank", "scale_by_quadratic",
+    "morita_collapse", "morita_expand", "transport_reference", "going_up",
+    "knebusch_check", "sylvester_decompose",
+    # positive cones and sums of hermitian squares
+    "PositiveCone", "enumerate_positive_cones", "formally_real", "eta_maximal",
+    "positivity_sets", "find_sos_certificate", "verify_certificate", "CertTerm",
+    "SquareCertificate",
+    # prime ideal pairs, signature morphisms and the cone-space topology
+    "PrimeIdealPair", "FundamentalDescriptor", "ideal_membership",
+    "prime_property_sample", "morphism_distinctness", "ConeSpace",
+    "cone_space_topology", "topology_compare", "is_t0", "count_open_sets",
+    "morita_cone_maps",
+    # session documents
+    "SessionDocument", "SessionParseError", "parse_session",
+]

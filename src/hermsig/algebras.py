@@ -99,10 +99,6 @@ class QuadExtension(EntryRing):
         self.delta = delta
         super().__init__(field, (field.one, -delta), {(1, 1): (delta, 0)})
 
-    @property
-    def root(self) -> "Entry":
-        return self.basis[1]
-
 
 class QuaternionAlgebra(EntryRing):
     """(a, b)_F with i^2 = a, j^2 = b, ij = k = -ji."""
@@ -206,9 +202,6 @@ class Entry:
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.c)
 
-    def is_pure(self) -> bool:
-        return self.c[0].is_zero()
-
     def coords(self) -> tuple[FieldElement, ...]:
         return self.c
 
@@ -300,8 +293,9 @@ class Family:
     there (n copies of 2, <1, -delta>, <1, -a, -b, ab>, or for quat_skew
     one definite exactly where a < 0 < b); ``trace_divisor`` is the
     trace-form signature of a form divided by its signature at the
-    collapsed (n = 1) level; ``build_ring`` makes the entry ring from the
-    field and the parameters.
+    collapsed (n = 1) level, read by the oracle
+    ``hermitian.sylvester_count_oracle`` only; ``build_ring`` makes the
+    entry ring from the field and the parameters.
     """
 
     name: str
@@ -404,10 +398,6 @@ class AlgebraWithInvolution:
     @property
     def entry_dim(self) -> int:
         return self.spec.entry_dim
-
-    @property
-    def dim_F(self) -> int:
-        return self.n * self.n * self.entry_dim
 
     @property
     def skew_gram(self) -> bool:
@@ -629,14 +619,6 @@ class AlgebraElement:
         return f"AlgebraElement({self.algebra.family}, n={self.algebra.n})"
 
 
-def nil_orderings(algebra: AlgebraWithInvolution) -> list[Ordering]:
-    return algebra.nil_orderings()
-
-
-def sym_basis(algebra: AlgebraWithInvolution) -> list[AlgebraElement]:
-    return algebra.sym_basis()
-
-
 def is_invertible(x: AlgebraElement) -> bool:
     """x is invertible exactly when the hermitian matrix x* x is (x* x is a
     product of invertibles, and a left inverse of x in a finite-dimensional
@@ -647,8 +629,9 @@ def is_invertible(x: AlgebraElement) -> bool:
 class SplitIsomorphism:
     """Explicit (1, b)_F -> M_2(F): i -> diag(1, -1), j -> [[0, b], [1, 0]].
 
-    Oracle plumbing for calibrating signatures; requires the witnessed
-    split a = 1.
+    Plumbing of the oracle `hermitian.split_oracle_signature`, which stays
+    in the package for the benchmark's answer checker; requires the
+    witnessed split a = 1.
     """
 
     def __init__(self, quat: QuaternionAlgebra):
@@ -672,7 +655,3 @@ class SplitIsomorphism:
                     for cc in range(2):
                         out[2 * r + rr][2 * c + cc] = block[rr][cc]
         return out
-
-
-def split_isomorphism(quat: QuaternionAlgebra) -> SplitIsomorphism:
-    return SplitIsomorphism(quat)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .cones import (
     PositiveCone,
     SquareCertificate,
+    default_generator,
     enumerate_positive_cones,
     eta_maximal,
     find_sos_certificate,
@@ -199,7 +200,7 @@ class _Runner:
         if copies is None:
             copies = max((t.generator_index for t in certificate.terms),
                          default=-1) // (1 << len(slots)) + 1
-        return verify_certificate(element, algebra.one_element if a is None else a,
+        return verify_certificate(element, default_generator(algebra) if a is None else a,
                                   slots, copies, certificate)
 
     def cmd_positivity(self, algebra):

@@ -9,6 +9,12 @@ hermitian families, two values per pure pivot for quat_skew
 (``hermitian._carrier``).  The pivots do not depend on the cone: <m> is
 built once per element (``rank1_form``), so one reduction serves every
 ordering and orientation.
+
+A sums-of-hermitian-squares certificate writes a symmetric u as a weighted
+sum of sandwiches of one generator <a>, `default_generator` unless one is
+given: `find_sos_certificate` constructs or searches for one, gated by the
+cones over the non-nil orderings of a Harrison set, and
+`verify_certificate` re-evaluates it exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .algebras import AlgebraElement, AlgebraWithInvolution, is_invertible
 from .errors import AlgebraMismatchError
 from .field import FieldElement, Ordering, four_square_decomposition, sign_at
 from .hermitian import (
-    HermitianForm,
     ReferenceForm,
     _carrier,
     rank1_form,
@@ -111,10 +116,6 @@ def _random_positive_scalar(alg: AlgebraWithInvolution, ordering: Ordering,
             return e
 
 
-def cone_membership(element: AlgebraElement, cone: PositiveCone) -> bool:
-    return cone.contains(element)
-
-
 def maximal_generator(cone: PositiveCone) -> AlgebraElement:
     """An invertible element of the cone with maximal rank-1 signature: the
     oriented unit for the hermitian families, +-twist_at(P) for quat_skew."""
@@ -155,19 +156,6 @@ def formally_real(algebra: AlgebraWithInvolution) -> bool:
     return bool(algebra.nonnil_orderings())
 
 
-def strongly_anisotropic_flag(h: HermitianForm, reference: ReferenceForm) -> bool:
-    """Sufficient criterion for strong anisotropy: the signature attains
-    rank times the maximal rank-1 value at some ordering (the form is
-    definite there, so no multiple has a nontrivial zero).  False is
-    inconclusive, not a refutation."""
-    alg = h.algebra
-    for p in alg.nonnil_orderings():
-        top = rank1_max_signature(alg, p) * h.rank
-        if top and abs(signature(h, p, reference)) == top:
-            return True
-    return False
-
-
 @dataclass
 class PositivityReport:
     x_sigma: list[Ordering]
@@ -184,95 +172,6 @@ def positivity_sets(algebra: AlgebraWithInvolution) -> PositivityReport:
     x_tilde = algebra.nonnil_orderings()
     same = set(x_sigma) == set(x_tilde)
     return PositivityReport(x_sigma, x_tilde, same, same)
-
-
-# ---------------------------------------------------------------------------
-# Prepositive-cone axiom sampling.
-
-
-class SymmetricSetCandidate:
-    """The whole of Sym(A, sigma); fails properness."""
-
-    def __init__(self, algebra: AlgebraWithInvolution):
-        self.algebra = algebra
-        self._basis = algebra.sym_basis()
-
-    def contains(self, element: AlgebraElement) -> bool:
-        return self.algebra.is_symmetric_element(element)
-
-    def sample_member(self, rng, **_) -> AlgebraElement:
-        total = self.algebra.zero_element
-        for b in self._basis:
-            c = rng.randint(-2, 2)
-            if c:
-                total = total + b.scale(self.algebra.field.element(c))
-        return total
-
-
-class UnionCandidate:
-    """P union -P; fails additive closure on mixed-signature witnesses."""
-
-    def __init__(self, cone: PositiveCone):
-        self.cone = cone
-        self.algebra = cone.algebra
-        self._flip = -1
-
-    def contains(self, element: AlgebraElement) -> bool:
-        return self.cone.contains(element) or self.cone.contains(-element)
-
-    def sample_member(self, rng, **kw) -> AlgebraElement:
-        self._flip = -self._flip
-        m = self.cone.sample_member(rng, **kw)
-        return m if self._flip > 0 else -m
-
-
-@dataclass
-class AxiomReport:
-    passed: bool
-    failed_axiom: str | None = None
-    witness: str | None = None
-
-
-def prepositive_axiom_check(candidate, ordering: Ordering, rng,
-                            trials: int = 40) -> AxiomReport:
-    """Sampled check of the prepositive-cone axioms.
-
-    (P1) nonempty (0 belongs), (P2) closed under addition, (P3) closed
-    under conj(x)^t . m . x, (P5) proper, (P4) the weight stabilizer is
-    exactly the base ordering.  Properness is checked before the
-    stabilizer; the first counterexample is reported.
-    """
-    alg = candidate.algebra
-    if not candidate.contains(alg.zero_element):
-        return AxiomReport(False, "P1", "0 is not a member")
-    members = [candidate.sample_member(rng) for _ in range(max(4, trials // 4))]
-    for m1, m2 in itertools.islice(itertools.product(members, repeat=2), trials):
-        if not candidate.contains(m1 + m2):
-            return AxiomReport(False, "P2", "sum of two members escapes the set")
-    for m in members[: max(2, trials // 8)]:
-        for _ in range(4):
-            x = _random_element(alg, rng, 2)
-            if not candidate.contains(x.conj_transpose() * m * x):
-                return AxiomReport(False, "P3", "sandwich of a member escapes the set")
-    for m in members:
-        if not m.is_zero() and candidate.contains(-m):
-            return AxiomReport(False, "P5", "nonzero element in both the set and its negative")
-    for _ in range(trials):
-        u = _random_nonzero_scalar(alg, rng)
-        stays = all(candidate.contains(m.scale(u)) for m in members)
-        positive = sign_at(u, ordering) > 0
-        if stays != positive:
-            return AxiomReport(False, "P4",
-                               "weight stabilizer differs from the base ordering")
-    return AxiomReport(True)
-
-
-def _random_nonzero_scalar(alg: AlgebraWithInvolution, rng) -> FieldElement:
-    fld = alg.field
-    while True:
-        e = fld.element([rng.randint(-3, 3) for _ in range(fld.degree)])
-        if not e.is_zero():
-            return e
 
 
 # ---------------------------------------------------------------------------
@@ -420,31 +319,46 @@ def _search_pool(alg: AlgebraWithInvolution, slots, height: int):
     return pool
 
 
+def default_generator(algebra: AlgebraWithInvolution) -> AlgebraElement:
+    """The generator <a> of the squares when none is given, for `sos-find`
+    and `sos-verify` alike: the unit, or for quat_skew, whose unit is not
+    symmetric, the maximal generator +-twist of the positive cone at the
+    first non-nil ordering, and i when every ordering is nil."""
+    if not algebra.skew_gram:
+        return algebra.one_element
+    nonnil = algebra.nonnil_orderings()
+    if nonnil:
+        return maximal_generator(PositiveCone(algebra, nonnil[0], 1))
+    return algebra.scalar_element(algebra.quat.i)
+
+
 def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
                          slots: Sequence = (), *, height: int = 3,
                          max_terms: int = 6) -> SosSearchResult:
     """Certificate that u is a weighted sum of hermitian squares of the
     generator form, a refutation ordering, or unknown at exhaustion.
 
-    Constructive for split_orth over Q with a = 1 (congruence reduction
-    plus four squares, at most 4n vectors); bounded deterministic search
-    otherwise (n = 1 members), returning the first certificate at minimal
-    height.  The search prunes a remainder that some cone of the Harrison
-    set does not contain; its last term must equal the remainder, so it is
+    Without a, the generator is `default_generator`.  Constructive for
+    split_orth over Q with a = 1 (congruence reduction plus four squares,
+    at most 4n vectors); bounded deterministic search otherwise (n = 1
+    members), returning the first certificate at minimal height.  The gate
+    and the search read the cones over the non-nil orderings of the
+    Harrison set.  The search prunes a remainder that one of these cones
+    does not contain; its last term must equal the remainder, so it is
     found by comparison, without subtracting or testing the differences.
     """
     alg = u.algebra
     fld = alg.field
     if a is None:
-        a = maximal_generator(PositiveCone(alg, alg.nonnil_orderings()[0], 1)) \
-            if alg.skew_gram and alg.nonnil_orderings() else alg.one_element
+        a = default_generator(alg)
     u_form = rank1_form(u, "the target must be a symmetric element")
     a_error = "the generator a must be symmetric and invertible"
     a_form = rank1_form(a, a_error)
     if not is_invertible(a):
         raise ValueError(a_error)
     slot_elems = [e if isinstance(e, FieldElement) else fld.element(e) for e in slots]
-    y_set = harrison_set(fld, slot_elems)
+    # cones exist over the non-nil orderings only
+    y_set = [p for p in harrison_set(fld, slot_elems) if not alg.is_nil(p)]
     eta = reference_form(alg)
     for p in y_set:
         if signature(a_form, p, eta) != rank1_max_signature(alg, p):

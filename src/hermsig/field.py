@@ -210,10 +210,6 @@ class NumberField:
         return acc
 
     @cached_property
-    def sturm(self) -> list[tuple]:
-        return sturm_chain(self.min_poly)
-
-    @cached_property
     def orderings(self) -> tuple["Ordering", ...]:
         intervals = isolate_real_roots(self.min_poly)
         return tuple(Ordering(self, lo, hi, i) for i, (lo, hi) in enumerate(intervals))
@@ -546,10 +542,6 @@ class Ordering:
         # endpoint is this one.
         self._lo_positive = at_lo > 0
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     @cached_property
     def separator(self) -> "FieldElement":
         """s_P = -(theta - lo)(theta - hi) over the defining interval: positive
@@ -580,11 +572,6 @@ class Ordering:
 
     def __repr__(self) -> str:
         return f"Ordering#{self.index}({self.lo}, {self.hi})"
-
-
-def enumerate_orderings(field: NumberField) -> list[Ordering]:
-    """One ordering per real root of min_poly, sorted by interval midpoint."""
-    return list(field.orderings)
 
 
 def _vanishes_at(a: FieldElement, ordering: Ordering) -> bool:
@@ -630,15 +617,6 @@ def sign_at(a: FieldElement, ordering: Ordering) -> int:
                 return 0
             zero_tested = True
         ordering._refine_once()
-
-
-def evaluate_poly(coeffs: Iterable[RationalLike], a: FieldElement) -> FieldElement:
-    """Evaluate a polynomial with rational coefficients (constant first)
-    at a field element, by Horner's rule."""
-    acc = a.field.zero
-    for c in reversed([Fraction(c) for c in coeffs]):
-        acc = acc * a + c
-    return acc
 
 
 def four_square_decomposition(r: RationalLike) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -1,11 +1,10 @@
-"""Quadratic forms over a number field at the Witt level.
+"""Quadratic forms over a number field and their signatures.
 
-Diagonal forms carry the Witt-group operations; Gram matrices are the input
-convenience and are reduced by exact congruence.  `diagonalize` is the one
-congruence kernel of the package: it also reduces the entry Grams of
-hermitian forms over F(sqrt(delta)) and (a, b)_F.  Witt classes are
-represented by diagonal forms with syntactic cancellation of <a, -a> pairs
-only; no isotropy decision beyond signatures is attempted.
+A form is diagonal, or a Gram matrix that is reduced to a diagonal by exact
+congruence.  `diagonalize` is the one congruence kernel of the package: it
+also reduces the entry Grams of hermitian forms over F(sqrt(delta)) and
+(a, b)_F.  The signature at an ordering is the sign sum of the diagonal;
+no isotropy decision beyond signatures is attempted.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError
 from .field import (
-    QQ,
     FieldElement,
     NumberField,
     Ordering,
@@ -273,60 +271,12 @@ def total_signature_q(form: QuadraticForm | GramQuadraticForm) -> list[tuple[Ord
     return [(p, signature_q(form, p)) for p in form.field.orderings]
 
 
-def pfister(field: NumberField, slots: Sequence) -> QuadraticForm:
-    """<<b_1, ..., b_t>> = tensor of <1, b_i>: all subset products, 2^t entries."""
-    elems = [_as_element(field, b) for b in slots]
-    if any(b.is_zero() for b in elems):
-        raise ValueError("Pfister slots must be nonzero")
-    entries = []
-    for mask in range(1 << len(elems)):
-        prod = field.one
-        for i, b in enumerate(elems):
-            if mask >> i & 1:
-                prod = prod * b
-        entries.append(prod)
-    return QuadraticForm(field, entries)
-
-
 def harrison_set(field: NumberField, slots: Sequence) -> list[Ordering]:
     """Orderings at which every slot is positive; all of X_F for no slots."""
     elems = [_as_element(field, b) for b in slots]
     if any(b.is_zero() for b in elems):
         raise ValueError("Harrison slots must be nonzero")
     return [p for p in field.orderings if all(sign_at(b, p) > 0 for b in elems)]
-
-
-def torsion_test_q(form: QuadraticForm) -> bool:
-    """Local-global: torsion iff the signature vanishes at every ordering."""
-    return all(signature_q(form, p) == 0 for p in form.field.orderings)
-
-
-def witt_cancel(entries: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    """Drop matched <a, -a> pairs (first-match order); a normalization
-    convenience, not a Witt-class decision procedure."""
-    out = list(entries)
-    i = 0
-    while i < len(out):
-        j = next((j for j in range(i + 1, len(out)) if out[j] == -out[i]), None)
-        if j is None:
-            i += 1
-        else:
-            del out[j]
-            del out[i]
-    return tuple(out)
-
-
-def witt_sum(f: QuadraticForm, g: QuadraticForm) -> QuadraticForm:
-    if f.field != g.field:
-        raise FieldMismatchError("forms over different fields")
-    return QuadraticForm(f.field, witt_cancel(f.entries + g.entries))
-
-
-def witt_tensor(f: QuadraticForm, g: QuadraticForm) -> QuadraticForm:
-    if f.field != g.field:
-        raise FieldMismatchError("forms over different fields")
-    prods = [a * b for a in f.entries for b in g.entries]
-    return QuadraticForm(f.field, witt_cancel(prods))
 
 
 def field_trace(e: FieldElement) -> Fraction:
@@ -338,30 +288,3 @@ def field_trace(e: FieldElement) -> Fraction:
         cs = (e * basis_j).coeffs
         t += cs[j] if j < len(cs) else Fraction(0)
     return t
-
-
-def transfer(form: QuadraticForm) -> GramQuadraticForm:
-    """Scharlau transfer along Tr_{L/Q}: the Gram matrix over Q of
-    (x, y) -> Tr(d x y) in the power basis, one block per diagonal entry."""
-    field = form.field
-    d = field.degree
-    k = form.rank
-    size = k * d
-    zero = Fraction(0)
-    rows = [[zero] * size for _ in range(size)]
-    for slot, entry in enumerate(form.entries):
-        for i in range(d):
-            for j in range(i, d):
-                basis_i = field.element([0] * i + [1])
-                basis_j = field.element([0] * j + [1])
-                v = field_trace(entry * basis_i * basis_j)
-                rows[slot * d + i][slot * d + j] = v
-                rows[slot * d + j][slot * d + i] = v
-    return GramQuadraticForm(QQ, [[Fraction(v) for v in row] for row in rows])
-
-
-def knebusch_identity_holds(form: QuadraticForm) -> bool:
-    """Both sides of the trace formula for a form over L, base Q."""
-    lhs = signature_q(transfer(form), QQ.orderings[0])
-    rhs = sum(signature_q(form, q) for q in form.field.orderings)
-    return lhs == rhs

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 from .algebras import AlgebraElement, AlgebraWithInvolution
@@ -38,7 +37,7 @@ class SessionParseError(Exception):
 # Element expressions: polynomials in the field generator with rational
 # coefficients; numbers as integers, exact decimals or fractions "p/q".
 
-MAX_EXPONENT = 64  # the largest n accepted in "^n"
+MAX_EXPONENT = 64  # the largest n in "^n", and of a product of nested exponents
 
 
 class _ExprParser:
@@ -48,6 +47,9 @@ class _ExprParser:
         self.gen_name = gen_name
         self.field = field
         self.path = path
+        # the largest product of nested exponents in the factors parsed so
+        # far at the current depth: (x^8)^8 has 64, and (x^2 + x^3)^4 has 12
+        self.nested = 1
 
     def fail(self, message: str):
         raise SessionParseError(f"{message} (at offset {self.pos} in {self.text!r})",
@@ -92,10 +94,19 @@ class _ExprParser:
         if self.peek() == "-":
             self.pos += 1
             return -self.factor()
+        outer, self.nested = self.nested, 1
         value = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            value = value ** self.exponent()
+            start = self.pos
+            n = self.exponent()
+            if self.nested * n > MAX_EXPONENT:
+                self.pos = start
+                self.fail(f"nested exponents multiply to {self.nested * n}; "
+                          f"their product must be at most {MAX_EXPONENT}")
+            self.nested *= n
+            value = value ** n
+        self.nested = max(outer, self.nested)
         return value
 
     def atom(self) -> FieldElement:
@@ -491,37 +502,6 @@ def render_entry(entry, gen: str):
     if len(coords) == 1:
         return render_element(coords[0], gen)
     return [render_element(c, gen) for c in coords]
-
-
-def render_session(doc: SessionDocument) -> str:
-    """Canonical JSON rendering; re-parsing yields a semantically identical
-    document (hermitian forms are emitted as full entry Grams)."""
-    gen = doc.gen_name
-    elem = partial(render_element, gen=gen)
-    out: dict = {
-        "field": {"min_poly": [str(c) for c in doc.field.min_poly],
-                  "generator": gen},
-        "seed": doc.seed,
-        "algebras": [],
-        "forms": [],
-        "commands": doc.commands,
-    }
-    for name, alg in doc.algebras.items():
-        spec = {"name": name, "family": alg.family, "n": alg.n}
-        spec.update((k, elem(v)) for k, v in zip(alg.spec.params, alg.params))
-        out["algebras"].append(spec)
-    for name, form in doc.forms.items():
-        if isinstance(form, QuadraticForm):
-            out["forms"].append({"name": name, "diag": [elem(e) for e in form.entries]})
-        elif isinstance(form, GramQuadraticForm):
-            out["forms"].append({"name": name,
-                                 "gram": [[elem(v) for v in row] for row in form.rows]})
-        else:
-            alg_name = next(n for n, a in doc.algebras.items() if a == form.algebra)
-            out["forms"].append({
-                "name": name, "algebra": alg_name,
-                "gram": [[render_entry(v, gen) for v in row] for row in form.gram]})
-    return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
 def parse_session(text: str) -> SessionDocument:

@@ -3,11 +3,12 @@ finite topology of the positive-cone space.
 
 Ordering spaces of number fields are finite, so the cone space is a finite
 space.  Its subbasis is the H-sets of one exact generator set, built from
-the Harrison-set separators s_P of the orderings, and its topology is kept
-as the minimal neighbourhoods U_x (McCord 1966): t0, agreement and the
-number of open sets are read off them, and no open set is listed.  Signature
-morphisms are separated by a constructed form.  Prime-pair membership is
-decided on signature-visible invariants.
+the Harrison-set separators s_P of the orderings; a `ConeSpace` computes
+the H-set of each element once.  The topology is kept as the minimal
+neighbourhoods U_x (McCord 1966): t0, agreement and the number of open sets
+are read off them, and no open set is listed.  Signature morphisms are
+separated by a constructed form.  Prime-pair membership is decided on
+signature-visible invariants.
 """
 
 from __future__ import annotations
@@ -233,18 +234,6 @@ def prime_property_sample(pair: PrimeIdealPair, rng, trials: int = 40) -> PrimeS
 
 
 @dataclass
-class SignatureMorphismPair:
-    """(sign_P, sign^eta_P) as a module morphism; trivial iff P is nil."""
-
-    ordering: Ordering
-    trivial: bool
-
-
-def morphism_for(algebra: AlgebraWithInvolution, ordering: Ordering) -> SignatureMorphismPair:
-    return SignatureMorphismPair(ordering, algebra.is_nil(ordering))
-
-
-@dataclass
 class MorphismComparison:
     equivalent: bool
     witness: HermitianForm | None = None
@@ -300,17 +289,6 @@ class ConeSpace:
                             if cone.contains(element))
             self._h_cache[key] = got
         return got
-
-    def basic_open(self, elements) -> frozenset[int]:
-        """H_sigma(a_1, ..., a_k): indices of cones containing every a_i;
-        the whole space for no arguments."""
-        out = frozenset(range(len(self.cones)))
-        for a in elements:
-            out &= self._h_single(a)
-        return out
-
-    def labels(self, subset) -> list[tuple[int, int]]:
-        return sorted(self.cones[i].id_pair() for i in subset)
 
 
 def generate_topology(size: int, subbasic: list[frozenset]) -> tuple[frozenset, ...]:

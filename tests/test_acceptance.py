@@ -35,11 +35,11 @@ from hermsig.quadforms import (
     QuadraticForm,
     diagonalize,
     signature_q,
-    torsion_test_q,
 )
 from hermsig.session import parse_session
 from hermsig.spectra import cone_space_topology, is_t0, morita_cone_maps, topology_compare
 from trace_oracle import trace_form
+from witt_helpers import neg, perp, torsion_test_q
 
 SQRT2 = NumberField([-2, 0, 1])
 P0 = QQ.orderings[0]
@@ -94,13 +94,13 @@ def test_criterion_1_signature_axioms():
                 h1 = random_form(alg, rng, rng.randint(1, 2))
                 h2 = random_form(alg, rng, rng.randint(1, 2))
                 q = random_quadratic(field, rng, rng.randint(1, 2))
-                perp = h1.perp(h2)
-                hyp = h1.hyperbolic_double()
+                summed = perp(h1, h2)
+                hyp = perp(h1, neg(h1))
                 prod = scale_by_quadratic(q, h1)
                 for p in field.orderings:
                     s1 = signature(h1, p, eta)
                     s2 = signature(h2, p, eta)
-                    assert signature(perp, p, eta) == s1 + s2
+                    assert signature(summed, p, eta) == s1 + s2
                     assert signature(hyp, p, eta) == 0
                     assert signature(prod, p, eta) == signature_q(q, p) * s1
                     total_checks += 3

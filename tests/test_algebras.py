@@ -10,11 +10,9 @@ from hermsig.algebras import (
     AlgebraWithInvolution,
     QuadExtension,
     QuaternionAlgebra,
+    SplitIsomorphism,
     is_invertible,
     is_square_in_field,
-    nil_orderings,
-    split_isomorphism,
-    sym_basis,
 )
 from hermsig.errors import AlgebraMismatchError, UnsupportedError
 from hermsig.field import QQ, NumberField, sign_at
@@ -77,44 +75,44 @@ def test_zero_divisors_in_split_algebra():
 
 
 def test_nil_ordering_tables():
-    assert nil_orderings(AlgebraWithInvolution(QQ, "split_orth", 2)) == []
+    assert AlgebraWithInvolution(QQ, "split_orth", 2).nil_orderings() == []
     hamilton1 = AlgebraWithInvolution(QQ, "quat_symp", 1, a=-1, b=-1)
-    assert nil_orderings(hamilton1) == []
+    assert hamilton1.nil_orderings() == []
     allnil = AlgebraWithInvolution(QQ, "quat_symp", 1, a=1, b=1)
-    assert len(nil_orderings(allnil)) == 1
+    assert len(allnil.nil_orderings()) == 1
 
     theta = SQRT2.gen
     mixed = AlgebraWithInvolution(SQRT2, "quat_symp", 1, a=-1, b=theta)
-    nils = nil_orderings(mixed)
+    nils = mixed.nil_orderings()
     assert len(nils) == 1
     assert sign_at(theta, nils[0]) > 0
 
     skew = AlgebraWithInvolution(QQ, "quat_skew", 1, a=-1, b=-1)
-    assert len(nil_orderings(skew)) == 1
+    assert len(skew.nil_orderings()) == 1
     skew_pos = AlgebraWithInvolution(QQ, "quat_skew", 1, a=1, b=1)
-    assert nil_orderings(skew_pos) == []
+    assert skew_pos.nil_orderings() == []
 
 
 def test_nil_orderings_independent_of_n():
     for n in (1, 2, 3):
         alg = AlgebraWithInvolution(SQRT2, "quat_symp", n, a=-1, b=SQRT2.gen)
-        assert [p.index for p in nil_orderings(alg)] == [1]
+        assert [p.index for p in alg.nil_orderings()] == [1]
 
 
 def test_sym_basis_dimensions():
-    assert len(sym_basis(AlgebraWithInvolution(QQ, "split_orth", 2))) == 3
-    assert len(sym_basis(AlgebraWithInvolution(QQ, "split_orth", 3))) == 6
-    assert len(sym_basis(AlgebraWithInvolution(QQ, "unitary", 2, delta=-1))) == 4
-    assert len(sym_basis(AlgebraWithInvolution(QQ, "quat_symp", 1, a=-1, b=-1))) == 1
-    assert len(sym_basis(AlgebraWithInvolution(QQ, "quat_symp", 2, a=-1, b=-1))) == 6
+    assert len(AlgebraWithInvolution(QQ, "split_orth", 2).sym_basis()) == 3
+    assert len(AlgebraWithInvolution(QQ, "split_orth", 3).sym_basis()) == 6
+    assert len(AlgebraWithInvolution(QQ, "unitary", 2, delta=-1).sym_basis()) == 4
+    assert len(AlgebraWithInvolution(QQ, "quat_symp", 1, a=-1, b=-1).sym_basis()) == 1
+    assert len(AlgebraWithInvolution(QQ, "quat_symp", 2, a=-1, b=-1).sym_basis()) == 6
     skew = AlgebraWithInvolution(QQ, "quat_skew", 1, a=-1, b=-1)
-    basis = sym_basis(skew)
+    basis = skew.sym_basis()
     assert len(basis) == 3
     for e in basis:
         q = e.rows[0][0]
-        assert q.is_pure()
+        assert q.trd().is_zero()
     skew2 = AlgebraWithInvolution(QQ, "quat_skew", 2, a=-1, b=-1)
-    assert len(sym_basis(skew2)) == 2 * 2 * 2 + 2  # n(2n+1) = 10
+    assert len(skew2.sym_basis()) == 2 * 2 * 2 + 2  # n(2n+1) = 10
 
 
 def test_sym_basis_elements_are_symmetric():
@@ -124,7 +122,7 @@ def test_sym_basis_elements_are_symmetric():
         AlgebraWithInvolution(QQ, "quat_symp", 2, a=-1, b=-1),
         AlgebraWithInvolution(QQ, "quat_skew", 2, a=-1, b=-1),
     ):
-        for e in sym_basis(alg):
+        for e in alg.sym_basis():
             assert alg.is_symmetric_element(e)
 
 
@@ -178,7 +176,7 @@ def test_closed_catalogue():
 
 def test_split_isomorphism_frozen_images():
     split = QuaternionAlgebra(QQ, QQ.element(1), QQ.element(1))
-    phi = split_isomorphism(split)
+    phi = SplitIsomorphism(split)
     img_one = phi.apply(split.one)
     assert [[c.as_fraction() for c in row] for row in img_one] == [[1, 0], [0, 1]]
     img_k = phi.apply(split.k)
@@ -188,7 +186,7 @@ def test_split_isomorphism_frozen_images():
 def test_split_isomorphism_is_a_ring_homomorphism():
     rng = random.Random(9)
     split = QuaternionAlgebra(QQ, QQ.element(1), QQ.element(3))
-    phi = split_isomorphism(split)
+    phi = SplitIsomorphism(split)
 
     def matmul(x, y):
         return [[x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]],
@@ -206,7 +204,7 @@ def test_split_isomorphism_is_a_ring_homomorphism():
         assert tr == p.trd()
 
     with pytest.raises(ValueError):
-        split_isomorphism(HAMILTON)
+        SplitIsomorphism(HAMILTON)
 
 
 def test_invertibility():
@@ -332,14 +330,14 @@ def test_family_parameter_validation():
 
 def test_entries_of_different_rings_do_not_mix():
     """Over Q, sqrt(-1) * sqrt(-3) used to return -1 silently."""
-    r1 = AlgebraWithInvolution(QQ, "unitary", 1, delta=-1).ext.root
-    r3 = AlgebraWithInvolution(QQ, "unitary", 1, delta=-3).ext.root
+    r1 = AlgebraWithInvolution(QQ, "unitary", 1, delta=-1).ext.basis[1]
+    r3 = AlgebraWithInvolution(QQ, "unitary", 1, delta=-3).ext.basis[1]
     for op in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x - y):
         with pytest.raises(AlgebraMismatchError):
             op(r1, r3)
     with pytest.raises(AlgebraMismatchError):
         HAMILTON.i * QuaternionAlgebra(QQ, QQ.element(-1), QQ.element(-3)).i
-    assert r1 != r3 and r1 == QuadExtension(QQ, QQ.element(-1)).root
+    assert r1 != r3 and r1 == QuadExtension(QQ, QQ.element(-1)).basis[1]
 
 
 # The closed-form products and norms the multiplication tables replace.

@@ -8,16 +8,12 @@ from hermsig.cones import (
     PositiveCone,
     SquareCertificate,
     CertTerm,
-    SymmetricSetCandidate,
-    UnionCandidate,
-    cone_membership,
     enumerate_positive_cones,
     eta_maximal,
     find_sos_certificate,
     formally_real,
     maximal_generator,
     positivity_sets,
-    prepositive_axiom_check,
     verify_certificate,
 )
 from hermsig.field import QQ, NumberField, sign_at
@@ -27,6 +23,12 @@ from hermsig.hermitian import (
     rank1_max_signature,
     reference_form,
     signature,
+)
+from cone_helpers import (
+    SymmetricSetCandidate,
+    UnionCandidate,
+    prepositive_axiom_check,
+    strongly_anisotropic_flag,
 )
 from trace_oracle import trace_carrier, trace_diag
 
@@ -45,8 +47,8 @@ def test_membership_schur_complement_example():
     assert HAMILTON2.is_symmetric_element(m)
     plus = PositiveCone(HAMILTON2, P0, 1)
     minus = PositiveCone(HAMILTON2, P0, -1)
-    assert cone_membership(m, plus)
-    assert not cone_membership(m, minus)
+    assert plus.contains(m)
+    assert not minus.contains(m)
 
 
 def test_membership_basics():
@@ -408,7 +410,6 @@ def test_totally_imaginary_field_has_no_cones():
 
 
 def test_strongly_anisotropic_sufficient_flag():
-    from hermsig.cones import strongly_anisotropic_flag
     from hermsig.hermitian import HermitianForm, reference_form
 
     eta = reference_form(HAMILTON1)
@@ -623,3 +624,21 @@ def test_constructed_reference_form_and_maximal_generator(field, family):
                 assert cone.contains(gen)
                 form = rank1_form(gen, "the generator is symmetric")
                 assert signature(form, p, eta) == eps * rank1_max_signature(alg, p)
+
+
+def test_find_sos_ranges_over_the_non_nil_harrison_set():
+    """Over Q(sqrt 2), unitary delta = x and quat_symp (x, -1) are nil at the
+    ordering x > 0; `sos-find` used to build a cone there and raise."""
+    theta = SQRT2.gen
+    nil_at_one = (AlgebraWithInvolution(SQRT2, "unitary", 1, delta=theta),
+                  AlgebraWithInvolution(SQRT2, "quat_symp", 1, a=theta, b=-1))
+    for alg in nil_at_one:
+        assert [p.index for p in alg.nil_orderings()] == [1]
+        u = alg.scalar_element(2)
+        res = find_sos_certificate(u, height=1, max_terms=2)
+        assert res.status == "certificate"
+        assert verify_certificate(u, alg.one_element, [],
+                                  len(res.certificate.terms), res.certificate)
+        # x is negative at the one non-nil ordering, so the gate refutes it there
+        res = find_sos_certificate(alg.scalar_element(theta), height=1, max_terms=2)
+        assert res.status == "refuted" and res.refutation.ordering.index == 0

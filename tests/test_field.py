@@ -10,7 +10,6 @@ from hermsig.field import (
     QQ,
     NumberField,
     count_roots,
-    enumerate_orderings,
     four_square_decomposition,
     poly_divmod,
     poly_eval,
@@ -116,11 +115,11 @@ def fraction_inverse(a):
 
 
 def test_rationals_have_a_unique_ordering():
-    assert len(enumerate_orderings(QQ)) == 1
+    assert len(QQ.orderings) == 1
 
 
 def test_sqrt2_has_two_orderings_around_the_roots():
-    orderings = enumerate_orderings(SQRT2)
+    orderings = list(SQRT2.orderings)
     assert len(orderings) == 2
     neg, pos = orderings
     # isolating intervals bracket -sqrt(2) and sqrt(2)
@@ -131,7 +130,7 @@ def test_sqrt2_has_two_orderings_around_the_roots():
 
 def test_no_real_roots_gives_empty_ordering_space():
     field = NumberField([1, 0, 1])  # x^2 + 1
-    assert enumerate_orderings(field) == []
+    assert list(field.orderings) == []
 
 
 def test_non_squarefree_poly_rejected():
@@ -142,8 +141,8 @@ def test_non_squarefree_poly_rejected():
 def test_enumeration_is_deterministic():
     f1 = NumberField([-2, 0, 1])
     f2 = NumberField([-2, 0, 1])
-    iv1 = [(p.lo, p.hi) for p in enumerate_orderings(f1)]
-    iv2 = [(p.lo, p.hi) for p in enumerate_orderings(f2)]
+    iv1 = [(p.lo, p.hi) for p in f1.orderings]
+    iv2 = [(p.lo, p.hi) for p in f2.orderings]
     assert iv1 == iv2
 
 
@@ -154,7 +153,7 @@ def test_ordering_count_matches_sturm_over_cauchy_bound():
         from hermsig.field import cauchy_bound
 
         bound = cauchy_bound(field.min_poly)
-        assert len(field.orderings) == count_roots(field.sturm, -bound, bound)
+        assert len(field.orderings) == count_roots(sturm_chain(field.min_poly), -bound, bound)
 
 
 def test_sign_of_sqrt2_at_both_orderings():
@@ -169,8 +168,8 @@ def test_sign_of_zero_divisor_representative():
     # squarefree reducible modulus: x^2 - 1; x - 1 vanishes at the root 1
     field = NumberField([-1, 0, 1])
     a = field.element([-1, 1])
-    right = next(p for p in field.orderings if p.midpoint > 0)
-    left = next(p for p in field.orderings if p.midpoint < 0)
+    right = next(p for p in field.orderings if p.lo + p.hi > 0)
+    left = next(p for p in field.orderings if p.lo + p.hi < 0)
     assert sign_at(a, right) == 0
     assert sign_at(a, left) == -1
 
@@ -236,16 +235,23 @@ def test_four_square_rejects_nonpositive():
 
 def test_cubic_field_single_ordering():
     field = NumberField([-2, 0, 0, 1])  # x^3 - 2
-    orderings = enumerate_orderings(field)
+    orderings = list(field.orderings)
     assert len(orderings) == 1
     theta = field.gen
     assert sign_at(theta, orderings[0]) == 1
     assert theta ** 3 == 2
 
 
-def test_evaluate_poly_at_field_element():
-    from hermsig.field import evaluate_poly
+def evaluate_poly(coeffs, a):
+    """Evaluate a polynomial with rational coefficients (constant first)
+    at a field element, by Horner's rule."""
+    acc = a.field.zero
+    for c in reversed([Fraction(c) for c in coeffs]):
+        acc = acc * a + c
+    return acc
 
+
+def test_evaluate_poly_at_field_element():
     theta = SQRT2.gen
     # p(t) = t^2 - 2 vanishes at the generator
     assert evaluate_poly([-2, 0, 1], theta).is_zero()

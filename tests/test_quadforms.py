@@ -9,11 +9,13 @@ from hermsig.quadforms import (
     QuadraticForm,
     diagonalize,
     harrison_set,
+    signature_q,
+    total_signature_q,
+)
+from witt_helpers import (
     knebusch_identity_holds,
     pfister,
-    signature_q,
     torsion_test_q,
-    total_signature_q,
     transfer,
     witt_sum,
     witt_tensor,

@@ -7,6 +7,7 @@ from hermsig.cli import main, run_session
 from hermsig.hermitian import HermitianForm
 from hermsig.quadforms import QuadraticForm
 from hermsig.session import SessionParseError, parse_session
+from session_render import render_session
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FULL = FIXTURES / "full_session.json"
@@ -219,8 +220,6 @@ def test_hermitian_gram_form_roundtrip():
 
 
 def test_render_parse_round_trip():
-    from hermsig.session import render_session
-
     doc = parse_session(FULL.read_text())
     rendered = render_session(doc)
     doc2 = parse_session(rendered)
@@ -584,6 +583,55 @@ def test_exponent_above_its_cap_is_a_parse_error(tmp_path, capsys):
         assert f"at most {MAX_EXPONENT}" in capsys.readouterr().err
     doc["forms"][0]["diag"][1] = f"(1 + x)^{MAX_EXPONENT}"
     parse_session(json.dumps(doc))
+
+
+def test_nested_exponents_multiply_under_the_cap(tmp_path, capsys):
+    """Nested powers multiply their exponents: "((3^64)^64)^64" parsed to a
+    415,489-bit integer, and two more levels exhausted memory.  Their product
+    along each nesting is capped at MAX_EXPONENT, like a single exponent."""
+    from hermsig.session import MAX_EXPONENT
+
+    assert MAX_EXPONENT == 64
+    doc = json.loads((FIXTURES / "sqrt2_session.json").read_text(encoding="utf-8"))
+    for ok in ("(x^8)^8", "((x^2)^4)^8", "(x^2 + (1 + x)^3)^21", "x^64 * (x^64)^1",
+               "-(-x^8)^8"):
+        doc["forms"][0]["diag"][1] = ok
+        parse_session(json.dumps(doc))
+    for big, product in (("(x^8)^9", 72), ("((3^64)^64)^64", 4096),
+                         ("(x^2 + (1 + x)^3)^22", 66), ("(-(x^8))^9", 72)):
+        doc["forms"][0]["diag"][1] = big
+        with pytest.raises(SessionParseError) as exc:
+            parse_session(json.dumps(doc))
+        assert exc.value.path == "forms[0].diag[1]"
+        assert exc.value.message.startswith(
+            f"nested exponents multiply to {product}; their product must be at most "
+            f"{MAX_EXPONENT} ")
+        f = tmp_path / "nested.json"
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(f)]) == 2
+        assert f"at most {MAX_EXPONENT}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, params, element", [
+    ("split_orth", {}, [["2"]]),
+    ("unitary", {"delta": "-1"}, [["2"]]),
+    ("quat_symp", {"a": "-1", "b": "-1"}, [["2"]]),
+    ("quat_skew", {"a": "1", "b": "1"}, [[["0", "0", "0", "1"]]]),
+    ("quat_skew", {"a": "-1", "b": "-1"}, [[["0", "1", "0", "0"]]]),
+])
+def test_sos_find_certificate_verifies_with_the_same_keys(family, params, element):
+    """`sos-verify` reads the generator `sos-find` used when `a` is absent:
+    over Q with quat_skew (1, 1) and element k, it used to verify against 1
+    and return false.  Over quat_skew (-1, -1), nil everywhere, the unit is
+    not symmetric and `sos-find` used to fail without `a`."""
+    spec = {"name": "alg", "family": family, **params}
+    find = {"op": "sos-find", "algebra": "alg", "element": element}
+    doc = {"field": {"min_poly": ["0", "1"]}, "algebras": [spec], "commands": [find]}
+    found = run_session(parse_session(json.dumps(doc))).records[0]
+    assert found["status"] == "ok" and found["result"]["status"] == "certificate"
+    doc["commands"].append({"op": "sos-verify", "algebra": "alg", "element": element,
+                            "certificate": found["result"]["certificate"]})
+    assert run_session(parse_session(json.dumps(doc))).records[1]["result"] is True
 
 
 @pytest.mark.parametrize("name", ["full_session", "sqrt2_session", "quintic_session",

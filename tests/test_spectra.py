@@ -21,10 +21,10 @@ from hermsig.spectra import (
     is_t0,
     morita_cone_maps,
     morphism_distinctness,
-    morphism_for,
     prime_property_sample,
     topology_compare,
 )
+from cone_helpers import basic_open, labels
 
 SQRT2 = NumberField([-2, 0, 1])
 # the totally real quintic of the cone_search workload, and 2cos(pi/16)
@@ -121,8 +121,8 @@ def test_fabricated_raw_descriptor_fails_ideal_axiom():
 
 def test_morphism_triviality_flag():
     allnil = AlgebraWithInvolution(QQ, "quat_symp", 1, a=1, b=1)
-    assert morphism_for(allnil, P0).trivial
-    assert not morphism_for(HAMILTON1, P0).trivial
+    assert allnil.is_nil(P0)
+    assert not HAMILTON1.is_nil(P0)
 
 
 def test_morphism_distinctness():
@@ -140,11 +140,11 @@ def test_morphism_distinctness():
 def test_cone_space_counts_and_basic_opens():
     space = ConeSpace(HAMILTON1)
     assert len(space) == 2
-    whole = space.basic_open([])
+    whole = basic_open(space, [])
     assert whole == frozenset({0, 1})
-    one = space.basic_open([HAMILTON1.one_element])
-    assert space.labels(one) == [(0, 1)]
-    both = space.basic_open([HAMILTON1.one_element, -HAMILTON1.one_element])
+    one = basic_open(space, [HAMILTON1.one_element])
+    assert labels(space, one) == [(0, 1)]
+    both = basic_open(space, [HAMILTON1.one_element, -HAMILTON1.one_element])
     assert both == frozenset()
 
 
