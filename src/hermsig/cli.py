@@ -15,6 +15,10 @@ import sys
 from dataclasses import dataclass
 
 from .cones import (
+    MAX_SEARCH_HEIGHT,
+    MAX_SEARCH_TERMS,
+    SEARCH_HEIGHT,
+    SEARCH_TERMS,
     PositiveCone,
     SquareCertificate,
     default_generator,
@@ -272,8 +276,8 @@ class _Runner:
                 "value": dec.value}
 
 
-def run_session(doc: SessionDocument, search_height: int = 3,
-                search_terms: int = 6) -> Report:
+def run_session(doc: SessionDocument, search_height: int = SEARCH_HEIGHT,
+                search_terms: int = SEARCH_TERMS) -> Report:
     """Execute the command list in order; every exception a command raises
     becomes its error record, whose message starts with the type name."""
     runner = _Runner(doc, search_height, search_terms)
@@ -291,14 +295,27 @@ def run_session(doc: SessionDocument, search_height: int = 3,
     return Report(records)
 
 
+def _search_bound(cap: int):
+    """An argparse type: a positive integer at most cap, as the session key
+    it stands in for."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if not 1 <= value <= cap:
+            raise argparse.ArgumentTypeError(f"must be a positive integer at most {cap}")
+        return value
+    return integer
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="hermsig", add_help=True)
     sub = parser.add_subparsers(dest="mode")
     run_p = sub.add_parser("run", help="execute a session document")
     run_p.add_argument("file")
     run_p.add_argument("--format", choices=("json", "table"), default="json")
-    run_p.add_argument("--search-height", type=int, default=3)
-    run_p.add_argument("--search-terms", type=int, default=6)
+    run_p.add_argument("--search-height", type=_search_bound(MAX_SEARCH_HEIGHT),
+                       default=SEARCH_HEIGHT)
+    run_p.add_argument("--search-terms", type=_search_bound(MAX_SEARCH_TERMS),
+                       default=SEARCH_TERMS)
     check_p = sub.add_parser("check", help="parse and validate only")
     check_p.add_argument("file")
 

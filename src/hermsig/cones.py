@@ -12,9 +12,12 @@ ordering and orientation.
 
 A sums-of-hermitian-squares certificate writes a symmetric u as a weighted
 sum of sandwiches of one generator <a>, `default_generator` unless one is
-given: `find_sos_certificate` constructs or searches for one, gated by the
-cones over the non-nil orderings of a Harrison set, and
-`verify_certificate` re-evaluates it exactly.
+given, over the Pfister form <<b_1..b_t>> <a>: `find_sos_certificate`
+constructs or searches for one, and `verify_certificate` re-evaluates it
+exactly.  Both read what a term is worth from `_term_scale`, and both
+certificate producers put term i in copy i of the Pfister block (index
+i << t).  One list of cones, over the non-nil orderings of the Harrison
+set, serves the search's gate, its refutation witness and its pruning.
 """
 
 from __future__ import annotations
@@ -36,6 +39,17 @@ from .hermitian import (
     signature,
 )
 from .quadforms import GramQuadraticForm, diagonalize, harrison_set
+
+
+# Defaults and caps of the sos-find search.  The pool holds about
+# (2h + 1)^d / 2 vectors of height at most h in entry dimension d, each
+# crossed with 4^t slot choices for t slots: at the caps, on a quaternion
+# algebra over Q, about 210,000 terms that take some 4 s and 150 MB.
+SEARCH_HEIGHT = 3
+SEARCH_TERMS = 6
+MAX_SEARCH_HEIGHT = 4
+MAX_SEARCH_TERMS = 16
+MAX_SLOTS = 3
 
 
 class PositiveCone:
@@ -62,13 +76,16 @@ class PositiveCone:
         """Membership by congruence reduction of <element>: every value of
         its signature carrier must lie on the oriented side (zero pivots
         impose no constraint; 0 is always a member)."""
-        alg = self.algebra
-        if element.algebra != alg:
+        return self._outside_value(element) is None
+
+    def _outside_value(self, element: AlgebraElement) -> FieldElement | None:
+        """The first carrier value of <element> on the wrong side, or None."""
+        if element.algebra != self.algebra:
             raise AlgebraMismatchError("element of a different algebra")
         form = rank1_form(element, "cone membership is defined for symmetric elements")
         want = self._oriented_sign()
-        return all(want * sign_at(d, self.ordering) >= 0
-                   for d in _carrier(form, self.ordering))
+        return next((d for d in _carrier(form, self.ordering)
+                     if want * sign_at(d, self.ordering) < 0), None)
 
     def sample_member(self, rng, terms: int = 2, height: int = 2) -> AlgebraElement:
         """A random member: sum of weighted sandwiches of the oriented
@@ -207,11 +224,18 @@ class SosSearchResult:
     refutation: Refutation | None = None
 
 
-def _subset_product(alg: AlgebraWithInvolution, slots: Sequence[FieldElement],
-                    subset: Iterable[int]) -> FieldElement:
-    prod = alg.field.one
-    for i in subset:
+def _term_scale(slots: Sequence[FieldElement], weight_subset: Iterable[int],
+                root: FieldElement, index: int) -> FieldElement:
+    """What a term scales its sandwich x* a x by: the product of its weight
+    slots times root^2, times the slots of the Pfister mask index % 2^t of
+    its generator in the diagonal of copies x <<b_1..b_t>> <a>."""
+    mask = index % (1 << len(slots))
+    prod = root * root
+    for i in weight_subset:
         prod = prod * slots[i]
+    for i, b in enumerate(slots):
+        if mask >> i & 1:
+            prod = prod * b
     return prod
 
 
@@ -241,82 +265,35 @@ def verify_certificate(u: AlgebraElement, a: AlgebraElement,
             raise ValueError("weight roots must be nonzero")
         if term.vector.algebra != alg:
             raise AlgebraMismatchError("certificate vector over a different algebra")
-        weight = _subset_product(alg, slots, term.weight_subset) \
-            * term.weight_root * term.weight_root
-        pf = 1 << t
-        mask = idx % pf
-        gen_scalar = _subset_product(alg, slots,
-                                     [i for i in range(t) if mask >> i & 1])
         x = term.vector
-        piece = (x.conj_transpose() * a * x).scale(weight * gen_scalar)
-        total = total + piece
+        total = total + (x.conj_transpose() * a * x).scale(
+            _term_scale(slots, term.weight_subset, term.weight_root, idx))
     return total == u
 
 
-def _invert_matrix(field, rows):
-    k = len(rows)
-    m = [list(r) + [field.one if i == j else field.zero for j in range(k)]
-         for i, r in enumerate(rows)]
-    for c in range(k):
-        piv = next(r for r in range(c, k) if not m[r][c].is_zero())
-        m[c], m[piv] = m[piv], m[c]
-        inv = m[c][c].inverse()
-        m[c] = [v * inv for v in m[c]]
-        for r in range(k):
-            if r != c and not m[r][c].is_zero():
-                f = m[r][c]
-                m[r] = [v - f * w for v, w in zip(m[r], m[c])]
-    return [row[k:] for row in m]
-
-
-def _split_orth_constructive(u: AlgebraElement) -> SquareCertificate:
+def _split_orth_constructive(u: AlgebraElement, t: int) -> SquareCertificate:
     """u PSD over (M_n(Q), t): u = L^t D L gives u as a sum of at most 4n
-    rank-1 squares via the four-square decomposition of each pivot."""
+    rank-1 squares via the four-square decomposition of each pivot.  With
+    S^t u S = D from the kernel, row p of L = S^-1 is (u s_p) / d_p for the
+    column s_p of S.  Term i is copy i of the Pfister block, slot mask 0."""
     alg = u.algebra
     field = alg.field
     gram = GramQuadraticForm(field, [list(r) for r in u.rows])
     dec = diagonalize(gram, with_transform=True)
-    s_inv = _invert_matrix(field, dec.transform)
+    s = dec.transform
     terms = []
     for p, d in enumerate(dec.pivots):
-        dv = d.as_fraction()
-        row = s_inv[p]
-        for c in four_square_decomposition(dv):
+        inv = d.inverse()
+        row = [sum((g * s[k][p] for k, g in enumerate(grow)), field.zero) * inv
+               for grow in gram.rows]
+        for c in four_square_decomposition(d.as_fraction()):
             if c == 0:
                 continue
-            vec_rows = [[field.element(c) * row[j] for j in range(alg.n)]]
+            vec_rows = [[field.element(c) * v for v in row]]
             vec_rows += [[field.zero] * alg.n for _ in range(alg.n - 1)]
-            terms.append(CertTerm((), field.one,
-                                  AlgebraElement(alg, vec_rows), len(terms)))
+            terms.append(CertTerm((), field.one, AlgebraElement(alg, vec_rows),
+                                  len(terms) << t))
     return SquareCertificate(terms)
-
-
-def _search_pool(alg: AlgebraWithInvolution, slots, height: int):
-    """Deterministic term pool for the bounded search: canonical vectors x
-    (first nonzero coordinate positive) by height, crossed with Pfister
-    subsets for the weight and the generator slot."""
-    ed = alg.entry_dim
-    t = len(slots)
-    vectors = []
-    vals = list(range(-height, height + 1))
-    for coords in itertools.product(vals, repeat=ed):
-        if all(c == 0 for c in coords):
-            continue
-        lead = next(c for c in coords if c != 0)
-        if lead < 0:
-            continue
-        if max(abs(c) for c in coords) > height:
-            continue
-        vectors.append(coords)
-    vectors.sort(key=lambda cs: (max(abs(c) for c in cs), cs))
-    subsets = [tuple(i for i in range(t) if mask >> i & 1) for mask in range(1 << t)]
-    pool = []
-    for coords in vectors:
-        x = alg.element([[coords]])
-        for wsub in subsets:
-            for gmask in range(1 << t):
-                pool.append((coords, wsub, gmask, x))
-    return pool
 
 
 def default_generator(algebra: AlgebraWithInvolution) -> AlgebraElement:
@@ -333,95 +310,93 @@ def default_generator(algebra: AlgebraWithInvolution) -> AlgebraElement:
 
 
 def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
-                         slots: Sequence = (), *, height: int = 3,
-                         max_terms: int = 6) -> SosSearchResult:
+                         slots: Sequence = (), *, height: int = SEARCH_HEIGHT,
+                         max_terms: int = SEARCH_TERMS) -> SosSearchResult:
     """Certificate that u is a weighted sum of hermitian squares of the
     generator form, a refutation ordering, or unknown at exhaustion.
 
     Without a, the generator is `default_generator`.  Constructive for
     split_orth over Q with a = 1 (congruence reduction plus four squares,
     at most 4n vectors); bounded deterministic search otherwise (n = 1
-    members), returning the first certificate at minimal height.  The gate
-    and the search read the cones over the non-nil orderings of the
-    Harrison set.  The search prunes a remainder that one of these cones
-    does not contain; its last term must equal the remainder, so it is
-    found by comparison, without subtracting or testing the differences.
+    members), returning the first certificate at minimal height.  One list
+    of cones, over the non-nil orderings of the Harrison set, serves the
+    gate and the search.  The search prunes a remainder that one of these
+    cones does not contain; its last term must equal the remainder, so it
+    is found by comparison, without subtracting or testing the differences.
+
+    The pool is built once and grown by height: height h adds the canonical
+    vectors x (first nonzero coordinate positive) whose largest |coordinate|
+    is h, in lexicographic order, each crossed with the Pfister subsets for
+    the weight and the generator slot, so the h-pool is a prefix of the
+    (h + 1)-pool.
     """
     alg = u.algebra
     fld = alg.field
     if a is None:
         a = default_generator(alg)
-    u_form = rank1_form(u, "the target must be a symmetric element")
+    rank1_form(u, "the target must be a symmetric element")
     a_error = "the generator a must be symmetric and invertible"
     a_form = rank1_form(a, a_error)
     if not is_invertible(a):
         raise ValueError(a_error)
     slot_elems = [e if isinstance(e, FieldElement) else fld.element(e) for e in slots]
-    # cones exist over the non-nil orderings only
-    y_set = [p for p in harrison_set(fld, slot_elems) if not alg.is_nil(p)]
+    t = len(slot_elems)
     eta = reference_form(alg)
-    for p in y_set:
-        if signature(a_form, p, eta) != rank1_max_signature(alg, p):
+    # cones exist over the non-nil orderings only
+    cones = [PositiveCone(alg, p, 1, eta)
+             for p in harrison_set(fld, slot_elems) if not alg.is_nil(p)]
+    for cone in cones:
+        if signature(a_form, cone.ordering, eta) != rank1_max_signature(alg, cone.ordering):
             raise ValueError("a is not eta-maximal on the Harrison set")
 
-    # necessary-condition gate: u must lie in the positively-oriented cone
-    # at every ordering of Y
-    for p in y_set:
-        cone = PositiveCone(alg, p, 1, eta)
-        if not cone.contains(u):
-            # the witness is the first carrier value with the wrong sign
-            want = cone._oriented_sign()
-            witness = next(d for d in _carrier(u_form, p) if want * sign_at(d, p) < 0)
-            return SosSearchResult("refuted", refutation=Refutation(p, witness))
+    # necessary-condition gate: u must lie in every cone
+    for cone in cones:
+        witness = cone._outside_value(u)
+        if witness is not None:
+            return SosSearchResult("refuted", refutation=Refutation(cone.ordering, witness))
 
     if alg.entry_dim == 1 and fld.degree == 1 and a == alg.one_element:
-        cert = _split_orth_constructive(u)
-        return SosSearchResult("certificate", certificate=cert)
+        return SosSearchResult("certificate", certificate=_split_orth_constructive(u, t))
 
     if alg.n != 1:
         return SosSearchResult("unknown")
 
-    cones = [PositiveCone(alg, p, 1, eta) for p in y_set]
+    subsets = [tuple(i for i in range(t) if mask >> i & 1) for mask in range(1 << t)]
+    scales = [(wsub, gmask, _term_scale(slot_elems, wsub, fld.one, gmask))
+              for wsub in subsets for gmask in range(1 << t)]
+    values = []
 
-    def representable(rem: AlgebraElement) -> bool:
-        return all(c.contains(rem) for c in cones)
+    def dfs(rem: AlgebraElement, start: int, chosen: list) -> list | None:
+        if rem.is_zero():
+            return list(chosen)
+        if len(chosen) >= max_terms:
+            return None
+        if not all(c.contains(rem) for c in cones):
+            return None
+        if len(chosen) + 1 == max_terms:
+            # the last term must be the remainder itself
+            last = next((v for v in values[start:] if v[3] == rem), None)
+            return None if last is None else chosen + [last[:3]]
+        for idx in range(start, len(values)):
+            wsub, gmask, x, val = values[idx]
+            chosen.append((wsub, gmask, x))
+            got = dfs(rem - val, idx, chosen)
+            if got is not None:
+                return got
+            chosen.pop()
+        return None
 
     for h in range(1, height + 1):
-        pool = _search_pool(alg, slot_elems, h)
-        values = []
-        for coords, wsub, gmask, x in pool:
-            w = _subset_product(alg, slot_elems, wsub)
-            g = _subset_product(alg, slot_elems,
-                                [i for i in range(len(slot_elems)) if gmask >> i & 1])
-            val = (x.conj_transpose() * a * x).scale(w * g)
-            if val.is_zero():
+        for coords in itertools.product(range(-h, h + 1), repeat=alg.entry_dim):
+            if max(map(abs, coords)) != h or next(c for c in coords if c) < 0:
                 continue
-            values.append((wsub, gmask, x, val))
-
-        def dfs(rem: AlgebraElement, start: int, chosen: list) -> list | None:
-            if rem.is_zero():
-                return list(chosen)
-            if len(chosen) >= max_terms:
-                return None
-            if not representable(rem):
-                return None
-            if len(chosen) + 1 == max_terms:
-                # the last term must be the remainder itself
-                last = next((v for v in values[start:] if v[3] == rem), None)
-                return None if last is None else chosen + [last[:3]]
-            for idx in range(start, len(values)):
-                wsub, gmask, x, val = values[idx]
-                chosen.append((wsub, gmask, x))
-                got = dfs(rem - val, idx, chosen)
-                if got is not None:
-                    return got
-                chosen.pop()
-            return None
-
+            x = alg.element([[coords]])
+            sandwich = x.conj_transpose() * a * x
+            if not sandwich.is_zero():
+                values += [(wsub, gmask, x, sandwich.scale(g)) for wsub, gmask, g in scales]
         found = dfs(u, 0, [])
         if found is not None:
-            t = len(slot_elems)
-            terms = [CertTerm(wsub, fld.one, x, i * (1 << t) + gmask)
+            terms = [CertTerm(wsub, fld.one, x, i << t | gmask)
                      for i, (wsub, gmask, x) in enumerate(found)]
             return SosSearchResult("certificate", certificate=SquareCertificate(terms))
     return SosSearchResult("unknown")

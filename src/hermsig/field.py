@@ -622,21 +622,31 @@ def sign_at(a: FieldElement, ordering: Ordering) -> int:
 def four_square_decomposition(r: RationalLike) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Write r > 0 exactly as a sum of four rational squares.
 
-    r = pq/q^2 with integers p, q > 0; pq is decomposed into four integer
-    squares by descending bounded search, then divided by q.
+    r = pq/q^2 with integers p, q > 0; pq = 4^k m with m not divisible by 4
+    is decomposed into four integer squares by descending bounded search on
+    m, then scaled by 2^k / q.  A first square a^2 is skipped when m - a^2
+    has the form 4^j (8i + 7), which is no sum of three squares (Legendre).
     """
     r = Fraction(r)
     if r <= 0:
         raise ValueError("input must be positive")
     n = r.numerator * r.denominator
-    q = r.denominator
+    scale = Fraction(1, r.denominator)
+    while n % 4 == 0:
+        n //= 4
+        scale *= 2
     for a in range(math.isqrt(n), -1, -1):
         ra = n - a * a
+        rest = ra
+        while rest and rest % 4 == 0:
+            rest //= 4
+        if rest % 8 == 7:
+            continue
         for b in range(min(a, math.isqrt(ra)), -1, -1):
             rb = ra - b * b
             for c in range(min(b, math.isqrt(rb)), -1, -1):
                 rc = rb - c * c
                 d = math.isqrt(rc)
                 if d * d == rc and d <= c:
-                    return (Fraction(a, q), Fraction(b, q), Fraction(c, q), Fraction(d, q))
+                    return (a * scale, b * scale, c * scale, d * scale)
     raise AssertionError("unreachable: Lagrange guarantees a decomposition")

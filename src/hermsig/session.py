@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebras import AlgebraElement, AlgebraWithInvolution
-from .cones import CertTerm, SquareCertificate
+from .cones import (MAX_SEARCH_HEIGHT, MAX_SEARCH_TERMS, MAX_SLOTS, CertTerm,
+                    SquareCertificate)
 from .errors import HermsigError
 from .field import FieldElement, NumberField, render_element
 from .hermitian import HermitianForm, going_up_algebra
@@ -399,7 +400,7 @@ class Arg:
     resolve: Callable = lambda value, doc, args, path: value
     default: object = None
     positive: bool = False
-    cap: int | None = None        # the largest integer accepted
+    cap: int | None = None        # the largest integer, or list length, accepted
     by_name: bool = False         # a name or a list of names
 
     def check(self, key: str, value, doc: "SessionDocument", path: str) -> None:
@@ -410,8 +411,11 @@ class Arg:
                 int: "an integer", bool: "a boolean", str: "a string", list: "a list",
                 dict: "an object"}[self.json]
             raise SessionParseError(f"{key} must be {what}", path)
-        if self.cap is not None and value > self.cap:
-            raise SessionParseError(f"{key} must be at most {self.cap}", path)
+        if self.cap is not None:
+            if self.json is list and len(value) > self.cap:
+                raise SessionParseError(f"{key} must have at most {self.cap} entries", path)
+            if self.json is int and value > self.cap:
+                raise SessionParseError(f"{key} must be at most {self.cap}", path)
         if self.by_name:
             self.resolve(value, doc, {}, path)
 
@@ -427,18 +431,18 @@ ARGS = {
     "orientation": Arg(int),
     "element": Arg(list, _element),
     "a": Arg(list, _element),                   # absent: the op's own generator
-    "slots": Arg(list, _slots, ()),
+    "slots": Arg(list, _slots, (), cap=MAX_SLOTS),
     "certificate": Arg(dict, _certificate),
     "copies": Arg(int),                         # absent: as many as the certificate uses
-    "height": Arg(int, positive=True),          # absent: the run's --search-height
-    "max_terms": Arg(int, positive=True),       # absent: the run's --search-terms
+    "height": Arg(int, positive=True, cap=MAX_SEARCH_HEIGHT),  # absent: --search-height
+    "max_terms": Arg(int, positive=True, cap=MAX_SEARCH_TERMS),  # absent: --search-terms
     "ext": Arg(None, _ext),
     "diag": Arg(list, _lifted_diagonal),
     "kind": Arg(str),
     "p": Arg(int, cap=2**31 - 1),               # trial division decides primality
     "closed": Arg(bool),                        # absent: true
-    "trials": Arg(int, default=30, positive=True),
-    "samples": Arg(int, default=6, positive=True),
+    "trials": Arg(int, default=30, positive=True, cap=1000),
+    "samples": Arg(int, default=6, positive=True, cap=1000),
 }
 
 OPS = {op: (tuple(required.split()), tuple(optional.split())) for op, required, optional in [

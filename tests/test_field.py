@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hermsig.errors import FieldMismatchError
 from hermsig.field import (
@@ -214,6 +214,8 @@ def test_field_arithmetic_matches_polynomial_identities(a0, a1, b0, b1):
 
 
 @given(st.fractions(min_value=Fraction(1, 32), max_value=60, max_denominator=32))
+@example(7 * 4**15)  # 4^k (8m + 7): the descending search used to hang
+@example(15 * 4**40)
 def test_four_square_reconstructs_input(r):
     c = four_square_decomposition(r)
     assert sum(v * v for v in c) == r

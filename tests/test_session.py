@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from hermsig.cli import main, run_session
+from hermsig.cones import MAX_SEARCH_HEIGHT, MAX_SEARCH_TERMS, MAX_SLOTS
 from hermsig.hermitian import HermitianForm
 from hermsig.quadforms import QuadraticForm
 from hermsig.session import SessionParseError, parse_session
@@ -263,6 +264,13 @@ def test_cli_search_bound_flags(tmp_path, capsys):
     assert main(["run", str(path), "--search-height=2", "--search-terms=3"]) == 0
     wide = json.loads(capsys.readouterr().out)
     assert wide[0]["result"]["status"] == "certificate"
+    # the flags are bounded as the session keys they stand in for; a
+    # negative height used to run silently
+    for flag, value in (("--search-height", -1), ("--search-height", 0),
+                        ("--search-height", MAX_SEARCH_HEIGHT + 1),
+                        ("--search-terms", 0), ("--search-terms", MAX_SEARCH_TERMS + 1)):
+        assert main(["run", str(path), f"{flag}={value}"]) == 1
+        assert flag in capsys.readouterr().err
 
 
 def test_cli_transfer_check_cubic_extension(tmp_path, capsys):
@@ -510,13 +518,23 @@ def test_malformed_command_arguments_are_parse_errors(command, key, tmp_path, ca
      "a positive integer"),
     ({"op": "sos-find", "algebra": "ham", "element": _UNIT, "max_terms": 0}, "max_terms",
      "a positive integer"),
+    ({"op": "sos-find", "algebra": "ham", "element": _UNIT,
+      "height": MAX_SEARCH_HEIGHT + 1}, "height", f"at most {MAX_SEARCH_HEIGHT}"),
+    ({"op": "sos-find", "algebra": "ham", "element": _UNIT,
+      "max_terms": MAX_SEARCH_TERMS + 1}, "max_terms", f"at most {MAX_SEARCH_TERMS}"),
+    ({"op": "sos-find", "algebra": "ham", "element": _UNIT, "slots": ["2"] * 24}, "slots",
+     f"at most {MAX_SLOTS} entries"),
+    (dict(_IDEALS, trials=1001), "trials", "at most 1000"),
+    ({"op": "morita-check", "algebra": "ham", "samples": 1001}, "samples", "at most 1000"),
 ], ids=["missing-ordering", "missing-ordering-eta-max", "misspelt-max-terms",
         "ordering-true", "orientation-true", "trials-zero", "trials-negative",
-        "samples-zero", "max-terms-zero"])
+        "samples-zero", "max-terms-zero", "height-above-cap", "max-terms-above-cap",
+        "slots-above-cap", "trials-above-cap", "samples-above-cap"])
 def test_check_rejects_what_would_run_wrong(command, key, message, tmp_path, capsys):
     """Each of these used to pass `check` and then run on a silent default:
     a dropped key, a misspelt key ignored, a boolean read as 1, or zero
-    trials reported as a pass."""
+    trials reported as a pass; or run without bound, as a 24-slot sos-find
+    whose search pool holds 4^24 terms per vector."""
     doc, path = _sqrt2_with(command)
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(doc), encoding="utf-8")
@@ -612,25 +630,31 @@ def test_nested_exponents_multiply_under_the_cap(tmp_path, capsys):
         assert f"at most {MAX_EXPONENT}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("family, params, element", [
-    ("split_orth", {}, [["2"]]),
-    ("unitary", {"delta": "-1"}, [["2"]]),
-    ("quat_symp", {"a": "-1", "b": "-1"}, [["2"]]),
-    ("quat_skew", {"a": "1", "b": "1"}, [[["0", "0", "0", "1"]]]),
-    ("quat_skew", {"a": "-1", "b": "-1"}, [[["0", "1", "0", "0"]]]),
-])
-def test_sos_find_certificate_verifies_with_the_same_keys(family, params, element):
+@pytest.mark.parametrize("family, params, element, slots", [
+    ("split_orth", {}, [["2"]], []),
+    ("unitary", {"delta": "-1"}, [["2"]], []),
+    ("quat_symp", {"a": "-1", "b": "-1"}, [["2"]], []),
+    ("quat_skew", {"a": "1", "b": "1"}, [[["0", "0", "0", "1"]]], []),
+    ("quat_skew", {"a": "-1", "b": "-1"}, [[["0", "1", "0", "0"]]], []),
+    ("split_orth", {}, [["2"]], ["3"]),
+    ("split_orth", {"n": 2}, [["2", "1"], ["1", "2"]], ["3"]),
+], ids=["split_orth-params0-element0", "unitary-params1-element1",
+        "quat_symp-params2-element2", "quat_skew-params3-element3",
+        "quat_skew-params4-element4", "split_orth-n1-slots", "split_orth-n2-slots"])
+def test_sos_find_certificate_verifies_with_the_same_keys(family, params, element, slots):
     """`sos-verify` reads the generator `sos-find` used when `a` is absent:
     over Q with quat_skew (1, 1) and element k, it used to verify against 1
     and return false.  Over quat_skew (-1, -1), nil everywhere, the unit is
-    not symmetric and `sos-find` used to fail without `a`."""
+    not symmetric and `sos-find` used to fail without `a`.  With slots, the
+    split_orth construction used to give term i the generator index i, whose
+    Pfister mask i % 2^t scaled term 1 by the slot."""
     spec = {"name": "alg", "family": family, **params}
-    find = {"op": "sos-find", "algebra": "alg", "element": element}
+    find = {"op": "sos-find", "algebra": "alg", "element": element, "slots": slots}
     doc = {"field": {"min_poly": ["0", "1"]}, "algebras": [spec], "commands": [find]}
     found = run_session(parse_session(json.dumps(doc))).records[0]
     assert found["status"] == "ok" and found["result"]["status"] == "certificate"
     doc["commands"].append({"op": "sos-verify", "algebra": "alg", "element": element,
-                            "certificate": found["result"]["certificate"]})
+                            "slots": slots, "certificate": found["result"]["certificate"]})
     assert run_session(parse_session(json.dumps(doc))).records[1]["result"] is True
 
 
