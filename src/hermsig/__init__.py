@@ -10,6 +10,7 @@ from .errors import (
     HermsigError,
     InvariantError,
     NilOrderingError,
+    ReducibleModulusError,
     UnsupportedError,
 )
 from .field import QQ, FieldElement, NumberField, Ordering, sign_at
@@ -69,7 +70,7 @@ from .session import SessionDocument, SessionParseError, parse_session
 __all__ = [
     # errors
     "HermsigError", "AlgebraMismatchError", "FieldMismatchError", "InvariantError",
-    "NilOrderingError", "UnsupportedError",
+    "NilOrderingError", "ReducibleModulusError", "UnsupportedError",
     # fields and orderings
     "QQ", "NumberField", "FieldElement", "Ordering", "sign_at",
     # quadratic forms and the congruence kernel

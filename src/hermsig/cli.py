@@ -41,13 +41,7 @@ from .hermitian import (
     sylvester_decompose,
     total_signature_h,
 )
-from .quadforms import (
-    GramQuadraticForm,
-    QuadraticForm,
-    diagonalize,
-    signature_q,
-    total_signature_q,
-)
+from .quadforms import GramQuadraticForm, QuadraticForm, total_signature_q
 from .session import (
     SessionDocument,
     SessionParseError,
@@ -117,6 +111,8 @@ class _Runner:
         self.rng = random.Random(doc.seed)
         self.search_height = search_height
         self.search_terms = search_terms
+        # id(form) -> [(ordering, signature)]; doc.forms keeps each form alive
+        self.totals: dict[int, list] = {}
 
     def run_command(self, i: int, cmd: dict):
         args = resolve_args(self.doc, cmd, f"commands[{i}]")
@@ -127,14 +123,20 @@ class _Runner:
                 for p in self.doc.field.orderings]
 
     def _total_signature(self, form):
-        if isinstance(form, HermitianForm):
-            return total_signature_h(form, reference_form(form.algebra))
-        return total_signature_q(form)
+        """The signature of a declared form at every ordering, computed once
+        per session: total-sign returns it, torsion tests it and sign reads
+        one entry."""
+        total = self.totals.get(id(form))
+        if total is None:
+            if isinstance(form, HermitianForm):
+                total = total_signature_h(form, reference_form(form.algebra))
+            else:
+                total = total_signature_q(form)
+            self.totals[id(form)] = total
+        return total
 
     def cmd_sign(self, form, ordering):
-        if isinstance(form, HermitianForm):
-            return signature(form, ordering, reference_form(form.algebra))
-        return signature_q(form, ordering)
+        return self._total_signature(form)[ordering.index][1]
 
     def cmd_total_sign(self, form):
         return [[p.index, v] for p, v in self._total_signature(form)]
@@ -230,7 +232,7 @@ class _Runner:
         out = {}
         if q is not None or h is not None:
             if isinstance(q, GramQuadraticForm):
-                q = diagonalize(q).form
+                q = q._kernel.form
             if not isinstance(q, QuadraticForm) or not isinstance(h, HermitianForm):
                 raise HermsigError("'q' must be quadratic and 'h' hermitian")
             out["q_in_ideal"], out["h_in_submodule"] = ideal_membership(q, h, pair)

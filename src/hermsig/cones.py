@@ -43,8 +43,7 @@ from .quadforms import GramQuadraticForm, diagonalize, harrison_set
 
 # Defaults and caps of the sos-find search.  The pool holds about
 # (2h + 1)^d / 2 vectors of height at most h in entry dimension d, each
-# crossed with 4^t slot choices for t slots: at the caps, on a quaternion
-# algebra over Q, about 210,000 terms that take some 4 s and 150 MB.
+# scaled by the at most 3^t distinct products of t slots.
 SEARCH_HEIGHT = 3
 SEARCH_TERMS = 6
 MAX_SEARCH_HEIGHT = 4
@@ -327,8 +326,8 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     The pool is built once and grown by height: height h adds the canonical
     vectors x (first nonzero coordinate positive) whose largest |coordinate|
     is h, in lexicographic order, each crossed with the Pfister subsets for
-    the weight and the generator slot, so the h-pool is a prefix of the
-    (h + 1)-pool.
+    the weight and the generator slot that give a distinct scale, so the
+    h-pool is a prefix of the (h + 1)-pool.
     """
     alg = u.algebra
     fld = alg.field
@@ -362,8 +361,15 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
         return SosSearchResult("unknown")
 
     subsets = [tuple(i for i in range(t) if mask >> i & 1) for mask in range(1 << t)]
-    scales = [(wsub, gmask, _term_scale(slot_elems, wsub, fld.one, gmask))
-              for wsub in subsets for gmask in range(1 << t)]
+    # scale -> its first (weight subset, generator mask): each slot is a
+    # factor 0, 1 or 2 times, so at most 3^t of the 4^t choices differ.
+    # Dropping the later duplicates keeps the first certificate: every pool
+    # value lies in every cone, so no remainder of a valid term sequence is
+    # pruned, and a sequence with a duplicate has an earlier twin.
+    scales: dict[FieldElement, tuple] = {}
+    for wsub in subsets:
+        for gmask in range(1 << t):
+            scales.setdefault(_term_scale(slot_elems, wsub, fld.one, gmask), (wsub, gmask))
     values = []
 
     def dfs(rem: AlgebraElement, start: int, chosen: list) -> list | None:
@@ -393,7 +399,8 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
             x = alg.element([[coords]])
             sandwich = x.conj_transpose() * a * x
             if not sandwich.is_zero():
-                values += [(wsub, gmask, x, sandwich.scale(g)) for wsub, gmask, g in scales]
+                values += [(wsub, gmask, x, sandwich.scale(g))
+                           for g, (wsub, gmask) in scales.items()]
         found = dfs(u, 0, [])
         if found is not None:
             terms = [CertTerm(wsub, fld.one, x, i << t | gmask)

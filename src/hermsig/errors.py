@@ -25,3 +25,9 @@ class UnsupportedError(HermsigError):
 class NilOrderingError(HermsigError):
     """The question has no answer at nil orderings, where every signature
     is zero."""
+
+
+class ReducibleModulusError(HermsigError, ZeroDivisionError):
+    """A nonzero element is a zero divisor, so the minimal polynomial has
+    a proper factor and Q[x]/(m) is not a field; the message names the
+    factor."""

@@ -9,6 +9,11 @@ bisection, and only an element whose enclosure still contains 0 goes
 through the zero test, a gcd with the minimal polynomial.  Inverses solve
 the multiplication matrix by fraction-free (Bareiss) elimination.  No
 floating point anywhere.
+
+Irreducibility of m is not checked at construction.  A reducible m shows
+itself as a nonzero zero divisor: one that is 0 at an ordering, or one
+whose multiplication matrix is singular.  Both raise ReducibleModulusError,
+which names the shared factor, instead of returning a quiet 0.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .errors import FieldMismatchError
+from .errors import FieldMismatchError, ReducibleModulusError
 
 RationalLike = Union[int, str, Fraction]
 
@@ -176,6 +181,9 @@ class NumberField:
         self._scale: int = math.lcm(*(c.denominator for c in coeffs))
         self._scaled_tail: tuple[int, ...] = tuple(
             c.numerator * (self._scale // c.denominator) for c in coeffs[:-1])
+        # (expression, generator name) -> element, memoized by
+        # session.parse_element for the document that built this field
+        self._parsed: dict[tuple[str, str], FieldElement] = {}
 
     def _reduce(self, p: list[int]) -> int:
         """Reduce the integer polynomial p modulo m in place, leaving degree
@@ -217,7 +225,11 @@ class NumberField:
     def element(self, coeffs: Union[RationalLike, Iterable[RationalLike]]) -> "FieldElement":
         if isinstance(coeffs, (int, str, Fraction)):
             coeffs = [coeffs]
-        vec = [Fraction(c) for c in coeffs]
+        vec = list(coeffs)
+        if len(vec) <= self.degree and all(type(c) is int for c in vec):
+            # already reduced, with integer coefficients: the numerators over 1
+            return _canonical(self, vec, 1)
+        vec = [Fraction(c) for c in vec]
         rem = poly_divmod(tuple(vec), self.min_poly)[1] if len(vec) > self.degree else _trim(vec)
         return _from_fractions(self, rem)
 
@@ -402,7 +414,7 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         """Solve num * y = 1 for the multiplication matrix of num by
         fraction-free (Bareiss) elimination; singular exactly when the
-        element is a zero divisor."""
+        element is a zero divisor, which raises ReducibleModulusError."""
         num, field = self.num, self.field
         if not num:
             raise ZeroDivisionError("division by zero")
@@ -425,7 +437,7 @@ class FieldElement:
             if not rows[k][k]:
                 r = next((r for r in range(k + 1, d) if rows[r][k]), None)
                 if r is None:
-                    raise ZeroDivisionError("element is a zero divisor, not invertible")
+                    raise _zero_divisor(field, poly_gcd(self.coeffs, field.min_poly))
                 rows[k], rows[r] = rows[r], rows[k]
             pivot_row = rows[k]
             p = pivot_row[k]
@@ -574,11 +586,23 @@ class Ordering:
         return f"Ordering#{self.index}({self.lo}, {self.hi})"
 
 
-def _vanishes_at(a: FieldElement, ordering: Ordering) -> bool:
-    """Whether a is 0 at the ordering: gcd(a, m) has a root in its
-    defining interval."""
+def _zero_divisor(field: NumberField, g: tuple) -> ReducibleModulusError:
+    """The error for a nonzero element that shares the proper factor g
+    (monic, 0 < deg g < d) with m."""
+    return ReducibleModulusError(
+        "element is a zero divisor, not invertible: the minimal polynomial "
+        f"has the factor {render_element(_from_fractions(field, g))}")
+
+
+def _zero_test(a: FieldElement, ordering: Ordering) -> None:
+    """Raise ReducibleModulusError if the nonzero a is 0 at the ordering:
+    gcd(a, m) has a root in its defining interval.  In a field no nonzero
+    element vanishes at a root of m, so that gcd is a proper factor of m.
+    A zero divisor that does not vanish at the ordering keeps its sign, so
+    the answer does not depend on how far the interval was refined."""
     g = poly_gcd(a.coeffs, a.field.min_poly)
-    return len(g) > 1 and count_roots(sturm_chain(g), ordering.lo, ordering.hi) >= 1
+    if len(g) > 1 and count_roots(sturm_chain(g), ordering.lo, ordering.hi) >= 1:
+        raise _zero_divisor(a.field, g)
 
 
 def sign_at(a: FieldElement, ordering: Ordering) -> int:
@@ -587,9 +611,10 @@ def sign_at(a: FieldElement, ordering: Ordering) -> int:
     The numerator polynomial is evaluated over the current root interval
     [L/D, H/D] by integer interval Horner: step j adds num[j] * D^(e-j),
     so the enclosure is the rational one times D^e > 0.  While it contains
-    0 the interval is bisected; the zero test (_vanishes_at) runs once,
+    0 the interval is bisected; the zero test (_zero_test) runs once,
     before the first bisection, because refinement never ends on a true
-    zero.
+    zero.  Only the zero element has sign 0: a nonzero element that is 0
+    at the ordering proves m reducible and raises ReducibleModulusError.
     """
     if a.field != ordering.field:
         raise FieldMismatchError("element and ordering belong to different fields")
@@ -613,8 +638,7 @@ def sign_at(a: FieldElement, ordering: Ordering) -> int:
         if vhi < 0:
             return -1
         if not zero_tested:
-            if _vanishes_at(a, ordering):
-                return 0
+            _zero_test(a, ordering)
             zero_tested = True
         ordering._refine_once()
 

@@ -1,10 +1,11 @@
 """Quadratic forms over a number field and their signatures.
 
 A form is diagonal, or a Gram matrix that is reduced to a diagonal by exact
-congruence.  `diagonalize` is the one congruence kernel of the package: it
-also reduces the entry Grams of hermitian forms over F(sqrt(delta)) and
-(a, b)_F.  The signature at an ordering is the sign sum of the diagonal;
-no isotropy decision beyond signatures is attempted.
+congruence once per form (`GramQuadraticForm._kernel`).  `diagonalize` is
+the one congruence kernel of the package: it also reduces the entry Grams
+of hermitian forms over F(sqrt(delta)) and (a, b)_F.  The signature at an
+ordering is the sign sum of the diagonal; no isotropy decision beyond
+signatures is attempted.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ class GramQuadraticForm:
     @property
     def ring(self) -> NumberField:
         return self.field
+
+    @cached_property
+    def _kernel(self) -> "Diagonalization":
+        """The congruence kernel on the Gram, computed once per form."""
+        return diagonalize(self)
 
     def __repr__(self) -> str:
         return f"GramQuadraticForm({self.size}x{self.size})"
@@ -259,7 +265,7 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
 def signature_q(form: QuadraticForm | GramQuadraticForm, ordering: Ordering) -> int:
     """Sylvester signature at one ordering."""
     if isinstance(form, GramQuadraticForm):
-        form = diagonalize(form).form
+        form = form._kernel.form
     if form.field != ordering.field:
         raise FieldMismatchError("form and ordering belong to different fields")
     return sum(sign_at(d, ordering) for d in form.entries)
@@ -267,7 +273,7 @@ def signature_q(form: QuadraticForm | GramQuadraticForm, ordering: Ordering) -> 
 
 def total_signature_q(form: QuadraticForm | GramQuadraticForm) -> list[tuple[Ordering, int]]:
     if isinstance(form, GramQuadraticForm):
-        form = diagonalize(form).form
+        form = form._kernel.form
     return [(p, signature_q(form, p)) for p in form.field.orderings]
 
 

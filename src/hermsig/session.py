@@ -157,12 +157,20 @@ class _ExprParser:
 
 
 def parse_element(value, field: NumberField, gen_name: str, path: str) -> FieldElement:
+    """The element an expression or integer denotes.  Each distinct string
+    is parsed once per field, that is once per document: the result is kept
+    on the field under (value, gen_name).  A failure is not kept, so each
+    bad occurrence reports its own path."""
     if isinstance(value, bool):
         raise SessionParseError("expected an element expression", path)
     if isinstance(value, int):
         return field.element(value)
     if isinstance(value, str):
-        return _ExprParser(value, gen_name, field, path).parse()
+        key = (value, gen_name)
+        element = field._parsed.get(key)
+        if element is None:
+            element = field._parsed[key] = _ExprParser(value, gen_name, field, path).parse()
+        return element
     raise SessionParseError("expected an element expression (string or integer)", path)
 
 

@@ -30,6 +30,7 @@ from cone_helpers import (
     prepositive_axiom_check,
     strongly_anisotropic_flag,
 )
+from kernel_calls import count_diagonalize
 from trace_oracle import trace_carrier, trace_diag
 
 SQRT2 = NumberField([-2, 0, 1])
@@ -506,26 +507,6 @@ def test_membership_on_one_element_matches_a_fresh_carrier(case):
                 cone.contains(y)
 
 
-def _count_diagonalize(monkeypatch) -> list:
-    """Count calls of quadforms.diagonalize at every module that binds it."""
-    import sys
-
-    from hermsig import quadforms
-
-    original = quadforms.diagonalize
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].size)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "hermsig" and \
-                getattr(module, "diagonalize", None) is original:
-            monkeypatch.setattr(module, "diagonalize", counted)
-    return calls
-
-
 @pytest.mark.parametrize("family,params", [
     ("split_orth", {}), ("unitary", {"delta": -1}), ("quat_symp", {"a": -1, "b": -1})])
 def test_h_single_reduces_a_fresh_element_once(monkeypatch, family, params):
@@ -534,12 +515,12 @@ def test_h_single_reduces_a_fresh_element_once(monkeypatch, family, params):
     alg = AlgebraWithInvolution(F5, family, 1, **params)
     space = ConeSpace(alg)
     assert len(space) == 10
-    calls = _count_diagonalize(monkeypatch)
+    calls = count_diagonalize(monkeypatch)
     ed = alg.entry_dim
     x = alg.element([[[F5.gen - 1] + [0] * (ed - 1)]])
     got = space._h_single(x)
     # one reduction of the 1 x 1 entry Gram of <x> for all ten cones
-    assert calls == [1]
+    assert [g.size for g in calls] == [1]
     assert got == frozenset(i for i, cone in enumerate(space.cones)
                             if all(cone._oriented_sign() * sign_at(d, cone.ordering) >= 0
                                    for d in trace_carrier(HermitianForm(alg, x.rows),
@@ -572,7 +553,7 @@ def test_find_sos_certificate_pinned_quintic_targets(monkeypatch):
     # for <13> and one for each of the 40 first-term remainders (40 vectors
     # of height 1); the last term is compared with the remainder, not
     # subtracted and reduced
-    calls = _count_diagonalize(monkeypatch)
+    calls = count_diagonalize(monkeypatch)
     res = find_sos_certificate(ham.scalar_element(13), height=1, max_terms=2)
     assert _cert_summary(res) == ("unknown", None)
     assert len(calls) == 1 + 1 + 40
@@ -586,6 +567,38 @@ def test_find_sos_certificate_one_term_short_is_unknown():
     assert _cert_summary(res) == ("certificate", [((), (0, 0, 0, 1), 0)] + [
         ((), (1, -1, -1, -1), i) for i in (1, 2, 3)])
     assert verify_certificate(u, ham.one_element, [], 4, res.certificate)
+
+
+UNITARY1 = AlgebraWithInvolution(QQ, "unitary", 1, delta=-1)
+SO1_SQRT2 = AlgebraWithInvolution(SQRT2, "split_orth", 1)
+_H0001, _H01 = (0, 0, 0, 1), (0, 1)
+
+
+@pytest.mark.parametrize("alg, target, slots, height, max_terms, terms", [
+    (HAMILTON1, 6, [2, 3], 1, 2, [((), _H0001, 1), ((0,), _H0001, 5)]),
+    (HAMILTON1, 18, [2, 3], 1, 2, [((), _H0001, 1), ((0,), (1, -1, -1, -1), 5)]),
+    (HAMILTON1, 30, [2, 3, 5], 1, 2, [((), _H0001, 2), ((1,), (0, 1, -1, -1), 10)]),
+    (HAMILTON1, 45, [3, 5], 2, 2, [((), _H0001, 3), ((), (0, 0, 1, -1), 7)]),
+    (HAMILTON1, 50, [2, 5], 1, 3, [((), _H0001, 1), ((0,), (0, 0, 1, -1), 5),
+                                   ((0,), (0, 0, 1, -1), 11)]),
+    (HAMILTON1, 96577, [2, 3, 5], 1, 1, None),
+    (UNITARY1, 10, [2, 5], 1, 2, [((), _H01, 1), ((0,), (1, -1), 5)]),
+    (UNITARY1, 12, [2, 3], 2, 3, [((), _H01, 0), ((), _H01, 5), ((1,), _H01, 10)]),
+    (SO1_SQRT2, SQRT2.gen, [SQRT2.gen, 2], 1, 2, [((), (1,), 1)]),
+    (SO1_SQRT2, 2 + SQRT2.gen, [SQRT2.gen, 2], 1, 2, [((), (1,), 1), ((), (1,), 6)]),
+    (SO1_SQRT2, 3 * SQRT2.gen, [SQRT2.gen, 2], 1, 2, [((), (1,), 1), ((), (1,), 7)]),
+])
+def test_find_sos_certificate_with_slots_is_pinned(alg, target, slots, height,
+                                                   max_terms, terms):
+    """The pool keeps, per vector, one term for each distinct slot product:
+    the first of the 4^t (weight subset, generator mask) choices that gives
+    it.  These are the certificates the search found with all 4^t."""
+    u = alg.scalar_element(target)
+    res = find_sos_certificate(u, slots=slots, height=height, max_terms=max_terms)
+    assert _cert_summary(res) == ("unknown" if terms is None else "certificate", terms)
+    if terms is not None:
+        copies = max(t.generator_index for t in res.certificate.terms) // (1 << len(slots)) + 1
+        assert verify_certificate(u, alg.one_element, slots, copies, res.certificate)
 
 
 def grid_algebras(field, family):

@@ -1,11 +1,12 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hermsig.errors import FieldMismatchError
+from hermsig.errors import FieldMismatchError, HermsigError, ReducibleModulusError
 from hermsig.field import (
     QQ,
     NumberField,
@@ -165,12 +166,14 @@ def test_sign_of_sqrt2_at_both_orderings():
 
 
 def test_sign_of_zero_divisor_representative():
-    # squarefree reducible modulus: x^2 - 1; x - 1 vanishes at the root 1
+    # squarefree reducible modulus: x^2 - 1; x - 1 vanishes at the root 1,
+    # which proves the modulus reducible rather than giving a quiet sign 0
     field = NumberField([-1, 0, 1])
     a = field.element([-1, 1])
     right = next(p for p in field.orderings if p.lo + p.hi > 0)
     left = next(p for p in field.orderings if p.lo + p.hi < 0)
-    assert sign_at(a, right) == 0
+    with pytest.raises(ReducibleModulusError, match=r"factor -1 \+ x$"):
+        sign_at(a, right)
     assert sign_at(a, left) == -1
 
 
@@ -387,8 +390,14 @@ def test_sign_at_matches_fraction_oracle_in_any_query_order(case, rng):
         got = {}
         for i, k in order:
             p = field.orderings[k]
-            got[i, k] = sign_at(elems[i], p)
-            assert got[i, k] == oracle.sign_at(elems[i], p)
+            try:
+                got[i, k] = sign_at(elems[i], p)
+            except ReducibleModulusError:
+                got[i, k] = "zero divisor"
+            # sign 0 for the zero element only; a nonzero element that the
+            # oracle finds 0 at P raises
+            want = oracle.sign_at(elems[i], p)
+            assert got[i, k] == (want if want or elems[i].is_zero() else "zero divisor")
             # Same refinement sequence: the integer interval is the
             # oracle's Fraction interval.
             assert (Fraction(p._L, p._D), Fraction(p._H, p._D)) == \
@@ -404,7 +413,8 @@ def test_sign_at_bisection_lands_on_exact_root():
     a = field.element([Fraction(-3, 4), 1])  # x - 3/4 is -1/4 at 1/2
     assert sign_at(a, pos) == -1
     assert pos._L * 2 == pos._H * 2 == pos._D  # collapsed to 1/2
-    assert sign_at(field.element([Fraction(-1, 2), 1]), pos) == 0
+    with pytest.raises(ReducibleModulusError):  # x - 1/2 is 0 at 1/2
+        sign_at(field.element([Fraction(-1, 2), 1]), pos)
     assert sign_at(field.element([Fraction(1, 2), 1]), pos) == 1
     assert sign_at(field.element([Fraction(-1, 2), 1]), neg) == -1
 
@@ -434,6 +444,50 @@ def test_zero_divisor_inverse_raises():
             a.inverse()
     a = field.element([2, 1])
     assert a * a.inverse() == 1
+
+
+@pytest.mark.parametrize("modulus, element, factor, signs", [
+    # x^3 - x: x is 0 at the root 0
+    ([0, -1, 0, 1], [0, 1], "x", [-1, None, 1]),
+    # (x^2 - 2)(x^2 - 3): x^2 - 2 is 0 at -sqrt 2 and sqrt 2
+    ([6, 0, -5, 0, 1], [-2, 0, 1], "-2 + x^2", [1, None, None, 1]),
+])
+def test_reducible_modulus_fails_loudly(modulus, element, factor, signs):
+    """A nonzero element that is 0 at an ordering, or has no inverse, is a
+    zero divisor: a typed error names the factor it shares with the
+    modulus (None marks the orderings where sign_at raises)."""
+    field = NumberField(modulus)
+    a = field.element(element)
+    message = rf"^element is a zero divisor, not invertible: .* factor {re.escape(factor)}$"
+    with pytest.raises(ReducibleModulusError, match=message) as exc:
+        a.inverse()
+    assert isinstance(exc.value, HermsigError) and isinstance(exc.value, ZeroDivisionError)
+    got = []
+    for p in field.orderings:
+        try:
+            got.append(sign_at(a, p))
+        except ReducibleModulusError as err:
+            assert re.match(message, str(err))
+            got.append(None)
+    assert got == signs
+
+
+_int_coeffs = st.lists(st.integers(-10**12, 10**12) | st.booleans(), max_size=8)
+
+
+@given(st.sampled_from([QQ] + ORACLE_FIELDS), _int_coeffs)
+@example(QQ, [True, False])
+@example(F5, [3, 0, -1, 0, 0, 0])
+def test_element_from_integers_matches_the_fraction_route(field, coeffs):
+    """Integer coefficients, at most d of them, go straight to the
+    numerators; the result is the element of their Fractions, reduced."""
+    got = field.element(coeffs)
+    want = field.element([Fraction(c) for c in coeffs])
+    _assert_canonical(got)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert all(type(v) is int for v in got.num)
+    if len(coeffs) == 1:
+        assert field.element(coeffs[0]) == got
 
 
 def test_hash_is_consistent_with_equality():

@@ -6,8 +6,9 @@ import pytest
 from hermsig.cli import main, run_session
 from hermsig.cones import MAX_SEARCH_HEIGHT, MAX_SEARCH_TERMS, MAX_SLOTS
 from hermsig.hermitian import HermitianForm
-from hermsig.quadforms import QuadraticForm
+from hermsig.quadforms import GramQuadraticForm, QuadraticForm
 from hermsig.session import SessionParseError, parse_session
+from kernel_calls import count_diagonalize
 from session_render import render_session
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -689,6 +690,87 @@ def test_element_errors_carry_the_command_path():
     record = run_session(parse_session(json.dumps(doc))).records[-1]
     assert record["status"] == "error"
     assert f"{path}.element[0][0][1]" in record["error"]
+
+
+def test_each_quadratic_gram_is_diagonalized_once(monkeypatch):
+    """total-sign, torsion, sign at every ordering and ideals q read one
+    kernel per Gram form, and one total signature per form."""
+    from hermsig import cli
+
+    doc, _ = _sqrt2_with({"op": "orderings"})
+    doc["forms"] += [{"name": "g1", "gram": [["x", "1"], ["1", "0"]]},
+                     {"name": "g2", "gram": [["1", "x", "0"], ["x", "2", "1"], ["0", "1", "-x"]]}]
+    start = len(doc["commands"])
+    for g in ("g1", "g2"):
+        doc["commands"] += [{"op": "total-sign", "form": g}, {"op": "torsion", "form": g},
+                            {"op": "sign", "form": g, "ordering": 0},
+                            {"op": "sign", "form": g, "ordering": 1}, dict(_IDEALS, q=g)]
+    parsed = parse_session(json.dumps(doc))
+    calls = count_diagonalize(monkeypatch)
+    totals = []
+    for name in ("total_signature_q", "total_signature_h"):
+        monkeypatch.setattr(cli, name, lambda form, *rest, _total=getattr(cli, name):
+                            totals.append(form) or _total(form, *rest))
+    report = run_session(parsed)
+    assert not report.has_errors
+    want = sorted(id(parsed.forms[g]) for g in ("g1", "g2"))
+    assert sorted(id(g) for g in calls if isinstance(g, GramQuadraticForm)) == want
+    assert sorted(id(g) for g in totals if isinstance(g, GramQuadraticForm)) == want
+    results = [r["result"] for r in report.records[start:]]
+    for k in range(2):
+        total, torsion, sign0, sign1, _ = results[5 * k:5 * k + 5]
+        assert total == [[0, sign0], [1, sign1]]
+        assert torsion == (sign0 == sign1 == 0)
+
+
+def test_each_distinct_expression_is_parsed_once_per_document(monkeypatch):
+    """Repeated strings share one parse and one element within a document;
+    a second document parses them again."""
+    from hermsig import session
+
+    texts = []
+    parse = session._ExprParser.parse
+    monkeypatch.setattr(session._ExprParser, "parse",
+                        lambda self: texts.append(self.text) or parse(self))
+    text = json.dumps({
+        "field": {"min_poly": ["-2", "0", "1"]},
+        "forms": [{"name": "q", "diag": ["x", "1 + x", "x", "1 + x", "x"]},
+                  {"name": "g", "gram": [["x", "1"], ["1", "x"]]}],
+        "commands": [{"op": "total-sign", "form": "q"}]})
+    first = parse_session(text)
+    assert sorted(texts) == ["1", "1 + x", "x"]
+    q = first.forms["q"]
+    assert q.entries[0] is q.entries[2] is first.forms["g"].rows[0][0]
+    second = parse_session(text)
+    assert sorted(texts) == ["1", "1", "1 + x", "1 + x", "x", "x"]
+    assert second.forms["q"].entries[0] is not q.entries[0]
+    # the key holds the generator name: "x" names nothing when it is "y"
+    with pytest.raises(SessionParseError, match="unknown name 'x'"):
+        session.parse_element("x", first.field, "y", "here")
+    # a whole session: commands reuse the strings of the declarations; an
+    # "ext" field is a field of its own
+    monkeypatch.setattr(session._ExprParser, "parse",
+                        lambda self: texts.append((self.field, self.text)) or parse(self))
+    texts.clear()
+    run_session(parse_session(FULL.read_text()))
+    assert texts and len({(id(f), t) for f, t in texts}) == len(texts)
+
+
+def test_a_repeated_bad_expression_reports_each_path():
+    """A failed parse is not kept: each occurrence reports its own path, also
+    after the good strings around it were parsed once."""
+    forms = [{"name": "a", "gram": [["x", "1"], ["1", "x"]]},
+             {"name": "b", "gram": [["x", "1"], ["1 + z", "x"]]}]
+    with pytest.raises(SessionParseError, match=r"^forms\[1\]\.gram\[1\]\[0\]: .*'z'"):
+        parse_session(minimal_doc(forms=forms, commands=[]))
+    bad = {"op": "eta-max", "algebra": "ham", "ordering": 0,
+           "element": [[["1", "z", "0", "0"]]]}
+    doc, path = _sqrt2_with(bad)
+    doc["commands"].append(bad)
+    records = run_session(parse_session(json.dumps(doc))).records[-2:]
+    assert [r["status"] for r in records] == ["error", "error"]
+    assert f"{path}.element[0][0][1]" in records[0]["error"]
+    assert f"commands[{records[1]['index']}].element[0][0][1]" in records[1]["error"]
 
 
 def test_handlers_receive_resolved_arguments(monkeypatch):
