@@ -27,10 +27,9 @@ is immutable and exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
 
 from .errors import AlgebraMismatchError, UnsupportedError
 from .field import FieldElement, NumberField, Ordering, sign_at
@@ -284,7 +283,6 @@ def _unitary_ring(field: NumberField, delta: FieldElement) -> QuadExtension:
     return QuadExtension(field, delta)
 
 
-@dataclass(frozen=True)
 class Family:
     """The per-family facts of the catalogue.
 
@@ -298,14 +296,17 @@ class Family:
     entry ring from the field and the parameters.
     """
 
-    name: str
-    params: tuple[str, ...]
-    entry_dim: int
-    trace_divisor: int
-    skew: bool
-    nil: Callable[[tuple[int, ...]], bool]
-    x_sigma: Callable[[tuple[int, ...]], bool]
-    build_ring: Callable
+    def __init__(self, name: str, params: tuple[str, ...], entry_dim: int,
+                 trace_divisor: int, skew: bool, nil: Callable[[tuple[int, ...]], bool],
+                 x_sigma: Callable[[tuple[int, ...]], bool], build_ring: Callable):
+        self.name = name
+        self.params = params
+        self.entry_dim = entry_dim
+        self.trace_divisor = trace_divisor
+        self.skew = skew
+        self.nil = nil
+        self.x_sigma = x_sigma
+        self.build_ring = build_ring
 
     def make_ring(self, field: NumberField, given: dict) -> tuple[tuple, object]:
         """Validate the given parameters; return them in order, as field

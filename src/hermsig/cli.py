@@ -8,11 +8,9 @@ error, 3 computation error (any error record).
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from .cones import (
     MAX_SEARCH_HEIGHT,
@@ -63,9 +61,9 @@ from .spectra import (
 )
 
 
-@dataclass
 class Report:
-    records: list[dict]
+    def __init__(self, records: list[dict]):
+        self.records = records
 
     @property
     def has_errors(self) -> bool:
@@ -303,12 +301,15 @@ def _search_bound(cap: int):
     def integer(text: str) -> int:
         value = int(text)
         if not 1 <= value <= cap:
-            raise argparse.ArgumentTypeError(f"must be a positive integer at most {cap}")
+            from argparse import ArgumentTypeError  # already loaded: main calls this
+            raise ArgumentTypeError(f"must be a positive integer at most {cap}")
         return value
     return integer
 
 
 def main(argv=None) -> int:
+    import argparse  # here, so that importing hermsig.cli does not load it
+
     parser = argparse.ArgumentParser(prog="hermsig", add_help=True)
     sub = parser.add_subparsers(dest="mode")
     run_p = sub.add_parser("run", help="execute a session document")

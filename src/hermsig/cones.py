@@ -23,8 +23,7 @@ set, serves the search's gate, its refutation witness and its pruning.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .algebras import AlgebraElement, AlgebraWithInvolution, is_invertible
 from .errors import AlgebraMismatchError
@@ -172,12 +171,13 @@ def formally_real(algebra: AlgebraWithInvolution) -> bool:
     return bool(algebra.nonnil_orderings())
 
 
-@dataclass
 class PositivityReport:
-    x_sigma: list[Ordering]
-    x_tilde: list[Ordering]
-    ps_prime_holds: bool
-    ps_sufficient: bool
+    def __init__(self, x_sigma: list[Ordering], x_tilde: list[Ordering],
+                 ps_prime_holds: bool, ps_sufficient: bool):
+        self.x_sigma = x_sigma
+        self.x_tilde = x_tilde
+        self.ps_prime_holds = ps_prime_holds
+        self.ps_sufficient = ps_sufficient
 
 
 def positivity_sets(algebra: AlgebraWithInvolution) -> PositivityReport:
@@ -194,33 +194,36 @@ def positivity_sets(algebra: AlgebraWithInvolution) -> PositivityReport:
 # Sums-of-hermitian-squares certificates.
 
 
-@dataclass
 class CertTerm:
     """weight = prod of the chosen Pfister slots times a square; the
     generator index points into the diagonal of copies x <<b_1..b_t>> <a>."""
 
-    weight_subset: tuple[int, ...]
-    weight_root: FieldElement
-    vector: AlgebraElement
-    generator_index: int
+    def __init__(self, weight_subset: tuple[int, ...], weight_root: FieldElement,
+                 vector: AlgebraElement, generator_index: int):
+        self.weight_subset = weight_subset
+        self.weight_root = weight_root
+        self.vector = vector
+        self.generator_index = generator_index
 
 
-@dataclass
 class SquareCertificate:
-    terms: list[CertTerm]
+    def __init__(self, terms: list[CertTerm]):
+        self.terms = terms
 
 
-@dataclass
 class Refutation:
-    ordering: Ordering
-    witness: FieldElement
+    def __init__(self, ordering: Ordering, witness: FieldElement):
+        self.ordering = ordering
+        self.witness = witness
 
 
-@dataclass
 class SosSearchResult:
-    status: str  # "certificate" | "refuted" | "unknown"
-    certificate: SquareCertificate | None = None
-    refutation: Refutation | None = None
+    def __init__(self, status: str,  # "certificate" | "refuted" | "unknown"
+                 certificate: SquareCertificate | None = None,
+                 refutation: Refutation | None = None):
+        self.status = status
+        self.certificate = certificate
+        self.refutation = refutation
 
 
 def _term_scale(slots: Sequence[FieldElement], weight_subset: Iterable[int],

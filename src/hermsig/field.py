@@ -6,9 +6,10 @@ interval with dyadic rational endpoints, certified by a Sturm count of 1.
 All sign decisions are exact and run on integers: a sign is read off an
 integer interval evaluation over the root's current interval, refined by
 bisection, and only an element whose enclosure still contains 0 goes
-through the zero test, a gcd with the minimal polynomial.  Inverses solve
-the multiplication matrix by fraction-free (Bareiss) elimination.  No
-floating point anywhere.
+through the zero test: a coprimality check with the minimal polynomial
+modulo a prime, then, only if that is inconclusive, a gcd over Q.
+Inverses solve the multiplication matrix by fraction-free (Bareiss)
+elimination.  No floating point anywhere.
 
 Irreducibility of m is not checked at construction.  A reducible m shows
 itself as a nonzero zero divisor: one that is 0 at an ordering, or one
@@ -19,13 +20,13 @@ which names the shared factor, instead of returning a quiet 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
 
 from .errors import FieldMismatchError, ReducibleModulusError
 
-RationalLike = Union[int, str, Fraction]
+RationalLike = int | str | Fraction
 
 # ---------------------------------------------------------------------------
 # Dense polynomials over Q: tuples of Fractions, constant term first,
@@ -222,7 +223,7 @@ class NumberField:
         intervals = isolate_real_roots(self.min_poly)
         return tuple(Ordering(self, lo, hi, i) for i, (lo, hi) in enumerate(intervals))
 
-    def element(self, coeffs: Union[RationalLike, Iterable[RationalLike]]) -> "FieldElement":
+    def element(self, coeffs: RationalLike | Iterable[RationalLike]) -> "FieldElement":
         if isinstance(coeffs, (int, str, Fraction)):
             coeffs = [coeffs]
         vec = list(coeffs)
@@ -594,12 +595,48 @@ def _zero_divisor(field: NumberField, g: tuple) -> ReducibleModulusError:
         f"has the factor {render_element(_from_fractions(field, g))}")
 
 
+# The prime of the coprimality pre-check in _zero_test; any prime would do.
+ZERO_TEST_PRIME = 2**31 - 1
+
+
+def _coprime_mod_prime(a: FieldElement) -> bool:
+    """Whether the numerator of a and the integer-scaled L*m are coprime
+    modulo ZERO_TEST_PRIME p, for p not dividing L (False when p | L).  If
+    they are, a and m are coprime over Q: a common factor of degree >= 1,
+    taken primitive in Z[x], has a leading coefficient dividing L, so it
+    keeps its degree mod p and divides both there."""
+    fld, p = a.field, ZERO_TEST_PRIME
+    if fld._scale % p == 0:
+        return False
+    f = [c % p for c in fld._scaled_tail] + [fld._scale % p]
+    g = [c % p for c in a.num]
+    while g and not g[-1]:
+        g.pop()
+    while g:
+        # f <- f mod g in F_p[x], eliminating the top term of f each step
+        k = len(g) - 1
+        inv = pow(g[-1], -1, p)
+        for top in range(len(f) - 1, k - 1, -1):
+            c = f[top] * inv % p
+            if c:
+                for j in range(k):
+                    f[top - k + j] = (f[top - k + j] - c * g[j]) % p
+        del f[k:]
+        while f and not f[-1]:
+            f.pop()
+        f, g = g, f
+    return len(f) == 1
+
+
 def _zero_test(a: FieldElement, ordering: Ordering) -> None:
     """Raise ReducibleModulusError if the nonzero a is 0 at the ordering:
     gcd(a, m) has a root in its defining interval.  In a field no nonzero
     element vanishes at a root of m, so that gcd is a proper factor of m.
     A zero divisor that does not vanish at the ordering keeps its sign, so
-    the answer does not depend on how far the interval was refined."""
+    the answer does not depend on how far the interval was refined.  The
+    gcd over Q runs only when a and m are not coprime modulo a prime."""
+    if _coprime_mod_prime(a):
+        return
     g = poly_gcd(a.coeffs, a.field.min_poly)
     if len(g) > 1 and count_roots(sturm_chain(g), ordering.lo, ordering.hi) >= 1:
         raise _zero_divisor(a.field, g)

@@ -16,9 +16,8 @@ serves the oracle ``sylvester_count_oracle`` only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .algebras import (
     AlgebraElement,
@@ -219,16 +218,14 @@ def rank1_max_signature(algebra: AlgebraWithInvolution, ordering: Ordering) -> i
 # Reference forms and normalized signatures.
 
 
-@dataclass
 class ReferenceForm:
     """A diagonal form with nonzero raw signature on every non-nil ordering."""
 
-    form: HermitianForm
-    certificate: dict[Ordering, int]
-
-    def __post_init__(self):
-        if any(v == 0 for v in self.certificate.values()):
+    def __init__(self, form: HermitianForm, certificate: dict[Ordering, int]):
+        if any(v == 0 for v in certificate.values()):
             raise InvariantError("reference certificate entries must be nonzero")
+        self.form = form
+        self.certificate = certificate
 
     @property
     def algebra(self) -> AlgebraWithInvolution:
@@ -375,11 +372,11 @@ def scharlau_transfer(h: HermitianForm) -> HermitianForm:
     return HermitianForm(base_alg, rows)
 
 
-@dataclass
 class KnebuschReport:
-    holds: bool
-    transfer_side: int
-    sum_side: int
+    def __init__(self, holds: bool, transfer_side: int, sum_side: int):
+        self.holds = holds
+        self.transfer_side = transfer_side
+        self.sum_side = sum_side
 
 
 def going_up_reference(eta: ReferenceForm, ext: NumberField) -> ReferenceForm:
@@ -413,15 +410,16 @@ def knebusch_check(h: HermitianForm,
     return KnebuschReport(lhs == rhs, lhs, rhs)
 
 
-@dataclass
 class SylvesterDecomposition:
     """n_P^2 x <u_1..u_t> (x) h ~ <a_1..a_r> perp <b_1..b_s> with t = 1,
     u_1 = 1 in the division-at-P scope; value = (r - s) / (n_P t)."""
 
-    weights: tuple[FieldElement, ...]
-    positive: list[FieldElement]
-    negative: list[FieldElement]
-    radical_dim: int
+    def __init__(self, weights: tuple[FieldElement, ...], positive: list[FieldElement],
+                 negative: list[FieldElement], radical_dim: int):
+        self.weights = weights
+        self.positive = positive
+        self.negative = negative
+        self.radical_dim = radical_dim
 
     @property
     def value(self) -> int:

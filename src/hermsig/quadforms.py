@@ -10,10 +10,9 @@ signatures is attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError
 from .field import (
@@ -91,17 +90,18 @@ class GramQuadraticForm:
         return f"GramQuadraticForm({self.size}x{self.size})"
 
 
-@dataclass
 class Diagonalization:
     """Result of congruence reduction: S* G S = diag(pivots, 0, ..., 0), S*
     the conjugate transpose.  The pivots are F-scalars, except for a skew
     Gram, whose pivots are pure quaternions.  `transform` is S, or None when
     not asked for."""
 
-    field: NumberField
-    pivots: tuple
-    radical_dim: int
-    transform: tuple[tuple, ...] | None = None
+    def __init__(self, field: NumberField, pivots: tuple, radical_dim: int,
+                 transform: tuple[tuple, ...] | None = None):
+        self.field = field
+        self.pivots = pivots
+        self.radical_dim = radical_dim
+        self.transform = transform
 
     @cached_property
     def form(self) -> QuadraticForm:

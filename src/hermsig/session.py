@@ -11,9 +11,8 @@ the offset inside the expression string).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .algebras import AlgebraElement, AlgebraWithInvolution
 from .cones import (MAX_SEARCH_HEIGHT, MAX_SEARCH_TERMS, MAX_SLOTS, CertTerm,
@@ -178,14 +177,17 @@ def parse_element(value, field: NumberField, gen_name: str, path: str) -> FieldE
 # Document model.
 
 
-@dataclass
 class SessionDocument:
-    field: NumberField
-    gen_name: str
-    algebras: dict[str, AlgebraWithInvolution]
-    forms: dict[str, object]  # QuadraticForm | GramQuadraticForm | HermitianForm
-    commands: list[dict]
-    seed: int = 0
+    def __init__(self, field: NumberField, gen_name: str,
+                 algebras: dict[str, AlgebraWithInvolution],
+                 forms: dict[str, object],  # QuadraticForm | GramQuadraticForm | HermitianForm
+                 commands: list[dict], seed: int = 0):
+        self.field = field
+        self.gen_name = gen_name
+        self.algebras = algebras
+        self.forms = forms
+        self.commands = commands
+        self.seed = seed
 
 
 def _require(obj: dict, key: str, path: str):
@@ -402,14 +404,20 @@ def _lifted_diagonal(values, doc, args, path) -> HermitianForm:
     return HermitianForm.diagonal(algebra, parse_diagonal(values, algebra, gen, path))
 
 
-@dataclass(frozen=True)
 class Arg:
-    json: type | None             # None: any value, checked when the command runs
-    resolve: Callable = lambda value, doc, args, path: value
-    default: object = None
-    positive: bool = False
-    cap: int | None = None        # the largest integer, or list length, accepted
-    by_name: bool = False         # a name or a list of names
+    def __init__(self,
+                 json: type | None,      # None: any value, checked when the command runs
+                 resolve: Callable = lambda value, doc, args, path: value,
+                 default: object = None,
+                 positive: bool = False,
+                 cap: int | None = None,  # the largest integer, or list length, accepted
+                 by_name: bool = False):  # a name or a list of names
+        self.json = json
+        self.resolve = resolve
+        self.default = default
+        self.positive = positive
+        self.cap = cap
+        self.by_name = by_name
 
     def check(self, key: str, value, doc: "SessionDocument", path: str) -> None:
         if self.json is not None and (not isinstance(value, self.json)

@@ -14,7 +14,6 @@ signature-visible invariants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -43,7 +42,6 @@ def image_generator(algebra: AlgebraWithInvolution) -> int:
     return 1
 
 
-@dataclass
 class FundamentalDescriptor:
     """N-descriptor for 2-in-I pairs: a finite generator list; membership
     on (rank, signature table) invariants.  The closed mode reduces mod 2,
@@ -52,20 +50,22 @@ class FundamentalDescriptor:
     deliberately omits the closure (fabricated descriptors then fail the
     ideal axiom, detectably)."""
 
-    generators: list[HermitianForm]
-    closed: bool = True
+    def __init__(self, generators: list[HermitianForm], closed: bool = True):
+        self.generators = generators
+        self.closed = closed
 
 
-@dataclass
 class PrimeIdealPair:
-    kind: str  # "signature" | "mod_p" | "fundamental"
-    algebra: AlgebraWithInvolution
-    reference: ReferenceForm
-    ordering: Ordering | None = None
-    p: int | None = None
-    descriptor: FundamentalDescriptor | None = None
-
-    def __post_init__(self):
+    def __init__(self, kind: str,  # "signature" | "mod_p" | "fundamental"
+                 algebra: AlgebraWithInvolution, reference: ReferenceForm,
+                 ordering: Ordering | None = None, p: int | None = None,
+                 descriptor: FundamentalDescriptor | None = None):
+        self.kind = kind
+        self.algebra = algebra
+        self.reference = reference
+        self.ordering = ordering
+        self.p = p
+        self.descriptor = descriptor
         if self.kind not in ("signature", "mod_p", "fundamental"):
             raise ValueError(f"unknown prime-pair kind {self.kind!r}")
         if self.kind in ("signature", "mod_p"):
@@ -161,12 +161,15 @@ def ideal_membership(q: QuadraticForm, h: HermitianForm,
     return (_q_in_ideal(pair, q), _h_in_submodule(pair, h))
 
 
-@dataclass
 class PrimeSampleReport:
-    passed: bool
-    failed_axiom: str | None = None  # "proper" | "ideal" | "prime"
-    witness_q: QuadraticForm | None = None
-    witness_h: HermitianForm | None = None
+    def __init__(self, passed: bool,
+                 failed_axiom: str | None = None,  # "proper" | "ideal" | "prime"
+                 witness_q: QuadraticForm | None = None,
+                 witness_h: HermitianForm | None = None):
+        self.passed = passed
+        self.failed_axiom = failed_axiom
+        self.witness_q = witness_q
+        self.witness_h = witness_h
 
 
 def prime_property_sample(pair: PrimeIdealPair, rng, trials: int = 40) -> PrimeSampleReport:
@@ -233,10 +236,10 @@ def prime_property_sample(pair: PrimeIdealPair, rng, trials: int = 40) -> PrimeS
 # Signature morphisms.
 
 
-@dataclass
 class MorphismComparison:
-    equivalent: bool
-    witness: HermitianForm | None = None
+    def __init__(self, equivalent: bool, witness: HermitianForm | None = None):
+        self.equivalent = equivalent
+        self.witness = witness
 
 
 def morphism_distinctness(algebra: AlgebraWithInvolution, p: Ordering, q: Ordering,
@@ -372,12 +375,13 @@ def count_open_sets(minimal: tuple[frozenset, ...]) -> int:
 # Morita compatibility of cone spaces.
 
 
-@dataclass
 class MoritaConeReport:
-    pairs: list[tuple[tuple[int, int], tuple[int, int]]]
-    trace_ok: bool
-    values_ok: bool
-    pullback_ok: bool
+    def __init__(self, pairs: list[tuple[tuple[int, int], tuple[int, int]]],
+                 trace_ok: bool, values_ok: bool, pullback_ok: bool):
+        self.pairs = pairs
+        self.trace_ok = trace_ok
+        self.values_ok = values_ok
+        self.pullback_ok = pullback_ok
 
     @property
     def ok(self) -> bool:

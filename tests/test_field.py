@@ -4,12 +4,15 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from hermsig.errors import FieldMismatchError, HermsigError, ReducibleModulusError
 from hermsig.field import (
     QQ,
+    ZERO_TEST_PRIME,
     NumberField,
+    _coprime_mod_prime,
+    _zero_test,
     count_roots,
     four_square_decomposition,
     poly_divmod,
@@ -470,6 +473,68 @@ def test_reducible_modulus_fails_loudly(modulus, element, factor, signs):
             assert re.match(message, str(err))
             got.append(None)
     assert got == signs
+
+
+@st.composite
+def _zero_test_case(draw):
+    """m = f * g, reducible when g has degree >= 1, where lead(f) is 1, 2 or
+    the pre-check's prime p (the monic m then has denominators 2 or p), and
+    a nonzero element h, or f * h, which shares the factor f with m."""
+    small = st.integers(-3, 3)
+    f = draw(st.lists(small, min_size=1, max_size=2))
+    f.append(draw(st.sampled_from([1, 2, ZERO_TEST_PRIME])))
+    g = draw(st.lists(small, max_size=3)) + [1]
+    try:
+        field = NumberField(poly_mul(tuple(f), tuple(g)))
+    except ValueError:  # not squarefree
+        assume(False)
+    a = field.element(draw(st.lists(small, max_size=field.degree)))
+    if len(f) <= field.degree and draw(st.booleans()):
+        a = a * field.element(f)
+    assume(not a.is_zero())
+    return field, a
+
+
+_P = ZERO_TEST_PRIME
+# sqrt 2 mod p (p = 7 mod 8): x - s shares a root with x^2 - 2 mod p only
+_S = pow(2, (_P + 1) // 4, _P)
+_PRECHECK_CASES = [
+    # (modulus, element, coprime mod p)
+    (F5.min_poly, [1, 1], True),
+    ([6, 0, -5, 0, 1], [-2, 0, 1], False),             # shares x^2 - 2
+    (poly_mul((-1, _P), (-2, 0, 1)), [-1, _P], False),  # shares p x - 1; p divides L
+    (poly_mul((-1, _P), (-2, 0, 1)), [0, 1], False),    # coprime, but p divides L
+    ([-2, 0, 1], [-_S, 1], False),                      # coprime over Q, not mod p
+]
+
+
+def _check_zero_test(field, a):
+    """The modular pre-check says coprime only when poly_gcd(a, m) is 1, and
+    never when the prime divides the denominators of m; the zero test raises
+    exactly where that gcd has a root in the ordering's interval."""
+    g = poly_gcd(a.coeffs, field.min_poly)
+    if _coprime_mod_prime(a):
+        assert g == (1,)
+        assert field._scale % ZERO_TEST_PRIME != 0
+    for p in field.orderings:
+        if len(g) > 1 and count_roots(sturm_chain(g), p.lo, p.hi) >= 1:
+            with pytest.raises(ReducibleModulusError):
+                _zero_test(a, p)
+        else:
+            _zero_test(a, p)
+
+
+@pytest.mark.parametrize("modulus, element, coprime", _PRECHECK_CASES)
+def test_zero_test_precheck_cases(modulus, element, coprime):
+    field = NumberField(modulus)
+    a = field.element(element)
+    assert _coprime_mod_prime(a) is coprime
+    _check_zero_test(field, a)
+
+
+@given(_zero_test_case())
+def test_zero_test_precheck_agrees_with_the_gcd(case):
+    _check_zero_test(*case)
 
 
 _int_coeffs = st.lists(st.integers(-10**12, 10**12) | st.booleans(), max_size=8)

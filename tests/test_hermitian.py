@@ -863,3 +863,12 @@ def test_quat_skew_reference_signs_agree_with_the_collapsed_member():
             if signs[0] != signs[1]:
                 differ.append((a, b))
     assert differ == []
+
+
+def test_reference_form_rejects_a_zero_certificate_entry():
+    eta = reference_form(HAMILTON1)
+    with pytest.raises(InvariantError, match="must be nonzero"):
+        ReferenceForm(eta.form, {P0: 0})
+    with pytest.raises(InvariantError, match="must be nonzero"):
+        ReferenceForm(form=eta.form, certificate={P0: 0})
+    assert ReferenceForm(eta.form, eta.certificate).certificate is eta.certificate

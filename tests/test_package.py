@@ -2,9 +2,16 @@
 states."""
 
 import ast
+import importlib
+import inspect
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import hermsig
 
@@ -74,3 +81,102 @@ def test_every_top_level_definition_is_used_in_the_package():
             break
         dead |= newly
     assert dead == set()
+
+
+# Standard-library modules no session needs: dataclasses (which pulls in
+# inspect, ast, dis and tokenize), argparse (with gettext; `cli.main` imports
+# it) and typing.
+UNNEEDED_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse",
+                    "gettext", "typing")
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_importing_hermsig_loads_no_unneeded_modules(flags):
+    """In a fresh interpreter, importing hermsig.cli and hermsig.session, as
+    `hermsig run` does, and then hermsig, adds none of UNNEEDED_MODULES to
+    sys.modules.  Only the modules the import adds count, so a module that
+    site loads does not; under -S, site loads none of them."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import hermsig.cli, hermsig.session\n"
+            "import hermsig\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    added = set(proc.stdout.split())
+    assert "hermsig.cli" in added
+    assert added.isdisjoint(UNNEEDED_MODULES), sorted(added & set(UNNEEDED_MODULES))
+
+
+# Every record class, with the parameters it took as a dataclass: names,
+# order and defaults (a callable default shows as "...").
+RECORDS = {
+    "algebras.Family": "name params entry_dim trace_divisor skew nil x_sigma build_ring",
+    "cli.Report": "records",
+    "cones.PositivityReport": "x_sigma x_tilde ps_prime_holds ps_sufficient",
+    "cones.CertTerm": "weight_subset weight_root vector generator_index",
+    "cones.SquareCertificate": "terms",
+    "cones.Refutation": "ordering witness",
+    "cones.SosSearchResult": "status certificate=None refutation=None",
+    "hermitian.ReferenceForm": "form certificate",
+    "hermitian.KnebuschReport": "holds transfer_side sum_side",
+    "hermitian.SylvesterDecomposition": "weights positive negative radical_dim",
+    "quadforms.Diagonalization": "field pivots radical_dim transform=None",
+    "session.SessionDocument": "field gen_name algebras forms commands seed=0",
+    "session.Arg": "json resolve=... default=None positive=False cap=None by_name=False",
+    "spectra.FundamentalDescriptor": "generators closed=True",
+    "spectra.PrimeIdealPair": "kind algebra reference ordering=None p=None descriptor=None",
+    "spectra.PrimeSampleReport": "passed failed_axiom=None witness_q=None witness_h=None",
+    "spectra.MorphismComparison": "equivalent witness=None",
+    "spectra.MoritaConeReport": "pairs trace_ok values_ok pullback_ok",
+}
+
+
+def _record_class(name):
+    module, cls = name.split(".")
+    return getattr(importlib.import_module(f"hermsig.{module}"), cls)
+
+
+def _rendered(param):
+    if param.default is param.empty:
+        return param.name
+    return param.name + "=" + ("..." if callable(param.default) else repr(param.default))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_classes_keep_their_parameters(name):
+    params = inspect.signature(_record_class(name)).parameters.values()
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert " ".join(_rendered(p) for p in params) == RECORDS[name]
+
+
+def _exported_record_args():
+    from hermsig import (QQ, AlgebraWithInvolution, CertTerm, Diagonalization,
+                         FundamentalDescriptor, PrimeIdealPair, ReferenceForm,
+                         SessionDocument, SquareCertificate, reference_form)
+
+    alg = AlgebraWithInvolution(QQ, "quat_symp", 1, a=-1, b=-1)
+    eta = reference_form(alg)
+    term = CertTerm((), QQ.one, alg.one_element, 0)
+    return [
+        (CertTerm, ((), QQ.one, alg.one_element, 0)),
+        (SquareCertificate, ([term],)),
+        (Diagonalization, (QQ, (QQ.one,), 0, None)),
+        (ReferenceForm, (eta.form, dict(eta.certificate))),
+        (PrimeIdealPair, ("mod_p", alg, eta, QQ.orderings[0], 3, None)),
+        (FundamentalDescriptor, ([eta.form], False)),
+        (SessionDocument, (QQ, "x", {"ham": alg}, {}, [], 7)),
+    ]
+
+
+def test_exported_records_accept_positional_and_keyword_arguments():
+    """Each record class in hermsig.__all__ takes its fields in order, or by
+    name, and keeps each argument as the attribute of that name."""
+    args = _exported_record_args()
+    assert {cls.__name__ for cls, _ in args} == {
+        name.split(".")[1] for name in RECORDS} & set(hermsig.__all__)
+    for cls, values in args:
+        names = list(inspect.signature(cls).parameters)
+        for record in (cls(*values), cls(**dict(zip(names, values)))):
+            assert all(getattr(record, n) is v for n, v in zip(names, values))
