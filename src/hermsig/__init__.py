@@ -28,7 +28,6 @@ from .hermitian import (
     HermitianForm,
     ReferenceForm,
     going_up,
-    is_nondegenerate,
     knebusch_check,
     morita_collapse,
     morita_expand,
@@ -80,9 +79,9 @@ __all__ = [
     "AlgebraWithInvolution", "AlgebraElement", "Entry", "is_invertible",
     # hermitian forms and signatures
     "HermitianForm", "ReferenceForm", "reference_form", "raw_signature", "signature",
-    "total_signature_h", "is_nondegenerate", "witt_rank", "scale_by_quadratic",
-    "morita_collapse", "morita_expand", "transport_reference", "going_up",
-    "knebusch_check", "sylvester_decompose",
+    "total_signature_h", "witt_rank", "scale_by_quadratic", "morita_collapse",
+    "morita_expand", "transport_reference", "going_up", "knebusch_check",
+    "sylvester_decompose",
     # positive cones and sums of hermitian squares
     "PositiveCone", "enumerate_positive_cones", "formally_real", "eta_maximal",
     "positivity_sets", "find_sos_certificate", "verify_certificate", "CertTerm",

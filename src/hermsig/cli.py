@@ -1,15 +1,14 @@
 """Command dispatch and report emission for session documents.
 
-Commands run sequentially in document order; every record is JSON-safe and
-deterministic for a fixed seed, so machine-readable reports are
-byte-identical across runs.  Exit codes: 0 success, 1 usage, 2 parse
-error, 3 computation error (any error record).
+Commands run sequentially in document order; every record is JSON-safe
+and every decision exact, so machine-readable reports are byte-identical
+across runs.  Exit codes: 0 success, 1 usage, 2 parse error, 3
+computation error (any error record).
 """
 
 from __future__ import annotations
 
 import json
-import random
 import sys
 
 from .cones import (
@@ -106,7 +105,6 @@ class _Runner:
 
     def __init__(self, doc: SessionDocument, search_height: int, search_terms: int):
         self.doc = doc
-        self.rng = random.Random(doc.seed)
         self.search_height = search_height
         self.search_terms = search_terms
         # id(form) -> [(ordering, signature)]; doc.forms keeps each form alive
@@ -215,7 +213,7 @@ class _Runner:
                 "ps_sufficient": rep.ps_sufficient,
                 "formally_real": formally_real(algebra)}
 
-    def cmd_ideals(self, algebra, kind, ordering, p, q, h, generators, closed, trials):
+    def cmd_ideals(self, algebra, kind, ordering, p, q, h, generators, closed):
         for key, value, used in (("ordering", ordering, kind != "fundamental"),
                                  ("p", p, kind == "mod_p"),
                                  ("generators", generators, kind == "fundamental"),
@@ -234,7 +232,7 @@ class _Runner:
             if not isinstance(q, QuadraticForm) or not isinstance(h, HermitianForm):
                 raise HermsigError("'q' must be quadratic and 'h' hermitian")
             out["q_in_ideal"], out["h_in_submodule"] = ideal_membership(q, h, pair)
-        sample = prime_property_sample(pair, self.rng, trials=trials)
+        sample = prime_property_sample(pair)
         out["prime_sample"] = "pass" if sample.passed else \
             f"counterexample ({sample.failed_axiom})"
         return out
@@ -255,10 +253,10 @@ class _Runner:
                 "t0": is_t0(minimal),
                 "open_sets": count_open_sets(minimal)}
 
-    def cmd_morita_check(self, algebra, samples):
+    def cmd_morita_check(self, algebra):
         if algebra.n == 1:
             return {"identity": True, "ok": True, "pairs": []}
-        report = morita_cone_maps(algebra, self.rng, samples=samples)
+        report = morita_cone_maps(algebra)
         return {"identity": False, "ok": report.ok,
                 "pairs": [[list(a), list(b)] for a, b in report.pairs]}
 

@@ -85,21 +85,6 @@ class PositiveCone:
         return next((d for d in _carrier(form, self.ordering)
                      if want * sign_at(d, self.ordering) < 0), None)
 
-    def sample_member(self, rng, terms: int = 2, height: int = 2) -> AlgebraElement:
-        """A random member: sum of weighted sandwiches of the oriented
-        maximal generator (axioms (P2)+(P3) closure applied to it)."""
-        alg = self.algebra
-        if not hasattr(self, "_max_gen"):
-            self._max_gen = maximal_generator(self)
-        total = alg.zero_element
-        for _ in range(rng.randint(1, terms)):
-            x = _random_element(alg, rng, height)
-            while x.is_zero():
-                x = _random_element(alg, rng, height)
-            u = _random_positive_scalar(alg, self.ordering, rng, height)
-            total = total + (x.conj_transpose() * self._max_gen * x).scale(u)
-        return total
-
     def id_pair(self) -> tuple[int, int]:
         return (self.ordering.index, self.orientation)
 
@@ -114,21 +99,6 @@ class PositiveCone:
     def __repr__(self) -> str:
         sign = "+" if self.orientation > 0 else "-"
         return f"PositiveCone(P{self.ordering.index}, {sign})"
-
-
-def _random_element(alg: AlgebraWithInvolution, rng, height: int) -> AlgebraElement:
-    ed = alg.entry_dim
-    return AlgebraElement(alg, [[[rng.randint(-height, height) for _ in range(ed)]
-                                 for _ in range(alg.n)] for _ in range(alg.n)])
-
-
-def _random_positive_scalar(alg: AlgebraWithInvolution, ordering: Ordering,
-                            rng, height: int) -> FieldElement:
-    fld = alg.field
-    while True:
-        e = fld.element([rng.randint(-height, height) for _ in range(fld.degree)])
-        if not e.is_zero() and sign_at(e, ordering) > 0:
-            return e
 
 
 def maximal_generator(cone: PositiveCone) -> AlgebraElement:

@@ -191,11 +191,6 @@ def _nondegenerate_dim(h: HermitianForm) -> int:
     return sum(2 if q.nrd().is_zero() else ed for q in pivots)
 
 
-def is_nondegenerate(h: HermitianForm) -> bool:
-    """The Gram is invertible over the algebra: the radical is trivial."""
-    return _nondegenerate_dim(h) == h.size * h.algebra.entry_dim
-
-
 def witt_rank(h: HermitianForm) -> int:
     """Rank of the nondegenerate part (the Witt-class rank)."""
     nd = _nondegenerate_dim(h)

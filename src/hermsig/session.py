@@ -407,7 +407,8 @@ def _lifted_diagonal(values, doc, args, path) -> HermitianForm:
 class Arg:
     def __init__(self,
                  json: type | None,      # None: any value, checked when the command runs
-                 resolve: Callable = lambda value, doc, args, path: value,
+                 # None: validated, never passed to the handler
+                 resolve: Callable | None = lambda value, doc, args, path: value,
                  default: object = None,
                  positive: bool = False,
                  cap: int | None = None,  # the largest integer, or list length, accepted
@@ -457,8 +458,9 @@ ARGS = {
     "kind": Arg(str),
     "p": Arg(int, cap=2**31 - 1),               # trial division decides primality
     "closed": Arg(bool),                        # absent: true
-    "trials": Arg(int, default=30, positive=True, cap=1000),
-    "samples": Arg(int, default=6, positive=True, cap=1000),
+    # accepted and validated, with no effect: the decisions are exact
+    "trials": Arg(int, resolve=None, positive=True, cap=1000),
+    "samples": Arg(int, resolve=None, positive=True, cap=1000),
 }
 
 OPS = {op: (tuple(required.split()), tuple(optional.split())) for op, required, optional in [
@@ -504,10 +506,13 @@ def check_command(cmd, doc: "SessionDocument", path: str) -> None:
 
 def resolve_args(doc: "SessionDocument", cmd: dict, path: str) -> dict:
     """The handler arguments of a checked command: each present key
-    resolved, each absent optional key at its default."""
+    resolved, each absent optional key at its default, and no key that
+    resolves to nothing."""
     optional = OPS[cmd["op"]][1]
     args: dict = {}
     for key, arg in ARGS.items():
+        if arg.resolve is None:
+            continue
         if key in cmd:
             args[key] = arg.resolve(cmd[key], doc, args, f"{path}.{key}")
         elif key in optional:

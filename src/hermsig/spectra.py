@@ -7,8 +7,8 @@ the Harrison-set separators s_P of the orderings; a `ConeSpace` computes
 the H-set of each element once.  The topology is kept as the minimal
 neighbourhoods U_x (McCord 1966): t0, agreement and the number of open sets
 are read off them, and no open set is listed.  Signature morphisms are
-separated by a constructed form.  Prime-pair membership is decided on
-signature-visible invariants.
+separated by a constructed form.  Prime-pair membership, and the
+prime-pair axioms, are decided on signature-visible invariants.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .field import Ordering
 from .hermitian import (
     HermitianForm,
     ReferenceForm,
-    is_nondegenerate,
     reference_form,
     scale_by_quadratic,
     signature,
@@ -172,64 +171,67 @@ class PrimeSampleReport:
         self.witness_h = witness_h
 
 
-def prime_property_sample(pair: PrimeIdealPair, rng, trials: int = 40) -> PrimeSampleReport:
-    """Sampled module-theoretic checks: N proper (some sampled form stays
-    outside), I.M inside N, and r m in N implies r in I or m in N.
-    Reports the first counterexample."""
-    alg = pair.algebra
-    fld = alg.field
+def prime_property_sample(pair: PrimeIdealPair) -> PrimeSampleReport:
+    """The prime-pair axioms decided exactly, in the order proper (N is not
+    all of M), ideal (I.M inside N) and prime (q.h in N implies q in I or h
+    in N); the first that fails is reported with a witness.
 
-    def random_q(k: int | None = None) -> QuadraticForm:
-        k = k if k is not None else rng.choice([1, 2, 3])
-        entries = []
-        while len(entries) < k:
-            e = fld.element([rng.randint(-3, 3) for _ in range(fld.degree)])
-            if not e.is_zero():
-                entries.append(e)
-        return QuadraticForm(fld, entries)
+    signature and mod_p pairs pass.  N is proper: the ordering is not nil
+    (`PrimeIdealPair` refuses one), so im(sign_P) = cZ with c =
+    `image_generator`, and a form of signature c lies outside N.  Both
+    axioms follow from sign(q.h) = sign(q) sign(h): a factor of signature
+    zero, or a multiple of p, makes the product one; conversely, a product
+    that is zero, or a multiple of the prime p, has such a factor.
 
-    def random_q_in_ideal() -> QuadraticForm:
-        # constructive member q' perp -q' belongs to every ideal kind;
-        # mix in rejection samples for variety
-        for _ in range(20):
-            q = random_q()
-            if _q_in_ideal(pair, q):
-                return q
-        q = random_q(rng.choice([1, 2]))
-        doubled = QuadraticForm(fld, q.entries + tuple(-e for e in q.entries))
-        return doubled
+    A fundamental pair reads its descriptor, by `_closed_fundamental` or
+    `_raw_fundamental`."""
+    if pair.kind != "fundamental":
+        return PrimeSampleReport(True)
+    if pair.descriptor.closed:
+        return _closed_fundamental(pair)
+    return _raw_fundamental(pair)
 
-    def random_h() -> HermitianForm:
-        while True:
-            k = rng.choice([1, 2])
-            s = k * alg.n
-            rows = [[alg.entry([rng.randint(-2, 2) for _ in range(alg.entry_dim)])
-                     for _ in range(s)] for _ in range(s)]
-            ct = [[rows[c][r].conj() for c in range(s)] for r in range(s)]
-            if alg.skew_gram:
-                gram = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(rows, ct)]
-            else:
-                gram = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(rows, ct)]
-            form = HermitianForm(alg, gram)
-            if is_nondegenerate(form):
-                return form
 
-    candidates = [pair.reference.form] + [random_h() for _ in range(trials)]
-    if all(_h_in_submodule(pair, h) for h in candidates):
-        return PrimeSampleReport(False, "proper", None, candidates[0])
-    for _ in range(trials):
-        q = random_q_in_ideal()
-        h = random_h()
-        if not _h_in_submodule(pair, scale_by_quadratic(q, h)):
-            return PrimeSampleReport(False, "ideal", q, h)
-    for _ in range(trials):
-        q = random_q()
-        h = random_h()
-        if not _h_in_submodule(pair, scale_by_quadratic(q, h)):
-            continue
-        if not _q_in_ideal(pair, q) and not _h_in_submodule(pair, h):
-            return PrimeSampleReport(False, "prime", q, h)
+def _closed_fundamental(pair: PrimeIdealPair) -> PrimeSampleReport:
+    """Closed mode: N is the F_2-span V of the generators' invariant vectors
+    v(h) = (rank, sign_P for the non-nil P).  A quadratic form has signature
+    = rank mod 2 at every ordering, so q acts on v(h) mod 2 as 0 when q is
+    in I(F) (even rank) and as the identity when its rank is odd.  Hence
+    I.M maps to 0, inside N, and q.h in N with q outside I gives h in N:
+    the ideal and prime axioms always hold.  When c = `image_generator` is
+    2 every signature is even; when it is 1, n is odd and a rank-r form
+    collapses to a diagonal of n r entries with one sign each at a non-nil
+    P, so its signature is r mod 2.  Hence v(h) = rank(h) (1, e, ..., e)
+    mod 2 with e = 1 iff c = 1.  A rank-1 form exists, so N is proper
+    exactly when (1, e, ..., e) is not in V; otherwise N = M holds the
+    reference form, the witness."""
+    nonnil = pair.algebra.nonnil_orderings()
+    vecs = [_inv_vector(g, pair.reference, nonnil) for g in pair.descriptor.generators]
+    odd = (1,) + (image_generator(pair.algebra) % 2,) * len(nonnil)
+    if _span_contains(vecs, odd, 2):
+        return PrimeSampleReport(False, "proper", None, pair.reference.form)
     return PrimeSampleReport(True)
+
+
+def _raw_fundamental(pair: PrimeIdealPair) -> PrimeSampleReport:
+    """Raw mode: N is the Q-span V of the invariant vectors, so it is never
+    a prime pair.  With eta the reference form, v(eta) = (r, t_1, ..., t_k)
+    has no zero coordinate: its rank r and its signatures at the non-nil
+    orderings are nonzero.  The multipliers <1, -1> and <1, s_P>, both in
+    I(F), act on v as diag(2, 0, ..., 0) and diag(2, 2 e_P), as s_P is
+    positive at P only; so the vectors of their products with eta span the
+    whole space.  If V is the whole space, N = M and N is not proper, with
+    eta as witness.  Otherwise one product q.eta lies outside V: the ideal
+    axiom fails with the witness (q, eta), whose non-membership is checked
+    exactly on the way."""
+    fld = pair.algebra.field
+    eta = pair.reference.form
+    multipliers = [QuadraticForm(fld, [1, -1])] + [
+        QuadraticForm(fld, [fld.one, p.separator]) for p in pair.algebra.nonnil_orderings()]
+    for q in multipliers:
+        if not _h_in_submodule(pair, scale_by_quadratic(q, eta)):
+            return PrimeSampleReport(False, "ideal", q, eta)
+    return PrimeSampleReport(False, "proper", None, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -376,54 +378,29 @@ def count_open_sets(minimal: tuple[frozenset, ...]) -> int:
 
 
 class MoritaConeReport:
-    def __init__(self, pairs: list[tuple[tuple[int, int], tuple[int, int]]],
-                 trace_ok: bool, values_ok: bool, pullback_ok: bool):
+    def __init__(self, pairs: list[tuple[tuple[int, int], tuple[int, int]]], ok: bool):
         self.pairs = pairs
-        self.trace_ok = trace_ok
-        self.values_ok = values_ok
-        self.pullback_ok = pullback_ok
-
-    @property
-    def ok(self) -> bool:
-        return self.trace_ok and self.values_ok and self.pullback_ok
+        self.ok = ok
 
 
-def morita_cone_maps(algebra: AlgebraWithInvolution, rng,
-                     reference: ReferenceForm | None = None,
-                     samples: int = 10) -> MoritaConeReport:
+def morita_cone_maps(algebra: AlgebraWithInvolution,
+                     reference: ReferenceForm | None = None) -> MoritaConeReport:
     """The bijection (P, eps) <-> (P, eps) between the cone spaces of
-    M_n(D) and D, with trace/value membership checks on sampled members
-    and a finite pullback check of subbasic opens."""
+    M_n(D) and D, and whether it is the Morita map of cones: `ok` says that
+    for every a in the generator pool of D, the cones of M_n(D) holding
+    diag(a, 0, ..., 0) are those paired with the cones of D holding a.  The
+    pool is finite and its H-sets generate the topology of D
+    (`_generator_pool`), so `ok` is decided over the whole pool, not
+    sampled."""
     ref_up = reference if reference is not None else reference_form(algebra)
     down_alg = algebra.collapsed()
-    ref_down = transport_reference(ref_up, down_alg)
     up = ConeSpace(algebra, ref_up)
-    down = ConeSpace(down_alg, ref_down)
+    down = ConeSpace(down_alg, transport_reference(ref_up, down_alg))
     pairs = [(c.id_pair(), d.id_pair()) for c, d in zip(up.cones, down.cones)]
-    trace_ok = values_ok = True
-    n = algebra.n
-    for cone_up, cone_down in zip(up.cones, down.cones):
-        for _ in range(samples):
-            m = cone_up.sample_member(rng)
-            tr = down_alg.element([[m.trace()]])
-            if not cone_down.contains(tr):
-                trace_ok = False
-            # a random column vector X as a matrix supported on one column
-            col = [algebra.entry([rng.randint(-2, 2) for _ in range(algebra.entry_dim)])
-                   for _ in range(n)]
-            x = algebra.element([[col[r] if c == 0 else algebra.entry_zero
-                                  for c in range(n)] for r in range(n)])
-            value = (x.conj_transpose() * m * x).rows[0][0]
-            if not cone_down.contains(down_alg.element([[value]])):
-                values_ok = False
-    pullback_ok = True
-    for a_down in down.generators[:16]:
-        h_down = down._h_single(a_down)
-        entry = a_down.rows[0][0]
-        rows = [[entry if r == c == 0 else algebra.entry_zero
-                 for c in range(n)] for r in range(n)]
-        embedded = algebra.element(rows)
-        h_up = up._h_single(embedded)
-        if h_up != h_down:
-            pullback_ok = False
-    return MoritaConeReport(pairs, trace_ok, values_ok, pullback_ok)
+    n, zero = algebra.n, algebra.entry_zero
+    ok = all(
+        up._h_single(algebra.element([[a.rows[0][0] if r == c == 0 else zero
+                                       for c in range(n)] for r in range(n)]))
+        == down._h_single(a)
+        for a in down.generators)
+    return MoritaConeReport(pairs, ok)

@@ -1,17 +1,80 @@
 """Cone-level checks that only the tests use.
 
-`prepositive_axiom_check` samples random members, so it tests the
-prepositive-cone axioms on a candidate set; it is not a decision
-procedure.  `strongly_anisotropic_flag` is a one-sided criterion, and
-`basic_open` and `labels` read the H-sets of a `ConeSpace`.
+`sample_member` draws a random member of a cone.  `prepositive_axiom_check`
+samples such members, so it tests the prepositive-cone axioms on a
+candidate set, and `sampled_morita_checks` tests the Morita map of cones
+on them; neither is a decision procedure.  `strongly_anisotropic_flag` is
+a one-sided criterion, and `basic_open` and `labels` read the H-sets of a
+`ConeSpace`.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from hermsig.cones import _random_element
+from hermsig.algebras import AlgebraElement
+from hermsig.cones import PositiveCone, enumerate_positive_cones, maximal_generator
 from hermsig.field import sign_at
-from hermsig.hermitian import rank1_max_signature, signature
+from hermsig.hermitian import (
+    rank1_max_signature,
+    reference_form,
+    signature,
+    transport_reference,
+)
+
+
+def sample_member(cone, rng, terms=2, height=2):
+    """A random member: sum of weighted sandwiches of the oriented
+    maximal generator (axioms (P2)+(P3) closure applied to it)."""
+    alg = cone.algebra
+    gen = maximal_generator(cone)
+    total = alg.zero_element
+    for _ in range(rng.randint(1, terms)):
+        x = _random_element(alg, rng, height)
+        while x.is_zero():
+            x = _random_element(alg, rng, height)
+        u = _random_positive_scalar(alg, cone.ordering, rng, height)
+        total = total + (x.conj_transpose() * gen * x).scale(u)
+    return total
+
+
+def _random_element(alg, rng, height):
+    ed = alg.entry_dim
+    return AlgebraElement(alg, [[[rng.randint(-height, height) for _ in range(ed)]
+                                 for _ in range(alg.n)] for _ in range(alg.n)])
+
+
+def _random_positive_scalar(alg, ordering, rng, height):
+    fld = alg.field
+    while True:
+        e = fld.element([rng.randint(-height, height) for _ in range(fld.degree)])
+        if not e.is_zero() and sign_at(e, ordering) > 0:
+            return e
+
+
+def sampled_morita_checks(algebra, rng, samples=10):
+    """(trace_ok, values_ok) for the cone pairing of `morita_cone_maps`:
+    for sampled members m of each cone of M_n(D), the trace of m and the
+    value X* m X at a random column X lie in the paired cone of D."""
+    ref_up = reference_form(algebra)
+    down_alg = algebra.collapsed()
+    up = enumerate_positive_cones(algebra, ref_up)
+    down = enumerate_positive_cones(down_alg, transport_reference(ref_up, down_alg))
+    trace_ok = values_ok = True
+    n = algebra.n
+    for cone_up, cone_down in zip(up, down):
+        for _ in range(samples):
+            m = sample_member(cone_up, rng)
+            if not cone_down.contains(down_alg.element([[m.trace()]])):
+                trace_ok = False
+            # a random column vector X as a matrix supported on one column
+            col = [algebra.entry([rng.randint(-2, 2) for _ in range(algebra.entry_dim)])
+                   for _ in range(n)]
+            x = algebra.element([[col[r] if c == 0 else algebra.entry_zero
+                                  for c in range(n)] for r in range(n)])
+            value = (x.conj_transpose() * m * x).rows[0][0]
+            if not cone_down.contains(down_alg.element([[value]])):
+                values_ok = False
+    return trace_ok, values_ok
 
 
 class SymmetricSetCandidate:
@@ -46,7 +109,7 @@ class UnionCandidate:
 
     def sample_member(self, rng, **kw):
         self._flip = -self._flip
-        m = self.cone.sample_member(rng, **kw)
+        m = sample_member(self.cone, rng, **kw)
         return m if self._flip > 0 else -m
 
 
@@ -68,7 +131,9 @@ def prepositive_axiom_check(candidate, ordering, rng, trials=40):
     alg = candidate.algebra
     if not candidate.contains(alg.zero_element):
         return AxiomReport(False, "P1", "0 is not a member")
-    members = [candidate.sample_member(rng) for _ in range(max(4, trials // 4))]
+    draw = (sample_member if isinstance(candidate, PositiveCone)
+            else type(candidate).sample_member)
+    members = [draw(candidate, rng) for _ in range(max(4, trials // 4))]
     for m1, m2 in itertools.islice(itertools.product(members, repeat=2), trials):
         if not candidate.contains(m1 + m2):
             return AxiomReport(False, "P2", "sum of two members escapes the set")

@@ -750,7 +750,8 @@ def test_skew_kernel_matches_twisted_trace_oracle():
     from hermsig.algebras import AlgebraElement
     from hermsig.cones import enumerate_positive_cones
     from hermsig.field import sign_at
-    from hermsig.hermitian import is_nondegenerate, witt_rank
+    from hermsig.hermitian import witt_rank
+    from witt_helpers import is_nondegenerate
     from hermsig.quadforms import diagonalize
     from trace_oracle import trace_carrier, trace_rank, trace_signature
 

@@ -85,9 +85,9 @@ def test_every_top_level_definition_is_used_in_the_package():
 
 # Standard-library modules no session needs: dataclasses (which pulls in
 # inspect, ast, dis and tokenize), argparse (with gettext; `cli.main` imports
-# it) and typing.
+# it), typing, and random (every decision is exact).
 UNNEEDED_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse",
-                    "gettext", "typing")
+                    "gettext", "typing", "random")
 
 
 @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
@@ -109,8 +109,8 @@ def test_importing_hermsig_loads_no_unneeded_modules(flags):
     assert added.isdisjoint(UNNEEDED_MODULES), sorted(added & set(UNNEEDED_MODULES))
 
 
-# Every record class, with the parameters it took as a dataclass: names,
-# order and defaults (a callable default shows as "...").
+# Every record class with its parameters: names, order and defaults (a
+# callable default shows as "...").
 RECORDS = {
     "algebras.Family": "name params entry_dim trace_divisor skew nil x_sigma build_ring",
     "cli.Report": "records",
@@ -129,7 +129,7 @@ RECORDS = {
     "spectra.PrimeIdealPair": "kind algebra reference ordering=None p=None descriptor=None",
     "spectra.PrimeSampleReport": "passed failed_axiom=None witness_q=None witness_h=None",
     "spectra.MorphismComparison": "equivalent witness=None",
-    "spectra.MoritaConeReport": "pairs trace_ok values_ok pullback_ok",
+    "spectra.MoritaConeReport": "pairs ok",
 }
 
 

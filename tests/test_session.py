@@ -568,6 +568,22 @@ def test_ideals_rejects_keys_its_kind_ignores(kind, extra, key):
         assert record["status"] == "ok"
 
 
+@pytest.mark.parametrize("diag", [["1"], ["1", "-1"]], ids=["one", "hyperbolic"])
+def test_raw_fundamental_answer_does_not_depend_on_the_seed(diag):
+    """Neither raw span is closed under I(F) on split_orth over Q(sqrt2), so
+    the ideal axiom fails.  The sampler this replaced, at 2 trials, said
+    `counterexample (proper)` for <1> at seed 1 and `pass` for <1, -1> at
+    seed 3."""
+    for seed in range(8):
+        doc = {"field": {"min_poly": ["-2", "0", "1"]}, "seed": seed,
+               "algebras": [{"name": "so", "family": "split_orth"}],
+               "forms": [{"name": "g", "algebra": "so", "diag": diag}],
+               "commands": [{"op": "ideals", "algebra": "so", "kind": "fundamental",
+                             "generators": ["g"], "closed": False, "trials": 2}]}
+        record = run_session(parse_session(json.dumps(doc))).records[0]
+        assert record["result"] == {"prime_sample": "counterexample (ideal)"}, seed
+
+
 def test_ideals_p_above_its_cap_is_a_parse_error(tmp_path, capsys):
     """`p` is tested prime by trial division, so a value above 2^31 - 1 is
     refused at parse time, with the cap in the message, rather than run:

@@ -7,7 +7,7 @@ import pytest
 from hermsig.algebras import AlgebraWithInvolution
 from hermsig.errors import NilOrderingError
 from hermsig.field import QQ, NumberField
-from hermsig.hermitian import HermitianForm, reference_form, signature
+from hermsig.hermitian import HermitianForm, reference_form, scale_by_quadratic, signature
 from hermsig.quadforms import QuadraticForm
 from hermsig.spectra import (
     ConeSpace,
@@ -24,7 +24,8 @@ from hermsig.spectra import (
     prime_property_sample,
     topology_compare,
 )
-from cone_helpers import basic_open, labels
+from cone_helpers import basic_open, labels, sampled_morita_checks
+from prime_oracle import sampled_prime_check, witness_holds
 
 SQRT2 = NumberField([-2, 0, 1])
 # the totally real quintic of the cone_search workload, and 2cos(pi/16)
@@ -80,8 +81,7 @@ def test_fundamental_membership_closed():
     assert ideal_membership(QuadraticForm(QQ, [1]), odd, pair2)[1]
 
 
-def test_prime_property_samples_pass_for_honest_pairs():
-    rng = random.Random(70)
+def test_prime_property_passes_for_honest_pairs():
     eta = reference_form(HAMILTON1)
     for pair in (
         PrimeIdealPair("signature", HAMILTON1, eta, ordering=P0),
@@ -89,7 +89,7 @@ def test_prime_property_samples_pass_for_honest_pairs():
         PrimeIdealPair("fundamental", HAMILTON1, eta,
                        descriptor=FundamentalDescriptor([], closed=True)),
     ):
-        assert prime_property_sample(pair, rng, trials=25).passed
+        assert prime_property_sample(pair).passed
 
 
 def test_is_prime_reads_the_integer_square_root():
@@ -106,17 +106,17 @@ def test_is_prime_reads_the_integer_square_root():
 
 def test_fabricated_raw_descriptor_fails_ideal_axiom():
     # over Q(sqrt2) a raw descriptor without the fundamental-ideal closure
-    # is caught by the sampler
+    # fails the ideal axiom
     alg = AlgebraWithInvolution(SQRT2, "split_orth", 1)
     eta = reference_form(alg)
     theta = SQRT2.gen
     gen = HermitianForm.diagonal(alg, [1, 1, theta])  # table (3, 1)
     pair = PrimeIdealPair("fundamental", alg, eta,
                           descriptor=FundamentalDescriptor([gen], closed=False))
-    rng = random.Random(71)
-    report = prime_property_sample(pair, rng, trials=60)
+    report = prime_property_sample(pair)
     assert not report.passed
     assert report.failed_axiom == "ideal"
+    assert witness_holds(pair, report)
 
 
 def test_morphism_triviality_flag():
@@ -234,19 +234,18 @@ def test_singletons_cover_basic_opens_on_matrix_instances():
 
 
 def test_morita_cone_maps_quat2():
-    rng = random.Random(72)
     alg = AlgebraWithInvolution(QQ, "quat_symp", 2, a=-1, b=-1)
-    report = morita_cone_maps(alg, rng, samples=6)
+    report = morita_cone_maps(alg)
     assert report.ok
     assert len(report.pairs) == 2
 
     so = AlgebraWithInvolution(SQRT2, "split_orth", 2)
-    report = morita_cone_maps(so, rng, samples=4)
+    report = morita_cone_maps(so)
     assert report.ok
     assert len(report.pairs) == 4
 
     allnil = AlgebraWithInvolution(QQ, "quat_symp", 2, a=1, b=1)
-    report = morita_cone_maps(allnil, rng)
+    report = morita_cone_maps(allnil)
     assert report.ok and report.pairs == []
 
 
@@ -256,8 +255,9 @@ def test_full_span_descriptor_reported_not_proper():
     even = HermitianForm.diagonal(HAMILTON1, [1, 1])
     pair = PrimeIdealPair("fundamental", HAMILTON1, eta,
                           descriptor=FundamentalDescriptor([odd, even], closed=True))
-    report = prime_property_sample(pair, random.Random(73), trials=20)
+    report = prime_property_sample(pair)
     assert not report.passed and report.failed_axiom == "proper"
+    assert witness_holds(pair, report)
 
 
 def test_mod_p_membership_on_even_image_family():
@@ -275,16 +275,91 @@ def test_mod_p_membership_on_even_image_family():
     assert (in_i, in_n) == (True, True)
     single = HermitianForm.diagonal(skew, [skew.scalar_element(k)])
     assert ideal_membership(QuadraticForm(QQ, [1]), single, pair)[1] is False
-    report = prime_property_sample(pair, random.Random(74), trials=20)
-    assert report.passed
+    assert prime_property_sample(pair).passed
 
 
 def test_morita_cone_maps_quat_skew_matrix():
-    rng = random.Random(75)
     alg = AlgebraWithInvolution(QQ, "quat_skew", 2, a=1, b=1)
-    report = morita_cone_maps(alg, rng, samples=4)
+    report = morita_cone_maps(alg)
     assert report.ok
     assert len(report.pairs) == 2
+
+
+@pytest.mark.parametrize("alg", [
+    AlgebraWithInvolution(QQ, "quat_symp", 2, a=-1, b=-1),
+    AlgebraWithInvolution(SQRT2, "split_orth", 2),
+    AlgebraWithInvolution(QQ, "quat_skew", 2, a=1, b=1),
+], ids=["quat_symp", "split_orth_sqrt2", "quat_skew"])
+def test_sampled_morita_checks_agree_with_the_exact_pullback(alg):
+    """The trace and value checks on sampled cone members, which
+    `morita_cone_maps` used to run, pass where the exact pullback does."""
+    assert morita_cone_maps(alg).ok
+    assert sampled_morita_checks(alg, random.Random(72), samples=4) == (True, True)
+
+
+def test_morita_pullback_visits_every_generator_of_a_large_pool(monkeypatch):
+    """The pullback used to test only the first 16 generators of the pool of
+    D; quat_skew over the quintic has 36."""
+    alg = AlgebraWithInvolution(F5, "quat_skew", 2, a=1, b=1)
+    seen = set()
+    h_single = ConeSpace._h_single
+
+    def recording(space, element):
+        if space.algebra.n == 1:
+            seen.add(element.coords())
+        return h_single(space, element)
+
+    monkeypatch.setattr(ConeSpace, "_h_single", recording)
+    report = morita_cone_maps(alg)
+    assert report.ok and len(report.pairs) == 10
+    pool = {a.coords() for a in ConeSpace(alg.collapsed()).generators}
+    assert len(pool) == 36 and seen == pool
+
+
+def _grid_algebras(field):
+    return [
+        AlgebraWithInvolution(field, "split_orth", 1),
+        AlgebraWithInvolution(field, "split_orth", 2),
+        AlgebraWithInvolution(field, "unitary", 1, delta=-1),
+        AlgebraWithInvolution(field, "quat_symp", 1, a=-1, b=-1),
+        AlgebraWithInvolution(field, "quat_symp", 1, a=-1, b=field.gen),
+        AlgebraWithInvolution(field, "quat_skew", 1, a=1, b=1),
+    ]
+
+
+def _grid_descriptors(alg):
+    """Generator lists built from the reference form eta: none, eta, its
+    multiples by <1, -1>, <1, 1> and <s_P> at the last non-nil P, and the
+    products of eta with <1, -1> and every <1, s_P>."""
+    fld = alg.field
+    eta = reference_form(alg).form
+    seps = [p.separator for p in alg.nonnil_orderings()]
+
+    def times(*entries):
+        return scale_by_quadratic(QuadraticForm(fld, entries), eta)
+
+    return [[], [eta], [times(1, -1)], [times(1, 1)], [times(*seps[-1:] or [1])],
+            [times(1, -1)] + [times(1, s) for s in seps]]
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "raw"])
+@pytest.mark.parametrize("alg", _grid_algebras(SQRT2) + _grid_algebras(F5),
+                         ids=[f"{f}-{a}" for f in ("sqrt2", "quintic")
+                              for a in ("split_orth1", "split_orth2", "unitary",
+                                        "quat_symp", "quat_symp_mix", "quat_skew")])
+def test_prime_property_matches_the_sampled_oracle(alg, closed):
+    """On every family and descriptor the exact decision gives the sampled
+    oracle's answer at 30 trials, and its witness shows the failure."""
+    eta = reference_form(alg)
+    for generators in _grid_descriptors(alg):
+        pair = PrimeIdealPair("fundamental", alg, eta,
+                              descriptor=FundamentalDescriptor(generators, closed))
+        exact = prime_property_sample(pair)
+        oracle = sampled_prime_check(pair, random.Random(30), trials=30)
+        assert (exact.passed, exact.failed_axiom) == (oracle.passed, oracle.failed_axiom)
+        assert closed or not exact.passed
+        for report in (exact, oracle):
+            assert report.passed or witness_holds(pair, report)
 
 
 def test_topology_compare_quat_skew_matrix():

@@ -1,6 +1,6 @@
 """Witt-level operations that only the tests use.
 
-Orthogonal sums, negation, Pfister forms, the Witt sum and product with
+Nondegeneracy, orthogonal sums, negation, Pfister forms, the Witt sum and product with
 syntactic cancellation of <a, -a> pairs, the Scharlau transfer of a
 diagonal form along Tr_{L/Q}, the trace formula, and the local-global
 torsion tests.  No command needs them (the `torsion` op applies its own
@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from hermsig.errors import AlgebraMismatchError, FieldMismatchError
 from hermsig.field import QQ
-from hermsig.hermitian import HermitianForm, total_signature_h
+from hermsig.hermitian import HermitianForm, _nondegenerate_dim, total_signature_h
 from hermsig.quadforms import (
     GramQuadraticForm,
     QuadraticForm,
@@ -19,6 +19,11 @@ from hermsig.quadforms import (
     field_trace,
     signature_q,
 )
+
+
+def is_nondegenerate(h):
+    """The Gram is invertible over the algebra: the radical is trivial."""
+    return _nondegenerate_dim(h) == h.size * h.algebra.entry_dim
 
 
 def perp(h1, h2):
