@@ -571,14 +571,14 @@ class AlgebraElement:
             return self.scale(other)
         self._check(other)
         n = self.algebra.n
-        z = self.algebra.entry_zero
         rows = []
-        for r in range(n):
+        for a in self.rows:
             row = []
             for c in range(n):
-                acc = z
-                for t in range(n):
-                    acc = acc + self.rows[r][t] * other.rows[t][c]
+                # each sum starts from its first product, not from zero
+                acc = a[0] * other.rows[0][c]
+                for t in range(1, n):
+                    acc = acc + a[t] * other.rows[t][c]
                 row.append(acc)
             rows.append(row)
         return AlgebraElement._of(self.algebra, rows)

@@ -300,7 +300,10 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     vectors x (first nonzero coordinate positive) whose largest |coordinate|
     is h, in lexicographic order, each crossed with the Pfister subsets for
     the weight and the generator slot that give a distinct scale, so the
-    h-pool is a prefix of the (h + 1)-pool.
+    h-pool is a prefix of the (h + 1)-pool.  A term whose value x* a x
+    times its scale equals that of an earlier term is left out: the first
+    certificate never needs it, and the search does not try again a value
+    whose subtree failed.
     """
     alg = u.algebra
     fld = alg.field
@@ -336,14 +339,17 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     subsets = [tuple(i for i in range(t) if mask >> i & 1) for mask in range(1 << t)]
     # scale -> its first (weight subset, generator mask): each slot is a
     # factor 0, 1 or 2 times, so at most 3^t of the 4^t choices differ.
-    # Dropping the later duplicates keeps the first certificate: every pool
-    # value lies in every cone, so no remainder of a valid term sequence is
-    # pruned, and a sequence with a duplicate has an earlier twin.
     scales: dict[FieldElement, tuple] = {}
     for wsub in subsets:
         for gmask in range(1 << t):
             scales.setdefault(_term_scale(slot_elems, wsub, fld.one, gmask), (wsub, gmask))
+    # The pool keeps the first term of each distinct value, so a value whose
+    # subtree failed is not searched again.  Dropping the later ones keeps
+    # the first certificate: every pool value lies in every cone, so no
+    # remainder of a valid term sequence is pruned, and a sequence with a
+    # later copy has an earlier twin (swap in the first copy and sort).
     values = []
+    seen: set[AlgebraElement] = set()
 
     def dfs(rem: AlgebraElement, start: int, chosen: list) -> list | None:
         if rem.is_zero():
@@ -372,8 +378,11 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
             x = alg.element([[coords]])
             sandwich = x.conj_transpose() * a * x
             if not sandwich.is_zero():
-                values += [(wsub, gmask, x, sandwich.scale(g))
-                           for g, (wsub, gmask) in scales.items()]
+                for g, (wsub, gmask) in scales.items():
+                    val = sandwich.scale(g)
+                    if val not in seen:
+                        seen.add(val)
+                        values.append((wsub, gmask, x, val))
         found = dfs(u, 0, [])
         if found is not None:
             terms = [CertTerm(wsub, fld.one, x, i << t | gmask)

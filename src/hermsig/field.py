@@ -83,14 +83,9 @@ def poly_deriv(p: tuple) -> tuple:
     return _trim([i * c for i, c in enumerate(p)][1:])
 
 
-def poly_eval(p: tuple, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def sturm_chain(p: tuple) -> list[tuple]:
+    """The Sturm chain of p, each member times the lcm of its denominators:
+    integer polynomials with the signs of the rational chain."""
     chain = [p]
     if len(p) > 1:
         chain.append(poly_deriv(p))
@@ -99,13 +94,31 @@ def sturm_chain(p: tuple) -> list[tuple]:
             if not rem:
                 break
             chain.append(poly_neg(rem))
-    return chain
+    return [_integer_multiple(q) for q in chain]
+
+
+def _integer_multiple(p: tuple) -> tuple[int, ...]:
+    den = math.lcm(*(c.denominator for c in p))
+    return tuple(c.numerator * (den // c.denominator) for c in p)
+
+
+def _scaled_eval(p: tuple, x: Fraction) -> int:
+    """dd^e p(n/dd) for x = n/dd in lowest terms and p of degree e >= 0,
+    by homogeneous Horner on the coefficients: the sign of p(x), exact
+    and on integers when p has integer coefficients (as
+    `NumberField._scaled_value`)."""
+    n, dd = x.numerator, x.denominator
+    acc, pw = p[-1], 1
+    for c in reversed(p[:-1]):
+        pw *= dd
+        acc = acc * n + c * pw
+    return acc
 
 
 def _sign_variations(chain: list[tuple], x: Fraction) -> int:
     signs = []
     for p in chain:
-        v = poly_eval(p, x)
+        v = _scaled_eval(p, x)
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -130,6 +143,10 @@ def isolate_real_roots(p: tuple) -> list[tuple[Fraction, Fraction]]:
     never roots, so the output is reproducible.  Intervals are sorted.
     """
     chain = sturm_chain(p)
+
+    def is_root(x: Fraction) -> bool:  # chain[0] is a multiple of p
+        return _scaled_eval(chain[0], x) == 0
+
     bound = cauchy_bound(p)
     done: list[tuple[Fraction, Fraction]] = []
     stack = [(-bound, bound)]
@@ -142,14 +159,14 @@ def isolate_real_roots(p: tuple) -> list[tuple[Fraction, Fraction]]:
             done.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if poly_eval(p, mid) != 0:
+        if not is_root(mid):
             stack.append((lo, mid))
             stack.append((mid, hi))
         else:
             # Rational root exactly at the bisection point; carve out a
             # dyadic window that isolates it and recurse on the rest.
             delta = (hi - lo) / 4
-            while (poly_eval(p, mid - delta) == 0 or poly_eval(p, mid + delta) == 0
+            while (is_root(mid - delta) or is_root(mid + delta)
                    or count_roots(chain, mid - delta, mid + delta) != 1):
                 delta /= 2
             done.append((mid - delta, mid + delta))
@@ -469,6 +486,8 @@ class FieldElement:
 
     def __rtruediv__(self, other):
         o = self._lift(other)
+        if o is None:
+            return NotImplemented
         return o * self.inverse()
 
     def __pow__(self, n: int):

@@ -2,9 +2,11 @@
 finite topology of the positive-cone space.
 
 Ordering spaces of number fields are finite, so the cone space is a finite
-space.  Its subbasis is the H-sets of one exact generator set, built from
-the Harrison-set separators s_P of the orderings; a `ConeSpace` computes
-the H-set of each element once.  The topology is kept as the minimal
+space.  Its subbasis is the H-sets of one exact generator set, the seeds
+scaled by +-1 and by the Harrison-set separators s_P of the orderings; a
+`ConeSpace` tests cone membership on the seeds only, derives the H-sets of
+the scaled ones by the sign of the scalar, and computes the H-set of any
+other element once.  The topology is kept as the minimal
 neighbourhoods U_x (McCord 1966): t0, agreement and the number of open sets
 are read off them, and no open set is listed.  Signature morphisms are
 separated by a constructed form.  Prime-pair membership, and the
@@ -20,7 +22,7 @@ from functools import cached_property
 from .algebras import AlgebraElement, AlgebraWithInvolution, is_invertible
 from .cones import enumerate_positive_cones
 from .errors import AlgebraMismatchError, InvariantError, NilOrderingError
-from .field import Ordering
+from .field import FieldElement, Ordering, sign_at
 from .hermitian import (
     HermitianForm,
     ReferenceForm,
@@ -269,7 +271,8 @@ def morphism_distinctness(algebra: AlgebraWithInvolution, p: Ordering, q: Orderi
 
 
 class ConeSpace:
-    """All positive cones of an algebra with a subbasis cache of H-sets."""
+    """All positive cones of an algebra, the exact generator set of the
+    subbasis of its topology, and a cache of H-sets."""
 
     def __init__(self, algebra: AlgebraWithInvolution,
                  reference: ReferenceForm | None = None):
@@ -279,9 +282,50 @@ class ConeSpace:
         self._h_cache: dict = {}
 
     @cached_property
-    def generators(self) -> list[AlgebraElement]:
-        """The exact generator set of the subbasis (`_generator_pool`)."""
+    def _pool(self) -> tuple[list[AlgebraElement], list[FieldElement]]:
         return _generator_pool(self.algebra)
+
+    @cached_property
+    def generators(self) -> list[AlgebraElement]:
+        """The exact generator set of the subbasis, e s for every scalar e
+        in +-scalars and every seed s, in that order (`_generator_pool`)."""
+        seeds, scalars = self._pool
+        return [s.scale(e) for c in scalars for e in (c, -c) for s in seeds]
+
+    @cached_property
+    def generator_sets(self) -> list[frozenset[int]]:
+        """H(g) for each of `generators`, derived from the H-sets of the
+        seeds: the cone (P, eps) holds e s, for a nonzero scalar e, exactly
+        when the cone (P, eps sgn_P(e)) holds s.
+
+        Proof.  The congruence kernel on <e s> takes the same steps as on
+        <s>, with every entry multiplied by e: its tests see e x != 0 and
+        Nrd(e x) = e^2 Nrd(x), so no choice changes, and a hermitian pivot
+        d becomes e d.  A quat_skew pure pivot q becomes e q, so its
+        carrier pair (Trd(u q), Trd(u q) Nrd(q)) becomes (e t, e^3 t n),
+        with the signs of (t, t n) times sgn(e); the pair (Nrd, -Nrd) is
+        scaled by e^2, and no cone holds it unless it is 0.  So flipping
+        the orientation by sgn_P(e) gives the same verdict."""
+        seeds, scalars = self._pool
+        seed_sets = [self._h_single(s) for s in seeds]
+        index = {cone.id_pair(): i for i, cone in enumerate(self.cones)}
+        out = []
+        for c in scalars:
+            signs = [sign_at(c, cone.ordering) for cone in self.cones]
+            for e_sign in (1, -1):
+                # cone i holds e s iff cone moved[i] holds s
+                moved = [index[cone.ordering.index, e_sign * sg * cone.orientation]
+                         for cone, sg in zip(self.cones, signs)]
+                out += [frozenset(i for i, j in enumerate(moved) if j in h)
+                        for h in seed_sets]
+        return out
+
+    @cached_property
+    def generator_invertible(self) -> list[bool]:
+        """Whether each of `generators` is invertible: e s is exactly when
+        the seed s is, as e is a nonzero scalar."""
+        seeds, scalars = self._pool
+        return [is_invertible(s) for s in seeds] * (2 * len(scalars))
 
     def __len__(self) -> int:
         return len(self.cones)
@@ -305,10 +349,13 @@ def generate_topology(size: int, subbasic: list[frozenset]) -> tuple[frozenset, 
     return tuple(whole.intersection(*[s for s in subbasic if x in s]) for x in range(size))
 
 
-def _generator_pool(algebra: AlgebraWithInvolution) -> list[AlgebraElement]:
-    """One exact generator set: `sym_basis` and the unit (for quat_skew the
-    pure i, j, k), scaled by +-1 and, when F has two orderings or more, by
-    +-s_P for every non-nil P.
+def _generator_pool(algebra: AlgebraWithInvolution
+                    ) -> tuple[list[AlgebraElement], list[FieldElement]]:
+    """One exact generator set, as seeds and scalars: the generators are
+    the seeds, `sym_basis` and the unit (for quat_skew the pure i, j, k),
+    scaled by +-1 and, when F has two orderings or more, by +-s_P for every
+    non-nil P.  `ConeSpace` computes H-sets on the seeds only and derives
+    the others (`ConeSpace.generator_sets`).
 
     It is complete.  Since s_P is positive at P only, H(1) & H(s_P) is the
     single cone (P, sgn eta_P), and H(-1) & H(-s_P) is the other
@@ -323,17 +370,17 @@ def _generator_pool(algebra: AlgebraWithInvolution) -> list[AlgebraElement]:
     scalars = [fld.one]
     if len(fld.orderings) > 1:
         scalars += [p.separator for p in algebra.nonnil_orderings()]
-    return [s.scale(e) for c in scalars for e in (c, -c) for s in seeds]
+    return seeds, scalars
 
 
 def topology_compare(space: ConeSpace) -> bool:
     """The topologies generated by all pool generators and by the
-    invertible ones only must agree: equal minimal neighbourhoods.
-    Membership sets already computed on the space are reused."""
-    pool = space.generators
-    all_sets = [space._h_single(a) for a in pool]
-    inv_sets = [space._h_single(a) for a in pool if is_invertible(a)]
-    t_all = generate_topology(len(space), all_sets)
+    invertible ones only must agree: equal minimal neighbourhoods.  Both
+    read the H-sets and invertibility the space derives from its seeds
+    (`ConeSpace.generator_sets`), so no generator but a seed is tested."""
+    sets = space.generator_sets
+    inv_sets = [h for h, inv in zip(sets, space.generator_invertible) if inv]
+    t_all = generate_topology(len(space), sets)
     t_inv = generate_topology(len(space), inv_sets)
     return t_all == t_inv
 
@@ -342,8 +389,7 @@ def cone_space_topology(algebra: AlgebraWithInvolution,
                         reference: ReferenceForm | None = None) -> tuple[ConeSpace, tuple]:
     """The cone space and the minimal neighbourhoods of its topology."""
     space = ConeSpace(algebra, reference)
-    sets = [space._h_single(a) for a in space.generators]
-    return space, generate_topology(len(space), sets)
+    return space, generate_topology(len(space), space.generator_sets)
 
 
 def is_t0(minimal: tuple[frozenset, ...]) -> bool:

@@ -5,14 +5,21 @@ samples such members, so it tests the prepositive-cone axioms on a
 candidate set, and `sampled_morita_checks` tests the Morita map of cones
 on them; neither is a decision procedure.  `strongly_anisotropic_flag` is
 a one-sided criterion, and `basic_open` and `labels` read the H-sets of a
-`ConeSpace`.
+`ConeSpace`.  `plain_sos_search` is the sos-find search on a pool that
+keeps every term, equal values too.
 """
 
 import itertools
 from dataclasses import dataclass
 
 from hermsig.algebras import AlgebraElement
-from hermsig.cones import PositiveCone, enumerate_positive_cones, maximal_generator
+from hermsig.cones import (
+    PositiveCone,
+    _term_scale,
+    default_generator,
+    enumerate_positive_cones,
+    maximal_generator,
+)
 from hermsig.field import sign_at
 from hermsig.hermitian import (
     rank1_max_signature,
@@ -20,6 +27,7 @@ from hermsig.hermitian import (
     signature,
     transport_reference,
 )
+from hermsig.quadforms import harrison_set
 
 
 def sample_member(cone, rng, terms=2, height=2):
@@ -188,3 +196,55 @@ def basic_open(space, elements):
 def labels(space, subset):
     """The (ordering index, orientation) pairs of the cones in subset."""
     return sorted(space.cones[i].id_pair() for i in subset)
+
+
+def plain_sos_search(u, slots=(), height=1, max_terms=3):
+    """The bounded search of `find_sos_certificate` on an n = 1 algebra with
+    the default generator, as a plain depth-first search that tries every
+    pool value, equal ones too, and subtracts the last term as well: the
+    oracle of its pool of distinct values.  The terms are the vectors of
+    height 1 to `height` in order, each times the distinct slot scales in
+    their first (weight subset, generator mask).  Returns ("refuted",
+    None) when u is outside a cone of the Harrison set, ("certificate",
+    [(weight subset, generator index, vector), ...]) for the first
+    certificate at minimal height, and ("unknown", None) at exhaustion."""
+    alg = u.algebra
+    fld = alg.field
+    a = default_generator(alg)
+    slots = [fld.element(b) if isinstance(b, int) else b for b in slots]
+    t = len(slots)
+    cones = [PositiveCone(alg, p, 1) for p in harrison_set(fld, slots) if not alg.is_nil(p)]
+    if not all(c.contains(u) for c in cones):
+        return "refuted", None
+    scales = {}
+    for wmask in range(1 << t):
+        wsub = tuple(i for i in range(t) if wmask >> i & 1)
+        for gmask in range(1 << t):
+            scales.setdefault(_term_scale(slots, wsub, fld.one, gmask), (wsub, gmask))
+    values = []
+
+    def dfs(rem, start, depth):
+        if rem.is_zero():
+            return []
+        if depth == max_terms or not all(c.contains(rem) for c in cones):
+            return None
+        for idx in range(start, len(values)):
+            wsub, gmask, x, val = values[idx]
+            got = dfs(rem - val, idx, depth + 1)
+            if got is not None:
+                return [(wsub, depth << t | gmask, x)] + got
+        return None
+
+    for h in range(1, height + 1):
+        for coords in itertools.product(range(-h, h + 1), repeat=alg.entry_dim):
+            if max(map(abs, coords)) != h or next(c for c in coords if c) < 0:
+                continue
+            x = alg.element([[coords]])
+            sandwich = x.conj_transpose() * a * x
+            if not sandwich.is_zero():
+                values += [(wsub, gmask, x, sandwich.scale(g))
+                           for g, (wsub, gmask) in scales.items()]
+        found = dfs(u, 0, 0)
+        if found is not None:
+            return "certificate", found
+    return "unknown", None

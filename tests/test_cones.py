@@ -27,6 +27,7 @@ from hermsig.hermitian import (
 from cone_helpers import (
     SymmetricSetCandidate,
     UnionCandidate,
+    plain_sos_search,
     prepositive_axiom_check,
     sample_member,
     strongly_anisotropic_flag,
@@ -551,13 +552,14 @@ def test_find_sos_certificate_pinned_quintic_targets(monkeypatch):
     assert verify_certificate(u, ham.one_element, [], 3, res.certificate)
     # 13 needs four terms of reduced norm at most 4.  Whatever the number of
     # cones: one reduction for the invertibility test of the generator, one
-    # for <13> and one for each of the 40 first-term remainders (40 vectors
-    # of height 1); the last term is compared with the remainder, not
-    # subtracted and reduced
+    # for <13> and one for each distinct first-term remainder: the 40
+    # vectors of height 1 have reduced norm 1, 2, 3 or 4, and the pool keeps
+    # one term per value.  The last term is compared with the remainder,
+    # not subtracted and reduced
     calls = count_diagonalize(monkeypatch)
     res = find_sos_certificate(ham.scalar_element(13), height=1, max_terms=2)
     assert _cert_summary(res) == ("unknown", None)
-    assert len(calls) == 1 + 1 + 40
+    assert len(calls) == 1 + 1 + 4
 
 
 def test_find_sos_certificate_one_term_short_is_unknown():
@@ -600,6 +602,35 @@ def test_find_sos_certificate_with_slots_is_pinned(alg, target, slots, height,
     if terms is not None:
         copies = max(t.generator_index for t in res.certificate.terms) // (1 << len(slots)) + 1
         assert verify_certificate(u, alg.one_element, slots, copies, res.certificate)
+
+
+_THETA = SQRT2.gen
+
+
+@pytest.mark.parametrize("alg, targets, slots, height, max_terms", [
+    (HAMILTON1, range(1, 21), [], 1, 3),
+    (AlgebraWithInvolution(F5, "quat_symp", 1, a=-1, b=-1), range(1, 21), [], 1, 3),
+    (UNITARY1, range(1, 21), [2, 5], 2, 2),
+    (SO1_SQRT2, [k + j * _THETA for k in range(-2, 6) for j in (-2, 1, 3)],
+     [_THETA, 2], 1, 3),
+], ids=["quat_symp_Q", "quat_symp_quintic", "unitary_slots", "split_orth_sqrt2_slots"])
+def test_pool_of_distinct_values_keeps_the_first_certificate(alg, targets, slots, height,
+                                                             max_terms):
+    """The search keeps one term per pool value, so it never searches a
+    value again after its subtree failed; the plain search, which keeps
+    every term, finds the same first certificate, or none.  The targets
+    over Q(sqrt 2) mix certificates, refutations and exhaustion."""
+    statuses = set()
+    for target in targets:
+        u = alg.scalar_element(target)
+        res = find_sos_certificate(u, slots=slots, height=height, max_terms=max_terms)
+        status, terms = plain_sos_search(u, slots, height, max_terms)
+        got = None if res.certificate is None else [
+            (term.weight_subset, term.generator_index, term.vector)
+            for term in res.certificate.terms]
+        assert (res.status, got) == (status, terms), target
+        statuses.add(status)
+    assert "certificate" in statuses and "unknown" in statuses
 
 
 def grid_algebras(field, family):

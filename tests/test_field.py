@@ -16,7 +16,6 @@ from hermsig.field import (
     count_roots,
     four_square_decomposition,
     poly_divmod,
-    poly_eval,
     poly_gcd,
     sign_at,
     sturm_chain,
@@ -45,6 +44,13 @@ def poly_add(p, q):
 
 def poly_sub(p, q):
     return poly_add(p, tuple(-c for c in q))
+
+
+def poly_eval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def poly_mul(p, q):
@@ -200,6 +206,13 @@ def test_division_by_zero():
         SQRT2.zero.inverse()
 
 
+def test_dividing_an_unsupported_operand_by_an_element_is_a_type_error():
+    # __rtruediv__ used to multiply None by the inverse
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for /"):
+        1.5 / SQRT2.gen
+    assert 2 / SQRT2.gen == SQRT2.gen and Fraction(1, 2) / SQRT2.gen == SQRT2.gen / 4
+
+
 def test_sign_multiplicative_on_samples():
     rng = random.Random(7)
     elems = [SQRT2.element([rng.randint(-4, 4), rng.randint(-4, 4)]) for _ in range(30)]
@@ -305,6 +318,39 @@ F5 = NumberField([1, 3, -3, -4, 1, 1])
 ORACLE_FIELDS = [F5, SQRT2, NumberField([Fraction(-1, 5), Fraction(-1, 3), 0, 1])]
 
 _rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+def fraction_sturm_count(p, lo, hi):
+    """Reference root count in (lo, hi]: the rational Sturm chain of p,
+    evaluated by Fraction Horner."""
+    chain = [p, _trim([i * c for i, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        rem = poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(tuple(-c for c in rem))
+
+    def variations(x):
+        signs = [v > 0 for v in (poly_eval(q, x) for q in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi)
+
+
+_endpoints = st.fractions(min_value=-50, max_value=50, max_denominator=64)
+
+
+@given(st.lists(_rationals, min_size=2, max_size=7).filter(lambda c: c[-1] != 0),
+       _endpoints, _endpoints)
+@example([Fraction(c) for c in (1, 3, -3, -4, 1, 1)], Fraction(-3), Fraction(3))
+@example([Fraction(c) for c in (0, -1, 0, 1)], Fraction(-1), Fraction(1))
+def test_count_roots_matches_the_fraction_oracle(coeffs, a, b):
+    """The integer chain counts as the rational one does, also with an
+    endpoint at a root (x^3 - x at -1 and 1); its members are integer."""
+    p, lo, hi = tuple(coeffs), min(a, b), max(a, b)
+    chain = sturm_chain(p)
+    assert all(type(c) is int for q in chain for c in q)
+    assert count_roots(chain, lo, hi) == fraction_sturm_count(p, lo, hi)
 
 
 @st.composite

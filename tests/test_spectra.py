@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from hermsig.algebras import AlgebraWithInvolution
+from hermsig.algebras import AlgebraWithInvolution, is_invertible
 from hermsig.errors import NilOrderingError
 from hermsig.field import QQ, NumberField
 from hermsig.hermitian import HermitianForm, reference_form, scale_by_quadratic, signature
@@ -325,6 +325,22 @@ def _grid_algebras(field):
         AlgebraWithInvolution(field, "quat_symp", 1, a=-1, b=field.gen),
         AlgebraWithInvolution(field, "quat_skew", 1, a=1, b=1),
     ]
+
+
+@pytest.mark.parametrize("alg", [
+    alg for field in (SQRT2, F5) for alg in _grid_algebras(field)
+    + [AlgebraWithInvolution(field, "quat_skew", 1, a=1, b=field.gen)]],
+    ids=[f"{f}-{a}" for f in ("sqrt2", "quintic")
+         for a in ("split_orth1", "split_orth2", "unitary", "quat_symp",
+                   "quat_symp_mix", "quat_skew", "quat_skew_mix")])
+def test_generator_sets_derived_from_the_seeds_match_direct_membership(alg):
+    """The H-sets and invertibility the space derives from its seeds by the
+    scaling rule are those of every generator, tested one by one."""
+    space = ConeSpace(alg)
+    direct = ConeSpace(alg)
+    assert space.generator_sets == [direct._h_single(g) for g in direct.generators]
+    assert space.generator_invertible == [is_invertible(g) for g in space.generators]
+    assert len(space.generators) == len(space.generator_sets)
 
 
 def _grid_descriptors(alg):
