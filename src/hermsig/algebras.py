@@ -230,8 +230,9 @@ def _is_rational_square(r: Fraction) -> bool:
 
 def is_square_in_field(e: FieldElement) -> bool:
     """Exact squareness test; supports degree <= 2 fields, rational values
-    over odd-degree fields, and elements negative at some ordering (never
-    squares).  Raises UnsupportedError otherwise."""
+    over odd-degree fields, elements negative at some ordering and
+    elements whose norm is not a rational square (never squares, as
+    N(y^2) = N(y)^2).  Raises UnsupportedError otherwise."""
     field = e.field
     d = field.degree
     if e.is_zero():
@@ -267,6 +268,8 @@ def is_square_in_field(e: FieldElement) -> bool:
         # Q(sqrt(r)) has degree 1 or 2 over Q; 2 does not divide an odd degree.
         return _is_rational_square(e.as_fraction())
     if any(sign_at(e, p) < 0 for p in field.orderings):
+        return False
+    if not _is_rational_square(e.norm()):
         return False
     raise UnsupportedError(
         f"cannot decide squareness of {e!r} over a degree-{d} field")

@@ -296,14 +296,18 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     cones does not contain; its last term must equal the remainder, so it
     is found by comparison, without subtracting or testing the differences.
 
-    The pool is built once and grown by height: height h adds the canonical
-    vectors x (first nonzero coordinate positive) whose largest |coordinate|
-    is h, in lexicographic order, each crossed with the Pfister subsets for
-    the weight and the generator slot that give a distinct scale, so the
+    The pool is grown by height: height h adds the canonical vectors x
+    (first nonzero coordinate positive) whose largest |coordinate| is h, in
+    lexicographic order, each crossed with the Pfister subsets for the
+    weight and the generator slot that give a distinct scale, so the
     h-pool is a prefix of the (h + 1)-pool.  A term whose value x* a x
     times its scale equals that of an earlier term is left out: the first
     certificate never needs it, and the search does not try again a value
-    whose subtree failed.
+    whose subtree failed.  The terms are built on demand, in the same
+    order: the search builds a term when it first reaches its index, so a
+    certificate found early leaves the rest of the pool unbuilt, and the
+    nodes visited and the certificate returned are those of a pool built
+    in full.  An `unknown` result has built the whole pool of every height.
     """
     alg = u.algebra
     fld = alg.field
@@ -348,30 +352,10 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     # the first certificate: every pool value lies in every cone, so no
     # remainder of a valid term sequence is pruned, and a sequence with a
     # later copy has an earlier twin (swap in the first copy and sort).
-    values = []
     seen: set[AlgebraElement] = set()
 
-    def dfs(rem: AlgebraElement, start: int, chosen: list) -> list | None:
-        if rem.is_zero():
-            return list(chosen)
-        if len(chosen) >= max_terms:
-            return None
-        if not all(c.contains(rem) for c in cones):
-            return None
-        if len(chosen) + 1 == max_terms:
-            # the last term must be the remainder itself
-            last = next((v for v in values[start:] if v[3] == rem), None)
-            return None if last is None else chosen + [last[:3]]
-        for idx in range(start, len(values)):
-            wsub, gmask, x, val = values[idx]
-            chosen.append((wsub, gmask, x))
-            got = dfs(rem - val, idx, chosen)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    for h in range(1, height + 1):
+    def height_terms(h: int):
+        """The pool terms of height h, in pool order."""
         for coords in itertools.product(range(-h, h + 1), repeat=alg.entry_dim):
             if max(map(abs, coords)) != h or next(c for c in coords if c) < 0:
                 continue
@@ -382,7 +366,45 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
                     val = sandwich.scale(g)
                     if val not in seen:
                         seen.add(val)
-                        values.append((wsub, gmask, x, val))
+                        yield wsub, gmask, x, val
+
+    values: list = []  # the terms pulled so far, a prefix of the pool
+    source = iter(())  # the terms of the current height not yet pulled
+
+    def pool_from(start: int):
+        """The pool terms from index start on, each pulled from the source
+        when the search first reaches it."""
+        for idx in itertools.count(start):
+            if idx == len(values):
+                term = next(source, None)
+                if term is None:
+                    return
+                values.append(term)
+            yield idx, values[idx]
+
+    def dfs(rem: AlgebraElement, start: int, chosen: list) -> list | None:
+        if rem.is_zero():
+            return list(chosen)
+        if len(chosen) >= max_terms:
+            return None
+        if not all(c.contains(rem) for c in cones):
+            return None
+        if len(chosen) + 1 == max_terms:
+            # the last term must be the remainder itself
+            last = next((v for _, v in pool_from(start) if v[3] == rem), None)
+            return None if last is None else chosen + [last[:3]]
+        for idx, (wsub, gmask, x, val) in pool_from(start):
+            chosen.append((wsub, gmask, x))
+            got = dfs(rem - val, idx, chosen)
+            if got is not None:
+                return got
+            chosen.pop()
+        return None
+
+    for h in range(1, height + 1):
+        # A failed search has pulled every term of the heights below: its
+        # root scans the whole pool.  So the terms of h follow them.
+        source = height_terms(h)
         found = dfs(u, 0, [])
         if found is not None:
             terms = [CertTerm(wsub, fld.one, x, i << t | gmask)

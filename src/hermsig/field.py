@@ -429,16 +429,14 @@ class FieldElement:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "FieldElement":
-        """Solve num * y = 1 for the multiplication matrix of num by
-        fraction-free (Bareiss) elimination; singular exactly when the
+    def _eliminate(self) -> tuple[list[list[int]], int, list[int], int]:
+        """Fraction-free (Bareiss) elimination of [M | e_0], for M the
+        integer multiplication matrix of num (at least two coefficients):
+        column j is x^j * num reduced mod m, times scales[j] >= 1.  Returns
+        the rows, the last pivot prev, the scales and the number of row
+        swaps; det M = (-1)^swaps prev.  M is singular exactly when the
         element is a zero divisor, which raises ReducibleModulusError."""
         num, field = self.num, self.field
-        if not num:
-            raise ZeroDivisionError("division by zero")
-        if len(num) == 1:
-            c = num[0]
-            return FieldElement(field, (self.den if c > 0 else -self.den,), abs(c))
         d = field.degree
         # Column j is x^j * num reduced mod m; it carries the factor
         # scales[j] >= 1, i.e. col / scales[j] is congruent to x^j * num.
@@ -450,13 +448,14 @@ class FieldElement:
             cols.append(col)
         # Augmented rows [M | e_0] with M[i][j] = cols[j][i].
         rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(d)]
-        prev = 1
+        prev, swaps = 1, 0
         for k in range(d):
             if not rows[k][k]:
                 r = next((r for r in range(k + 1, d) if rows[r][k]), None)
                 if r is None:
                     raise _zero_divisor(field, poly_gcd(self.coeffs, field.min_poly))
                 rows[k], rows[r] = rows[r], rows[k]
+                swaps += 1
             pivot_row = rows[k]
             p = pivot_row[k]
             for i in range(k + 1, d):
@@ -465,6 +464,19 @@ class FieldElement:
                 for j in range(k + 1, d + 1):
                     row[j] = (p * row[j] - a * pivot_row[j]) // prev
             prev = p
+        return rows, prev, scales, swaps
+
+    def inverse(self) -> "FieldElement":
+        """Solve num * y = 1 for the multiplication matrix of num
+        (`_eliminate`)."""
+        num, field = self.num, self.field
+        if not num:
+            raise ZeroDivisionError("division by zero")
+        if len(num) == 1:
+            c = num[0]
+            return FieldElement(field, (self.den if c > 0 else -self.den,), abs(c))
+        d = field.degree
+        rows, prev, scales, _ = self._eliminate()
         # prev = +-det(M), so det * solution is integral: back-substitute
         # z_i = prev * y_i exactly.
         z = [0] * d
@@ -477,6 +489,16 @@ class FieldElement:
         sign = 1 if prev > 0 else -1
         den = self.den * sign
         return _canonical(field, [den * s * v for s, v in zip(scales, z)], prev * sign)
+
+    def norm(self) -> Fraction:
+        """N(e), the determinant of multiplication by e.  For e = num / den
+        it is N(num) / den^d, and the matrix that `_eliminate` reduces has
+        determinant N(num) times the product of its scales."""
+        num, d = self.num, self.field.degree
+        if len(num) <= 1:
+            return Fraction(num[0] if num else 0, self.den) ** d
+        _, prev, scales, swaps = self._eliminate()
+        return Fraction(-prev if swaps % 2 else prev, math.prod(scales) * self.den ** d)
 
     def __truediv__(self, other):
         o = self._lift(other)

@@ -433,20 +433,30 @@ def morita_cone_maps(algebra: AlgebraWithInvolution,
                      reference: ReferenceForm | None = None) -> MoritaConeReport:
     """The bijection (P, eps) <-> (P, eps) between the cone spaces of
     M_n(D) and D, and whether it is the Morita map of cones: `ok` says that
-    for every a in the generator pool of D, the cones of M_n(D) holding
+    both cone lists carry the same labels in the same order, and that for
+    every a in the generator pool of D, the cones of M_n(D) holding
     diag(a, 0, ..., 0) are those paired with the cones of D holding a.  The
     pool is finite and its H-sets generate the topology of D
     (`_generator_pool`), so `ok` is decided over the whole pool, not
-    sampled."""
+    sampled; it is compared on the seeds s of the pool only.
+
+    Proof.  Every generator is e s for a nonzero scalar e, and diag(e s, 0,
+    ..., 0) = e diag(s, 0, ..., 0).  The congruence kernel on <e m> takes
+    the same steps as on <m>, scaled by e, so in both spaces the cone (P,
+    eps) holds e m exactly when the cone (P, eps sgn_P(e)) holds m
+    (`ConeSpace.generator_sets`).  With the same labels in the same order,
+    e moves the cones of both lists alike, so equal H-sets for diag(s, 0,
+    ..., 0) and s give equal H-sets for every e s."""
     ref_up = reference if reference is not None else reference_form(algebra)
     down_alg = algebra.collapsed()
     up = ConeSpace(algebra, ref_up)
     down = ConeSpace(down_alg, transport_reference(ref_up, down_alg))
     pairs = [(c.id_pair(), d.id_pair()) for c, d in zip(up.cones, down.cones)]
+    same_labels = [c.id_pair() for c in up.cones] == [d.id_pair() for d in down.cones]
     n, zero = algebra.n, algebra.entry_zero
-    ok = all(
-        up._h_single(algebra.element([[a.rows[0][0] if r == c == 0 else zero
+    ok = same_labels and all(
+        up._h_single(algebra.element([[s.rows[0][0] if r == c == 0 else zero
                                        for c in range(n)] for r in range(n)]))
-        == down._h_single(a)
-        for a in down.generators)
+        == down._h_single(s)
+        for s in down._pool[0])
     return MoritaConeReport(pairs, ok)

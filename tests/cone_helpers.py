@@ -6,7 +6,8 @@ candidate set, and `sampled_morita_checks` tests the Morita map of cones
 on them; neither is a decision procedure.  `strongly_anisotropic_flag` is
 a one-sided criterion, and `basic_open` and `labels` read the H-sets of a
 `ConeSpace`.  `plain_sos_search` is the sos-find search on a pool that
-keeps every term, equal values too.
+keeps every term, equal values too, and `every_generator_pullback` is the
+Morita check on every generator of the pool, not on its seeds only.
 """
 
 import itertools
@@ -28,6 +29,7 @@ from hermsig.hermitian import (
     transport_reference,
 )
 from hermsig.quadforms import harrison_set
+from hermsig.spectra import ConeSpace
 
 
 def sample_member(cone, rng, terms=2, height=2):
@@ -248,3 +250,19 @@ def plain_sos_search(u, slots=(), height=1, max_terms=3):
         if found is not None:
             return "certificate", found
     return "unknown", None
+
+
+def every_generator_pullback(algebra):
+    """The `ok` of `morita_cone_maps`, decided by testing diag(a, 0, ..., 0)
+    over M_n(D) against a over D for every generator a of the pool of D,
+    one by one, with the cones paired by position."""
+    ref_up = reference_form(algebra)
+    down_alg = algebra.collapsed()
+    up = ConeSpace(algebra, ref_up)
+    down = ConeSpace(down_alg, transport_reference(ref_up, down_alg))
+    n, zero = algebra.n, algebra.entry_zero
+    return all(
+        up._h_single(algebra.element([[a.rows[0][0] if r == c == 0 else zero
+                                       for c in range(n)] for r in range(n)]))
+        == down._h_single(a)
+        for a in down.generators)

@@ -144,8 +144,13 @@ def test_squareness_decisions():
     assert not is_square_in_field(theta + 5)
     cubic = NumberField([-2, 0, 0, 1])
     assert not is_square_in_field(cubic.element(2))
+    # x is positive at the one real root; its norm 2 is no rational square
+    assert cubic.gen.norm() == 2
+    assert not is_square_in_field(cubic.gen)
+    # x^2 is a square whose root the test cannot build: still loud
+    assert (cubic.gen * cubic.gen).norm() == 4
     with pytest.raises(UnsupportedError):
-        is_square_in_field(cubic.gen)
+        is_square_in_field(cubic.gen * cubic.gen)
 
 
 def test_squareness_decided_by_a_negative_sign():
@@ -162,11 +167,28 @@ def test_squareness_decided_by_a_negative_sign():
     h = HermitianForm.diagonal(uni, [uni.entry(1), uni.entry(x)])
     table = total_signature_h(h, reference_form(uni))
     assert [v for _, v in table] == [0, 0, 0, 2, 2]
-    # totally positive and not rational: still undecided, loudly
-    for value in (2 + x, x * x + 1):
+    # totally positive and not rational: decided by a norm that is no
+    # rational square (89), undecided and loud when it is one (1)
+    for value, norm in ((x * x + 1, 89), (2 + x, 1)):
         assert all(sign_at(value, p) > 0 for p in F5.orderings)
-        with pytest.raises(UnsupportedError):
-            is_square_in_field(value)
+        assert value.norm() == norm
+    assert not is_square_in_field(x * x + 1)
+    with pytest.raises(UnsupportedError):
+        is_square_in_field(2 + x)
+
+
+def test_unitary_with_a_totally_positive_delta_is_nil_everywhere():
+    """delta = 1 + x^2 over the quintic used to raise "cannot decide
+    squareness"; its norm 89 shows it is no square.  It is positive at all
+    five orderings, so the algebra is nil there and every signature is 0."""
+    from hermsig.hermitian import HermitianForm, reference_form, total_signature_h
+
+    x = F5.gen
+    uni = AlgebraWithInvolution(F5, "unitary", 1, delta=1 + x * x)
+    assert len(uni.nil_orderings()) == 5 and not uni.nonnil_orderings()
+    h = HermitianForm.diagonal(uni, [uni.entry(1), uni.entry(x), uni.entry(-2 - x)])
+    table = total_signature_h(h, reference_form(uni))
+    assert [v for _, v in table] == [0] * 5
 
 
 def test_closed_catalogue():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermsig.algebras import AlgebraWithInvolution, is_invertible
+from hermsig.algebras import AlgebraElement, AlgebraWithInvolution, is_invertible
 from hermsig.cones import (
     PositiveCone,
     SquareCertificate,
@@ -620,6 +620,13 @@ def test_pool_of_distinct_values_keeps_the_first_certificate(alg, targets, slots
     value again after its subtree failed; the plain search, which keeps
     every term, finds the same first certificate, or none.  The targets
     over Q(sqrt 2) mix certificates, refutations and exhaustion."""
+    statuses = _same_search_as_the_plain_oracle(alg, targets, slots, height, max_terms)
+    assert "certificate" in statuses and "unknown" in statuses
+
+
+def _same_search_as_the_plain_oracle(alg, targets, slots, height, max_terms):
+    """Assert that sos-find gives the outcome and the first certificate of
+    `plain_sos_search` for every target; return the outcomes seen."""
     statuses = set()
     for target in targets:
         u = alg.scalar_element(target)
@@ -628,9 +635,52 @@ def test_pool_of_distinct_values_keeps_the_first_certificate(alg, targets, slots
         got = None if res.certificate is None else [
             (term.weight_subset, term.generator_index, term.vector)
             for term in res.certificate.terms]
-        assert (res.status, got) == (status, terms), target
+        assert (res.status, got) == (status, terms), (target, max_terms)
         statuses.add(status)
-    assert "certificate" in statuses and "unknown" in statuses
+    return statuses
+
+
+@pytest.mark.parametrize("height", [1, 2])
+@pytest.mark.parametrize("alg, targets, slots", [
+    (HAMILTON1, range(1, 21), ()),
+    (HAMILTON1, range(1, 21), (2,)),
+    (AlgebraWithInvolution(F5, "quat_symp", 1, a=-1, b=-1), range(1, 21), ()),
+    (AlgebraWithInvolution(F5, "quat_symp", 1, a=-1, b=-1), range(1, 21), (2,)),
+    (SO1_SQRT2, [k + j * _THETA for k in range(-2, 6) for j in (-2, 1, 3)], (_THETA, 2)),
+], ids=["quat_symp_Q", "quat_symp_Q_slot", "quat_symp_quintic", "quat_symp_quintic_slot",
+        "split_orth_sqrt2_slots"])
+def test_on_demand_pool_searches_as_the_full_pool(alg, targets, slots, height):
+    """The pool is built term by term as the search reaches it, in the
+    order of the full pool: for 1 to 3 terms, the outcome and the first
+    certificate are those of the plain search on a pool built in full."""
+    statuses = set()
+    for max_terms in (1, 2, 3):
+        statuses |= _same_search_as_the_plain_oracle(alg, targets, slots, height, max_terms)
+    assert "certificate" in statuses
+
+
+def test_on_demand_pool_builds_the_sandwiches_the_search_reaches(monkeypatch):
+    """Each sandwich x* a x is two products of algebra elements, and the
+    invertibility test of the generator one more.  3 = 1 + 1 + 1 needs the
+    first vector only; the unknown 13 with two terms builds all 40 vectors
+    of height 1."""
+    ham = AlgebraWithInvolution(F5, "quat_symp", 1, a=-1, b=-1)
+    reference_form(ham)
+    products = []
+    mul = AlgebraElement.__mul__
+
+    def counted(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    res = find_sos_certificate(ham.scalar_element(3), height=1, max_terms=3)
+    assert res.status == "certificate"
+    assert len(products) <= 1 + 2 * 2
+    products.clear()
+    res = find_sos_certificate(ham.scalar_element(13), height=1, max_terms=2)
+    assert res.status == "unknown"
+    assert len(products) == 1 + 2 * 40
 
 
 def grid_algebras(field, family):

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from hermsig.algebras import AlgebraWithInvolution, is_invertible
+from hermsig.cones import PositiveCone
 from hermsig.errors import NilOrderingError
 from hermsig.field import QQ, NumberField
 from hermsig.hermitian import HermitianForm, reference_form, scale_by_quadratic, signature
@@ -24,7 +25,7 @@ from hermsig.spectra import (
     prime_property_sample,
     topology_compare,
 )
-from cone_helpers import basic_open, labels, sampled_morita_checks
+from cone_helpers import basic_open, every_generator_pullback, labels, sampled_morita_checks
 from prime_oracle import sampled_prime_check, witness_holds
 
 SQRT2 = NumberField([-2, 0, 1])
@@ -297,25 +298,6 @@ def test_sampled_morita_checks_agree_with_the_exact_pullback(alg):
     assert sampled_morita_checks(alg, random.Random(72), samples=4) == (True, True)
 
 
-def test_morita_pullback_visits_every_generator_of_a_large_pool(monkeypatch):
-    """The pullback used to test only the first 16 generators of the pool of
-    D; quat_skew over the quintic has 36."""
-    alg = AlgebraWithInvolution(F5, "quat_skew", 2, a=1, b=1)
-    seen = set()
-    h_single = ConeSpace._h_single
-
-    def recording(space, element):
-        if space.algebra.n == 1:
-            seen.add(element.coords())
-        return h_single(space, element)
-
-    monkeypatch.setattr(ConeSpace, "_h_single", recording)
-    report = morita_cone_maps(alg)
-    assert report.ok and len(report.pairs) == 10
-    pool = {a.coords() for a in ConeSpace(alg.collapsed()).generators}
-    assert len(pool) == 36 and seen == pool
-
-
 def _grid_algebras(field):
     return [
         AlgebraWithInvolution(field, "split_orth", 1),
@@ -325,6 +307,81 @@ def _grid_algebras(field):
         AlgebraWithInvolution(field, "quat_symp", 1, a=-1, b=field.gen),
         AlgebraWithInvolution(field, "quat_skew", 1, a=1, b=1),
     ]
+
+
+def test_morita_pullback_tests_the_seeds_only(monkeypatch):
+    """The pullback compares the H-sets of the seeds of the pool of D; those
+    of the scaled generators follow by the scaling rule.  quat_skew over the
+    quintic has 3 seeds and 36 generators."""
+    alg = AlgebraWithInvolution(F5, "quat_skew", 2, a=1, b=1)
+    seen = []
+    h_single = ConeSpace._h_single
+
+    def recording(space, element):
+        if space.algebra.n == 1:
+            seen.append(element.coords())
+        return h_single(space, element)
+
+    monkeypatch.setattr(ConeSpace, "_h_single", recording)
+    report = morita_cone_maps(alg)
+    assert report.ok and len(report.pairs) == 10
+    down = ConeSpace(alg.collapsed())
+    seeds = [s.coords() for s in down._pool[0]]
+    assert len(seeds) == 3 and len(down.generators) == 36
+    assert seen == seeds
+
+
+def _morita_grid():
+    return list(dict.fromkeys(
+        [alg.rebuild(n=2) for field in (SQRT2, F5) for alg in _grid_algebras(field)]
+        + [AlgebraWithInvolution(field, "quat_skew", 2, a=1, b=field.gen)
+           for field in (SQRT2, F5)]))
+
+
+@pytest.mark.parametrize("alg", _morita_grid(),
+                         ids=[f"{f}-{a}" for f in ("sqrt2", "quintic")
+                              for a in ("split_orth", "unitary", "quat_symp",
+                                        "quat_symp_mix", "quat_skew")]
+                         + ["sqrt2-quat_skew_mix", "quintic-quat_skew_mix"])
+def test_morita_seed_pullback_matches_every_generator(alg):
+    """Deciding the pullback on the seeds gives the answer of testing every
+    generator of the pool of D one by one."""
+    assert morita_cone_maps(alg).ok == every_generator_pullback(alg)
+
+
+def test_morita_tampered_seed_set_or_labels_are_not_ok(monkeypatch):
+    """A wrong H-set for diag(s, 0) of one seed s makes the pullback fail,
+    on the seeds and on every generator alike; so do cone lists whose
+    labels differ, which the scaling rule reads."""
+    alg = AlgebraWithInvolution(F5, "quat_skew", 2, a=1, b=1)
+    assert morita_cone_maps(alg).ok and every_generator_pullback(alg)
+    seed = ConeSpace(alg.collapsed())._pool[0][1]
+    n, zero = alg.n, alg.entry_zero
+    target = alg.element([[seed.rows[0][0] if r == c == 0 else zero
+                           for c in range(n)] for r in range(n)]).coords()
+    h_single = ConeSpace._h_single
+
+    def tampered(space, element):
+        got = h_single(space, element)
+        return got ^ {0} if space.algebra.n == 2 and element.coords() == target else got
+
+    with monkeypatch.context() as m:
+        m.setattr(ConeSpace, "_h_single", tampered)
+        assert not morita_cone_maps(alg).ok
+        assert not every_generator_pullback(alg)
+
+    id_pair = PositiveCone.id_pair
+
+    def relabelled(cone):
+        i, eps = id_pair(cone)
+        return (i, -eps) if cone.algebra.n == 1 else (i, eps)
+
+    # the same cones of D, in the same order, under the other orientation's
+    # label: the seed H-sets still agree, the labels do not
+    monkeypatch.setattr(PositiveCone, "id_pair", relabelled)
+    report = morita_cone_maps(alg)
+    assert not report.ok
+    assert report.pairs[0] == ((0, 1), (0, -1))
 
 
 @pytest.mark.parametrize("alg", [
