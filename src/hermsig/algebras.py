@@ -27,7 +27,7 @@ is immutable and exact.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -55,14 +55,29 @@ class EntryRing:
         self.norms = norms
         self.dim = d = len(norms)
 
-        def product(s, t):  # e_s e_t = c e_k as (k, c), with None for c = 1
-            if s == 0 or t == 0:
-                return s + t, None
-            c, k = table[s, t]
-            return k, None if c == 1 else c * field.one
+        def product(s, t):  # e_s e_t = sign c e_k as (k, sign, c), c None for +-1
+            c, k = (1, s + t) if s == 0 or t == 0 else table[s, t]
+            c = field.one * c
+            return k, -1 if c == -1 else 1, None if c in (1, -1) else c
 
         self._mul = tuple(tuple(product(s, t) for t in range(d)) for s in range(d))
         self._hash = hash((field, norms))
+
+    def dot(self, terms: Iterable[tuple], base: "Entry | None" = None) -> "Entry":
+        """base + sum of sign * x * y over the (sign, x, y) in terms, None
+        standing for 0 (as `NumberField.dot`): one `NumberField.dot` per
+        coordinate, over the products of nonzero coordinates."""
+        out = [[] for _ in range(self.dim)]
+        for sign, x, y in terms:
+            # zero coordinates are common (scalars, basis entries): skip them
+            for xs, row in zip(x.c, self._mul):
+                if xs.num:
+                    for yt, (k, e, c) in zip(y.c, row):
+                        if yt.num:
+                            out[k].append((sign * e, xs if c is None else xs * c, yt))
+        dot = self.field.dot
+        return Entry(self, tuple([dot(t, b) for t, b in zip(
+            out, (None,) * self.dim if base is None else base.c)]))
 
     def element(self, *coords) -> "Entry":
         cs = [c if isinstance(c, FieldElement) else self.field.element(c) for c in coords]
@@ -165,19 +180,7 @@ class Entry:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        ring = self.ring
-        out = [None] * ring.dim
-        # zero coordinates are common (scalars, basis entries): skip them
-        for xs, row in zip(self.c, ring._mul):
-            if not xs.num:
-                continue
-            for yt, (k, c) in zip(o.c, row):
-                if not yt.num:
-                    continue
-                p = xs * yt if c is None else xs * yt * c
-                out[k] = p if out[k] is None else out[k] + p
-        zero = ring.field.zero
-        return Entry(ring, tuple(zero if v is None else v for v in out))
+        return self.ring.dot(((1, self, o),))
 
     # F is central, so a scalar on the left acts as on the right.
     __rmul__ = __mul__
@@ -189,11 +192,7 @@ class Entry:
         return self.c[0] + self.c[0]
 
     def nrd(self) -> FieldElement:
-        acc = self.ring.field.zero
-        for p, n in zip(self.c, self.ring.norms):
-            if not p.is_zero():
-                acc = acc + p * p * n
-        return acc
+        return self.ring.field.dot([(1, p * n, p) for p, n in zip(self.c, self.ring.norms) if p.num])
 
     def inverse(self) -> "Entry":
         return self.conj() * self.nrd().inverse()
@@ -573,18 +572,9 @@ class AlgebraElement:
         if isinstance(other, (int, Fraction, FieldElement)):
             return self.scale(other)
         self._check(other)
-        n = self.algebra.n
-        rows = []
-        for a in self.rows:
-            row = []
-            for c in range(n):
-                # each sum starts from its first product, not from zero
-                acc = a[0] * other.rows[0][c]
-                for t in range(1, n):
-                    acc = acc + a[t] * other.rows[t][c]
-                row.append(acc)
-            rows.append(row)
-        return AlgebraElement._of(self.algebra, rows)
+        dot, cols = self.algebra.ring.dot, list(zip(*other.rows))
+        return AlgebraElement._of(self.algebra, [
+            [dot([(1, x, y) for x, y in zip(a, col)]) for col in cols] for a in self.rows])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):

@@ -8,13 +8,14 @@ integer interval evaluation over the root's current interval, refined by
 bisection, and only an element whose enclosure still contains 0 goes
 through the zero test: a coprimality check with the minimal polynomial
 modulo a prime, then, only if that is inconclusive, a gcd over Q.
-Inverses solve the multiplication matrix by fraction-free (Bareiss)
-elimination.  No floating point anywhere.
+An element keeps its integer multiplication matrix once built: products
+by it are matrix-vector products, and inverses solve the matrix by
+fraction-free (Bareiss) elimination.  No floating point anywhere.
 
-Irreducibility of m is not checked at construction.  A reducible m shows
-itself as a nonzero zero divisor: one that is 0 at an ordering, or one
-whose multiplication matrix is singular.  Both raise ReducibleModulusError,
-which names the shared factor, instead of returning a quiet 0.
+A rational root of m (a linear factor) is found at construction.  Any
+other reducible m shows itself as a nonzero zero divisor: one that is 0 at
+an ordering, or one whose multiplication matrix is singular.  Each raises
+ReducibleModulusError, which names the factor, not a quiet 0.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
+from operator import add, mul, sub
 
 from .errors import FieldMismatchError, ReducibleModulusError
 
@@ -42,10 +44,6 @@ def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def poly_from(coeffs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return _trim([Fraction(c) for c in coeffs])
-
-
-def poly_neg(p: tuple) -> tuple:
-    return tuple(-c for c in p)
 
 
 def poly_scale(p: tuple, c: Fraction) -> tuple:
@@ -93,7 +91,7 @@ def sturm_chain(p: tuple) -> list[tuple]:
             rem = poly_divmod(chain[-2], chain[-1])[1]
             if not rem:
                 break
-            chain.append(poly_neg(rem))
+            chain.append(tuple(-c for c in rem))
     return [_integer_multiple(q) for q in chain]
 
 
@@ -176,6 +174,36 @@ def isolate_real_roots(p: tuple) -> list[tuple[Fraction, Fraction]]:
     return done
 
 
+def _rational_root(m: tuple[Fraction, ...]) -> Fraction | None:
+    """A rational root of the monic squarefree m, or None.  Its denominator
+    divides L, the lcm of the denominators of m, so it is y / L for an
+    integer root y of the monic integer q(y) = L^d m(y / L), and
+    |y| < B = 1 + max |q_i|.  Take the first p >= 2 at which q' is a unit
+    modulo p at every root of q modulo p (every prime not dividing the
+    discriminant is such a p).  Each of those roots lifts by Newton's
+    iteration to a unique root modulo p^k > 2B, and an integer root is the
+    symmetric residue of its lift: no divisor of q(0) is enumerated."""
+    d = len(m) - 1
+    big = math.lcm(*(c.denominator for c in m))
+    q = [int(c * big ** (d - i)) for i, c in enumerate(m)]
+    dq = poly_deriv(q)
+    bound = 2 * (1 + max(map(abs, q)))
+    p = 2
+    while any(_scaled_eval(q, r) % p == 0 and math.gcd(_scaled_eval(dq, r), p) > 1
+              for r in range(p)):
+        p += 1
+    for r in range(p):
+        if _scaled_eval(q, r) % p == 0:
+            pk = p
+            while pk <= bound:
+                pk *= pk
+                r = (r - _scaled_eval(q, r) * pow(_scaled_eval(dq, r), -1, pk)) % pk
+            y = r - pk if 2 * r > pk else r
+            if _scaled_eval(q, y) == 0:
+                return Fraction(y, big)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Number fields, elements, orderings.
 
@@ -192,10 +220,13 @@ class NumberField:
         g = poly_gcd(coeffs, poly_deriv(coeffs))
         if len(g) > 1:
             raise ValueError("minimal polynomial must be squarefree")
+        if len(coeffs) > 2 and (root := _rational_root(coeffs)) is not None:
+            raise ReducibleModulusError("minimal polynomial is reducible: it has the "
+                                        f"factor {render_element(_from_fractions(self, (-root, 1)))}")
         self.min_poly: tuple[Fraction, ...] = coeffs
         self.degree: int = len(coeffs) - 1
         # L*m has integer coefficients for L the lcm of the denominators of
-        # m; products of elements are reduced by it (see _reduce).
+        # m; multiplication matrices are built with it (see _reduce).
         self._scale: int = math.lcm(*(c.denominator for c in coeffs))
         self._scaled_tail: tuple[int, ...] = tuple(
             c.numerator * (self._scale // c.denominator) for c in coeffs[:-1])
@@ -203,28 +234,20 @@ class NumberField:
         # session.parse_element for the document that built this field
         self._parsed: dict[tuple[str, str], FieldElement] = {}
 
-    def _reduce(self, p: list[int]) -> int:
-        """Reduce the integer polynomial p modulo m in place, leaving degree
-        < d.  Returns the factor s >= 1 the result carries: the output p,
-        divided by s, is congruent to the input p modulo m."""
-        d = self.degree
-        lead, tail = self._scale, self._scaled_tail
-        s = 1
-        for k in range(len(p) - 1, d - 1, -1):
-            c = p[k]
-            if not c:
-                continue
-            if lead != 1:
-                # L*p - c x^(k-d) (L*m) cancels the top term over integers.
-                for i in range(k):
-                    p[i] *= lead
-                s *= lead
-            base = k - d
-            for i, t in enumerate(tail):
-                if t:
-                    p[base + i] -= c * t
-        del p[d:]
-        return s
+    def _reduce(self, num: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The multiplication matrix of the integer polynomial num of degree
+        < d: rows R and the scale s = L^(d-1), with x^j num congruent to
+        sum_i R[i][j] x^i / s.  Column j + 1 is x times column j minus C/L
+        times L*m, for C the top coefficient: s times a multiple of 1/L^j."""
+        lead, tail, d = self._scale, self._scaled_tail, self.degree
+        s = lead ** (d - 1)
+        col = [v * s for v in num] + [0] * (d - len(num))
+        cols = [col]
+        for _ in range(d - 1):
+            c = col[-1] // lead
+            col = [v - c * t for v, t in zip([0, *col], tail)]
+            cols.append(col)
+        return tuple(zip(*cols)), s
 
     def _scaled_value(self, n: int, dd: int) -> int:
         """L * dd^d * m(n/dd) for dd > 0: an integer with the sign of
@@ -272,6 +295,30 @@ class NumberField:
     def from_coords(self, coords: Sequence["FieldElement"]) -> "FieldElement":
         return coords[0]
 
+    def dot(self, terms: Iterable[tuple], base: "FieldElement | None" = None) -> "FieldElement":
+        """base + sum of sign * a * b over the (sign, a, b) in terms, sign
+        +-1, None standing for 0: the products (`_product`) are summed over
+        a common denominator and normalized once, by one gcd and one trim."""
+        acc, den = (None, 1) if base is None else (list(base.num), base.den)
+        for sign, a, b in terms:
+            if not a.num or not b.num:
+                continue
+            v, vden = _product(a, b)
+            if acc is None:
+                acc, den = v if sign > 0 else [-u for u in v], vden
+                continue
+            if len(acc) < len(v):
+                acc += [0] * (len(v) - len(acc))
+            if vden != den:
+                g = math.gcd(den, vden)
+                if vden != g:
+                    acc = [u * (vden // g) for u in acc]
+                if den != g:
+                    v = [u * (den // g) for u in v]
+                den = den // g * vden
+            acc[:len(v)] = map(add if sign > 0 else sub, acc, v)
+        return FieldElement(self, (), 1) if acc is None else _canonical(self, acc, den)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
 
@@ -300,6 +347,19 @@ def _canonical(field: NumberField, num: list[int], den: int) -> "FieldElement":
     return FieldElement(field, tuple(num), den)
 
 
+def _product(a: "FieldElement", b: "FieldElement") -> tuple[list[int], int]:
+    """The numerator and denominator of a * b for nonzero a and b, before
+    normalization: a scaling when one of them is rational, else the
+    multiplication matrix of b (`FieldElement._matrix`) applied to a."""
+    x, y = a.num, b.num
+    if len(x) == 1:
+        x, y = y, x
+    if len(y) == 1:
+        return [y[0] * v for v in x], a.den * b.den
+    rows, s = b._matrix()
+    return [sum(map(mul, x, row)) for row in rows], a.den * b.den * s
+
+
 def _from_fractions(field: NumberField, coeffs: Sequence[Fraction]) -> "FieldElement":
     """The element with trimmed rational coefficients `coeffs`."""
     den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
@@ -313,15 +373,18 @@ class FieldElement:
     (i < d) stored as integer numerators over one common denominator,
     c_i = num[i] / den, with den > 0, gcd(den, num) = 1 and no trailing
     zero in num.  The representation is canonical, so equality is
-    equality of (num, den).  Arithmetic is integer polynomial arithmetic
-    reduced by the integer-scaled minimal polynomial."""
+    equality of (num, den).  A product by a non-rational element is an
+    integer matrix-vector product by its multiplication matrix, built on
+    first use and kept (`_matrix`, which `inverse` and `norm` eliminate);
+    a sum of products (`NumberField.dot`) is normalized once."""
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "num", "den", "_mat")
 
     def __init__(self, field: NumberField, num: tuple[int, ...], den: int):
         self.field = field
         self.num = num
         self.den = den
+        self._mat = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -405,49 +468,31 @@ class FieldElement:
         return (-self) + other
 
     def __mul__(self, other):
+        """The one-term case of `NumberField.dot`."""
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        a, b = self.num, o.num
-        field = self.field
-        if not a or not b:
-            return FieldElement(field, (), 1)
-        den = self.den * o.den
-        if len(a) == 1 or len(b) == 1:
-            if len(a) != 1:
-                a, b = b, a
-            c = a[0]
-            return _canonical(field, [c * v for v in b], den)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        if len(out) > field.degree:
-            den *= field._reduce(out)
-        return _canonical(field, out, den)
+        if not self.num or not o.num:
+            return FieldElement(self.field, (), 1)
+        return _canonical(self.field, *_product(self, o))
 
     __rmul__ = __mul__
 
-    def _eliminate(self) -> tuple[list[list[int]], int, list[int], int]:
+    def _matrix(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The multiplication matrix of num (at least two coefficients) and
+        its scale (`NumberField._reduce`), built on first use and kept."""
+        if self._mat is None:
+            self._mat = self.field._reduce(self.num)
+        return self._mat
+
+    def _eliminate(self) -> tuple[list[list[int]], int, int]:
         """Fraction-free (Bareiss) elimination of [M | e_0], for M the
-        integer multiplication matrix of num (at least two coefficients):
-        column j is x^j * num reduced mod m, times scales[j] >= 1.  Returns
-        the rows, the last pivot prev, the scales and the number of row
-        swaps; det M = (-1)^swaps prev.  M is singular exactly when the
-        element is a zero divisor, which raises ReducibleModulusError."""
-        num, field = self.num, self.field
-        d = field.degree
-        # Column j is x^j * num reduced mod m; it carries the factor
-        # scales[j] >= 1, i.e. col / scales[j] is congruent to x^j * num.
-        col = list(num) + [0] * (d - len(num))
-        cols, scales = [col], [1]
-        for _ in range(d - 1):
-            col = [0] + col
-            scales.append(scales[-1] * field._reduce(col))
-            cols.append(col)
-        # Augmented rows [M | e_0] with M[i][j] = cols[j][i].
-        rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(d)]
+        multiplication matrix of num (`_matrix`).  Returns the rows, the
+        last pivot prev and the number of row swaps; det M = (-1)^swaps
+        prev.  M is singular exactly when the element is a zero divisor,
+        which raises ReducibleModulusError."""
+        field, d = self.field, self.field.degree
+        rows = [list(r) + [int(i == 0)] for i, r in enumerate(self._matrix()[0])]
         prev, swaps = 1, 0
         for k in range(d):
             if not rows[k][k]:
@@ -464,7 +509,7 @@ class FieldElement:
                 for j in range(k + 1, d + 1):
                     row[j] = (p * row[j] - a * pivot_row[j]) // prev
             prev = p
-        return rows, prev, scales, swaps
+        return rows, prev, swaps
 
     def inverse(self) -> "FieldElement":
         """Solve num * y = 1 for the multiplication matrix of num
@@ -476,9 +521,9 @@ class FieldElement:
             c = num[0]
             return FieldElement(field, (self.den if c > 0 else -self.den,), abs(c))
         d = field.degree
-        rows, prev, scales, _ = self._eliminate()
+        rows, prev, _ = self._eliminate()
         # prev = +-det(M), so det * solution is integral: back-substitute
-        # z_i = prev * y_i exactly.
+        # z_i = prev * y_i exactly, for M y = e_0.
         z = [0] * d
         for i in range(d - 1, -1, -1):
             row = rows[i]
@@ -486,19 +531,20 @@ class FieldElement:
             for j in range(i + 1, d):
                 acc -= row[j] * z[j]
             z[i] = acc // row[i]
+        # M = s * (multiplication by num), so 1 / num = s y
         sign = 1 if prev > 0 else -1
-        den = self.den * sign
-        return _canonical(field, [den * s * v for s, v in zip(scales, z)], prev * sign)
+        den = self.den * self._mat[1] * sign
+        return _canonical(field, [den * v for v in z], prev * sign)
 
     def norm(self) -> Fraction:
         """N(e), the determinant of multiplication by e.  For e = num / den
-        it is N(num) / den^d, and the matrix that `_eliminate` reduces has
-        determinant N(num) times the product of its scales."""
+        it is N(num) / den^d, and the matrix M that `_eliminate` reduces is
+        s times multiplication by num, so det M = s^d N(num)."""
         num, d = self.num, self.field.degree
         if len(num) <= 1:
             return Fraction(num[0] if num else 0, self.den) ** d
-        _, prev, scales, swaps = self._eliminate()
-        return Fraction(-prev if swaps % 2 else prev, math.prod(scales) * self.den ** d)
+        _, prev, swaps = self._eliminate()
+        return Fraction(-prev if swaps % 2 else prev, (self._mat[1] * self.den) ** d)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -513,15 +559,16 @@ class FieldElement:
         return o * self.inverse()
 
     def __pow__(self, n: int):
+        """Square-and-multiply from the lowest bit, never multiplying by 1."""
         if n < 0:
             return self.inverse() ** (-n)
-        acc = self.field.one
-        base = self
+        acc, base = self.field.one if not n else None, self
         while n:
             if n & 1:
-                acc = acc * base
-            base = base * base
+                acc = base if acc is None else acc * base
             n >>= 1
+            if n:
+                base = base * base
         return acc
 
     def __eq__(self, other) -> bool:

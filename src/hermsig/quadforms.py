@@ -137,7 +137,10 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
     (e_i + e_j/2, e_i - e_j/2); over an entry ring e_i <- e_i + e_j lam,
     lam the first basis entry that makes the new m_ii = c lam +- conj(c lam)
     nonzero.  Each pivot d replaces the trailing block by its Schur
-    complement m_rs - m_rp d^-1 m_ps on the lower triangle, mirrored.
+    complement m_rs - m_rp d^-1 m_ps on the lower triangle, mirrored.  Each
+    coordinate of m_rs - t m_ps, t = m_rp d^-1, is one multiply-accumulate
+    over F (`ring.dot`), normalized once, by the multiplication
+    matrices of the coordinates of m_ps, built once for every later row.
 
     A skew pivot q with Nrd(q) = 0 is nilpotent (q^2 = -Nrd(q)) and has no
     inverse.  If q m_pr = 0 for every later row r, each m_pr lies in qD,
@@ -247,7 +250,7 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
             for s in rest[:idx + 1]:
                 b = mp[s]
                 if not b.is_zero():
-                    v = mr[s] = mr[s] - t * b
+                    v = mr[s] = ring.dot(((-1, t, b),), mr[s])
                     m[s][r] = v if scalar else (-v.conj() if skew else v.conj())
             if scol is not None:
                 # e_r <- e_r - e_p d^-1 m_pr, and d^-1 m_pr = conj(t)
@@ -286,11 +289,9 @@ def harrison_set(field: NumberField, slots: Sequence) -> list[Ordering]:
 
 
 def field_trace(e: FieldElement) -> Fraction:
-    """Tr_{L/Q}(e): trace of the multiplication-by-e matrix."""
-    d = e.field.degree
-    t = Fraction(0)
-    for j in range(d):
-        basis_j = e.field.element([0] * j + [1])
-        cs = (e * basis_j).coeffs
-        t += cs[j] if j < len(cs) else Fraction(0)
-    return t
+    """Tr_{L/Q}(e): the trace of the multiplication matrix of e (over its
+    scale and the denominator of e; d e for a rational e)."""
+    if e.is_rational():
+        return e.field.degree * e.as_fraction()
+    rows, s = e._matrix()
+    return Fraction(sum(row[i] for i, row in enumerate(rows)), s * e.den)

@@ -424,6 +424,20 @@ def _ring_case(draw):
     return ring, entry(), entry(), mul, nrd
 
 
+@settings(max_examples=100, deadline=None)
+@given(_ring_case())
+def test_entry_dot_matches_closed_forms(case):
+    """EntryRing.dot is base + sum of sign x y, one multiply-accumulate per
+    coordinate, with the +-1 structure constants taken as signs."""
+    ring, x, y, mul, _ = case
+    p, q = x.coords(), y.coords()
+    assert ring.dot(()) == ring.zero and ring.dot((), x) == x
+    assert ring.dot(((1, x, y),)).coords() == mul(p, q)
+    assert ring.dot(((-1, x, y),), y).coords() == tuple(b - v for b, v in zip(q, mul(p, q)))
+    both = ring.dot(((1, x, y), (-1, y, x), (1, y, y)), x).coords()
+    assert both == tuple(a + u - v + w for a, u, v, w in zip(p, mul(p, q), mul(q, p), mul(q, q)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_ring_case())
 def test_table_products_match_closed_forms(case):

@@ -1,7 +1,9 @@
+import json
 import math
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -10,8 +12,10 @@ from hermsig.errors import FieldMismatchError, HermsigError, ReducibleModulusErr
 from hermsig.field import (
     QQ,
     ZERO_TEST_PRIME,
+    FieldElement,
     NumberField,
     _coprime_mod_prime,
+    _rational_root,
     _zero_test,
     count_roots,
     four_square_decomposition,
@@ -22,6 +26,15 @@ from hermsig.field import (
 )
 
 SQRT2 = NumberField([-2, 0, 1])
+
+
+def lazy_field(m):
+    """NumberField(m), also for an m with a rational root, which the
+    constructor rejects.  The lazy zero-divisor checks still guard every
+    reducible m without one, such as (x^2 - 2)(x^2 - 3); they are tested
+    here on moduli whose factors are easy to name."""
+    with mock.patch("hermsig.field._rational_root", return_value=None):
+        return NumberField(m)
 
 
 # Fraction polynomial reference arithmetic: dense tuples of Fractions,
@@ -177,7 +190,7 @@ def test_sign_of_sqrt2_at_both_orderings():
 def test_sign_of_zero_divisor_representative():
     # squarefree reducible modulus: x^2 - 1; x - 1 vanishes at the root 1,
     # which proves the modulus reducible rather than giving a quiet sign 0
-    field = NumberField([-1, 0, 1])
+    field = lazy_field([-1, 0, 1])
     a = field.element([-1, 1])
     right = next(p for p in field.orderings if p.lo + p.hi > 0)
     left = next(p for p in field.orderings if p.lo + p.hi < 0)
@@ -431,10 +444,10 @@ def _sign_case(draw, count=6):
 def test_sign_at_matches_fraction_oracle_in_any_query_order(case, rng):
     m, vecs = case
     queries = [(i, k) for i in range(len(vecs))
-               for k in range(len(NumberField(m).orderings))]
+               for k in range(len(lazy_field(m).orderings))]
     answers = []
     for order in (queries, rng.sample(queries, len(queries))):
-        field, oracle = NumberField(m), FractionSigns()
+        field, oracle = lazy_field(m), FractionSigns()
         elems = [field.element(list(v)) for v in vecs]
         got = {}
         for i, k in order:
@@ -456,7 +469,7 @@ def test_sign_at_matches_fraction_oracle_in_any_query_order(case, rng):
 
 
 def test_sign_at_bisection_lands_on_exact_root():
-    field = NumberField([Fraction(-1, 4), 0, 1])  # roots -1/2 and 1/2
+    field = lazy_field([Fraction(-1, 4), 0, 1])  # roots -1/2 and 1/2
     neg, pos = field.orderings
     assert (pos.lo, pos.hi) == (0, 2)
     a = field.element([Fraction(-3, 4), 1])  # x - 3/4 is -1/4 at 1/2
@@ -471,7 +484,7 @@ def test_sign_at_bisection_lands_on_exact_root():
 @given(_sign_case(count=3))
 def test_inverse_matches_fraction_oracle(case):
     m, vecs = case
-    field = NumberField(m)
+    field = lazy_field(m)
     for v in vecs:
         a = field.element(list(v))
         try:
@@ -487,7 +500,7 @@ def test_inverse_matches_fraction_oracle(case):
 
 
 def test_zero_divisor_inverse_raises():
-    field = NumberField([-1, 0, 1])
+    field = lazy_field([-1, 0, 1])
     for a in (field.element([-1, 1]), field.element([3, 3])):
         with pytest.raises(ZeroDivisionError, match="zero divisor"):
             a.inverse()
@@ -505,7 +518,7 @@ def test_reducible_modulus_fails_loudly(modulus, element, factor, signs):
     """A nonzero element that is 0 at an ordering, or has no inverse, is a
     zero divisor: a typed error names the factor it shares with the
     modulus (None marks the orderings where sign_at raises)."""
-    field = NumberField(modulus)
+    field = lazy_field(modulus)
     a = field.element(element)
     message = rf"^element is a zero divisor, not invertible: .* factor {re.escape(factor)}$"
     with pytest.raises(ReducibleModulusError, match=message) as exc:
@@ -531,7 +544,7 @@ def _zero_test_case(draw):
     f.append(draw(st.sampled_from([1, 2, ZERO_TEST_PRIME])))
     g = draw(st.lists(small, max_size=3)) + [1]
     try:
-        field = NumberField(poly_mul(tuple(f), tuple(g)))
+        field = lazy_field(poly_mul(tuple(f), tuple(g)))
     except ValueError:  # not squarefree
         assume(False)
     a = field.element(draw(st.lists(small, max_size=field.degree)))
@@ -572,7 +585,7 @@ def _check_zero_test(field, a):
 
 @pytest.mark.parametrize("modulus, element, coprime", _PRECHECK_CASES)
 def test_zero_test_precheck_cases(modulus, element, coprime):
-    field = NumberField(modulus)
+    field = lazy_field(modulus)
     a = field.element(element)
     assert _coprime_mod_prime(a) is coprime
     _check_zero_test(field, a)
@@ -624,3 +637,181 @@ def test_hash_is_consistent_with_equality():
             assert elt == value and hash(elt) == hash(value)
             assert value in {elt} and elt in {value}
         assert {field.element(3): "three"}[3] == "three"
+
+
+# -- the rational-root test at construction ---------------------------------
+
+
+def _oracle_rational_roots(m):
+    """The rational roots of m, by the rational root theorem: every n / q
+    with n | a_0 and q | a_d for the integer multiple a of m.  Small
+    coefficients only: it enumerates divisors."""
+    a = [int(c * math.lcm(*(c.denominator for c in m))) for c in m]
+    if not a[0]:
+        return {Fraction(0)}
+
+    def divisors(v):
+        return [k for k in range(1, abs(v) + 1) if v % k == 0]
+
+    return {Fraction(sign * n, q) for n in divisors(a[0]) for q in divisors(a[-1])
+            for sign in (1, -1) if poly_eval(tuple(m), Fraction(sign * n, q)) == 0}
+
+
+@pytest.mark.parametrize("modulus, factor", [
+    ([0, -1, 0, 1], "x"),                                  # x^3 - x
+    ([1, -3, 2], "-1 + x"),                                # (2x - 1)(x - 1)
+    ([-3 * 10**20, 10**20 - 3, 1], "100000000000000000000 + x"),  # (x + 10^20)(x - 3)
+    ([-1, 2, -1, 2, -3, 6], "-1/2 + x"),                   # (2x - 1)(3x^4 + x^2 + 1)
+])
+def test_linear_factor_rejected_at_construction(modulus, factor):
+    with pytest.raises(ReducibleModulusError,
+                       match=rf"^minimal polynomial is reducible: it has the factor {re.escape(factor)}$"):
+        NumberField(modulus)
+
+
+@pytest.mark.parametrize("modulus", [[0, -1, 0, 1], [1, -3, 2]])
+def test_linear_factor_is_a_session_parse_error(modulus):
+    from hermsig.session import SessionParseError, parse_session
+
+    doc = {"field": {"min_poly": [str(c) for c in modulus]}, "commands": []}
+    with pytest.raises(SessionParseError, match="reducible") as exc:
+        parse_session(json.dumps(doc))
+    assert exc.value.path == "field.min_poly"
+
+
+def test_reducible_modulus_without_rational_root_is_caught_lazily():
+    """(x^2 - 2)(x^2 - 3) has no rational root: it builds, with 4
+    orderings, and a zero divisor raises once it turns up.  So does a large
+    irreducible x^2 - 2 * 10^40, whose constant term is not factored."""
+    field = NumberField([6, 0, -5, 0, 1])
+    assert len(field.orderings) == 4
+    with pytest.raises(ReducibleModulusError, match=r"factor -2 \+ x\^2$"):
+        field.element([-2, 0, 1]).inverse()
+    assert NumberField([-2 * 10**40, 0, 1]).degree == 2
+
+
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+       st.integers(-4, 4), st.integers(1, 4), st.booleans())
+def test_rational_root_matches_the_divisor_oracle(g, n, q, linear):
+    """m = g, or (q x - n) g: _rational_root finds a root exactly when the
+    rational root theorem does."""
+    g = [Fraction(c) for c in g] + [Fraction(1)]
+    m = poly_mul((Fraction(-n), Fraction(q)), tuple(g)) if linear else tuple(g)
+    if len(m) < 3:
+        return
+    m = tuple(c / m[-1] for c in m)
+    assume(len(poly_gcd(m, _trim([i * c for i, c in enumerate(m)][1:]))) == 1)
+    root = _rational_root(m)
+    roots = _oracle_rational_roots(m)
+    assert (root is None) == (not roots)
+    assert root is None or root in roots
+
+
+# -- powers -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (8, 3), (13, 5)])
+def test_power_product_counts(monkeypatch, n, products):
+    """Square-and-multiply makes (bit length - 1) squarings and (set bits
+    - 1) other products, and none by 1: x**8 makes 3, x**1 none."""
+    x = F5.element([1, 2, 0, -1])
+    want = F5.one
+    for _ in range(n):
+        want = want * x
+    calls = []
+    mul = FieldElement.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting)
+    assert x ** n == want
+    assert len(calls) == products
+
+
+# -- the multiply-accumulate and the cached multiplication matrix ------------
+
+# Q(sqrt 2), the quintic, a monic m with denominators (2x^2 - 3: L = 2, so
+# each matrix carries the scale 2), and the reducible (x^2 - 2)(x^2 - 3),
+# with factors whose multiples are zero divisors.
+DOT_FIELDS = {
+    SQRT2: [],
+    F5: [],
+    NumberField([-3, 0, 2]): [],
+    NumberField([6, 0, -5, 0, 1]): [(-2, 0, 1), (-3, 0, 1)],
+}
+
+
+@st.composite
+def _dot_case(draw):
+    field = draw(st.sampled_from(list(DOT_FIELDS)))
+    factors = DOT_FIELDS[field]
+    d = field.degree
+
+    def operand():
+        kind = draw(st.sampled_from(["zero", "rational", "full", "full", "divisor"]))
+        if kind == "zero":
+            return field.zero
+        if kind == "rational":
+            return field.element(draw(_rationals))
+        v = tuple(draw(st.lists(_rationals, min_size=d, max_size=d)))
+        if kind == "divisor" and factors:
+            f = draw(st.sampled_from(factors))
+            v = poly_mul(v[:d - len(f) + 1], tuple(Fraction(c) for c in f))
+        return field.element(list(v))
+
+    terms = [(draw(st.sampled_from([1, -1])), operand(), operand())
+             for _ in range(draw(st.integers(0, 4)))]
+    base = draw(st.none() | st.just(None).map(lambda _: operand()))
+    return field, terms, base
+
+
+@given(_dot_case())
+@example((SQRT2, [], None))
+@example((SQRT2, [], SQRT2.gen))
+def test_dot_matches_term_by_term_and_fraction_polynomials(case):
+    """NumberField.dot equals the sum of its products term by term, and the
+    Fraction reduction of the polynomial products (which sees a lost scale
+    of a non-integral modulus)."""
+    field, terms, base = case
+    got = field.dot(terms, base)
+    _assert_canonical(got)
+    want = field.zero if base is None else base
+    ref = () if base is None else base.coeffs
+    for sign, a, b in terms:
+        want = want + a * b if sign > 0 else want - a * b
+        p = _reference_reduce(field, poly_mul(a.coeffs, b.coeffs))
+        ref = poly_add(ref, p if sign > 0 else poly_sub((), p))
+    assert got == want
+    assert got.coeffs == ref
+
+
+@given(_dot_case())
+def test_an_element_with_its_matrix_cached_equals_a_fresh_one(case):
+    """Building the multiplication matrix (as a right operand) changes
+    nothing an element shows: equality, hash, inverse and norm agree with a
+    fresh element of the same (num, den), and the trace of the matrix is
+    the trace of multiplication by the element."""
+    from hermsig.quadforms import field_trace
+
+    field, terms, _ = case
+    for _, _, b in terms:
+        if b.is_rational():
+            continue
+        (field.gen + 1) * b  # builds the matrix of b
+        assert b._mat is not None
+        fresh = FieldElement(field, b.num, b.den)
+        assert fresh._mat is None
+        assert b == fresh and fresh == b and hash(b) == hash(fresh)
+        for method in (FieldElement.inverse, FieldElement.norm):
+            try:
+                want = method(FieldElement(field, b.num, b.den))
+            except ReducibleModulusError:  # a zero divisor: singular matrix
+                with pytest.raises(ReducibleModulusError):
+                    method(b)
+            else:
+                assert method(b) == want
+        basis = [field.element([0] * j + [1]) for j in range(field.degree)]
+        assert field_trace(b) == sum(((b * e).coeffs + (0,) * field.degree)[j]
+                                     for j, e in enumerate(basis))
