@@ -29,15 +29,12 @@ from .hermitian import (
     ReferenceForm,
     going_up,
     knebusch_check,
-    morita_collapse,
-    morita_expand,
     raw_signature,
     reference_form,
     scale_by_quadratic,
     signature,
     sylvester_decompose,
     total_signature_h,
-    transport_reference,
     witt_rank,
 )
 from .cones import (
@@ -79,9 +76,8 @@ __all__ = [
     "AlgebraWithInvolution", "AlgebraElement", "Entry", "is_invertible",
     # hermitian forms and signatures
     "HermitianForm", "ReferenceForm", "reference_form", "raw_signature", "signature",
-    "total_signature_h", "witt_rank", "scale_by_quadratic", "morita_collapse",
-    "morita_expand", "transport_reference", "going_up", "knebusch_check",
-    "sylvester_decompose",
+    "total_signature_h", "witt_rank", "scale_by_quadratic", "going_up",
+    "knebusch_check", "sylvester_decompose",
     # positive cones and sums of hermitian squares
     "PositiveCone", "enumerate_positive_cones", "formally_real", "eta_maximal",
     "positivity_sets", "find_sos_certificate", "verify_certificate", "CertTerm",

@@ -31,7 +31,6 @@ from .field import render_element
 from .hermitian import (
     HermitianForm,
     going_up,
-    going_up_reference,
     knebusch_check,
     reference_form,
     signature,
@@ -144,7 +143,7 @@ class _Runner:
         return all(v == 0 for _, v in self._total_signature(form))
 
     def cmd_transfer_check(self, algebra, ext, diag):
-        report = knebusch_check(diag, reference_form(algebra))
+        report = knebusch_check(diag)
         return {"holds": report.holds, "transfer_side": report.transfer_side,
                 "sum_side": report.sum_side}
 
@@ -152,10 +151,9 @@ class _Runner:
         if not isinstance(form, HermitianForm):
             raise HermsigError("going-up applies to hermitian forms")
         ext_field, _ = ext
-        base_ref = reference_form(form.algebra)
-        base = signature(form, self.doc.field.orderings[0], base_ref)
+        base = signature(form, self.doc.field.orderings[0], reference_form(form.algebra))
         lifted = going_up(form, ext_field)
-        lifted_ref = going_up_reference(base_ref, ext_field)
+        lifted_ref = reference_form(lifted.algebra)
         table = [[p.index, signature(lifted, p, lifted_ref)]
                  for p in ext_field.orderings]
         return {"base": base, "lifted": table,
@@ -177,8 +175,7 @@ class _Runner:
                 "formally_real": formally_real(algebra)}
 
     def cmd_cone_member(self, algebra, ordering, orientation, element):
-        cone = PositiveCone(algebra, ordering, orientation, reference_form(algebra))
-        return cone.contains(element)
+        return PositiveCone(algebra, ordering, orientation).contains(element)
 
     def cmd_eta_max(self, algebra, ordering, element):
         return eta_maximal(element, ordering, reference_form(algebra))
@@ -239,7 +236,7 @@ class _Runner:
 
     def cmd_morphisms(self, algebra, orderings):
         p, q = orderings
-        res = morphism_distinctness(algebra, p, q, reference_form(algebra))
+        res = morphism_distinctness(algebra, p, q)
         out = {"equivalent": res.equivalent,
                "trivial": [algebra.is_nil(p), algebra.is_nil(q)]}
         if res.witness is not None:
@@ -263,9 +260,7 @@ class _Runner:
     def cmd_decompose(self, form, ordering, orientation):
         if not isinstance(form, HermitianForm):
             raise HermsigError("decompose applies to hermitian forms")
-        algebra = form.algebra
-        cone = PositiveCone(algebra, ordering, orientation, reference_form(algebra))
-        dec = sylvester_decompose(form, cone)
+        dec = sylvester_decompose(form, PositiveCone(form.algebra, ordering, orientation))
         gen = self.doc.gen_name
         return {"weights": [render_element(w, gen) for w in dec.weights],
                 "positive": [render_element(d, gen) for d in dec.positive],

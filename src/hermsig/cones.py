@@ -51,10 +51,11 @@ MAX_SLOTS = 3
 
 
 class PositiveCone:
-    """A maximal cone: base ordering, orientation, reference for the sign."""
+    """A maximal cone: base ordering and orientation, read against the sign
+    of `reference_form(algebra)` at the ordering."""
 
     def __init__(self, algebra: AlgebraWithInvolution, ordering: Ordering,
-                 orientation: int, reference: ReferenceForm | None = None):
+                 orientation: int):
         if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         if algebra.is_nil(ordering):
@@ -62,13 +63,11 @@ class PositiveCone:
         self.algebra = algebra
         self.ordering = ordering
         self.orientation = orientation
-        self.reference = reference if reference is not None else reference_form(algebra)
-        if self.reference.algebra != algebra:
-            raise AlgebraMismatchError("reference form over a different algebra")
+        cert = reference_form(algebra).certificate[ordering]
+        self._side = orientation * (1 if cert > 0 else -1)
 
     def _oriented_sign(self) -> int:
-        cert = self.reference.certificate[self.ordering]
-        return self.orientation * (1 if cert > 0 else -1)
+        return self._side
 
     def contains(self, element: AlgebraElement) -> bool:
         """Membership by congruence reduction of <element>: every value of
@@ -125,16 +124,11 @@ def eta_maximal(element: AlgebraElement, ordering: Ordering,
     return signature(form, ordering, reference) == rank1_max_signature(alg, ordering)
 
 
-def enumerate_positive_cones(algebra: AlgebraWithInvolution,
-                             reference: ReferenceForm | None = None) -> list[PositiveCone]:
+def enumerate_positive_cones(algebra: AlgebraWithInvolution) -> list[PositiveCone]:
     """Two cones per non-nil ordering; empty iff the algebra is not
     formally real."""
-    ref = reference if reference is not None else reference_form(algebra)
-    cones = []
-    for p in algebra.nonnil_orderings():
-        for eps in (1, -1):
-            cones.append(PositiveCone(algebra, p, eps, ref))
-    return cones
+    return [PositiveCone(algebra, p, eps)
+            for p in algebra.nonnil_orderings() for eps in (1, -1)]
 
 
 def formally_real(algebra: AlgebraWithInvolution) -> bool:
@@ -322,7 +316,7 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     t = len(slot_elems)
     eta = reference_form(alg)
     # cones exist over the non-nil orderings only
-    cones = [PositiveCone(alg, p, 1, eta)
+    cones = [PositiveCone(alg, p, 1)
              for p in harrison_set(fld, slot_elems) if not alg.is_nil(p)]
     for cone in cones:
         if signature(a_form, cone.ordering, eta) != rank1_max_signature(alg, cone.ordering):

@@ -100,12 +100,10 @@ def _integer_multiple(p: tuple) -> tuple[int, ...]:
     return tuple(c.numerator * (den // c.denominator) for c in p)
 
 
-def _scaled_eval(p: tuple, x: Fraction) -> int:
-    """dd^e p(n/dd) for x = n/dd in lowest terms and p of degree e >= 0,
-    by homogeneous Horner on the coefficients: the sign of p(x), exact
-    and on integers when p has integer coefficients (as
-    `NumberField._scaled_value`)."""
-    n, dd = x.numerator, x.denominator
+def _scaled_eval(p: Sequence[int], n: int, dd: int = 1) -> int:
+    """dd^e p(n/dd) for dd > 0 and p of degree e >= 0 with integer
+    coefficients, by homogeneous Horner: an integer with the sign of
+    p(n/dd)."""
     acc, pw = p[-1], 1
     for c in reversed(p[:-1]):
         pw *= dd
@@ -114,9 +112,10 @@ def _scaled_eval(p: tuple, x: Fraction) -> int:
 
 
 def _sign_variations(chain: list[tuple], x: Fraction) -> int:
+    n, dd = x.numerator, x.denominator
     signs = []
     for p in chain:
-        v = _scaled_eval(p, x)
+        v = _scaled_eval(p, n, dd)
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -143,7 +142,7 @@ def isolate_real_roots(p: tuple) -> list[tuple[Fraction, Fraction]]:
     chain = sturm_chain(p)
 
     def is_root(x: Fraction) -> bool:  # chain[0] is a multiple of p
-        return _scaled_eval(chain[0], x) == 0
+        return _scaled_eval(chain[0], x.numerator, x.denominator) == 0
 
     bound = cauchy_bound(p)
     done: list[tuple[Fraction, Fraction]] = []
@@ -225,11 +224,12 @@ class NumberField:
                                         f"factor {render_element(_from_fractions(self, (-root, 1)))}")
         self.min_poly: tuple[Fraction, ...] = coeffs
         self.degree: int = len(coeffs) - 1
-        # L*m has integer coefficients for L the lcm of the denominators of
-        # m; multiplication matrices are built with it (see _reduce).
-        self._scale: int = math.lcm(*(c.denominator for c in coeffs))
-        self._scaled_tail: tuple[int, ...] = tuple(
-            c.numerator * (self._scale // c.denominator) for c in coeffs[:-1])
+        # L*m, for L the lcm of the denominators of m, has integer
+        # coefficients and leading one L; multiplication matrices are built
+        # with it (see _reduce), and orderings read the signs of m off it.
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        self._scaled_m: tuple[int, ...] = tuple(
+            c.numerator * (scale // c.denominator) for c in coeffs)
         # (expression, generator name) -> element, memoized by
         # session.parse_element for the document that built this field
         self._parsed: dict[tuple[str, str], FieldElement] = {}
@@ -239,7 +239,8 @@ class NumberField:
         < d: rows R and the scale s = L^(d-1), with x^j num congruent to
         sum_i R[i][j] x^i / s.  Column j + 1 is x times column j minus C/L
         times L*m, for C the top coefficient: s times a multiple of 1/L^j."""
-        lead, tail, d = self._scale, self._scaled_tail, self.degree
+        *tail, lead = self._scaled_m
+        d = self.degree
         s = lead ** (d - 1)
         col = [v * s for v in num] + [0] * (d - len(num))
         cols = [col]
@@ -248,15 +249,6 @@ class NumberField:
             col = [v - c * t for v, t in zip([0, *col], tail)]
             cols.append(col)
         return tuple(zip(*cols)), s
-
-    def _scaled_value(self, n: int, dd: int) -> int:
-        """L * dd^d * m(n/dd) for dd > 0: an integer with the sign of
-        m(n/dd), by homogeneous Horner on the integer-scaled m."""
-        acc, pw = self._scale, 1
-        for c in reversed(self._scaled_tail):
-            pw *= dd
-            acc = acc * n + c * pw
-        return acc
 
     @cached_property
     def orderings(self) -> tuple["Ordering", ...]:
@@ -621,8 +613,7 @@ class Ordering:
     The defining interval is immutable (it is the identity of the ordering);
     sign queries refine a private copy monotonically, which never changes
     any result, only the amount of work later queries do.  The copy is kept
-    as integers (L, H, D) with D > 0, standing for [L/D, H/D]; a bisection
-    point that is an exact root collapses it to that point (L = H).
+    as integers (L, H, D) with D > 0, standing for [L/D, H/D].
     """
 
     def __init__(self, field: NumberField, lo: Fraction, hi: Fraction, index: int):
@@ -636,8 +627,8 @@ class Ordering:
         self._L = lo.numerator * (dd // lo.denominator)
         self._H = hi.numerator * (dd // hi.denominator)
         self._D = dd
-        at_lo = field._scaled_value(self._L, dd)
-        if at_lo == 0 or field._scaled_value(self._H, dd) == 0:
+        at_lo = _scaled_eval(field._scaled_m, self._L, dd)
+        if at_lo == 0 or _scaled_eval(field._scaled_m, self._H, dd) == 0:
             raise ValueError("isolating interval endpoints must not be roots")
         # m changes sign only at the root, so its sign at every later lower
         # endpoint is this one.
@@ -652,13 +643,8 @@ class Ordering:
 
     def _refine_once(self) -> None:
         lo, hi, dd = self._L, self._H, self._D
-        if lo == hi:
-            return
         mid = lo + hi
-        v = self.field._scaled_value(mid, 2 * dd)
-        if v == 0:
-            self._L = self._H = mid
-        elif (v > 0) == self._lo_positive:
+        if (_scaled_eval(self.field._scaled_m, mid, 2 * dd) > 0) == self._lo_positive:
             self._L, self._H = mid, 2 * hi
         else:
             self._L, self._H = 2 * lo, mid
@@ -694,9 +680,9 @@ def _coprime_mod_prime(a: FieldElement) -> bool:
     taken primitive in Z[x], has a leading coefficient dividing L, so it
     keeps its degree mod p and divides both there."""
     fld, p = a.field, ZERO_TEST_PRIME
-    if fld._scale % p == 0:
+    f = [c % p for c in fld._scaled_m]
+    if not f[-1]:
         return False
-    f = [c % p for c in fld._scaled_tail] + [fld._scale % p]
     g = [c % p for c in a.num]
     while g and not g[-1]:
         g.pop()

@@ -275,47 +275,6 @@ def total_signature_h(h: HermitianForm,
 
 
 # ---------------------------------------------------------------------------
-# Morita collapse and expansion.
-
-
-def morita_collapse(h: HermitianForm) -> HermitianForm:
-    """Reread a k x k Gram over M_n(D) as an nk x nk Gram over D."""
-    collapsed = h.algebra.collapsed()
-    if collapsed is h.algebra:
-        return h
-    return HermitianForm(collapsed, h.gram)
-
-
-def morita_expand(h: HermitianForm, n: int) -> HermitianForm:
-    """Inverse reread onto the degree-n member of the same family."""
-    alg = h.algebra
-    if alg.n != 1:
-        raise UnsupportedError("expand starts from a collapsed (n = 1) form")
-    if h.size % n != 0:
-        raise ValueError(f"rank {h.size} is not a multiple of {n}")
-    return HermitianForm(alg.rebuild(n=n), h.gram)
-
-
-def transport_reference(reference: ReferenceForm,
-                        target: AlgebraWithInvolution) -> ReferenceForm:
-    """zeta(eta) along collapse/expand: same entry Gram, certificate
-    recomputed (raw signatures are collapse-invariant)."""
-    alg = reference.algebra
-    if target.n == 1 and alg.n != 1:
-        form = morita_collapse(reference.form)
-    elif alg.n == 1 and target.n != 1:
-        form = morita_expand(reference.form, target.n)
-        if form.algebra != target:
-            raise AlgebraMismatchError("expansion target mismatch")
-    elif alg == target:
-        return reference
-    else:
-        raise AlgebraMismatchError("transport requires Morita-related members")
-    cert = {p: raw_signature(form, p) for p in target.nonnil_orderings()}
-    return ReferenceForm(form, cert)
-
-
-# ---------------------------------------------------------------------------
 # Going-up and the trace-formula transfer.
 
 
@@ -374,34 +333,15 @@ class KnebuschReport:
         self.sum_side = sum_side
 
 
-def going_up_reference(eta: ReferenceForm, ext: NumberField) -> ReferenceForm:
-    """The reference form eta gone up to A (x) L, certified at the non-nil
-    orderings of L."""
-    form = going_up(eta.form, ext)
-    cert = {}
-    for q in form.algebra.nonnil_orderings():
-        s = raw_signature(form, q)
-        if s == 0:
-            raise InvariantError("lifted reference form lost its certificate")
-        cert[q] = s
-    return ReferenceForm(form, cert)
-
-
-def knebusch_check(h: HermitianForm,
-                   base_reference: ReferenceForm | None = None) -> KnebuschReport:
-    """Both sides of the trace formula for a form over A (x) L, base Q."""
-    ext = h.algebra.field
-    base_alg = _descend_algebra(h.algebra)
-    eta = base_reference if base_reference is not None else reference_form(base_alg)
-    if eta.algebra != base_alg:
-        raise AlgebraMismatchError("base reference over the wrong algebra")
-    eta_up = going_up_reference(eta, ext)
-    if h.algebra != eta_up.algebra:
-        raise AlgebraMismatchError("form is not over the lifted algebra")
+def knebusch_check(h: HermitianForm) -> KnebuschReport:
+    """Both sides of the trace formula for a form over A (x) L, base Q,
+    each signed by the reference form of its algebra.  That of A (x) L is
+    the one of A gone up: the structure constants are rational, so
+    `find_reference_form` picks the same twists over L as over Q."""
     transferred = scharlau_transfer(h)
-    p0 = QQ.orderings[0]
-    lhs = signature(transferred, p0, eta)
-    rhs = sum(signature(h, q, eta_up) for q in ext.orderings)
+    lhs = signature(transferred, QQ.orderings[0], reference_form(transferred.algebra))
+    eta_up = reference_form(h.algebra)
+    rhs = sum(signature(h, q, eta_up) for q in h.algebra.field.orderings)
     return KnebuschReport(lhs == rhs, lhs, rhs)
 
 
@@ -431,8 +371,8 @@ def sylvester_decompose(h: HermitianForm, cone) -> SylvesterDecomposition:
     if cone.algebra != alg:
         raise AlgebraMismatchError("cone over a different algebra")
     if alg.n != 1:
-        raise UnsupportedError("apply morita_collapse first: decomposition "
-                               "is defined at the n = 1 level")
+        raise UnsupportedError("decomposition is defined at the n = 1 level: "
+                               "reread the Gram over the collapsed algebra first")
     if alg.skew_gram:
         raise UnsupportedError("non-division scope violation: A (x) F_P is "
                                "a full matrix algebra for quat_skew")
@@ -440,7 +380,7 @@ def sylvester_decompose(h: HermitianForm, cone) -> SylvesterDecomposition:
     if alg.is_nil(p):
         raise ValueError("cone ordering must be non-nil")
     dec = h._kernel
-    orient = cone.orientation * (1 if cone.reference.certificate[p] > 0 else -1)
+    orient = cone.orientation * (1 if reference_form(alg).certificate[p] > 0 else -1)
     pos, neg = [], []
     for d in dec.pivots:
         side = orient * sign_at(d, p)

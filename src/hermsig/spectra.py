@@ -4,13 +4,14 @@ finite topology of the positive-cone space.
 Ordering spaces of number fields are finite, so the cone space is a finite
 space.  Its subbasis is the H-sets of one exact generator set, the seeds
 scaled by +-1 and by the Harrison-set separators s_P of the orderings; a
-`ConeSpace` tests cone membership on the seeds only, derives the H-sets of
-the scaled ones by the sign of the scalar, and computes the H-set of any
-other element once.  The topology is kept as the minimal
-neighbourhoods U_x (McCord 1966): t0, agreement and the number of open sets
-are read off them, and no open set is listed.  Signature morphisms are
-separated by a constructed form.  Prime-pair membership, and the
-prime-pair axioms, are decided on signature-visible invariants.
+`ConeSpace` tests cone membership on the seeds only and derives the H-sets
+of the scaled ones by the sign of the scalar.  The topology is kept as the
+minimal neighbourhoods U_x (McCord 1966): t0, agreement and the number of
+open sets are read off them, and no open set is listed.  Signature
+morphisms are separated by a constructed form.  Cones, the cone space,
+morphisms and the Morita check read `reference_form(algebra)`.  Prime-pair
+membership, and the prime-pair axioms, are decided on signature-visible
+invariants.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .hermitian import (
     reference_form,
     scale_by_quadratic,
     signature,
-    transport_reference,
     witt_rank,
 )
 from .quadforms import QuadraticForm, signature_q
@@ -246,8 +246,8 @@ class MorphismComparison:
         self.witness = witness
 
 
-def morphism_distinctness(algebra: AlgebraWithInvolution, p: Ordering, q: Ordering,
-                          reference: ReferenceForm | None = None) -> MorphismComparison:
+def morphism_distinctness(algebra: AlgebraWithInvolution, p: Ordering,
+                          q: Ordering) -> MorphismComparison:
     """A form separating the two signature morphisms, or `equivalent` when
     the orderings coincide.  The witness is built, not searched: eta when
     its signatures at p and q differ (as when one of them is nil), else
@@ -255,7 +255,7 @@ def morphism_distinctness(algebra: AlgebraWithInvolution, p: Ordering, q: Orderi
     separator s_p is positive at p only."""
     if p == q:
         return MorphismComparison(True)
-    ref = reference if reference is not None else reference_form(algebra)
+    ref = reference_form(algebra)
     eta = ref.form
     if signature(eta, p, ref) != signature(eta, q, ref):
         return MorphismComparison(False, eta)
@@ -271,32 +271,24 @@ def morphism_distinctness(algebra: AlgebraWithInvolution, p: Ordering, q: Orderi
 
 
 class ConeSpace:
-    """All positive cones of an algebra, the exact generator set of the
-    subbasis of its topology, and a cache of H-sets."""
+    """All positive cones of an algebra and the H-sets of the exact
+    generator set of the subbasis of its topology."""
 
-    def __init__(self, algebra: AlgebraWithInvolution,
-                 reference: ReferenceForm | None = None):
+    def __init__(self, algebra: AlgebraWithInvolution):
         self.algebra = algebra
-        self.reference = reference if reference is not None else reference_form(algebra)
-        self.cones = enumerate_positive_cones(algebra, self.reference)
-        self._h_cache: dict = {}
+        self.cones = enumerate_positive_cones(algebra)
 
     @cached_property
     def _pool(self) -> tuple[list[AlgebraElement], list[FieldElement]]:
         return _generator_pool(self.algebra)
 
     @cached_property
-    def generators(self) -> list[AlgebraElement]:
-        """The exact generator set of the subbasis, e s for every scalar e
-        in +-scalars and every seed s, in that order (`_generator_pool`)."""
-        seeds, scalars = self._pool
-        return [s.scale(e) for c in scalars for e in (c, -c) for s in seeds]
-
-    @cached_property
     def generator_sets(self) -> list[frozenset[int]]:
-        """H(g) for each of `generators`, derived from the H-sets of the
-        seeds: the cone (P, eps) holds e s, for a nonzero scalar e, exactly
-        when the cone (P, eps sgn_P(e)) holds s.
+        """H(g) for each generator g = e s of the subbasis, for every scalar
+        e in +-scalars and every seed s, in that order (`_generator_pool`),
+        derived from the H-sets of the seeds: the cone (P, eps) holds e s,
+        for a nonzero scalar e, exactly when the cone (P, eps sgn_P(e))
+        holds s.
 
         Proof.  The congruence kernel on <e s> takes the same steps as on
         <s>, with every entry multiplied by e: its tests see e x != 0 and
@@ -322,8 +314,8 @@ class ConeSpace:
 
     @cached_property
     def generator_invertible(self) -> list[bool]:
-        """Whether each of `generators` is invertible: e s is exactly when
-        the seed s is, as e is a nonzero scalar."""
+        """Whether each generator of `generator_sets` is invertible: e s is
+        exactly when the seed s is, as e is a nonzero scalar."""
         seeds, scalars = self._pool
         return [is_invertible(s) for s in seeds] * (2 * len(scalars))
 
@@ -331,13 +323,8 @@ class ConeSpace:
         return len(self.cones)
 
     def _h_single(self, element: AlgebraElement) -> frozenset[int]:
-        key = element.coords()
-        got = self._h_cache.get(key)
-        if got is None:
-            got = frozenset(i for i, cone in enumerate(self.cones)
-                            if cone.contains(element))
-            self._h_cache[key] = got
-        return got
+        """H(element): the indices of the cones holding it."""
+        return frozenset(i for i, cone in enumerate(self.cones) if cone.contains(element))
 
 
 def generate_topology(size: int, subbasic: list[frozenset]) -> tuple[frozenset, ...]:
@@ -385,10 +372,9 @@ def topology_compare(space: ConeSpace) -> bool:
     return t_all == t_inv
 
 
-def cone_space_topology(algebra: AlgebraWithInvolution,
-                        reference: ReferenceForm | None = None) -> tuple[ConeSpace, tuple]:
+def cone_space_topology(algebra: AlgebraWithInvolution) -> tuple[ConeSpace, tuple]:
     """The cone space and the minimal neighbourhoods of its topology."""
-    space = ConeSpace(algebra, reference)
+    space = ConeSpace(algebra)
     return space, generate_topology(len(space), space.generator_sets)
 
 
@@ -429,8 +415,7 @@ class MoritaConeReport:
         self.ok = ok
 
 
-def morita_cone_maps(algebra: AlgebraWithInvolution,
-                     reference: ReferenceForm | None = None) -> MoritaConeReport:
+def morita_cone_maps(algebra: AlgebraWithInvolution) -> MoritaConeReport:
     """The bijection (P, eps) <-> (P, eps) between the cone spaces of
     M_n(D) and D, and whether it is the Morita map of cones: `ok` says that
     both cone lists carry the same labels in the same order, and that for
@@ -438,7 +423,11 @@ def morita_cone_maps(algebra: AlgebraWithInvolution,
     diag(a, 0, ..., 0) are those paired with the cones of D holding a.  The
     pool is finite and its H-sets generate the topology of D
     (`_generator_pool`), so `ok` is decided over the whole pool, not
-    sampled; it is compared on the seeds s of the pool only.
+    sampled; it is compared on the seeds s of the pool only.  Each side
+    orients its cones by its own reference form.  The entry Gram of the
+    one of M_n(D) is congruent to n copies of that of D
+    (`find_reference_form`), so its raw signature is n times that of D at
+    every ordering, and the orientations agree.
 
     Proof.  Every generator is e s for a nonzero scalar e, and diag(e s, 0,
     ..., 0) = e diag(s, 0, ..., 0).  The congruence kernel on <e m> takes
@@ -447,10 +436,8 @@ def morita_cone_maps(algebra: AlgebraWithInvolution,
     (`ConeSpace.generator_sets`).  With the same labels in the same order,
     e moves the cones of both lists alike, so equal H-sets for diag(s, 0,
     ..., 0) and s give equal H-sets for every e s."""
-    ref_up = reference if reference is not None else reference_form(algebra)
-    down_alg = algebra.collapsed()
-    up = ConeSpace(algebra, ref_up)
-    down = ConeSpace(down_alg, transport_reference(ref_up, down_alg))
+    up = ConeSpace(algebra)
+    down = ConeSpace(algebra.collapsed())
     pairs = [(c.id_pair(), d.id_pair()) for c, d in zip(up.cones, down.cones)]
     same_labels = [c.id_pair() for c in up.cones] == [d.id_pair() for d in down.cones]
     n, zero = algebra.n, algebra.entry_zero

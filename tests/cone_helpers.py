@@ -5,7 +5,8 @@ samples such members, so it tests the prepositive-cone axioms on a
 candidate set, and `sampled_morita_checks` tests the Morita map of cones
 on them; neither is a decision procedure.  `strongly_anisotropic_flag` is
 a one-sided criterion, and `basic_open` and `labels` read the H-sets of a
-`ConeSpace`.  `plain_sos_search` is the sos-find search on a pool that
+`ConeSpace`; `pool_generators` lists the generators whose H-sets it
+derives.  `plain_sos_search` is the sos-find search on a pool that
 keeps every term, equal values too, and `every_generator_pullback` is the
 Morita check on every generator of the pool, not on its seeds only.
 """
@@ -22,12 +23,7 @@ from hermsig.cones import (
     maximal_generator,
 )
 from hermsig.field import sign_at
-from hermsig.hermitian import (
-    rank1_max_signature,
-    reference_form,
-    signature,
-    transport_reference,
-)
+from hermsig.hermitian import rank1_max_signature, signature
 from hermsig.quadforms import harrison_set
 from hermsig.spectra import ConeSpace
 
@@ -65,10 +61,9 @@ def sampled_morita_checks(algebra, rng, samples=10):
     """(trace_ok, values_ok) for the cone pairing of `morita_cone_maps`:
     for sampled members m of each cone of M_n(D), the trace of m and the
     value X* m X at a random column X lie in the paired cone of D."""
-    ref_up = reference_form(algebra)
     down_alg = algebra.collapsed()
-    up = enumerate_positive_cones(algebra, ref_up)
-    down = enumerate_positive_cones(down_alg, transport_reference(ref_up, down_alg))
+    up = enumerate_positive_cones(algebra)
+    down = enumerate_positive_cones(down_alg)
     trace_ok = values_ok = True
     n = algebra.n
     for cone_up, cone_down in zip(up, down):
@@ -195,6 +190,14 @@ def basic_open(space, elements):
     return out
 
 
+def pool_generators(space):
+    """The exact generator set of the subbasis of the space, e s for every
+    scalar e in +-scalars and every seed s, in that order: the elements
+    whose H-sets `ConeSpace.generator_sets` derives (`_generator_pool`)."""
+    seeds, scalars = space._pool
+    return [s.scale(e) for c in scalars for e in (c, -c) for s in seeds]
+
+
 def labels(space, subset):
     """The (ordering index, orientation) pairs of the cones in subset."""
     return sorted(space.cones[i].id_pair() for i in subset)
@@ -256,13 +259,11 @@ def every_generator_pullback(algebra):
     """The `ok` of `morita_cone_maps`, decided by testing diag(a, 0, ..., 0)
     over M_n(D) against a over D for every generator a of the pool of D,
     one by one, with the cones paired by position."""
-    ref_up = reference_form(algebra)
-    down_alg = algebra.collapsed()
-    up = ConeSpace(algebra, ref_up)
-    down = ConeSpace(down_alg, transport_reference(ref_up, down_alg))
+    up = ConeSpace(algebra)
+    down = ConeSpace(algebra.collapsed())
     n, zero = algebra.n, algebra.entry_zero
     return all(
         up._h_single(algebra.element([[a.rows[0][0] if r == c == 0 else zero
                                        for c in range(n)] for r in range(n)]))
         == down._h_single(a)
-        for a in down.generators)
+        for a in pool_generators(down))

@@ -296,8 +296,8 @@ def test_criterion_6_cone_classification():
                     continue
                 samples += 1
                 for p in nonnil:
-                    plus = PositiveCone(alg, p, 1, eta)
-                    minus = PositiveCone(alg, p, -1, eta)
+                    plus = PositiveCone(alg, p, 1)
+                    minus = PositiveCone(alg, p, -1)
                     max_plus = eta_maximal(m, p, eta)
                     max_minus = eta_maximal(-m, p, eta)
                     if plus.contains(m) != max_plus or minus.contains(m) != max_minus:

@@ -85,15 +85,14 @@ def test_membership_matches_quadratic_psd_for_split_orth():
 
 def test_cone_membership_skew_family_matches_split_oracle():
     alg = AlgebraWithInvolution(QQ, "quat_skew", 1, a=1, b=1)
-    eta = reference_form(alg)
     q = alg.quat
     # N(q) = J phi(q); membership in an oriented cone must match the
     # definiteness of N at the ordering
     from hermsig.algebras import SplitIsomorphism
 
     phi = SplitIsomorphism(alg.quat)
-    plus = PositiveCone(alg, P0, 1, eta)
-    minus = PositiveCone(alg, P0, -1, eta)
+    plus = PositiveCone(alg, P0, 1)
+    minus = PositiveCone(alg, P0, -1)
     rng = random.Random(61)
     for _ in range(40):
         coords = [rng.randint(-2, 2) for _ in range(3)]
@@ -220,7 +219,7 @@ def test_cone_invertible_members_are_eta_maximal():
     for alg in (HAMILTON1, SO2):
         eta = reference_form(alg)
         for eps in (1, -1):
-            cone = PositiveCone(alg, P0, eps, eta)
+            cone = PositiveCone(alg, P0, eps)
             hits = 0
             for _ in range(60):
                 m = sample_member(cone, rng)
@@ -383,7 +382,7 @@ def test_membership_matches_algebra_level_diagonalization():
         eta = __import__("hermsig.hermitian", fromlist=["reference_form"]).reference_form(alg)
         for p in alg.nonnil_orderings():
             for eps in (1, -1):
-                cone = PositiveCone(alg, p, eps, eta)
+                cone = PositiveCone(alg, p, eps)
                 want = eps * (1 if eta.certificate[p] > 0 else -1)
                 for _ in range(15):
                     ed = alg.entry_dim
@@ -713,7 +712,7 @@ def test_constructed_reference_form_and_maximal_generator(field, family):
         for p in nonnil:
             unit = alg.scalar_element(alg.twist_at(p) if alg.skew_gram else alg.entry_one)
             for eps in (1, -1):
-                cone = PositiveCone(alg, p, eps, eta)
+                cone = PositiveCone(alg, p, eps)
                 gen = maximal_generator(cone)
                 assert gen == unit or gen == -unit
                 assert cone.contains(gen)

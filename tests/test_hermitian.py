@@ -12,9 +12,8 @@ from hermsig.hermitian import (
     HermitianForm,
     ReferenceForm,
     going_up,
+    going_up_algebra,
     knebusch_check,
-    morita_collapse,
-    morita_expand,
     raw_signature,
     reference_form,
     scale_by_quadratic,
@@ -23,13 +22,16 @@ from hermsig.hermitian import (
     split_oracle_signature,
     sylvester_count_oracle,
     sylvester_decompose,
-    transport_reference,
 )
 from hermsig.quadforms import QuadraticForm, signature_q
+from morita_oracle import morita_collapse, morita_expand, transport_reference
 from trace_oracle import trace_form, unit_form
 from witt_helpers import neg, perp, torsion_test_h
 
 SQRT2 = NumberField([-2, 0, 1])
+SQRT3 = NumberField([-3, 0, 1])
+CBRT2 = NumberField([-2, 0, 0, 1])
+F5 = NumberField([1, 3, -3, -4, 1, 1])
 
 HAMILTON1 = AlgebraWithInvolution(QQ, "quat_symp", 1, a=-1, b=-1)
 RAT = AlgebraWithInvolution(QQ, "split_orth", 1)
@@ -385,8 +387,7 @@ def test_knebusch_random_forms_over_towers():
 
 
 def _cone(alg, ordering, orientation):
-    return SimpleNamespace(algebra=alg, ordering=ordering, orientation=orientation,
-                           reference=reference_form(alg))
+    return SimpleNamespace(algebra=alg, ordering=ordering, orientation=orientation)
 
 
 def test_sylvester_decompose_examples():
@@ -541,9 +542,58 @@ def test_knebusch_for_division_quat_skew():
 
 
 # ---------------------------------------------------------------------------
-# The congruence kernel on entry Grams against the trace-form oracle.
+# One reference form per algebra: the Morita and going-up transports of the
+# reference form have its signs, so the cone, Morita and transfer layers
+# read `reference_form` of each algebra.
 
-F5 = NumberField([1, 3, -3, -4, 1, 1])
+
+def test_collapsed_reference_has_the_signs_of_the_transported_one():
+    """reference_form(M_n(D) collapsed) has the certificate signs of the
+    reference form of M_n(D) transported to D (`transport_reference`), whose
+    raw signatures are n times its own: every family at n = 2 and 3 over
+    four fields, quat_skew (1, x) and quat_symp (-1, x) included."""
+    cases = 0
+    for field in (QQ, SQRT2, CBRT2, F5):
+        params = [("split_orth", {}), ("unitary", {"delta": -1}),
+                  ("quat_symp", {"a": -1, "b": -1}), ("quat_symp", {"a": 1, "b": 1}),
+                  ("quat_skew", {"a": 1, "b": 1}), ("quat_skew", {"a": -1, "b": 1})]
+        if field.degree > 1:
+            params += [("quat_symp", {"a": -1, "b": field.gen}),
+                       ("quat_skew", {"a": 1, "b": field.gen})]
+        for n in (2, 3):
+            for family, kw in params:
+                alg = AlgebraWithInvolution(field, family, n, **kw)
+                down = alg.collapsed()
+                moved = transport_reference(reference_form(alg), down)
+                own = reference_form(down).certificate
+                assert moved.certificate == {p: n * v for p, v in own.items()}, alg
+                cases += 1
+    assert cases == 60
+
+
+def test_lifted_reference_is_the_reference_gone_up():
+    """reference_form(going_up_algebra(A, L)) is the reference form of A gone
+    up to L, with the raw signatures of the lifted form as its certificate:
+    every family at n = 1, 2 and 3 over Q, lifted to four fields."""
+    cases = 0
+    for ext in (SQRT2, SQRT3, CBRT2, F5):
+        for family, kw in [("split_orth", {}), ("unitary", {"delta": -1}),
+                           ("quat_symp", {"a": -1, "b": -1}), ("quat_symp", {"a": 1, "b": 1}),
+                           ("quat_skew", {"a": 1, "b": 1}), ("quat_skew", {"a": 2, "b": 5}),
+                           ("quat_skew", {"a": -1, "b": 1})]:
+            for n in (1, 2, 3):
+                base = AlgebraWithInvolution(QQ, family, n, **kw)
+                lifted = going_up(reference_form(base).form, ext)
+                own = reference_form(going_up_algebra(base, ext))
+                assert own.form == lifted, (base, ext)
+                assert own.certificate == {q: raw_signature(lifted, q)
+                                           for q in lifted.algebra.nonnil_orderings()}
+                cases += 1
+    assert cases == 84
+
+
+# ---------------------------------------------------------------------------
+# The congruence kernel on entry Grams against the trace-form oracle.
 
 
 def _kernel_algebras():

@@ -338,7 +338,7 @@ def test_subprocess_determinism(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["full_session", "sqrt2_session", "quintic_session",
-                                  "skew_session"])
+                                  "skew_session", "morita_session"])
 def test_fixture_reports_match_golden(name):
     """`hermsig run` on each fixture reproduces its recorded report byte for
     byte; the .expected.json files were written before the integer-numerator
@@ -350,7 +350,9 @@ def test_fixture_reports_match_golden(name):
     generators (the quintic space was reported with 256 open sets, not T0).
     The skew one pins the constructed quat_skew reference forms over the
     quintic field, including <i, j, k> for (a, b) = (-x, 1 + x), which had
-    none before they were constructed."""
+    none before they were constructed.  The morita one, over Q(sqrt 2), was
+    written while the cone, Morita and transfer layers still took a
+    reference form and D's was transported from M_n(D)'s."""
     import subprocess
     import sys
 
@@ -360,6 +362,21 @@ def test_fixture_reports_match_golden(name):
     assert proc.returncode == 0
     expected = (FIXTURES / f"{name}.expected.json").read_text(encoding="utf-8")
     assert proc.stdout == expected
+
+
+@pytest.mark.parametrize("workload", ["sig_tables", "cone_search", "small_forms"])
+def test_workload_reports_match_golden(workload):
+    """The benchmark's session document for each workload at seed 1, from
+    perfbench/workloads.py, reproduces its recorded report."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    doc = parse_session(workloads.generate(workload, 1))
+    expected = (FIXTURES / f"{workload}_seed1.expected.json").read_text(encoding="utf-8")
+    assert run_session(doc).to_json() == expected
 
 
 def test_cli_module_runs_once():
@@ -676,7 +693,7 @@ def test_sos_find_certificate_verifies_with_the_same_keys(family, params, elemen
 
 
 @pytest.mark.parametrize("name", ["full_session", "sqrt2_session", "quintic_session",
-                                  "skew_session"])
+                                  "skew_session", "morita_session"])
 def test_fixture_reports_do_not_read_the_trace_form(monkeypatch, name):
     """Every command reads the congruence kernel: each golden report is
     reproduced with the trace form of a hermitian form unavailable."""
