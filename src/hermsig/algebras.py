@@ -19,7 +19,7 @@ its basis elements e_s e_t = c e_k and the diagonal norm form of Nrd.  F(sqrt(de
 table sqrt(delta)^2 = delta with norms (1, -delta); (a, b)_F is the
 quaternion table with norms (1, -a, -b, ab).  Their entries are one class,
 ``Entry``, and F and the ring share one protocol (``zero``, ``one``,
-``basis``, ``from_coords``, and entries with ``conj``, ``coords``,
+``basis``, ``norms``, ``from_coords``, and entries with ``conj``, ``coords``,
 ``trd``, ``is_zero``), so no code branches on the family name.  Everything
 is immutable and exact.
 """

@@ -18,6 +18,11 @@ exactly.  Both read what a term is worth from `_term_scale`, and both
 certificate producers put term i in copy i of the Pfister block (index
 i << t).  One list of cones, over the non-nil orderings of the Harrison
 set, serves the search's gate, its refutation witness and its pruning.
+The search is a branch and bound.  For the hermitian families every value
+is an F-scalar, and a term of height at most h is worth at most h^2
+`_value_cap` at each cone ordering, so a remainder above what the terms
+left can reach is pruned before any cone test.  The last term is looked
+up by value among the terms built so far.
 """
 
 from __future__ import annotations
@@ -275,6 +280,23 @@ def default_generator(algebra: AlgebraWithInvolution) -> AlgebraElement:
     return algebra.scalar_element(algebra.quat.i)
 
 
+def _value_cap(coeffs: Sequence[FieldElement], scales: Iterable[FieldElement],
+               ordering: Ordering) -> FieldElement:
+    """The largest value at the ordering of a term of height 1, for the
+    hermitian families, whose terms scaled by g are worth c g Nrd(x) =
+    sum_t c g norms_t x_t^2 (coeffs = c norms_t): the maximum over the
+    scales g of sum_t max(0, c g norms_t) there.  With |x_t| <= h each
+    summand is at most h^2 max(0, c g norms_t), so h^2 times this element
+    bounds every term of height at most h at the ordering."""
+    zero = ordering.field.zero
+    best = zero
+    for g in scales:
+        total = sum((v for v in (g * k for k in coeffs) if sign_at(v, ordering) > 0), zero)
+        if sign_at(total - best, ordering) > 0:
+            best = total
+    return best
+
+
 def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
                          slots: Sequence = (), *, height: int = SEARCH_HEIGHT,
                          max_terms: int = SEARCH_TERMS) -> SosSearchResult:
@@ -286,9 +308,21 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     at most 4n vectors); bounded deterministic search otherwise (n = 1
     members), returning the first certificate at minimal height.  One list
     of cones, over the non-nil orderings of the Harrison set, serves the
-    gate and the search.  The search prunes a remainder that one of these
-    cones does not contain; its last term must equal the remainder, so it
-    is found by comparison, without subtracting or testing the differences.
+    gate and the search.
+
+    The search is a depth-first branch and bound: it visits the nodes of
+    the plain search in the same order, less subtrees proved empty, so it
+    returns the same first certificate.  A node is pruned when a cone does
+    not contain its remainder.  For the hermitian families a is an
+    F-scalar c, a term x scaled by g is worth c g Nrd(x), and a cone holds
+    an F-scalar remainder when it is >= 0 at the ordering.  A term of
+    height at most h is worth at most cap_P(h) = h^2 `_value_cap` at each
+    cone ordering P, so a node with k terms left is first pruned when its
+    remainder exceeds k cap_P(h) at some P.  quat_skew values are pure
+    quaternions and have no such bound.  The last term must equal the
+    remainder: it is looked up by value among the terms built so far, and
+    the rest of the pool is built only when the value is absent but passes
+    the tests.
 
     The pool is grown by height: height h adds the canonical vectors x
     (first nonzero coordinate positive) whose largest |coordinate| is h, in
@@ -297,11 +331,11 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     h-pool is a prefix of the (h + 1)-pool.  A term whose value x* a x
     times its scale equals that of an earlier term is left out: the first
     certificate never needs it, and the search does not try again a value
-    whose subtree failed.  The terms are built on demand, in the same
-    order: the search builds a term when it first reaches its index, so a
-    certificate found early leaves the rest of the pool unbuilt, and the
-    nodes visited and the certificate returned are those of a pool built
-    in full.  An `unknown` result has built the whole pool of every height.
+    whose subtree failed.  For the hermitian families x* a x = c Nrd(x)
+    comes from the integer coordinates and the norms of the entry ring,
+    with no product of algebra elements.  The terms are built on demand, in
+    pool order, when the search first reaches them: a certificate found
+    early, or a bound met at the root, leaves the rest of the pool unbuilt.
     """
     alg = u.algebra
     fld = alg.field
@@ -341,52 +375,89 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     for wsub in subsets:
         for gmask in range(1 << t):
             scales.setdefault(_term_scale(slot_elems, wsub, fld.one, gmask), (wsub, gmask))
+
+    # sandwich: x* a x from the coordinates of x; fits: whether a remainder
+    # passes the tests of a node with k terms left, at the height h searched
+    if alg.skew_gram:
+        def sandwich(coords):
+            x = alg.element([[coords]])
+            return x.conj_transpose() * a * x
+
+        def fits(rem, k):
+            return all(c.contains(rem) for c in cones)
+        target = u
+    else:
+        coeffs = [a.rows[0][0].coords()[0] * n for n in alg.ring.norms]
+        caps = [(c.ordering, _value_cap(coeffs, scales, c.ordering)) for c in cones]
+
+        def sandwich(coords):
+            return sum((w * (v * v) for w, v in zip(coeffs, coords) if v), fld.zero)
+
+        def fits(rem, k):
+            k *= h * h
+            return (all(sign_at(rem - k * cap, p) <= 0 for p, cap in caps)
+                    and all(sign_at(rem, p) >= 0 for p, _ in caps))
+        target = u.rows[0][0].coords()[0]
+
     # The pool keeps the first term of each distinct value, so a value whose
     # subtree failed is not searched again.  Dropping the later ones keeps
     # the first certificate: every pool value lies in every cone, so no
     # remainder of a valid term sequence is pruned, and a sequence with a
-    # later copy has an earlier twin (swap in the first copy and sort).
-    seen: set[AlgebraElement] = set()
+    # later copy has an earlier twin (swap in the first copy and sort).  A
+    # vector whose sandwich an earlier vector had has that vector's values,
+    # all pulled by then, so it adds no term.
+    sandwiches: set = set()
+    values: list = []  # the terms pulled so far, a prefix of the pool
+    index: dict = {}  # value -> its index in values
+    source = iter(())  # the pool terms not yet pulled
 
     def height_terms(h: int):
         """The pool terms of height h, in pool order."""
         for coords in itertools.product(range(-h, h + 1), repeat=alg.entry_dim):
             if max(map(abs, coords)) != h or next(c for c in coords if c) < 0:
                 continue
-            x = alg.element([[coords]])
-            sandwich = x.conj_transpose() * a * x
-            if not sandwich.is_zero():
-                for g, (wsub, gmask) in scales.items():
-                    val = sandwich.scale(g)
-                    if val not in seen:
-                        seen.add(val)
-                        yield wsub, gmask, x, val
+            s = sandwich(coords)
+            if s.is_zero() or s in sandwiches:
+                continue
+            sandwiches.add(s)
+            x = None
+            for g, (wsub, gmask) in scales.items():
+                val = s * g
+                if val not in index:
+                    if x is None:
+                        x = alg.element([[coords]])
+                    yield wsub, gmask, x, val
 
-    values: list = []  # the terms pulled so far, a prefix of the pool
-    source = iter(())  # the terms of the current height not yet pulled
+    def pull() -> bool:
+        """Pull the next pool term from the source; False at its end."""
+        term = next(source, None)
+        if term is None:
+            return False
+        index[term[3]] = len(values)
+        values.append(term)
+        return True
 
     def pool_from(start: int):
         """The pool terms from index start on, each pulled from the source
         when the search first reaches it."""
         for idx in itertools.count(start):
-            if idx == len(values):
-                term = next(source, None)
-                if term is None:
-                    return
-                values.append(term)
+            if idx == len(values) and not pull():
+                return
             yield idx, values[idx]
 
-    def dfs(rem: AlgebraElement, start: int, chosen: list) -> list | None:
+    def dfs(rem, start: int, chosen: list) -> list | None:
         if rem.is_zero():
             return list(chosen)
-        if len(chosen) >= max_terms:
-            return None
-        if not all(c.contains(rem) for c in cones):
-            return None
-        if len(chosen) + 1 == max_terms:
+        left = max_terms - len(chosen)
+        if left == 1:
             # the last term must be the remainder itself
-            last = next((v for _, v in pool_from(start) if v[3] == rem), None)
-            return None if last is None else chosen + [last[:3]]
+            idx = index.get(rem)
+            if idx is None and fits(rem, 1):
+                while idx is None and pull():
+                    idx = index.get(rem)
+            return None if idx is None or idx < start else chosen + [values[idx][:3]]
+        if left < 1 or not fits(rem, left):
+            return None
         for idx, (wsub, gmask, x, val) in pool_from(start):
             chosen.append((wsub, gmask, x))
             got = dfs(rem - val, idx, chosen)
@@ -396,10 +467,10 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
         return None
 
     for h in range(1, height + 1):
-        # A failed search has pulled every term of the heights below: its
-        # root scans the whole pool.  So the terms of h follow them.
-        source = height_terms(h)
-        found = dfs(u, 0, [])
+        # The terms of h follow those of the heights below, some of which a
+        # bound at the root may have left unpulled.
+        source = itertools.chain(source, height_terms(h))
+        found = dfs(target, 0, [])
         if found is not None:
             terms = [CertTerm(wsub, fld.one, x, i << t | gmask)
                      for i, (wsub, gmask, x) in enumerate(found)]

@@ -279,9 +279,14 @@ class NumberField:
         """The class of x; for d = 1 this is a rational number."""
         return self.element([0, 1])
 
-    # F as an entry ring (of the split_orth family): one coordinate.
+    # F as an entry ring (of the split_orth family): one coordinate, whose
+    # reduced norm is x^2.
     @cached_property
     def basis(self) -> tuple["FieldElement"]:
+        return (self.one,)
+
+    @cached_property
+    def norms(self) -> tuple["FieldElement"]:
         return (self.one,)
 
     def from_coords(self, coords: Sequence["FieldElement"]) -> "FieldElement":

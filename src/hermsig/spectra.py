@@ -23,7 +23,7 @@ from functools import cached_property
 from .algebras import AlgebraElement, AlgebraWithInvolution, is_invertible
 from .cones import enumerate_positive_cones
 from .errors import AlgebraMismatchError, InvariantError, NilOrderingError
-from .field import FieldElement, Ordering, sign_at
+from .field import FieldElement, Ordering
 from .hermitian import (
     HermitianForm,
     ReferenceForm,
@@ -279,7 +279,7 @@ class ConeSpace:
         self.cones = enumerate_positive_cones(algebra)
 
     @cached_property
-    def _pool(self) -> tuple[list[AlgebraElement], list[FieldElement]]:
+    def _pool(self) -> tuple[list[AlgebraElement], list[tuple[FieldElement, Ordering | None]]]:
         return _generator_pool(self.algebra)
 
     @cached_property
@@ -297,13 +297,23 @@ class ConeSpace:
         carrier pair (Trd(u q), Trd(u q) Nrd(q)) becomes (e t, e^3 t n),
         with the signs of (t, t n) times sgn(e); the pair (Nrd, -Nrd) is
         scaled by e^2, and no cone holds it unless it is 0.  So flipping
-        the orientation by sgn_P(e) gives the same verdict."""
+        the orientation by sgn_P(e) gives the same verdict.
+
+        The signs of the scalars are read from their construction, with no
+        sign evaluation: 1 is positive everywhere, and sgn_Q(s_P) = +1
+        exactly when Q = P.  Proof: s_P = -(theta - lo)(theta - hi) over the
+        defining interval (lo, hi) of P, whose endpoints are not roots of
+        the minimal polynomial.  At P, theta is the root strictly inside it,
+        so the factors have opposite signs and s_P > 0.  At Q != P, theta is
+        another root; the defining interval of P holds one root only, and
+        its endpoints are not roots, so this one lies outside [lo, hi], the
+        factors have the same sign, and s_P < 0."""
         seeds, scalars = self._pool
         seed_sets = [self._h_single(s) for s in seeds]
         index = {cone.id_pair(): i for i, cone in enumerate(self.cones)}
         out = []
-        for c in scalars:
-            signs = [sign_at(c, cone.ordering) for cone in self.cones]
+        for _, only in scalars:
+            signs = [1 if only is None or cone.ordering == only else -1 for cone in self.cones]
             for e_sign in (1, -1):
                 # cone i holds e s iff cone moved[i] holds s
                 moved = [index[cone.ordering.index, e_sign * sg * cone.orientation]
@@ -337,12 +347,14 @@ def generate_topology(size: int, subbasic: list[frozenset]) -> tuple[frozenset, 
 
 
 def _generator_pool(algebra: AlgebraWithInvolution
-                    ) -> tuple[list[AlgebraElement], list[FieldElement]]:
+                    ) -> tuple[list[AlgebraElement], list[tuple[FieldElement, Ordering | None]]]:
     """One exact generator set, as seeds and scalars: the generators are
     the seeds, `sym_basis` and the unit (for quat_skew the pure i, j, k),
     scaled by +-1 and, when F has two orderings or more, by +-s_P for every
-    non-nil P.  `ConeSpace` computes H-sets on the seeds only and derives
-    the others (`ConeSpace.generator_sets`).
+    non-nil P.  Each scalar comes with the one ordering where it is
+    positive, P for s_P, or None for 1, positive at all of them.
+    `ConeSpace` computes H-sets on the seeds only and derives the others
+    (`ConeSpace.generator_sets`).
 
     It is complete.  Since s_P is positive at P only, H(1) & H(s_P) is the
     single cone (P, sgn eta_P), and H(-1) & H(-s_P) is the other
@@ -354,9 +366,9 @@ def _generator_pool(algebra: AlgebraWithInvolution
     units = (quat.i, quat.j, quat.k) if algebra.skew_gram else (algebra.entry_one,)
     seeds = algebra.sym_basis()
     seeds += [u for u in map(algebra.scalar_element, units) if u not in seeds]
-    scalars = [fld.one]
+    scalars = [(fld.one, None)]
     if len(fld.orderings) > 1:
-        scalars += [p.separator for p in algebra.nonnil_orderings()]
+        scalars += [(p.separator, p) for p in algebra.nonnil_orderings()]
     return seeds, scalars
 
 

@@ -195,7 +195,7 @@ def pool_generators(space):
     scalar e in +-scalars and every seed s, in that order: the elements
     whose H-sets `ConeSpace.generator_sets` derives (`_generator_pool`)."""
     seeds, scalars = space._pool
-    return [s.scale(e) for c in scalars for e in (c, -c) for s in seeds]
+    return [s.scale(e) for c, _ in scalars for e in (c, -c) for s in seeds]
 
 
 def labels(space, subset):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from hermsig.cones import (
     PositiveCone,
     SquareCertificate,
     CertTerm,
+    _term_scale,
+    _value_cap,
     enumerate_positive_cones,
     eta_maximal,
     find_sos_certificate,
@@ -361,43 +364,38 @@ def test_not_formally_real_means_all_signatures_vanish():
 
 
 def test_membership_matches_algebra_level_diagonalization():
-    # the trace-carrier rule must agree with the pivot-sign rule of the
-    # algebra-level congruence reduction for the hermitian families
-    from hermsig.field import NumberField
-    from hermsig.hermitian import HermitianForm
+    # cone membership of a symmetric x must agree with the pivot-sign rule
+    # of the algebra-level congruence reduction of <x> for the hermitian
+    # families; at n = 2, <x> is a rank-1 form whose Gram is x itself
     from test_hermitian import hermitian_diagonalize
 
-    sqrt2 = NumberField([-2, 0, 1])
-    theta = sqrt2.gen
+    theta = SQRT2.gen
     rng = random.Random(80)
     instances = [
-        AlgebraWithInvolution(QQ, "quat_symp", 1, a=-1, b=-1),
-        AlgebraWithInvolution(QQ, "unitary", 1, delta=-1),
-        AlgebraWithInvolution(sqrt2, "quat_symp", 1, a=-1, b=-1),
-        AlgebraWithInvolution(sqrt2, "unitary", 1, delta=theta - 3),
+        AlgebraWithInvolution(QQ, "quat_symp", 2, a=-1, b=-1),
+        AlgebraWithInvolution(QQ, "unitary", 2, delta=-1),
+        AlgebraWithInvolution(SQRT2, "quat_symp", 2, a=-1, b=-1),
+        AlgebraWithInvolution(SQRT2, "unitary", 2, delta=theta - 3),
     ]
+    outcomes = set()
     for alg in instances:
-        basis = alg.sym_basis()
-        # rank-2 symmetric elements via hermitian Grams reread as elements
-        eta = __import__("hermsig.hermitian", fromlist=["reference_form"]).reference_form(alg)
-        for p in alg.nonnil_orderings():
-            for eps in (1, -1):
-                cone = PositiveCone(alg, p, eps)
-                want = eps * (1 if eta.certificate[p] > 0 else -1)
-                for _ in range(15):
-                    ed = alg.entry_dim
-                    raw = [[alg.entry([rng.randint(-2, 2) for _ in range(ed)])
-                            for _ in range(2)] for _ in range(2)]
-                    ct = [[raw[c][r].conj() for c in range(2)] for r in range(2)]
-                    gram = [[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(raw, ct)]
-                    form = HermitianForm(alg, gram)
-                    pivots, _ = hermitian_diagonalize(form)
+        eta = reference_form(alg)
+        ed = alg.entry_dim
+        for _ in range(15):
+            raw = alg.element([[[rng.randint(-2, 2) for _ in range(ed)] for _ in range(2)]
+                               for _ in range(2)])
+            x = raw + raw.conj_transpose()
+            pivots, _ = hermitian_diagonalize(HermitianForm(alg, x.rows))
+            trace = trace_diag(rank1_form(x, "x is symmetric"))
+            for p in alg.nonnil_orderings():
+                for eps in (1, -1):
+                    want = eps * (1 if eta.certificate[p] > 0 else -1)
                     pivot_rule = all(want * sign_at(d, p) >= 0 for d in pivots)
-                    # reread the Gram as a rank-2 "element" is not possible
-                    # for n = 1; compare through the trace diagonal instead
-                    carrier = all(want * sign_at(d, p) >= 0 for d in trace_diag(form))
-                    assert carrier == pivot_rule
+                    assert PositiveCone(alg, p, eps).contains(x) == pivot_rule
+                    # the trace diagonal of <x> carries the same rule
+                    assert all(want * sign_at(d, p) >= 0 for d in trace) == pivot_rule
+                    outcomes.add(pivot_rule)
+    assert outcomes == {True, False}
 
 
 def test_totally_imaginary_field_has_no_cones():
@@ -550,15 +548,14 @@ def test_find_sos_certificate_pinned_quintic_targets(monkeypatch):
     assert _cert_summary(res) == ("certificate", [((), (0, 0, 0, 1), i) for i in range(3)])
     assert verify_certificate(u, ham.one_element, [], 3, res.certificate)
     # 13 needs four terms of reduced norm at most 4.  Whatever the number of
-    # cones: one reduction for the invertibility test of the generator, one
-    # for <13> and one for each distinct first-term remainder: the 40
-    # vectors of height 1 have reduced norm 1, 2, 3 or 4, and the pool keeps
-    # one term per value.  The last term is compared with the remainder,
-    # not subtracted and reduced
+    # cones: one reduction for the invertibility test of the generator and
+    # one for <13> at the gate.  Two terms of height 1 are worth at most
+    # 2 * 4 < 13, so the bound prunes the root, and the search reduces no
+    # remainder: its tests on F-scalar remainders are signs
     calls = count_diagonalize(monkeypatch)
     res = find_sos_certificate(ham.scalar_element(13), height=1, max_terms=2)
     assert _cert_summary(res) == ("unknown", None)
-    assert len(calls) == 1 + 1 + 4
+    assert len(calls) == 1 + 1
 
 
 def test_find_sos_certificate_one_term_short_is_unknown():
@@ -659,10 +656,13 @@ def test_on_demand_pool_searches_as_the_full_pool(alg, targets, slots, height):
 
 
 def test_on_demand_pool_builds_the_sandwiches_the_search_reaches(monkeypatch):
-    """Each sandwich x* a x is two products of algebra elements, and the
-    invertibility test of the generator one more.  3 = 1 + 1 + 1 needs the
-    first vector only; the unknown 13 with two terms builds all 40 vectors
-    of height 1."""
+    """The invertibility test of the generator makes one product of algebra
+    elements, and the search none: over the quaternions, x* x = Nrd(x) is
+    read from the integer coordinates.  3 = 1 + 1 + 1 needs the first
+    vector only, and the unknown 13 with two terms is pruned at the root
+    (2 * 4 < 13), with no sandwich built.  So is 1000 at the defaults
+    (height 3, 6 terms, 6 * 4 * 3^2 < 1000), which used to build the whole
+    pool of every height."""
     ham = AlgebraWithInvolution(F5, "quat_symp", 1, a=-1, b=-1)
     reference_form(ham)
     products = []
@@ -675,11 +675,69 @@ def test_on_demand_pool_builds_the_sandwiches_the_search_reaches(monkeypatch):
     monkeypatch.setattr(AlgebraElement, "__mul__", counted)
     res = find_sos_certificate(ham.scalar_element(3), height=1, max_terms=3)
     assert res.status == "certificate"
-    assert len(products) <= 1 + 2 * 2
+    assert len(products) == 1
     products.clear()
     res = find_sos_certificate(ham.scalar_element(13), height=1, max_terms=2)
     assert res.status == "unknown"
-    assert len(products) == 1 + 2 * 40
+    assert len(products) == 1
+    reference_form(HAMILTON1)
+    products.clear()
+    assert find_sos_certificate(HAMILTON1.scalar_element(1000)).status == "unknown"
+    assert len(products) == 1
+
+
+@pytest.mark.parametrize("alg, targets, slots, height", [
+    (AlgebraWithInvolution(F5, "unitary", 1, delta=-1),
+     [k + j * F5.gen for k in range(1, 13) for j in (0, 1)], [], 1),
+    (AlgebraWithInvolution(F5, "unitary", 1, delta=-1), range(1, 16), [2, 5], 1),
+    (AlgebraWithInvolution(F5, "split_orth", 1),
+     [k + j * F5.gen for k in range(-1, 9) for j in (0, -1)], [], 2),
+    (AlgebraWithInvolution(F5, "split_orth", 1), range(1, 16), [3], 2),
+], ids=["unitary", "unitary_slots", "split_orth", "split_orth_slot"])
+def test_bounded_search_agrees_with_the_plain_search_over_the_quintic(
+        alg, targets, slots, height):
+    """Over the quintic field the bound and the cone tests read five
+    orderings; for 1 to 3 terms, the outcome and the first certificate are
+    still those of the plain search, which has neither the bound nor the
+    lookup."""
+    statuses = set()
+    for max_terms in (1, 2, 3):
+        statuses |= _same_search_as_the_plain_oracle(alg, targets, slots, height, max_terms)
+    assert "certificate" in statuses and "unknown" in statuses
+
+
+@pytest.mark.parametrize("family", ["split_orth", "unitary", "quat_symp"])
+@pytest.mark.parametrize("field", [QQ, SQRT2, F5], ids=["Q", "sqrt2", "quintic"])
+def test_value_cap_bounds_every_pool_value(field, family):
+    """h^2 `_value_cap` at an ordering is at least the value c g Nrd(x) of
+    every term x* c x of height at most h scaled by a slot scale g, with and
+    without slots, at every ordering; a vector with coordinates 0 and h
+    attains it.  The sandwiches are computed by products of algebra
+    elements (x* c x = c x* x, as c is central)."""
+    x = field.gen
+    height = 2 if field.degree < 5 else 1
+    slot_sets = [[], [2, 3]] + ([[1 + x * x, 2]] if field.degree > 1 else [])
+    for alg in grid_algebras(field, family):
+        if alg.n != 1:
+            continue
+        # the sandwiches x* x of the vectors of height at most h, by h
+        norms = [set() for _ in range(height + 1)]
+        for coords in itertools.product(range(-height, height + 1), repeat=alg.entry_dim):
+            v = alg.element([[coords]])
+            norms[max(map(abs, coords))].add((v.conj_transpose() * v).rows[0][0].coords()[0])
+        for slots in slot_sets:
+            slots = [field.element(b) if isinstance(b, int) else b for b in slots]
+            t = len(slots)
+            scales = {_term_scale(slots, [i for i in range(t) if m >> i & 1], field.one, g)
+                      for m in range(1 << t) for g in range(1 << t)}
+            for c in (field.one, field.element(3)):
+                coeffs = [c * n for n in alg.ring.norms]
+                caps = [_value_cap(coeffs, scales, p) for p in field.orderings]
+                for h in range(1, height + 1):
+                    values = {c * s * g for k in range(h + 1) for s in norms[k] for g in scales}
+                    for p, cap in zip(field.orderings, caps):
+                        assert all(sign_at(cap * (h * h) - v, p) >= 0 for v in values)
+                        assert cap * (h * h) in values
 
 
 def grid_algebras(field, family):

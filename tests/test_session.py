@@ -338,7 +338,7 @@ def test_subprocess_determinism(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["full_session", "sqrt2_session", "quintic_session",
-                                  "skew_session", "morita_session"])
+                                  "skew_session", "morita_session", "sos_bound_session"])
 def test_fixture_reports_match_golden(name):
     """`hermsig run` on each fixture reproduces its recorded report byte for
     byte; the .expected.json files were written before the integer-numerator
@@ -352,7 +352,9 @@ def test_fixture_reports_match_golden(name):
     quintic field, including <i, j, k> for (a, b) = (-x, 1 + x), which had
     none before they were constructed.  The morita one, over Q(sqrt 2), was
     written while the cone, Morita and transfer layers still took a
-    reference form and D's was transported from M_n(D)'s."""
+    reference form and D's was transported from M_n(D)'s.  The sos_bound
+    one, over the quintic, was written before the sos-find search had its
+    value bound: 1000 at the defaults then took 14 s to give `unknown`."""
     import subprocess
     import sys
 
@@ -693,7 +695,7 @@ def test_sos_find_certificate_verifies_with_the_same_keys(family, params, elemen
 
 
 @pytest.mark.parametrize("name", ["full_session", "sqrt2_session", "quintic_session",
-                                  "skew_session", "morita_session"])
+                                  "skew_session", "morita_session", "sos_bound_session"])
 def test_fixture_reports_do_not_read_the_trace_form(monkeypatch, name):
     """Every command reads the congruence kernel: each golden report is
     reproduced with the trace form of a hermitian form unavailable."""

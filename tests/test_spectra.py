@@ -38,6 +38,7 @@ SQRT2 = NumberField([-2, 0, 1])
 # the totally real quintic of the cone_search workload, and 2cos(pi/16)
 F5 = NumberField([1, 3, -3, -4, 1, 1])
 F8 = NumberField([2, 0, -16, 0, 20, 0, -8, 0, 1])
+F4 = NumberField([2, 0, -4, 0, 1])  # x^4 - 4x^2 + 2, roots +-sqrt(2 +- sqrt 2)
 P0 = QQ.orderings[0]
 
 HAMILTON1 = AlgebraWithInvolution(QQ, "quat_symp", 1, a=-1, b=-1)
@@ -391,9 +392,9 @@ def test_morita_tampered_seed_set_or_labels_are_not_ok(monkeypatch):
 
 
 @pytest.mark.parametrize("alg", [
-    alg for field in (SQRT2, F5) for alg in _grid_algebras(field)
+    alg for field in (SQRT2, F5, F4) for alg in _grid_algebras(field)
     + [AlgebraWithInvolution(field, "quat_skew", 1, a=1, b=field.gen)]],
-    ids=[f"{f}-{a}" for f in ("sqrt2", "quintic")
+    ids=[f"{f}-{a}" for f in ("sqrt2", "quintic", "quartic")
          for a in ("split_orth1", "split_orth2", "unitary", "quat_symp",
                    "quat_symp_mix", "quat_skew", "quat_skew_mix")])
 def test_generator_sets_derived_from_the_seeds_match_direct_membership(alg):
@@ -515,10 +516,27 @@ def test_quintic_quat_skew_neighbourhoods_are_singletons(n):
     assert minimal == tuple(frozenset({i}) for i in range(10))
 
 
+@pytest.mark.parametrize("field", [SQRT2, F5, F4], ids=["sqrt2", "quintic", "quartic"])
+def test_generator_scalar_signs_read_from_the_construction_match_sign_at(field):
+    """`ConeSpace.generator_sets` reads sgn_Q of each pool scalar from its
+    construction: 1 is positive everywhere, s_P at P only.  sign_at agrees
+    at every ordering, nil ones included; the sets derived with those
+    signs are the H-sets of every generator
+    (`test_generator_sets_derived_from_the_seeds_match_direct_membership`)."""
+    from hermsig.field import sign_at
+
+    for alg in _grid_algebras(field):
+        scalars = ConeSpace(alg)._pool[1]
+        assert len(scalars) == 1 + len(alg.nonnil_orderings())
+        for c, only in scalars:
+            assert [sign_at(c, q) for q in field.orderings] == \
+                [1 if only is None or q == only else -1 for q in field.orderings]
+
+
 def test_separator_is_positive_at_its_ordering_only():
     from hermsig.field import sign_at
 
-    for fld in (SQRT2, F5, F8):
+    for fld in (SQRT2, F4, F5, F8):
         for p in fld.orderings:
             assert [sign_at(p.separator, q) for q in fld.orderings] == \
                 [1 if q == p else -1 for q in fld.orderings]
