@@ -153,7 +153,7 @@ class Entry:
             if other.ring is not self.ring and other.ring != self.ring:
                 raise AlgebraMismatchError("entries from different entry rings")
             return other
-        if isinstance(other, (int, Fraction, FieldElement)):
+        if isinstance(other, (FieldElement, int, Fraction)):
             return self.ring.element(other)
         return None
 
@@ -175,7 +175,7 @@ class Entry:
         return Entry(self.ring, tuple(p - q for p, q in zip(self.c, o.c)))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
+        if isinstance(other, (FieldElement, int, Fraction)):
             return Entry(self.ring, tuple(p * other for p in self.c))
         o = self._lift(other)
         if o is None:
@@ -204,7 +204,7 @@ class Entry:
         return self.c
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
+        if isinstance(other, (FieldElement, int, Fraction)):
             other = self.ring.element(other)
         return (isinstance(other, Entry) and (other.ring is self.ring or other.ring == self.ring)
                 and other.c == self.c)
@@ -423,8 +423,12 @@ class AlgebraWithInvolution:
     def is_nil(self, ordering: Ordering) -> bool:
         return ordering in self._nil_tuple
 
+    @cached_property
+    def _nonnil_tuple(self) -> tuple[Ordering, ...]:
+        return tuple(p for p in self.field.orderings if p not in self._nil_tuple)
+
     def nonnil_orderings(self) -> list[Ordering]:
-        return [p for p in self.field.orderings if p not in self._nil_tuple]
+        return list(self._nonnil_tuple)
 
     # -- entries ----------------------------------------------------------------
     @property
@@ -569,7 +573,7 @@ class AlgebraElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
+        if isinstance(other, (FieldElement, int, Fraction)):
             return self.scale(other)
         self._check(other)
         dot, cols = self.algebra.ring.dot, list(zip(*other.rows))
@@ -577,7 +581,7 @@ class AlgebraElement:
             [dot([(1, x, y) for x, y in zip(a, col)]) for col in cols] for a in self.rows])
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
+        if isinstance(other, (FieldElement, int, Fraction)):
             return self.scale(other)
         return NotImplemented
 

@@ -1,8 +1,9 @@
 """Exact arithmetic in real number fields.
 
-A field is Q[x]/(m) for a monic squarefree m over Q.  Its orderings are in
-bijection with the real roots of m; each ordering is stored as an isolating
-interval with dyadic rational endpoints, certified by a Sturm count of 1.
+A field is Q[x]/(m) for a monic squarefree m over Q.  Its orderings are the
+real roots of m, each stored as an isolating interval with dyadic endpoints:
+one integer Sturm sequence per field, of primitive pseudo-remainders, decides
+that m is squarefree and isolates the roots by bisection on dyadic integers.
 All sign decisions are exact and run on integers: a sign is read off an
 integer interval evaluation over the root's current interval, refined by
 bisection, and only an element whose enclosure still contains 0 goes
@@ -24,7 +25,7 @@ import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul, sub
+from operator import add, mul, ne, sub
 
 from .errors import FieldMismatchError, ReducibleModulusError
 
@@ -40,16 +41,6 @@ def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     while n > 0 and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
-
-
-def poly_from(coeffs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return _trim([Fraction(c) for c in coeffs])
-
-
-def poly_scale(p: tuple, c: Fraction) -> tuple:
-    if c == 0:
-        return ()
-    return tuple(a * c for a in p)
 
 
 def poly_divmod(p: tuple, q: tuple) -> tuple[tuple, tuple]:
@@ -69,35 +60,51 @@ def poly_divmod(p: tuple, q: tuple) -> tuple[tuple, tuple]:
 
 def poly_gcd(p: tuple, q: tuple) -> tuple:
     """Monic gcd via the Euclidean algorithm."""
-    a, b = p, q
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return ()
-    return poly_scale(a, 1 / a[-1])
+    while q:
+        p, q = q, poly_divmod(p, q)[1]
+    return tuple(c / p[-1] for c in p)
 
 
 def poly_deriv(p: tuple) -> tuple:
     return _trim([i * c for i, c in enumerate(p)][1:])
 
 
-def sturm_chain(p: tuple) -> list[tuple]:
-    """The Sturm chain of p, each member times the lcm of its denominators:
-    integer polynomials with the signs of the rational chain."""
-    chain = [p]
+def sturm_chain(p: tuple) -> list[tuple[int, ...]]:
+    """The Sturm chain p, p', -rem(p_(k-1), p_k), ... of p as primitive
+    integer polynomials with the signs of the rational chain: each remainder
+    is a pseudo-remainder (`_pseudo_rem`), scaled by |lc p_k|^(delta+1) > 0,
+    negated and divided by its positive content.  It ends at gcd(p, p'), a
+    constant exactly when p is squarefree."""
+    chain = [_primitive(p)]
     if len(p) > 1:
-        chain.append(poly_deriv(p))
+        chain.append(_primitive(poly_deriv(chain[0])))
         while len(chain[-1]) > 1:
-            rem = poly_divmod(chain[-2], chain[-1])[1]
+            rem = _pseudo_rem(chain[-2], chain[-1])
             if not rem:
                 break
-            chain.append(tuple(-c for c in rem))
-    return [_integer_multiple(q) for q in chain]
+            chain.append(_primitive([-c for c in rem]))
+    return chain
 
 
-def _integer_multiple(p: tuple) -> tuple[int, ...]:
+def _primitive(p: Sequence[RationalLike]) -> tuple[int, ...]:
+    """The primitive integer polynomial that is a positive multiple of p."""
     den = math.lcm(*(c.denominator for c in p))
-    return tuple(c.numerator * (den // c.denominator) for c in p)
+    num = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*num) or 1
+    return tuple(v // g for v in num)
+
+
+def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """|lc b|^delta a mod b for integer a, b and delta = deg a - deg b + 1."""
+    *tail, lead = b
+    k, scale, sign = len(tail), abs(lead), 1 if lead > 0 else -1
+    rem = list(a)
+    for top in range(len(a) - 1, k - 1, -1):
+        c = rem.pop() * sign
+        rem = [scale * v for v in rem]
+        for j, t in enumerate(tail, top - k):
+            rem[j] -= c * t
+    return _trim(rem)
 
 
 def _scaled_eval(p: Sequence[int], n: int, dd: int = 1) -> int:
@@ -111,64 +118,55 @@ def _scaled_eval(p: Sequence[int], n: int, dd: int = 1) -> int:
     return acc
 
 
-def _sign_variations(chain: list[tuple], x: Fraction) -> int:
-    n, dd = x.numerator, x.denominator
-    signs = []
-    for p in chain:
-        v = _scaled_eval(p, n, dd)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_variations(values: Iterable[int]) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(map(ne, signs, signs[1:]))
 
 
 def count_roots(chain: list[tuple], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi]; exact for squarefree p."""
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    return (_sign_variations(_scaled_eval(p, lo.numerator, lo.denominator) for p in chain)
+            - _sign_variations(_scaled_eval(p, hi.numerator, hi.denominator) for p in chain))
 
 
-def cauchy_bound(p: tuple) -> Fraction:
+def cauchy_bound(p: tuple) -> int:
     """Integer B with every real root of p strictly inside (-B, B)."""
-    lead = p[-1]
-    m = max((abs(c / lead) for c in p[:-1]), default=Fraction(0))
-    return Fraction(math.floor(1 + m) + 1)
+    return max((abs(c) for c in p[:-1]), default=0) // abs(p[-1]) + 2
 
 
-def isolate_real_roots(p: tuple) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals for the real roots of a squarefree polynomial.
+def isolate_real_roots(chain: list[tuple[int, ...]]) -> list[tuple[Fraction, Fraction]]:
+    """Sorted isolating intervals, never ending at a root, for the real roots
+    of a squarefree p, from its chain of primitive pseudo-remainders
+    (`sturm_chain`): bisection from the Cauchy bound where (a/2^e, b/2^e)
+    carries the chain's sign variations at both ends, read by `_scaled_eval`
+    with dd = 2^e, so each midpoint is evaluated once."""
 
-    Repeated bisection from the Cauchy bound; all endpoints are dyadic and
-    never roots, so the output is reproducible.  Intervals are sorted.
-    """
-    chain = sturm_chain(p)
+    def variations(n: int, e: int) -> int | None:  # None at a root of p
+        values = [_scaled_eval(q, n, 1 << e) for q in chain]
+        return _sign_variations(values) if values[0] else None
 
-    def is_root(x: Fraction) -> bool:  # chain[0] is a multiple of p
-        return _scaled_eval(chain[0], x.numerator, x.denominator) == 0
-
-    bound = cauchy_bound(p)
+    bound = cauchy_bound(chain[0])
     done: list[tuple[Fraction, Fraction]] = []
-    stack = [(-bound, bound)]
+    stack = [(-bound, bound, 0, variations(-bound, 0), variations(bound, 0))]
     while stack:
-        lo, hi = stack.pop()
-        n = count_roots(chain, lo, hi)
-        if n == 0:
-            continue
-        if n == 1:
-            done.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if not is_root(mid):
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-        else:
-            # Rational root exactly at the bisection point; carve out a
-            # dyadic window that isolates it and recurse on the rest.
-            delta = (hi - lo) / 4
-            while (is_root(mid - delta) or is_root(mid + delta)
-                   or count_roots(chain, mid - delta, mid + delta) != 1):
-                delta /= 2
-            done.append((mid - delta, mid + delta))
-            stack.append((lo, mid - delta))
-            stack.append((mid + delta, hi))
+        a, b, e, va, vb = stack.pop()
+        if va - vb == 1:
+            done.append((Fraction(a, 1 << e), Fraction(b, 1 << e)))
+        elif va != vb:
+            mid, vm = a + b, variations(a + b, e + 1)
+            if vm is not None:
+                stack.append((2 * a, mid, e + 1, va, vm))
+                stack.append((mid, 2 * b, e + 1, vm, vb))
+                continue
+            # a root at the midpoint: halve the window (2 mid -+ w) / 2^f
+            # until it isolates it, then recurse on the rest
+            f, mid, w = e + 2, 2 * mid, b - a
+            while (vl := variations(mid - w, f)) is None or (
+                    vh := variations(mid + w, f)) is None or vl - vh != 1:
+                f, mid = f + 1, 2 * mid
+            done.append((Fraction(mid - w, 1 << f), Fraction(mid + w, 1 << f)))
+            stack.append((a << (f - e), mid - w, f, va, vl))
+            stack.append((mid + w, b << (f - e), f, vh, vb))
     done.sort(key=lambda iv: iv[0] + iv[1])
     return done
 
@@ -211,25 +209,23 @@ class NumberField:
     """Q[x]/(m) for monic squarefree m; d = 1 gives Q itself."""
 
     def __init__(self, min_poly: Iterable[RationalLike]):
-        coeffs = poly_from(min_poly)
+        coeffs = _trim([Fraction(c) for c in min_poly])
         if len(coeffs) < 2:
             raise ValueError("minimal polynomial must have degree >= 1")
         if coeffs[-1] != 1:
-            coeffs = poly_scale(coeffs, 1 / coeffs[-1])
-        g = poly_gcd(coeffs, poly_deriv(coeffs))
-        if len(g) > 1:
+            coeffs = tuple(c / coeffs[-1] for c in coeffs)
+        # L*m, for L the lcm of the denominators of m: primitive with leading
+        # one L, as a prime power exactly dividing L exactly divides some
+        # denominator.  _reduce and the orderings read m off it.
+        self._scaled_m: tuple[int, ...] = _primitive(coeffs)
+        self._sturm = sturm_chain(self._scaled_m)
+        if len(self._sturm[-1]) > 1:
             raise ValueError("minimal polynomial must be squarefree")
         if len(coeffs) > 2 and (root := _rational_root(coeffs)) is not None:
             raise ReducibleModulusError("minimal polynomial is reducible: it has the "
                                         f"factor {render_element(_from_fractions(self, (-root, 1)))}")
         self.min_poly: tuple[Fraction, ...] = coeffs
         self.degree: int = len(coeffs) - 1
-        # L*m, for L the lcm of the denominators of m, has integer
-        # coefficients and leading one L; multiplication matrices are built
-        # with it (see _reduce), and orderings read the signs of m off it.
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        self._scaled_m: tuple[int, ...] = tuple(
-            c.numerator * (scale // c.denominator) for c in coeffs)
         # (expression, generator name) -> element, memoized by
         # session.parse_element for the document that built this field
         self._parsed: dict[tuple[str, str], FieldElement] = {}
@@ -252,7 +248,7 @@ class NumberField:
 
     @cached_property
     def orderings(self) -> tuple["Ordering", ...]:
-        intervals = isolate_real_roots(self.min_poly)
+        intervals = isolate_real_roots(self._sturm)
         return tuple(Ordering(self, lo, hi, i) for i, (lo, hi) in enumerate(intervals))
 
     def element(self, coeffs: RationalLike | Iterable[RationalLike]) -> "FieldElement":
@@ -317,7 +313,7 @@ class NumberField:
         return FieldElement(self, (), 1) if acc is None else _canonical(self, acc, den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, NumberField) and self.min_poly == other.min_poly
+        return self is other or (isinstance(other, NumberField) and self.min_poly == other.min_poly)
 
     def __hash__(self) -> int:
         return hash(self.min_poly)
@@ -569,10 +565,9 @@ class FieldElement:
         return acc
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self._lift(other)
-        return (isinstance(other, FieldElement) and other.num == self.num
-                and other.den == self.den
+        if not isinstance(other, FieldElement):
+            return isinstance(other, (int, Fraction)) and self == self._lift(other)
+        return (other.num == self.num and other.den == self.den
                 and (other.field is self.field or other.field == self.field))
 
     def __hash__(self) -> int:
@@ -656,8 +651,10 @@ class Ordering:
         self._D = 2 * dd
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Ordering) and other.field == self.field
-                and (other.lo, other.hi) == (self.lo, self.hi))
+        # a field object builds each of its orderings once, at its own index
+        return isinstance(other, Ordering) and (
+            other.index == self.index if other.field is self.field else
+            other.field == self.field and (other.lo, other.hi) == (self.lo, self.hi))
 
     def __hash__(self) -> int:
         return self._hash

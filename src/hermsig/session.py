@@ -41,117 +41,116 @@ MAX_EXPONENT = 64  # the largest n in "^n", and of a product of nested exponents
 
 
 class _ExprParser:
+    """Recursive descent over tokens, each lexed once (`advance`)."""
+
     def __init__(self, text: str, gen_name: str, field: NumberField, path: str):
         self.text = text
-        self.pos = 0
         self.gen_name = gen_name
         self.field = field
         self.path = path
         # the largest product of nested exponents in the factors parsed so
         # far at the current depth: (x^8)^8 has 64, and (x^2 + x^3)^4 has 12
         self.nested = 1
+        self.pos = 0
+        self.advance()
 
-    def fail(self, message: str):
-        raise SessionParseError(f"{message} (at offset {self.pos} in {self.text!r})",
-                                self.path)
+    def fail(self, message: str, at: int | None = None):  # at: default the token start
+        raise SessionParseError(f"{message} (at offset {self.start if at is None else at} "
+                                f"in {self.text!r})", self.path)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str):
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
+    def advance(self) -> None:
+        """Lex the next token, self.tok: a number literal, a name, one other
+        character or "" at the end, from offset self.start to self.pos."""
+        text, pos, n = self.text, self.pos, len(self.text)
+        while pos < n and text[pos].isspace():
+            pos += 1
+        self.start = end = pos
+        if pos < n:
+            end += 1
+            if text[pos].isdigit() or text[pos] == ".":
+                while end < n and (text[end].isdigit() or text[end] in "./"):
+                    end += 1
+            elif text[pos].isalpha() or text[pos] == "_":
+                while end < n and (text[end].isalnum() or text[end] == "_"):
+                    end += 1
+        self.tok, self.pos = text[pos:end], end
 
     def parse(self) -> FieldElement:
         value = self.expr()
-        if self.peek():
+        if self.tok:
             self.fail("trailing input")
         return value
 
     def expr(self) -> FieldElement:
         value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
+        while self.tok in ("+", "-"):
+            op = self.tok
+            self.advance()
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
     def term(self) -> FieldElement:
         value = self.factor()
-        while self.peek() == "*":
-            self.pos += 1
+        while self.tok == "*":
+            self.advance()
             value = value * self.factor()
         return value
 
     def factor(self) -> FieldElement:
-        if self.peek() == "-":
-            self.pos += 1
+        if self.tok == "-":
+            self.advance()
             return -self.factor()
         outer, self.nested = self.nested, 1
         value = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
+        if self.tok == "^":
             start = self.pos
+            self.advance()
             n = self.exponent()
             if self.nested * n > MAX_EXPONENT:
-                self.pos = start
                 self.fail(f"nested exponents multiply to {self.nested * n}; "
-                          f"their product must be at most {MAX_EXPONENT}")
+                          f"their product must be at most {MAX_EXPONENT}", start)
             self.nested *= n
             value = value ** n
         self.nested = max(outer, self.nested)
         return value
 
     def atom(self) -> FieldElement:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+        tok = self.tok
+        if tok == "(":
+            self.advance()
             value = self.expr()
-            self.take(")")
+            if self.tok != ")":
+                self.fail("expected ')'")
+            self.advance()
             return value
-        if ch.isdigit() or ch == ".":
-            return self.field.element(self.number())
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                                 or self.text[self.pos] == "_"):
-                self.pos += 1
-            name = self.text[start:self.pos]
-            if name != self.gen_name:
-                self.fail(f"unknown name {name!r}; the generator is {self.gen_name!r}")
+        if tok[:1].isdigit() or tok[:1] == ".":
+            try:
+                value = int(tok) if tok.isdecimal() else Fraction(tok)
+            except (ValueError, ZeroDivisionError):
+                self.fail(f"bad numeric literal {tok!r}")
+            self.advance()
+            return self.field.element(value)
+        if tok[:1].isalpha() or tok[:1] == "_":
+            if tok != self.gen_name:
+                self.fail(f"unknown name {tok!r}; the generator is {self.gen_name!r}", self.pos)
+            self.advance()
             return self.field.gen
         self.fail("expected a number, the generator or a parenthesis")
 
-    def number(self) -> Fraction:
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isdigit()
-                                             or self.text[self.pos] in "./"):
-            self.pos += 1
-        lit = self.text[start:self.pos]
-        try:
-            return Fraction(lit)
-        except (ValueError, ZeroDivisionError):
-            self.pos = start
-            self.fail(f"bad numeric literal {lit!r}")
-
     def exponent(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
+        """The decimal digits that start the current token; the rest of a
+        literal such as "2.5" is lexed again."""
+        tok, k = self.tok, 0
+        while k < len(tok) and tok[k].isdecimal():
+            k += 1
+        if not k:
             self.fail("expected an exponent")
-        digits = self.text[start:self.pos].lstrip("0")
+        digits = tok[:k].lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-            self.pos = start
             self.fail(f"exponent must be at most {MAX_EXPONENT}")
+        self.pos = self.start + k
+        self.advance()
         return int(digits or 0)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from hermsig.algebras import (
 )
 from hermsig.errors import AlgebraMismatchError, UnsupportedError
 from hermsig.field import QQ, NumberField, sign_at
+from hermsig.session import parse_session
 from trace_oracle import default_twist
 
 SQRT2 = NumberField([-2, 0, 1])
@@ -515,3 +517,28 @@ def _element_case(draw):
 @given(_element_case())
 def test_is_invertible_matches_rank_reference(x):
     assert is_invertible(x) == rank_is_invertible(x)
+
+
+_FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in _FIXTURES.glob("*_session.json")))
+def test_nil_decisions_at_every_ordering_of_the_fixture_algebras(name):
+    """is_nil and nonnil_orderings follow the family rule at the parameter
+    signs, also for the equal orderings of a second field object, and each
+    call returns a list of its own."""
+    doc = parse_session((_FIXTURES / name).read_text())
+    twin = NumberField(doc.field.min_poly)
+    assert doc.algebras
+    for algebra in doc.algebras.values():
+        nils = []
+        for p, q in zip(doc.field.orderings, twin.orderings, strict=True):
+            nil = _nil_by_definition(algebra.family, [sign_at(v, p) for v in algebra.params])
+            assert algebra.is_nil(p) is nil and algebra.is_nil(q) is nil
+            nils.append(nil)
+        want = [p for p, nil in zip(doc.field.orderings, nils) if not nil]
+        got = algebra.nonnil_orderings()
+        assert got == want and algebra.nil_orderings() == [
+            p for p, nil in zip(doc.field.orderings, nils) if nil]
+        got.append(got[0] if got else None)
+        assert algebra.nonnil_orderings() == want

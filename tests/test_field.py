@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hermsig.errors import FieldMismatchError, HermsigError, ReducibleModulusError
 from hermsig.field import (
@@ -17,6 +17,7 @@ from hermsig.field import (
     _coprime_mod_prime,
     _rational_root,
     _zero_test,
+    cauchy_bound,
     count_roots,
     four_square_decomposition,
     poly_divmod,
@@ -167,10 +168,41 @@ def test_ordering_count_matches_sturm_over_cauchy_bound():
     # number of orderings equals the root count over (-B, B)
     for coeffs in ([-2, 0, 1], [0, 1], [1, 0, 1], [-2, 0, 0, 1], [1, -3, 0, 1]):
         field = NumberField(coeffs)
-        from hermsig.field import cauchy_bound
-
         bound = cauchy_bound(field.min_poly)
         assert len(field.orderings) == count_roots(sturm_chain(field.min_poly), -bound, bound)
+
+
+def test_orderings_of_equal_fields_are_equal():
+    """Orderings of one field object compare by index; orderings of two
+    equal field objects by their intervals, and they hash alike."""
+    first, second = NumberField(F5.min_poly), NumberField(F5.min_poly)
+    assert first is not second and first == second and hash(first) == hash(second)
+    for p, q in zip(first.orderings, second.orderings):
+        assert p == q and q == p and hash(p) == hash(q)
+        assert p in second.orderings and {p: 1}[q] == 1
+    for i, p in enumerate(first.orderings):
+        for j, q in enumerate(first.orderings + second.orderings):
+            assert (p == q) == (i == j % 5) and (p != q) == (i != j % 5)
+    assert len(set(first.orderings) | set(second.orderings)) == 5
+    sqrt3 = NumberField([-3, 0, 1])
+    assert all(p != q for p in SQRT2.orderings for q in sqrt3.orderings)
+
+
+def test_an_ordering_equals_only_orderings():
+    p = SQRT2.orderings[1]
+    for other in (None, 0, 1, (p.lo, p.hi), p.lo, SQRT2, SQRT2.gen, repr(p)):
+        assert p != other and not p == other and other != p
+
+
+def test_field_elements_equal_ints_and_fractions():
+    half = F5.element(Fraction(1, 2))
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half and half != 1
+    assert F5.element(7) == 7 and 7 == F5.element(7) and F5.element(-3) != 3
+    assert F5.zero == 0 and F5.zero == Fraction(0) and F5.gen != 0
+    assert F5.gen != Fraction(1) and F5.one == 1 and F5.one == True  # noqa: E712
+    assert F5.one != 1.0 and F5.one != "1" and F5.one != None  # noqa: E711
+    assert NumberField(F5.min_poly).gen == F5.gen and SQRT2.gen != F5.gen
+    assert hash(half) == hash(Fraction(1, 2)) and hash(F5.element(7)) == hash(7)
 
 
 def test_sign_of_sqrt2_at_both_orderings():
@@ -358,6 +390,127 @@ def test_count_roots_matches_the_fraction_oracle(coeffs, a, b):
     chain = sturm_chain(p)
     assert all(type(c) is int for q in chain for c in q)
     assert count_roots(chain, lo, hi) == fraction_sturm_count(p, lo, hi)
+
+
+def fraction_isolate_real_roots(p):
+    """Reference isolating intervals of the squarefree p: bisection from the
+    Cauchy bound on Fraction endpoints, counted by the rational Sturm chain;
+    a root at a midpoint is carved out in a window halved until it isolates
+    that root.  Intervals are sorted."""
+    lead = p[-1]
+    bound = Fraction(math.floor(1 + max((abs(c / lead) for c in p[:-1]),
+                                        default=Fraction(0))) + 1)
+
+    def is_root(x):
+        return poly_eval(p, x) == 0
+
+    done = []
+    stack = [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        n = fraction_sturm_count(p, lo, hi)
+        if n == 0:
+            continue
+        if n == 1:
+            done.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        if not is_root(mid):
+            stack.append((lo, mid))
+            stack.append((mid, hi))
+        else:
+            delta = (hi - lo) / 4
+            while (is_root(mid - delta) or is_root(mid + delta)
+                   or fraction_sturm_count(p, mid - delta, mid + delta) != 1):
+                delta /= 2
+            done.append((mid - delta, mid + delta))
+            stack.append((lo, mid - delta))
+            stack.append((mid + delta, hi))
+    done.sort(key=lambda iv: iv[0] + iv[1])
+    return done
+
+
+# The oracle fields; x^4 - 10x^2 + 1 (the minimal polynomial of sqrt 2 +
+# sqrt 3) and x^8 - 8x^6 + 20x^4 - 16x^2 + 2 (eight close roots); x^4 + 3x + 3
+# and x^6 + x^3 - 5x + 4, whose chains drop two degrees below a member with
+# a negative leading coefficient (an odd power of it would flip a sign);
+# x^2 + 1, with no ordering; a degree-1 field; and the moduli with rational
+# roots of the lazy-field tests, where x^3 - x takes the carve-out at 0.
+ISOLATION_MODULI = [f.min_poly for f in ORACLE_FIELDS] + [
+    (1, 0, -10, 0, 1),
+    (2, 0, -16, 0, 20, 0, -8, 0, 1),
+    (3, 3, 0, 0, 1),
+    (4, -5, 0, 1, 0, 0, 1),
+    (1, 0, 1),
+    (Fraction(3, 7), 1),
+    (-1, 0, 1),
+    (0, -1, 0, 1),
+    (Fraction(-1, 4), 0, 1),
+    (6, 0, -5, 0, 1),
+]
+
+
+@pytest.mark.parametrize("m", ISOLATION_MODULI, ids=str)
+def test_isolating_intervals_match_the_fraction_oracle(m):
+    field = lazy_field(m)
+    bound = cauchy_bound(field.min_poly)
+    assert count_roots(field._sturm, -bound, bound) == \
+        fraction_sturm_count(field.min_poly, -bound, bound)
+    assert [(p.lo, p.hi) for p in field.orderings] == fraction_isolate_real_roots(field.min_poly)
+    assert [p.index for p in field.orderings] == list(range(len(field.orderings)))
+
+
+@given(st.lists(st.integers(-6, 6) | st.fractions(-3, 3, max_denominator=4),
+                min_size=1, max_size=5, unique=True),
+       st.sampled_from([(), (-2, 0, 1), (1, 0, 1), (Fraction(1, 3), 1, 1)]))
+@settings(deadline=None)
+@example([0, 1, -1], ())
+@example([-2, 2, Fraction(1, 2), Fraction(-3, 4)], (-2, 0, 1))
+def test_isolating_intervals_with_rational_roots_match_the_fraction_oracle(roots, extra):
+    """Products of distinct linear factors, times a quadratic without a
+    rational root: bisection meets the rational roots at its midpoints."""
+    m = (Fraction(1),)
+    for r in roots:
+        m = poly_mul(m, (-Fraction(r), Fraction(1)))
+    if extra:
+        m = poly_mul(m, tuple(Fraction(c) for c in extra))
+    field = lazy_field(m)
+    assert [(p.lo, p.hi) for p in field.orderings] == fraction_isolate_real_roots(field.min_poly)
+    assert len(field.orderings) == len(roots) + 2 * (extra == (-2, 0, 1))
+
+
+@pytest.mark.parametrize("m", [
+    (0, 0, 1),                      # x^2
+    (4, 0, -4, 0, 1),               # (x^2 - 2)^2
+    (2, -3, 0, 1),                  # (x - 1)^2 (x + 2)
+    (Fraction(1, 4), 1, 1),         # (x + 1/2)^2
+    (0, 0, 0, 2, 0, 6),             # 6 x^3 (x^2 + 1/3)
+])
+def test_a_repeated_factor_is_rejected(m):
+    with pytest.raises(ValueError, match="^minimal polynomial must be squarefree$"):
+        NumberField(m)
+
+
+@given(st.lists(_rationals, min_size=1, max_size=3), st.lists(_rationals, max_size=2),
+       st.booleans())
+@settings(deadline=None)
+def test_squarefree_decision_matches_the_fraction_gcd(g, h, square):
+    """m = g^2 h or g h, monic: the integer chain rejects m exactly when
+    gcd(m, m') over Q is not constant, and its members are primitive; L*m
+    is the integer multiple of m by the lcm of its denominators."""
+    g, h = tuple(g) + (Fraction(1),), tuple(h) + (Fraction(1),)
+    m = poly_mul(poly_mul(g, g) if square else g, h)
+    chain = sturm_chain(m)
+    assert all(math.gcd(*q) == 1 for q in chain)
+    repeated = len(poly_gcd(m, _trim([i * c for i, c in enumerate(m)][1:]))) > 1
+    if repeated:
+        with pytest.raises(ValueError, match="squarefree"):
+            lazy_field(m)
+        return
+    field = lazy_field(m)
+    big = math.lcm(*(c.denominator for c in m))
+    assert field._scaled_m == tuple(int(c * big) for c in m)
+    assert [(p.lo, p.hi) for p in field.orderings] == fraction_isolate_real_roots(m)
 
 
 @st.composite

@@ -1,15 +1,19 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hermsig.cli import main, run_session
 from hermsig.cones import MAX_SEARCH_HEIGHT, MAX_SEARCH_TERMS, MAX_SLOTS
 from hermsig.hermitian import HermitianForm
 from hermsig.quadforms import GramQuadraticForm, QuadraticForm
-from hermsig.session import SessionParseError, parse_session
+from hermsig.field import NumberField
+from hermsig.session import MAX_EXPONENT, SessionParseError, parse_element, parse_session
 from kernel_calls import count_diagonalize
 from session_render import render_session
+from test_field import poly_add, poly_mul, poly_sub
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FULL = FIXTURES / "full_session.json"
@@ -59,6 +63,158 @@ def test_expression_errors_carry_position():
         }))
     assert "forms[0].diag[0]" in str(exc.value)
     assert "z" in str(exc.value)
+
+
+# Every expression error of the lexer, byte for byte as the character-at-a-
+# time parser reported it: (expression, message after the path).
+_EXPRESSION_ERRORS = [
+    ("", "expected a number, the generator or a parenthesis (at offset 0 in '')"),
+    ("   ", "expected a number, the generator or a parenthesis (at offset 3 in '   ')"),
+    ("1 +", "expected a number, the generator or a parenthesis (at offset 3 in '1 +')"),
+    ("x^", "expected an exponent (at offset 2 in 'x^')"),
+    ("x^65", "exponent must be at most 64 (at offset 2 in 'x^65')"),
+    ("(x", "expected ')' (at offset 2 in '(x')"),
+    ("y", "unknown name 'y'; the generator is 'x' (at offset 1 in 'y')"),
+    ("1..2", "bad numeric literal '1..2' (at offset 0 in '1..2')"),
+    ("1/0", "bad numeric literal '1/0' (at offset 0 in '1/0')"),
+    ("2 x", "trailing input (at offset 2 in '2 x')"),
+    ("x^ 65", "exponent must be at most 64 (at offset 3 in 'x^ 65')"),
+    ("x^0065", "exponent must be at most 64 (at offset 2 in 'x^0065')"),
+    ("(x^8)^9", "nested exponents multiply to 72; their product must be at most 64 "
+                "(at offset 6 in '(x^8)^9')"),
+    ("(x^8)^ 9", "nested exponents multiply to 72; their product must be at most 64 "
+                 "(at offset 6 in '(x^8)^ 9')"),
+    ("((x^2)^2)^17", "nested exponents multiply to 68; their product must be at most 64 "
+                     "(at offset 10 in '((x^2)^2)^17')"),
+    ("1 + * 2", "expected a number, the generator or a parenthesis (at offset 4 in '1 + * 2')"),
+    (")", "expected a number, the generator or a parenthesis (at offset 0 in ')')"),
+    ("(", "expected a number, the generator or a parenthesis (at offset 1 in '(')"),
+    ("x^-1", "expected an exponent (at offset 2 in 'x^-1')"),
+    ("2^(3)", "expected an exponent (at offset 2 in '2^(3)')"),
+    ("1/2/3", "bad numeric literal '1/2/3' (at offset 0 in '1/2/3')"),
+    ("1.5/2", "bad numeric literal '1.5/2' (at offset 0 in '1.5/2')"),
+    (".", "bad numeric literal '.' (at offset 0 in '.')"),
+    ("\u00b2", "bad numeric literal '\u00b2' (at offset 0 in '\u00b2')"),
+    (".5x", "trailing input (at offset 2 in '.5x')"),
+    ("x1", "unknown name 'x1'; the generator is 'x' (at offset 2 in 'x1')"),
+    ("_a", "unknown name '_a'; the generator is 'x' (at offset 2 in '_a')"),
+    ("\u00e9", "unknown name '\u00e9'; the generator is 'x' (at offset 1 in '\u00e9')"),
+    ("(1 + x))", "trailing input (at offset 7 in '(1 + x))')"),
+    (" x ^ 2 ^ 2", "trailing input (at offset 7 in ' x ^ 2 ^ 2')"),
+    ("x ^ 1.5", "trailing input (at offset 5 in 'x ^ 1.5')"),
+    ("x^2/3", "trailing input (at offset 3 in 'x^2/3')"),
+    ("1e5", "trailing input (at offset 1 in '1e5')"),
+    ("1 / 2", "trailing input (at offset 2 in '1 / 2')"),
+]
+
+
+@pytest.mark.parametrize("text, message", _EXPRESSION_ERRORS)
+def test_expression_errors_are_reported_byte_for_byte(text, message):
+    with pytest.raises(SessionParseError) as exc:
+        parse_element(text, NumberField([1, 3, -3, -4, 1, 1]), "x", "commands[0].x")
+    assert str(exc.value) == f"commands[0].x: {message}"
+
+
+def test_an_exponent_of_non_decimal_digits_is_a_parse_error():
+    """A superscript digit is a digit but not a decimal one: after "^" it
+    starts no exponent (it used to reach int() and fail without an offset),
+    and after decimal digits it is trailing input."""
+    field = NumberField([-2, 0, 1])
+    for text, message in [("x^\u00b2", "expected an exponent (at offset 2 in 'x^\u00b2')"),
+                          ("x^2\u00b2", "trailing input (at offset 3 in 'x^2\u00b2')")]:
+        with pytest.raises(SessionParseError) as exc:
+            parse_element(text, field, "x", "p")
+        assert str(exc.value) == f"p: {message}"
+    # any decimal digit reads as int() reads it
+    assert parse_element("\u0663*x^\u0662", field, "x", "p") == field.element(6)
+
+
+def _reduce_mod(poly, m):
+    """The remainder of the Fraction polynomial poly modulo the monic m."""
+    rem = list(poly)
+    for top in range(len(rem) - 1, len(m) - 2, -1):
+        c = rem[top]
+        for j, b in enumerate(m):
+            rem[top - len(m) + 1 + j] -= c * b
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(rem[:len(m) - 1])
+
+
+_space = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _literal(draw):
+    """A number literal and its value: an integer, an exact decimal or p/q."""
+    kind = draw(st.sampled_from(["int", "decimal", "ratio"]))
+    whole = draw(st.integers(0, 10**6))
+    if kind == "int":
+        return str(whole), Fraction(whole)
+    if kind == "ratio":
+        q = draw(st.integers(1, 999))
+        return f"{whole}/{q}", Fraction(whole, q)
+    digits = draw(st.integers(0, 3))
+    frac = draw(st.integers(0, 10**digits - 1))
+    head = str(whole) if digits == 0 or draw(st.booleans()) else ""  # "12.5", ".5", "12."
+    tail = f"{frac:0{digits}d}" if digits else ""
+    return f"{head}.{tail}", (whole if head else 0) + Fraction(frac, 10**digits)
+
+
+def _atom(gen):
+    """(text, Fraction polynomial, precedence, nested exponent product)."""
+    return (_literal().map(lambda lv: (lv[0], (lv[1],), 4, 1))
+            | st.just((gen, (Fraction(0), Fraction(1)), 4, 1)))
+
+
+def _combine(gen):
+    def grow(children):
+        def wrap(node, level):
+            text, value, prec, nested = node
+            return (text, value, 4, nested) if prec >= level else (f"({text})", value, 4, nested)
+
+        @st.composite
+        def binary(draw):
+            a, b = draw(children), draw(children)
+            op = draw(st.sampled_from("+-*"))
+            left, right = (0, 1) if op != "*" else (1, 2)
+            a, b = wrap(a, left), wrap(b, right)
+            text = f"{a[0]}{draw(_space)}{op}{draw(_space)}{b[0]}"
+            value = {"+": poly_add, "-": poly_sub, "*": poly_mul}[op](a[1], b[1])
+            return text, value, 0 if op != "*" else 1, max(a[3], b[3])
+
+        @st.composite
+        def negate(draw):
+            a = wrap(draw(children), 2)
+            return f"-{draw(_space)}{a[0]}", tuple(-c for c in a[1]), 2, a[3]
+
+        @st.composite
+        def power(draw):
+            a = wrap(draw(children), 4)
+            k = draw(st.integers(0, 4))
+            assume(a[3] * k <= MAX_EXPONENT)
+            value = (Fraction(1),)
+            for _ in range(k):
+                value = poly_mul(value, a[1])
+            return f"{a[0]}{draw(_space)}^{draw(_space)}{k}", value, 3, a[3] * k
+
+        return binary() | negate() | power()
+
+    return st.recursive(_atom(gen), grow, max_leaves=8)
+
+
+@given(st.sampled_from([("x", (1, 3, -3, -4, 1, 1)), ("theta", (-2, 0, 1)),
+                        ("t", (Fraction(-1, 5), Fraction(-1, 3), 0, 1))]),
+       st.data())
+@settings(deadline=None)
+def test_expressions_parse_to_the_fraction_polynomial_oracle(case, data):
+    """An expression of literals, the generator, + - * ^ and parentheses
+    parses to its Fraction polynomial value reduced modulo m."""
+    gen, m = case
+    text, value, _, _ = data.draw(_combine(gen))
+    text = data.draw(_space) + text + data.draw(_space)
+    field = NumberField(m)
+    assert parse_element(text, field, gen, "p").coeffs == _reduce_mod(value, field.min_poly)
 
 
 def test_json_syntax_errors_carry_line_and_column():
