@@ -26,7 +26,6 @@ from .quadforms import (
 from .algebras import AlgebraElement, AlgebraWithInvolution, Entry, is_invertible
 from .hermitian import (
     HermitianForm,
-    ReferenceForm,
     going_up,
     knebusch_check,
     raw_signature,
@@ -75,7 +74,7 @@ __all__ = [
     # algebras with involution
     "AlgebraWithInvolution", "AlgebraElement", "Entry", "is_invertible",
     # hermitian forms and signatures
-    "HermitianForm", "ReferenceForm", "reference_form", "raw_signature", "signature",
+    "HermitianForm", "reference_form", "raw_signature", "signature",
     "total_signature_h", "witt_rank", "scale_by_quadratic", "going_up",
     "knebusch_check", "sylvester_decompose",
     # positive cones and sums of hermitian squares

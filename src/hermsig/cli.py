@@ -124,7 +124,7 @@ class _Runner:
         total = self.totals.get(id(form))
         if total is None:
             if isinstance(form, HermitianForm):
-                total = total_signature_h(form, reference_form(form.algebra))
+                total = total_signature_h(form)
             else:
                 total = total_signature_q(form)
             self.totals[id(form)] = total
@@ -151,11 +151,9 @@ class _Runner:
         if not isinstance(form, HermitianForm):
             raise HermsigError("going-up applies to hermitian forms")
         ext_field, _ = ext
-        base = signature(form, self.doc.field.orderings[0], reference_form(form.algebra))
+        base = signature(form, self.doc.field.orderings[0])
         lifted = going_up(form, ext_field)
-        lifted_ref = reference_form(lifted.algebra)
-        table = [[p.index, signature(lifted, p, lifted_ref)]
-                 for p in ext_field.orderings]
+        table = [[p.index, signature(lifted, p)] for p in ext_field.orderings]
         return {"base": base, "lifted": table,
                 "agrees": all(v == base for _, v in table)}
 
@@ -178,7 +176,7 @@ class _Runner:
         return PositiveCone(algebra, ordering, orientation).contains(element)
 
     def cmd_eta_max(self, algebra, ordering, element):
-        return eta_maximal(element, ordering, reference_form(algebra))
+        return eta_maximal(element, ordering)
 
     def cmd_sos_find(self, algebra, element, a, slots, height, max_terms):
         res = find_sos_certificate(element, a, slots,
@@ -220,7 +218,7 @@ class _Runner:
         generators = generators or []
         if any(not isinstance(g, HermitianForm) for g in generators):
             raise HermsigError("fundamental generators must be hermitian forms")
-        pair = PrimeIdealPair(kind, algebra, reference_form(algebra), ordering, p,
+        pair = PrimeIdealPair(kind, algebra, ordering, p,
                               FundamentalDescriptor(generators, closed=closed is not False))
         out = {}
         if q is not None or h is not None:

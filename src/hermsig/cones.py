@@ -34,12 +34,11 @@ from .algebras import AlgebraElement, AlgebraWithInvolution, is_invertible
 from .errors import AlgebraMismatchError
 from .field import FieldElement, Ordering, four_square_decomposition, sign_at
 from .hermitian import (
-    ReferenceForm,
     _carrier,
+    _reference_sign,
     rank1_form,
     rank1_max_signature,
     raw_signature,
-    reference_form,
     signature,
 )
 from .quadforms import GramQuadraticForm, diagonalize, harrison_set
@@ -68,11 +67,7 @@ class PositiveCone:
         self.algebra = algebra
         self.ordering = ordering
         self.orientation = orientation
-        cert = reference_form(algebra).certificate[ordering]
-        self._side = orientation * (1 if cert > 0 else -1)
-
-    def _oriented_sign(self) -> int:
-        return self._side
+        self._side = orientation * _reference_sign(algebra, ordering)
 
     def contains(self, element: AlgebraElement) -> bool:
         """Membership by congruence reduction of <element>: every value of
@@ -85,9 +80,8 @@ class PositiveCone:
         if element.algebra != self.algebra:
             raise AlgebraMismatchError("element of a different algebra")
         form = rank1_form(element, "cone membership is defined for symmetric elements")
-        want = self._oriented_sign()
         return next((d for d in _carrier(form, self.ordering)
-                     if want * sign_at(d, self.ordering) < 0), None)
+                     if self._side * sign_at(d, self.ordering) < 0), None)
 
     def id_pair(self) -> tuple[int, int]:
         return (self.ordering.index, self.orientation)
@@ -110,23 +104,21 @@ def maximal_generator(cone: PositiveCone) -> AlgebraElement:
     oriented unit for the hermitian families, +-twist_at(P) for quat_skew."""
     alg = cone.algebra
     p = cone.ordering
-    want = cone._oriented_sign()
     if not alg.skew_gram:
-        return alg.scalar_element(alg.field.element(want))
+        return alg.scalar_element(alg.field.element(cone._side))
     gen = alg.scalar_element(alg.twist_at(p))
     form = rank1_form(gen, "pure quaternion scalars are symmetric for quat_skew")
-    return gen if want * raw_signature(form, p) > 0 else -gen
+    return gen if cone._side * raw_signature(form, p) > 0 else -gen
 
 
-def eta_maximal(element: AlgebraElement, ordering: Ordering,
-                reference: ReferenceForm) -> bool:
+def eta_maximal(element: AlgebraElement, ordering: Ordering) -> bool:
     """Maximal rank-1 signature at the ordering, with positive sign; at a
     nil ordering every invertible symmetric element is vacuously maximal."""
     alg = element.algebra
     form = rank1_form(element, "eta-maximality is defined for symmetric elements")
     if not is_invertible(element):
         raise ValueError("eta-maximality is defined for invertible elements")
-    return signature(form, ordering, reference) == rank1_max_signature(alg, ordering)
+    return signature(form, ordering) == rank1_max_signature(alg, ordering)
 
 
 def enumerate_positive_cones(algebra: AlgebraWithInvolution) -> list[PositiveCone]:
@@ -348,12 +340,11 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
         raise ValueError(a_error)
     slot_elems = [e if isinstance(e, FieldElement) else fld.element(e) for e in slots]
     t = len(slot_elems)
-    eta = reference_form(alg)
     # cones exist over the non-nil orderings only
     cones = [PositiveCone(alg, p, 1)
              for p in harrison_set(fld, slot_elems) if not alg.is_nil(p)]
     for cone in cones:
-        if signature(a_form, cone.ordering, eta) != rank1_max_signature(alg, cone.ordering):
+        if signature(a_form, cone.ordering) != rank1_max_signature(alg, cone.ordering):
             raise ValueError("a is not eta-maximal on the Harrison set")
 
     # necessary-condition gate: u must lie in every cone

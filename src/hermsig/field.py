@@ -134,24 +134,25 @@ def cauchy_bound(p: tuple) -> int:
     return max((abs(c) for c in p[:-1]), default=0) // abs(p[-1]) + 2
 
 
-def isolate_real_roots(chain: list[tuple[int, ...]]) -> list[tuple[Fraction, Fraction]]:
-    """Sorted isolating intervals, never ending at a root, for the real roots
-    of a squarefree p, from its chain of primitive pseudo-remainders
-    (`sturm_chain`): bisection from the Cauchy bound where (a/2^e, b/2^e)
-    carries the chain's sign variations at both ends, read by `_scaled_eval`
-    with dd = 2^e, so each midpoint is evaluated once."""
+def isolate_real_roots(chain: list[tuple[int, ...]]) -> list[tuple[int, int, int]]:
+    """Sorted isolating intervals (a/2^e, b/2^e), as (a, b, e) and never
+    ending at a root, for the real roots of a squarefree p, from its chain
+    of primitive pseudo-remainders (`sturm_chain`): bisection from the
+    Cauchy bound where each interval carries the chain's sign variations at
+    both ends, read by `_scaled_eval` with dd = 2^e, so each midpoint is
+    evaluated once."""
 
     def variations(n: int, e: int) -> int | None:  # None at a root of p
         values = [_scaled_eval(q, n, 1 << e) for q in chain]
         return _sign_variations(values) if values[0] else None
 
     bound = cauchy_bound(chain[0])
-    done: list[tuple[Fraction, Fraction]] = []
+    done: list[tuple[int, int, int]] = []
     stack = [(-bound, bound, 0, variations(-bound, 0), variations(bound, 0))]
     while stack:
         a, b, e, va, vb = stack.pop()
         if va - vb == 1:
-            done.append((Fraction(a, 1 << e), Fraction(b, 1 << e)))
+            done.append((a, b, e))
         elif va != vb:
             mid, vm = a + b, variations(a + b, e + 1)
             if vm is not None:
@@ -164,10 +165,10 @@ def isolate_real_roots(chain: list[tuple[int, ...]]) -> list[tuple[Fraction, Fra
             while (vl := variations(mid - w, f)) is None or (
                     vh := variations(mid + w, f)) is None or vl - vh != 1:
                 f, mid = f + 1, 2 * mid
-            done.append((Fraction(mid - w, 1 << f), Fraction(mid + w, 1 << f)))
+            done.append((mid - w, mid + w, f))
             stack.append((a << (f - e), mid - w, f, va, vl))
             stack.append((mid + w, b << (f - e), f, vh, vb))
-    done.sort(key=lambda iv: iv[0] + iv[1])
+    done.sort(key=lambda iv: Fraction(iv[0] + iv[1], 1 << iv[2]))
     return done
 
 
@@ -249,7 +250,7 @@ class NumberField:
     @cached_property
     def orderings(self) -> tuple["Ordering", ...]:
         intervals = isolate_real_roots(self._sturm)
-        return tuple(Ordering(self, lo, hi, i) for i, (lo, hi) in enumerate(intervals))
+        return tuple(Ordering(self, a, b, e, i) for i, (a, b, e) in enumerate(intervals))
 
     def element(self, coeffs: RationalLike | Iterable[RationalLike]) -> "FieldElement":
         if isinstance(coeffs, (int, str, Fraction)):
@@ -610,29 +611,24 @@ def render_element(a: FieldElement, gen: str = "x") -> str:
 class Ordering:
     """An ordering of a number field: an isolated real root of min_poly.
 
-    The defining interval is immutable (it is the identity of the ordering);
+    The defining interval (a/2^e, b/2^e) of `isolate_real_roots` is
+    immutable (it is the identity of the ordering) and ends at no root;
     sign queries refine a private copy monotonically, which never changes
     any result, only the amount of work later queries do.  The copy is kept
     as integers (L, H, D) with D > 0, standing for [L/D, H/D].
     """
 
-    def __init__(self, field: NumberField, lo: Fraction, hi: Fraction, index: int):
+    def __init__(self, field: NumberField, a: int, b: int, e: int, index: int):
         self.field = field
-        self.lo = lo
-        self.hi = hi
+        self.lo = Fraction(a, 1 << e)
+        self.hi = Fraction(b, 1 << e)
         self.index = index
         # orderings key dicts on hot paths; the identity never changes
-        self._hash = hash((field.min_poly, lo, hi))
-        dd = math.lcm(lo.denominator, hi.denominator)
-        self._L = lo.numerator * (dd // lo.denominator)
-        self._H = hi.numerator * (dd // hi.denominator)
-        self._D = dd
-        at_lo = _scaled_eval(field._scaled_m, self._L, dd)
-        if at_lo == 0 or _scaled_eval(field._scaled_m, self._H, dd) == 0:
-            raise ValueError("isolating interval endpoints must not be roots")
+        self._hash = hash((field.min_poly, self.lo, self.hi))
+        self._L, self._H, self._D = a, b, 1 << e
         # m changes sign only at the root, so its sign at every later lower
         # endpoint is this one.
-        self._lo_positive = at_lo > 0
+        self._lo_positive = _scaled_eval(field._scaled_m, a, 1 << e) > 0
 
     @cached_property
     def separator(self) -> "FieldElement":

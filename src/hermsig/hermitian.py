@@ -9,9 +9,11 @@ are F-scalars for the hermitian families and pure quaternions q for
 quat_skew; ``_carrier`` reads them as F-values (for q, through the twist
 ``AlgebraWithInvolution.twist_at(P)``), and the signature at a non-nil
 ordering is the sum of their signs.  The sign ambiguity of the Morita
-reduction is fixed by a reference form, constructed per family and
-memoized on the algebra.  The trace form over F is not on this path; it
-serves the oracle ``sylvester_count_oracle`` only.
+reduction is fixed by one reference form per algebra, constructed per
+family and memoized on the algebra (`reference_form`); every signature
+reads its sign, and no function takes another reference.  The trace form
+over F is not on this path; it serves the oracle ``sylvester_count_oracle``
+only.
 """
 
 from __future__ import annotations
@@ -222,10 +224,6 @@ class ReferenceForm:
         self.form = form
         self.certificate = certificate
 
-    @property
-    def algebra(self) -> AlgebraWithInvolution:
-        return self.form.algebra
-
 
 def find_reference_form(algebra: AlgebraWithInvolution) -> ReferenceForm:
     """The reference form, built: <1> for the hermitian families, whose
@@ -259,19 +257,21 @@ def reference_form(algebra: AlgebraWithInvolution) -> ReferenceForm:
     return algebra._reference
 
 
-def signature(h: HermitianForm, ordering: Ordering, reference: ReferenceForm) -> int:
-    """sign^eta_P h = sgn(s_P(eta)) * s_P(h); zero at nil orderings."""
-    if reference.algebra != h.algebra:
-        raise AlgebraMismatchError("reference form over a different algebra")
+def _reference_sign(algebra: AlgebraWithInvolution, ordering: Ordering) -> int:
+    """sgn s_P(eta) for eta = `reference_form(algebra)` at a non-nil P."""
+    return 1 if reference_form(algebra).certificate[ordering] > 0 else -1
+
+
+def signature(h: HermitianForm, ordering: Ordering) -> int:
+    """sign^eta_P h = sgn(s_P(eta)) * s_P(h) for eta = `reference_form` of
+    the algebra of h; zero at nil orderings."""
     if h.algebra.is_nil(ordering):
         return 0
-    sign = 1 if reference.certificate[ordering] > 0 else -1
-    return sign * raw_signature(h, ordering)
+    return _reference_sign(h.algebra, ordering) * raw_signature(h, ordering)
 
 
-def total_signature_h(h: HermitianForm,
-                      reference: ReferenceForm) -> list[tuple[Ordering, int]]:
-    return [(p, signature(h, p, reference)) for p in h.algebra.field.orderings]
+def total_signature_h(h: HermitianForm) -> list[tuple[Ordering, int]]:
+    return [(p, signature(h, p)) for p in h.algebra.field.orderings]
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +339,8 @@ def knebusch_check(h: HermitianForm) -> KnebuschReport:
     the one of A gone up: the structure constants are rational, so
     `find_reference_form` picks the same twists over L as over Q."""
     transferred = scharlau_transfer(h)
-    lhs = signature(transferred, QQ.orderings[0], reference_form(transferred.algebra))
-    eta_up = reference_form(h.algebra)
-    rhs = sum(signature(h, q, eta_up) for q in h.algebra.field.orderings)
+    lhs = signature(transferred, QQ.orderings[0])
+    rhs = sum(signature(h, q) for q in h.algebra.field.orderings)
     return KnebuschReport(lhs == rhs, lhs, rhs)
 
 
@@ -377,13 +376,10 @@ def sylvester_decompose(h: HermitianForm, cone) -> SylvesterDecomposition:
         raise UnsupportedError("non-division scope violation: A (x) F_P is "
                                "a full matrix algebra for quat_skew")
     p = cone.ordering
-    if alg.is_nil(p):
-        raise ValueError("cone ordering must be non-nil")
     dec = h._kernel
-    orient = cone.orientation * (1 if reference_form(alg).certificate[p] > 0 else -1)
     pos, neg = [], []
     for d in dec.pivots:
-        side = orient * sign_at(d, p)
+        side = cone._side * sign_at(d, p)
         if side > 0:
             pos.append(d)
         elif side < 0:

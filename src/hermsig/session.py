@@ -252,7 +252,7 @@ def _parse_algebra(spec, field: NumberField, gen: str, path: str) -> tuple[str, 
     name = _declared_name(spec, path)
     family = _require(spec, "family", path)
     n = spec.get("n", 1)
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SessionParseError("n must be a positive integer", f"{path}.n")
     kwargs = {}
     for key in ("a", "b", "delta"):
@@ -390,6 +390,26 @@ def _certificate(spec, doc, args, path):
         t["generator_index"]) for j, t in enumerate(spec.get("terms", []))])
 
 
+def _check_terms(spec: dict, path: str) -> None:
+    """Each certificate term is an object with a `vector` and an integer
+    `generator_index`, and its `weight_subset`, if any, lists integers."""
+    terms = spec.get("terms", [])
+    if not isinstance(terms, list) or any(not isinstance(t, dict) for t in terms):
+        raise SessionParseError("terms must be a list of objects", f"{path}.terms")
+    for j, term in enumerate(terms):
+        where = f"{path}.terms[{j}]"
+        for key in ("vector", "generator_index"):
+            if key not in term:
+                raise SessionParseError(f"missing required key {key!r}", f"{where}.{key}")
+        if type(term["generator_index"]) is not int:
+            raise SessionParseError("generator_index must be an integer",
+                                    f"{where}.generator_index")
+        subset = term.get("weight_subset", [])
+        if not isinstance(subset, list) or any(type(i) is not int for i in subset):
+            raise SessionParseError("weight_subset must be a list of integers",
+                                    f"{where}.weight_subset")
+
+
 def _ext(spec, doc, args, path) -> tuple[NumberField, str]:
     if not isinstance(spec, dict) or not isinstance(spec.get("min_poly"), list):
         raise HermsigError("'ext' must be an object with a 'min_poly' list")
@@ -501,6 +521,8 @@ def check_command(cmd, doc: "SessionDocument", path: str) -> None:
     for key, value in cmd.items():
         if key != "op":
             ARGS[key].check(key, value, doc, f"{path}.{key}")
+    if "certificate" in cmd:
+        _check_terms(cmd["certificate"], f"{path}.certificate")
 
 
 def resolve_args(doc: "SessionDocument", cmd: dict, path: str) -> dict:
@@ -554,7 +576,7 @@ def parse_session(text: str) -> SessionDocument:
         forms[name] = form
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise SessionParseError("seed must be an integer", "seed")
 
     commands = raw.get("commands", [])

@@ -8,10 +8,10 @@ scaled by +-1 and by the Harrison-set separators s_P of the orderings; a
 of the scaled ones by the sign of the scalar.  The topology is kept as the
 minimal neighbourhoods U_x (McCord 1966): t0, agreement and the number of
 open sets are read off them, and no open set is listed.  Signature
-morphisms are separated by a constructed form.  Cones, the cone space,
-morphisms and the Morita check read `reference_form(algebra)`.  Prime-pair
-membership, and the prime-pair axioms, are decided on signature-visible
-invariants.
+morphisms are separated by a constructed form.  Cones, prime pairs,
+morphisms and the Morita check take no reference: each signature reads
+`reference_form(algebra)`.  Prime-pair membership, and the prime-pair
+axioms, are decided on signature-visible invariants.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import AlgebraMismatchError, InvariantError, NilOrderingError
 from .field import FieldElement, Ordering
 from .hermitian import (
     HermitianForm,
-    ReferenceForm,
     reference_form,
     scale_by_quadratic,
     signature,
@@ -58,12 +57,11 @@ class FundamentalDescriptor:
 
 class PrimeIdealPair:
     def __init__(self, kind: str,  # "signature" | "mod_p" | "fundamental"
-                 algebra: AlgebraWithInvolution, reference: ReferenceForm,
+                 algebra: AlgebraWithInvolution,
                  ordering: Ordering | None = None, p: int | None = None,
                  descriptor: FundamentalDescriptor | None = None):
         self.kind = kind
         self.algebra = algebra
-        self.reference = reference
         self.ordering = ordering
         self.p = p
         self.descriptor = descriptor
@@ -90,10 +88,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _inv_vector(h: HermitianForm, reference: ReferenceForm,
-                nonnil: list[Ordering]) -> tuple[int, ...]:
+def _inv_vector(h: HermitianForm, nonnil: list[Ordering]) -> tuple[int, ...]:
     # Witt classes carry the rank of the nondegenerate part
-    return (witt_rank(h),) + tuple(signature(h, p, reference) for p in nonnil)
+    return (witt_rank(h),) + tuple(signature(h, p) for p in nonnil)
 
 
 def _span_contains(vectors: list[tuple[int, ...]], target: tuple[int, ...],
@@ -129,8 +126,8 @@ def _span_contains(vectors: list[tuple[int, ...]], target: tuple[int, ...],
 def _descriptor_contains(pair: PrimeIdealPair, h: HermitianForm) -> bool:
     desc = pair.descriptor
     nonnil = pair.algebra.nonnil_orderings()
-    vecs = [_inv_vector(g, pair.reference, nonnil) for g in desc.generators]
-    target = _inv_vector(h, pair.reference, nonnil)
+    vecs = [_inv_vector(g, nonnil) for g in desc.generators]
+    target = _inv_vector(h, nonnil)
     return _span_contains(vecs, target, 2 if desc.closed else None)
 
 
@@ -146,10 +143,10 @@ def _h_in_submodule(pair: PrimeIdealPair, h: HermitianForm) -> bool:
     if h.algebra != pair.algebra:
         raise AlgebraMismatchError("form over a different algebra")
     if pair.kind == "signature":
-        return signature(h, pair.ordering, pair.reference) == 0
+        return signature(h, pair.ordering) == 0
     if pair.kind == "mod_p":
         c = image_generator(pair.algebra)
-        sig_h = signature(h, pair.ordering, pair.reference)
+        sig_h = signature(h, pair.ordering)
         if sig_h % c != 0:
             raise InvariantError("signature outside the expected image subgroup")
         return (sig_h // c) % pair.p == 0
@@ -208,10 +205,10 @@ def _closed_fundamental(pair: PrimeIdealPair) -> PrimeSampleReport:
     exactly when (1, e, ..., e) is not in V; otherwise N = M holds the
     reference form, the witness."""
     nonnil = pair.algebra.nonnil_orderings()
-    vecs = [_inv_vector(g, pair.reference, nonnil) for g in pair.descriptor.generators]
+    vecs = [_inv_vector(g, nonnil) for g in pair.descriptor.generators]
     odd = (1,) + (image_generator(pair.algebra) % 2,) * len(nonnil)
     if _span_contains(vecs, odd, 2):
-        return PrimeSampleReport(False, "proper", None, pair.reference.form)
+        return PrimeSampleReport(False, "proper", None, reference_form(pair.algebra).form)
     return PrimeSampleReport(True)
 
 
@@ -227,7 +224,7 @@ def _raw_fundamental(pair: PrimeIdealPair) -> PrimeSampleReport:
     axiom fails with the witness (q, eta), whose non-membership is checked
     exactly on the way."""
     fld = pair.algebra.field
-    eta = pair.reference.form
+    eta = reference_form(pair.algebra).form
     multipliers = [QuadraticForm(fld, [1, -1])] + [
         QuadraticForm(fld, [fld.one, p.separator]) for p in pair.algebra.nonnil_orderings()]
     for q in multipliers:
@@ -255,9 +252,8 @@ def morphism_distinctness(algebra: AlgebraWithInvolution, p: Ordering,
     separator s_p is positive at p only."""
     if p == q:
         return MorphismComparison(True)
-    ref = reference_form(algebra)
-    eta = ref.form
-    if signature(eta, p, ref) != signature(eta, q, ref):
+    eta = reference_form(algebra).form
+    if signature(eta, p) != signature(eta, q):
         return MorphismComparison(False, eta)
     if algebra.is_nil(p):
         raise NilOrderingError(f"orderings {p.index} and {q.index} are both nil: "

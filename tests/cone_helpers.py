@@ -168,7 +168,7 @@ def _random_nonzero_scalar(alg, rng):
             return e
 
 
-def strongly_anisotropic_flag(h, reference):
+def strongly_anisotropic_flag(h):
     """Sufficient criterion for strong anisotropy: the signature attains
     rank times the maximal rank-1 value at some ordering (the form is
     definite there, so no multiple has a nontrivial zero).  False is
@@ -176,7 +176,7 @@ def strongly_anisotropic_flag(h, reference):
     alg = h.algebra
     for p in alg.nonnil_orderings():
         top = rank1_max_signature(alg, p) * h.rank
-        if top and abs(signature(h, p, reference)) == top:
+        if top and abs(signature(h, p)) == top:
             return True
     return False
 

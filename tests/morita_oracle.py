@@ -3,13 +3,15 @@ reference form along them, for the tests only.
 
 `morita_collapse` rereads a Gram over M_n(D) as one over D and
 `morita_expand` goes back; `transport_reference` carries a reference form
-along either, recomputing its certificate.  No command reads them: the cone,
-Morita and transfer layers read `reference_form` of each algebra, and the
-tests use the transport as the oracle that it has the same signs.
+along either, recomputing its certificate, and `signature_by` signs a form
+by such a form.  No command reads them: every signature reads
+`reference_form` of its algebra, and the tests use the transport as the
+oracle that it has the same signs.
 """
 
 from hermsig.algebras import AlgebraWithInvolution
 from hermsig.errors import AlgebraMismatchError, UnsupportedError
+from hermsig.field import Ordering
 from hermsig.hermitian import HermitianForm, ReferenceForm, raw_signature
 
 
@@ -35,7 +37,7 @@ def transport_reference(reference: ReferenceForm,
                         target: AlgebraWithInvolution) -> ReferenceForm:
     """zeta(eta) along collapse/expand: same entry Gram, certificate
     recomputed (raw signatures are collapse-invariant)."""
-    alg = reference.algebra
+    alg = reference.form.algebra
     if target.n == 1 and alg.n != 1:
         form = morita_collapse(reference.form)
     elif alg.n == 1 and target.n != 1:
@@ -48,3 +50,11 @@ def transport_reference(reference: ReferenceForm,
         raise AlgebraMismatchError("transport requires Morita-related members")
     cert = {p: raw_signature(form, p) for p in target.nonnil_orderings()}
     return ReferenceForm(form, cert)
+
+
+def signature_by(h: HermitianForm, ordering: Ordering, eta: HermitianForm) -> int:
+    """sign^eta_P h for a reference form eta other than `reference_form`:
+    sgn(s_P(eta)) * s_P(h), zero at nil orderings, where s_P(h) is."""
+    if eta.algebra != h.algebra:
+        raise AlgebraMismatchError("reference form over a different algebra")
+    return (1 if raw_signature(eta, ordering) > 0 else -1) * raw_signature(h, ordering)

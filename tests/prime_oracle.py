@@ -6,7 +6,7 @@ not a decision procedure; where it finds a counterexample, the witness is
 checked by the package's own membership tests.
 """
 
-from hermsig.hermitian import HermitianForm, scale_by_quadratic
+from hermsig.hermitian import HermitianForm, reference_form, scale_by_quadratic
 from hermsig.quadforms import QuadraticForm
 from hermsig.spectra import PrimeSampleReport, _h_in_submodule, _q_in_ideal
 from witt_helpers import is_nondegenerate
@@ -53,7 +53,7 @@ def sampled_prime_check(pair, rng, trials=40):
             if is_nondegenerate(form):
                 return form
 
-    candidates = [pair.reference.form] + [random_h() for _ in range(trials)]
+    candidates = [reference_form(pair.algebra).form] + [random_h() for _ in range(trials)]
     if all(_h_in_submodule(pair, h) for h in candidates):
         return PrimeSampleReport(False, "proper", None, candidates[0])
     for _ in range(trials):

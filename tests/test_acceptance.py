@@ -25,7 +25,6 @@ from hermsig.hermitian import (
     HermitianForm,
     knebusch_check,
     raw_signature,
-    reference_form,
     scale_by_quadratic,
     signature,
     split_oracle_signature,
@@ -90,7 +89,6 @@ def test_criterion_1_signature_axioms():
     for family in ("split_orth", "unitary", "quat_symp", "quat_skew"):
         for field in (QQ, SQRT2):
             alg = catalogue_instance(family, field)
-            eta = reference_form(alg)
             for _ in range(50):
                 h1 = random_form(alg, rng, rng.randint(1, 2))
                 h2 = random_form(alg, rng, rng.randint(1, 2))
@@ -99,11 +97,11 @@ def test_criterion_1_signature_axioms():
                 hyp = perp(h1, neg(h1))
                 prod = scale_by_quadratic(q, h1)
                 for p in field.orderings:
-                    s1 = signature(h1, p, eta)
-                    s2 = signature(h2, p, eta)
-                    assert signature(summed, p, eta) == s1 + s2
-                    assert signature(hyp, p, eta) == 0
-                    assert signature(prod, p, eta) == signature_q(q, p) * s1
+                    s1 = signature(h1, p)
+                    s2 = signature(h2, p)
+                    assert signature(summed, p) == s1 + s2
+                    assert signature(hyp, p) == 0
+                    assert signature(prod, p) == signature_q(q, p) * s1
                     total_checks += 3
     elapsed = time.monotonic() - start
     # 4 families x (50 forms over Q + 50 over Q(sqrt2) with 2 orderings) x 3
@@ -114,13 +112,12 @@ def test_criterion_1_signature_axioms():
 
 def test_criterion_2_hamilton_calibration():
     ham = AlgebraWithInvolution(QQ, "quat_symp", 1, a=-1, b=-1)
-    eta = reference_form(ham)
     one = HermitianForm.diagonal(ham, [1])
     tf = diagonalize(trace_form(one)).form
     diag = sorted(v.as_fraction() for v in tf.entries)
-    ok = diag == [2, 2, 2, 2] and signature(one, P0, eta) == 1
+    ok = diag == [2, 2, 2, 2] and signature(one, P0) == 1
     three = HermitianForm.diagonal(ham, [1, -2, 3])
-    ok = ok and signature(three, P0, eta) == 1
+    ok = ok and signature(three, P0) == 1
     verdict(2, ok, "trace form of <1> is <2,2,2,2>; signatures 1 and 1")
 
 
@@ -280,7 +277,6 @@ def test_criterion_6_cone_classification():
         assert len(cones) == 2 * len(nonnil)
         if not cones:
             continue
-        eta = reference_form(alg)
         per_cone = max(1, 200 // (2 * len(cones)))
         for cone in cones:
             for _ in range(per_cone):
@@ -288,7 +284,7 @@ def test_criterion_6_cone_classification():
                 if is_invertible(m):
                     samples += 1
                     if not eta_maximal(m if cone.orientation > 0 else -m,
-                                       cone.ordering, eta):
+                                       cone.ordering):
                         mismatches += 1
             for _ in range(per_cone):
                 m = _random_symmetric(alg, rng)
@@ -298,8 +294,8 @@ def test_criterion_6_cone_classification():
                 for p in nonnil:
                     plus = PositiveCone(alg, p, 1)
                     minus = PositiveCone(alg, p, -1)
-                    max_plus = eta_maximal(m, p, eta)
-                    max_minus = eta_maximal(-m, p, eta)
+                    max_plus = eta_maximal(m, p)
+                    max_minus = eta_maximal(-m, p)
                     if plus.contains(m) != max_plus or minus.contains(m) != max_minus:
                         mismatches += 1
     verdict(6, mismatches == 0 and samples >= 200,

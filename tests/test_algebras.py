@@ -159,7 +159,7 @@ def test_squareness_decided_by_a_negative_sign():
     """An element negative at some ordering is no square, in any degree: the
     unitary family with delta = -1 - x^2 over the quintic used to raise
     "cannot decide squareness"."""
-    from hermsig.hermitian import HermitianForm, reference_form, total_signature_h
+    from hermsig.hermitian import HermitianForm, total_signature_h
 
     x = F5.gen
     delta = -1 - x * x
@@ -167,7 +167,7 @@ def test_squareness_decided_by_a_negative_sign():
     assert not is_square_in_field(x)  # negative at orderings 0-2
     uni = AlgebraWithInvolution(F5, "unitary", 1, delta=delta)
     h = HermitianForm.diagonal(uni, [uni.entry(1), uni.entry(x)])
-    table = total_signature_h(h, reference_form(uni))
+    table = total_signature_h(h)
     assert [v for _, v in table] == [0, 0, 0, 2, 2]
     # totally positive and not rational: decided by a norm that is no
     # rational square (89), undecided and loud when it is one (1)
@@ -183,13 +183,13 @@ def test_unitary_with_a_totally_positive_delta_is_nil_everywhere():
     """delta = 1 + x^2 over the quintic used to raise "cannot decide
     squareness"; its norm 89 shows it is no square.  It is positive at all
     five orderings, so the algebra is nil there and every signature is 0."""
-    from hermsig.hermitian import HermitianForm, reference_form, total_signature_h
+    from hermsig.hermitian import HermitianForm, total_signature_h
 
     x = F5.gen
     uni = AlgebraWithInvolution(F5, "unitary", 1, delta=1 + x * x)
     assert len(uni.nil_orderings()) == 5 and not uni.nonnil_orderings()
     h = HermitianForm.diagonal(uni, [uni.entry(1), uni.entry(x), uni.entry(-2 - x)])
-    table = total_signature_h(h, reference_form(uni))
+    table = total_signature_h(h)
     assert [v for _, v in table] == [0] * 5
 
 

@@ -115,14 +115,13 @@ def test_cone_membership_skew_family_matches_split_oracle():
 
 
 def test_eta_maximal():
-    eta = reference_form(HAMILTON1)
-    assert eta_maximal(HAMILTON1.one_element, P0, eta)
-    assert not eta_maximal(-HAMILTON1.one_element, P0, eta)
+    assert eta_maximal(HAMILTON1.one_element, P0)
+    assert not eta_maximal(-HAMILTON1.one_element, P0)
     with pytest.raises(ValueError):
-        eta_maximal(HAMILTON1.zero_element, P0, eta)
+        eta_maximal(HAMILTON1.zero_element, P0)
     # vacuous maximality at a nil ordering
     allnil = AlgebraWithInvolution(QQ, "quat_symp", 1, a=1, b=1)
-    assert eta_maximal(allnil.one_element, P0, reference_form(allnil))
+    assert eta_maximal(allnil.one_element, P0)
 
 
 def test_enumerate_cones_counts():
@@ -220,7 +219,6 @@ def test_prepositive_axiom_reports():
 def test_cone_invertible_members_are_eta_maximal():
     rng = random.Random(66)
     for alg in (HAMILTON1, SO2):
-        eta = reference_form(alg)
         for eps in (1, -1):
             cone = PositiveCone(alg, P0, eps)
             hits = 0
@@ -230,9 +228,9 @@ def test_cone_invertible_members_are_eta_maximal():
                     continue
                 hits += 1
                 if eps == 1:
-                    assert eta_maximal(m, P0, eta)
+                    assert eta_maximal(m, P0)
                 else:
-                    assert eta_maximal(-m, P0, eta)
+                    assert eta_maximal(-m, P0)
             assert hits > 10
 
 
@@ -351,16 +349,15 @@ def test_not_formally_real_means_all_signatures_vanish():
 
     rng = _random.Random(13)
     allnil = AlgebraWithInvolution(QQ, "quat_symp", 1, a=1, b=1)
-    eta = reference_form(allnil)
     for _ in range(50):
         coords = [rng.randint(-3, 3) for _ in range(4)]
         q = allnil.quat.element(*coords)
         gram = [[q + q.conj()]]
         h = HermitianForm(allnil, gram)
-        assert all(v == 0 for _, v in total_signature_h(h, eta))
+        assert all(v == 0 for _, v in total_signature_h(h))
     # while a formally real instance carries a nonzero table
     eta_h = reference_form(HAMILTON1)
-    assert any(v != 0 for _, v in total_signature_h(eta_h.form, eta_h))
+    assert any(v != 0 for _, v in total_signature_h(eta_h.form))
 
 
 def test_membership_matches_algebra_level_diagonalization():
@@ -410,28 +407,24 @@ def test_totally_imaginary_field_has_no_cones():
 
 
 def test_strongly_anisotropic_sufficient_flag():
-    from hermsig.hermitian import HermitianForm, reference_form
+    from hermsig.hermitian import HermitianForm
 
-    eta = reference_form(HAMILTON1)
-    assert strongly_anisotropic_flag(HermitianForm.diagonal(HAMILTON1, [1, 1]), eta)
+    assert strongly_anisotropic_flag(HermitianForm.diagonal(HAMILTON1, [1, 1]))
     assert not strongly_anisotropic_flag(
-        HermitianForm.diagonal(HAMILTON1, [1, -1]), eta)
+        HermitianForm.diagonal(HAMILTON1, [1, -1]))
 
     skew = AlgebraWithInvolution(QQ, "quat_skew", 1, a=1, b=1)
-    eta_s = reference_form(skew)
     k = skew.quat.k
     definite = HermitianForm.diagonal(
         skew, [skew.scalar_element(k), skew.scalar_element(k)])
-    assert strongly_anisotropic_flag(definite, eta_s)
+    assert strongly_anisotropic_flag(definite)
     mixed = HermitianForm.diagonal(
         skew, [skew.scalar_element(k), skew.scalar_element(-k)])
-    assert not strongly_anisotropic_flag(mixed, eta_s)
+    assert not strongly_anisotropic_flag(mixed)
 
     # flag implies formal reality on samples
     allnil = AlgebraWithInvolution(QQ, "quat_symp", 1, a=1, b=1)
-    eta_n = reference_form(allnil)
-    assert not strongly_anisotropic_flag(
-        HermitianForm.diagonal(allnil, [1, 1]), eta_n)
+    assert not strongly_anisotropic_flag(HermitianForm.diagonal(allnil, [1, 1]))
     assert not formally_real(allnil)
 
 
@@ -496,8 +489,7 @@ def test_membership_on_one_element_matches_a_fresh_carrier(case):
     want = {}
     for cone in cones:
         values, _ = trace_carrier(HermitianForm(alg, x.rows), cone.ordering)
-        side = cone._oriented_sign()
-        want[cone] = all(side * sign_at(d, cone.ordering) >= 0 for d in values)
+        want[cone] = all(cone._side * sign_at(d, cone.ordering) >= 0 for d in values)
     for cone in cones + cones[::-1]:
         assert cone.contains(x) == want[cone]
     if not alg.is_symmetric_element(y):
@@ -521,7 +513,7 @@ def test_h_single_reduces_a_fresh_element_once(monkeypatch, family, params):
     # one reduction of the 1 x 1 entry Gram of <x> for all ten cones
     assert [g.size for g in calls] == [1]
     assert got == frozenset(i for i, cone in enumerate(space.cones)
-                            if all(cone._oriented_sign() * sign_at(d, cone.ordering) >= 0
+                            if all(cone._side * sign_at(d, cone.ordering) >= 0
                                    for d in trace_carrier(HermitianForm(alg, x.rows),
                                                           cone.ordering)[0]))
 
@@ -775,7 +767,7 @@ def test_constructed_reference_form_and_maximal_generator(field, family):
                 assert gen == unit or gen == -unit
                 assert cone.contains(gen)
                 form = rank1_form(gen, "the generator is symmetric")
-                assert signature(form, p, eta) == eps * rank1_max_signature(alg, p)
+                assert signature(form, p) == eps * rank1_max_signature(alg, p)
 
 
 def test_find_sos_ranges_over_the_non_nil_harrison_set():

@@ -14,7 +14,7 @@ from hermsig.hermitian import (
     sylvester_count_oracle,
 )
 from cone_helpers import sample_member
-from morita_oracle import morita_collapse, transport_reference
+from morita_oracle import morita_collapse, signature_by, transport_reference
 from test_hermitian import hermitian_diagonalize
 from trace_oracle import trace_diag
 
@@ -91,13 +91,12 @@ def test_collapse_commutes_with_signature_everywhere():
         AlgebraWithInvolution(QQ, "quat_skew", 2, a=1, b=3),
         AlgebraWithInvolution(QQ, "split_orth", 3),
     ):
-        eta = reference_form(alg)
-        eta_down = transport_reference(eta, alg.collapsed())
+        eta_down = transport_reference(reference_form(alg), alg.collapsed()).form
         for _ in range(4):
             h = random_hermitian(alg, rng, rank=rng.randint(1, 2), height=2)
             down = morita_collapse(h)
             for p in alg.field.orderings:
-                assert signature(h, p, eta) == signature(down, p, eta_down), alg
+                assert signature(h, p) == signature_by(down, p, eta_down), alg
 
 
 def test_skew_rank1_maximum_attained_on_mixed_field():
@@ -136,13 +135,12 @@ def test_quat_skew_matrix_cones_and_maximality():
     alg = AlgebraWithInvolution(QQ, "quat_skew", 2, a=1, b=1)
     p = alg.nonnil_orderings()[0]
     assert rank1_max_signature(alg, p) == 4
-    eta = reference_form(alg)
     k = alg.quat.k
     definite = alg.scalar_element(k)
     oriented = definite if signature(
-        HermitianForm(alg, definite.rows), p, eta) > 0 else -definite
-    assert eta_maximal(oriented, p, eta)
-    assert not eta_maximal(-oriented, p, eta)
+        HermitianForm(alg, definite.rows), p) > 0 else -definite
+    assert eta_maximal(oriented, p)
+    assert not eta_maximal(-oriented, p)
     for eps in (1, -1):
         cone = PositiveCone(alg, p, eps)
         for _ in range(8):

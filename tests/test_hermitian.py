@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermsig.algebras import AlgebraWithInvolution
+from hermsig.cones import PositiveCone
 from hermsig.errors import InvariantError, UnsupportedError
 from hermsig.field import QQ, NumberField
 from hermsig.hermitian import (
@@ -24,7 +24,7 @@ from hermsig.hermitian import (
     sylvester_decompose,
 )
 from hermsig.quadforms import QuadraticForm, signature_q
-from morita_oracle import morita_collapse, morita_expand, transport_reference
+from morita_oracle import morita_collapse, morita_expand, signature_by, transport_reference
 from trace_oracle import trace_form, unit_form
 from witt_helpers import neg, perp, torsion_test_h
 
@@ -158,10 +158,9 @@ def test_hamilton_calibration():
     diag = [v.as_fraction() for v in diagonalize(t).form.entries]
     assert diag == [2, 2, 2, 2]
     assert raw_signature(one, P0) == 1
-    eta = reference_form(HAMILTON1)
-    assert signature(one, P0, eta) == 1
+    assert signature(one, P0) == 1
     h = HermitianForm.diagonal(HAMILTON1, [1, -2, 3])
-    assert signature(h, P0, eta) == 1
+    assert signature(h, P0) == 1
 
 
 def test_trace_form_dimensions_and_base_cases():
@@ -271,7 +270,7 @@ def test_reference_forms():
     for alg in (HAMILTON1, GAUSS, skew):
         eta = reference_form(alg)
         for p in alg.nonnil_orderings():
-            assert signature(eta.form, p, eta) > 0
+            assert signature(eta.form, p) > 0
 
 
 def test_signature_axioms_on_samples():
@@ -284,30 +283,28 @@ def test_signature_axioms_on_samples():
         AlgebraWithInvolution(QQ, "quat_skew", 1, a=2, b=5),
     ]
     for alg in algebras:
-        eta = reference_form(alg)
         field = alg.field
         for _ in range(8):
             h1 = random_hermitian(alg, rng, rank=rng.randint(1, 2))
             h2 = random_hermitian(alg, rng, rank=rng.randint(1, 2))
             q = QuadraticForm(field, [field.element(rng.choice([1, -1, 2, -3]))])
             for p in field.orderings:
-                s1, s2 = signature(h1, p, eta), signature(h2, p, eta)
-                assert signature(perp(h1, h2), p, eta) == s1 + s2
-                assert signature(perp(h1, neg(h1)), p, eta) == 0
-                assert signature(scale_by_quadratic(q, h1), p, eta) == \
+                s1, s2 = signature(h1, p), signature(h2, p)
+                assert signature(perp(h1, h2), p) == s1 + s2
+                assert signature(perp(h1, neg(h1)), p) == 0
+                assert signature(scale_by_quadratic(q, h1), p) == \
                     signature_q(q, p) * s1
 
 
 def test_congruence_invariance():
     rng = random.Random(47)
     for alg in (HAMILTON1, GAUSS, AlgebraWithInvolution(QQ, "quat_skew", 1, a=1, b=1)):
-        eta = reference_form(alg)
         for _ in range(6):
             h = random_hermitian(alg, rng, rank=2)
             s = random_unit_upper(alg, rng, h.size)
             g = congruence(h, s)
             for p in alg.field.orderings:
-                assert signature(g, p, eta) == signature(h, p, eta)
+                assert signature(g, p) == signature(h, p)
 
 
 def test_morita_collapse_preserves_signature_table():
@@ -317,39 +314,31 @@ def test_morita_collapse_preserves_signature_table():
         AlgebraWithInvolution(QQ, "split_orth", 2),
         AlgebraWithInvolution(SQRT2, "unitary", 2, delta=-1),
     ):
-        eta = reference_form(alg)
-        eta_down = transport_reference(eta, alg.collapsed())
+        eta_down = transport_reference(reference_form(alg), alg.collapsed()).form
         for _ in range(5):
             h = random_hermitian(alg, rng, rank=2)
             down = morita_collapse(h)
             assert down.rank == h.rank * alg.n
             for p in alg.field.orderings:
-                assert signature(h, p, eta) == signature(down, p, eta_down)
+                assert signature(h, p) == signature_by(down, p, eta_down)
             back = morita_expand(down, alg.n)
             assert back.gram == h.gram
 
 
 def test_torsion_examples():
-    eta = reference_form(HAMILTON1)
     h = HermitianForm.diagonal(HAMILTON1, [1])
-    assert not torsion_test_h(h, eta)
-    assert torsion_test_h(perp(h, neg(h)), eta)
-    assert torsion_test_h(HermitianForm.diagonal(HAMILTON1, [1, -2]), eta)
+    assert not torsion_test_h(h)
+    assert torsion_test_h(perp(h, neg(h)))
+    assert torsion_test_h(HermitianForm.diagonal(HAMILTON1, [1, -2]))
 
 
 def test_going_up_preserves_signatures():
     h = HermitianForm.diagonal(HAMILTON1, [1, -2, 3])
-    eta = reference_form(HAMILTON1)
     up = going_up(h, SQRT2)
-    eta_up_form = going_up(eta.form, SQRT2)
-    up_alg = up.algebra
-    cert = {p: raw_signature(eta_up_form, p) for p in up_alg.nonnil_orderings()}
-    from hermsig.hermitian import ReferenceForm
-
-    eta_up = ReferenceForm(eta_up_form, cert)
-    base = signature(h, P0, eta)
+    eta_up = going_up(reference_form(HAMILTON1).form, SQRT2)
+    base = signature(h, P0)
     for q in SQRT2.orderings:
-        assert signature(up, q, eta_up) == base
+        assert signature_by(up, q, eta_up) == base
 
 
 def test_scharlau_transfer_and_knebusch():
@@ -368,8 +357,7 @@ def test_scharlau_transfer_and_knebusch():
     # degenerate tower L = Q: the formula reduces to the identity
     h3 = HermitianForm.diagonal(HAMILTON1, [1, -2])
     transferred = scharlau_transfer(h3)
-    eta = reference_form(HAMILTON1)
-    assert signature(transferred, P0, eta) == signature(h3, P0, eta)
+    assert signature(transferred, P0) == signature(h3, P0)
 
 
 def test_knebusch_random_forms_over_towers():
@@ -386,21 +374,19 @@ def test_knebusch_random_forms_over_towers():
             assert knebusch_check(h).holds
 
 
-def _cone(alg, ordering, orientation):
-    return SimpleNamespace(algebra=alg, ordering=ordering, orientation=orientation)
-
-
 def test_sylvester_decompose_examples():
     dec = sylvester_decompose(HermitianForm.diagonal(HAMILTON1, [1, -2, 3]),
-                              _cone(HAMILTON1, P0, 1))
+                              PositiveCone(HAMILTON1, P0, 1))
     assert (len(dec.positive), len(dec.negative)) == (2, 1)
     assert dec.value == 1
 
-    dec = sylvester_decompose(HermitianForm.diagonal(RAT, [1, -2]), _cone(RAT, P0, 1))
+    dec = sylvester_decompose(HermitianForm.diagonal(RAT, [1, -2]),
+                              PositiveCone(RAT, P0, 1))
     assert (len(dec.positive), len(dec.negative)) == (1, 1)
     assert dec.value == 0
 
-    dec = sylvester_decompose(HermitianForm.diagonal(GAUSS, [1, -2]), _cone(GAUSS, P0, 1))
+    dec = sylvester_decompose(HermitianForm.diagonal(GAUSS, [1, -2]),
+                              PositiveCone(GAUSS, P0, 1))
     assert (len(dec.positive), len(dec.negative)) == (1, 1)
     assert dec.value == 0
 
@@ -408,23 +394,22 @@ def test_sylvester_decompose_examples():
 def test_sylvester_decompose_agrees_with_signature():
     rng = random.Random(50)
     for alg in (HAMILTON1, GAUSS, RAT):
-        eta = reference_form(alg)
         for _ in range(8):
             h = random_hermitian(alg, rng, rank=rng.randint(1, 3))
             for eps in (1, -1):
-                dec = sylvester_decompose(h, _cone(alg, P0, eps))
-                assert dec.value == eps * signature(h, P0, eta)
+                dec = sylvester_decompose(h, PositiveCone(alg, P0, eps))
+                assert dec.value == eps * signature(h, P0)
 
 
 def test_sylvester_decompose_scope_errors():
     skew = AlgebraWithInvolution(QQ, "quat_skew", 1, a=1, b=1)
     with pytest.raises(UnsupportedError):
         sylvester_decompose(HermitianForm.diagonal(skew, [skew.scalar_element(skew.quat.k)]),
-                            _cone(skew, P0, 1))
+                            PositiveCone(skew, P0, 1))
     big = AlgebraWithInvolution(QQ, "quat_symp", 2, a=-1, b=-1)
     with pytest.raises(UnsupportedError):
         sylvester_decompose(HermitianForm.diagonal(big, [big.one_element]),
-                            _cone(big, P0, 1))
+                            PositiveCone(big, P0, 1))
 
 
 def test_unit_form_shapes():
@@ -447,11 +432,10 @@ def test_signature_bounded_by_rank_times_max():
 
     rng = random.Random(51)
     for alg in (HAMILTON1, GAUSS, AlgebraWithInvolution(QQ, "quat_skew", 1, a=1, b=1)):
-        eta = reference_form(alg)
         for _ in range(10):
             h = random_hermitian(alg, rng, rank=rng.randint(1, 3))
             for p in alg.field.orderings:
-                assert abs(signature(h, p, eta)) <= h.rank * rank1_max_signature(alg, p)
+                assert abs(signature(h, p)) <= h.rank * rank1_max_signature(alg, p)
 
 
 def test_unitary_with_irrational_delta():
@@ -459,26 +443,24 @@ def test_unitary_with_irrational_delta():
     alg = AlgebraWithInvolution(SQRT2, "unitary", 1, delta=theta - 3)
     # theta - 3 is negative at both orderings: no nil orderings
     assert alg.nil_orderings() == []
-    eta = reference_form(alg)
     rng = random.Random(52)
     for _ in range(6):
         h = random_hermitian(alg, rng, rank=2)
         for p in SQRT2.orderings:
-            assert signature(h, p, eta) == -signature(neg(h), p, eta)
+            assert signature(h, p) == -signature(neg(h), p)
     one = HermitianForm.diagonal(alg, [1])
-    assert all(signature(one, p, eta) == 1 for p in SQRT2.orderings)
+    assert all(signature(one, p) == 1 for p in SQRT2.orderings)
 
 
 def test_morita_collapse_quat_skew():
     rng = random.Random(53)
     alg = AlgebraWithInvolution(QQ, "quat_skew", 2, a=1, b=1)
-    eta = reference_form(alg)
-    eta_down = transport_reference(eta, alg.collapsed())
+    eta_down = transport_reference(reference_form(alg), alg.collapsed()).form
     for _ in range(4):
         h = random_hermitian(alg, rng, rank=1)
         down = morita_collapse(h)
         for p in QQ.orderings:
-            assert signature(h, p, eta) == signature(down, p, eta_down)
+            assert signature(h, p) == signature_by(down, p, eta_down)
 
 
 def test_knebusch_for_quat_skew_tower():
@@ -496,15 +478,14 @@ def test_unitary_nil_nonnil_split():
     alg = AlgebraWithInvolution(SQRT2, "unitary", 1, delta=theta)
     nil = alg.nil_orderings()
     assert len(nil) == 1 and nil[0].index == 1  # theta > 0 there
-    eta = reference_form(alg)
     rng = random.Random(55)
     p_nil = nil[0]
     p_live = alg.nonnil_orderings()[0]
     saw_nonzero = False
     for _ in range(8):
         h = random_hermitian(alg, rng, rank=rng.randint(1, 2))
-        assert signature(h, p_nil, eta) == 0
-        saw_nonzero = saw_nonzero or signature(h, p_live, eta) != 0
+        assert signature(h, p_nil) == 0
+        saw_nonzero = saw_nonzero or signature(h, p_live) != 0
     assert saw_nonzero
 
 
@@ -521,8 +502,8 @@ def test_morita_expand_direction_with_reference_transport():
                       {p: raw_signature(HermitianForm.diagonal(down, [1, 1]), p)
                        for p in down.nonnil_orderings()}), up)
     for p in QQ.orderings:
-        assert signature(expanded, p, eta_up_via_expand) == \
-            signature(h, p, transport_reference(eta_up_via_expand, down))
+        assert signature_by(expanded, p, eta_up_via_expand.form) == \
+            signature_by(h, p, transport_reference(eta_up_via_expand, down).form)
 
 
 def test_knebusch_for_division_quat_skew():
@@ -839,7 +820,7 @@ def test_skew_kernel_matches_twisted_trace_oracle():
         if k == alg.n:
             x = AlgebraElement(alg, g)
             for cone in enumerate_positive_cones(alg):
-                side, p = cone._oriented_sign(), cone.ordering
+                side, p = cone._side, cone.ordering
                 values, _ = trace_carrier(h, p)
                 assert cone.contains(x) == all(side * sign_at(d, p) >= 0 for d in values)
 
@@ -892,10 +873,10 @@ def test_quat_skew_rank2_reference_forms(field, a, b):
     # the table is the raw signature normalized by the reference's sign
     eta = reference_form(alg)
     h = parsed.forms["h"]
-    assert total == [[p.index, signature(h, p, eta)] for p in field.orderings]
+    assert total == [[p.index, signature(h, p)] for p in field.orderings]
     for p in nonnil:
-        assert signature(eta.form, p, eta) == abs(eta.certificate[p]) > 0
-        assert abs(signature(h, p, eta)) == abs(raw_signature(h, p))
+        assert signature(eta.form, p) == abs(eta.certificate[p]) > 0
+        assert abs(signature(h, p)) == abs(raw_signature(h, p))
     assert cones["count"] == 2 * len(nonnil)
 
 
@@ -923,3 +904,6 @@ def test_reference_form_rejects_a_zero_certificate_entry():
     with pytest.raises(InvariantError, match="must be nonzero"):
         ReferenceForm(form=eta.form, certificate={P0: 0})
     assert ReferenceForm(eta.form, eta.certificate).certificate is eta.certificate
+    # the record takes its fields by name too (it left hermsig.__all__)
+    named = ReferenceForm(form=eta.form, certificate=eta.certificate)
+    assert named.form is eta.form and named.certificate is eta.certificate

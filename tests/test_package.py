@@ -83,6 +83,24 @@ def test_every_top_level_definition_is_used_in_the_package():
     assert dead == set()
 
 
+def test_every_import_is_read():
+    """Each name that a module of src/hermsig other than __init__.py imports
+    at top level is read in that module, so a deletion leaves no import
+    behind."""
+    unread = []
+    for f in sorted(SRC.glob("*.py")):
+        if f.name == "__init__.py":
+            continue
+        tree = ast.parse(f.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                    and getattr(stmt, "module", None) != "__future__"
+                    for alias in stmt.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{f.name}: {name}" for name in sorted(imported - read)]
+    assert unread == []
+
+
 # Standard-library modules no session needs: dataclasses (which pulls in
 # inspect, ast, dis and tokenize), argparse (with gettext; `cli.main` imports
 # it), typing, and random (every decision is exact).
@@ -126,7 +144,7 @@ RECORDS = {
     "session.SessionDocument": "field gen_name algebras forms commands seed=0",
     "session.Arg": "json resolve=... default=None positive=False cap=None by_name=False",
     "spectra.FundamentalDescriptor": "generators closed=True",
-    "spectra.PrimeIdealPair": "kind algebra reference ordering=None p=None descriptor=None",
+    "spectra.PrimeIdealPair": "kind algebra ordering=None p=None descriptor=None",
     "spectra.PrimeSampleReport": "passed failed_axiom=None witness_q=None witness_h=None",
     "spectra.MorphismComparison": "equivalent witness=None",
     "spectra.MoritaConeReport": "pairs ok",
@@ -153,8 +171,8 @@ def test_record_classes_keep_their_parameters(name):
 
 def _exported_record_args():
     from hermsig import (QQ, AlgebraWithInvolution, CertTerm, Diagonalization,
-                         FundamentalDescriptor, PrimeIdealPair, ReferenceForm,
-                         SessionDocument, SquareCertificate, reference_form)
+                         FundamentalDescriptor, PrimeIdealPair, SessionDocument,
+                         SquareCertificate, reference_form)
 
     alg = AlgebraWithInvolution(QQ, "quat_symp", 1, a=-1, b=-1)
     eta = reference_form(alg)
@@ -163,8 +181,7 @@ def _exported_record_args():
         (CertTerm, ((), QQ.one, alg.one_element, 0)),
         (SquareCertificate, ([term],)),
         (Diagonalization, (QQ, (QQ.one,), 0, None)),
-        (ReferenceForm, (eta.form, dict(eta.certificate))),
-        (PrimeIdealPair, ("mod_p", alg, eta, QQ.orderings[0], 3, None)),
+        (PrimeIdealPair, ("mod_p", alg, QQ.orderings[0], 3, None)),
         (FundamentalDescriptor, ([eta.form], False)),
         (SessionDocument, (QQ, "x", {"ham": alg}, {}, [], 7)),
     ]

@@ -610,16 +610,16 @@ def test_cli_unitary_family_commands(tmp_path, capsys):
     assert out[4]["result"]["certificate"] == [[0, 1]]
 
 
-def test_readme_quick_tour_snippet():
-    from hermsig import (NumberField, AlgebraWithInvolution, HermitianForm,
-                         reference_form, total_signature_h)
-
-    field = NumberField([-2, 0, 1])
-    ham = AlgebraWithInvolution(field, "quat_symp", 1, a=-1, b=-1)
-    eta = reference_form(ham)
-    h = HermitianForm.diagonal(ham, [1, -2, field.gen])
-    table = total_signature_h(h, eta)
+def test_readme_quick_tour_snippet(capsys):
+    """The python block of the README's quick tour runs as written and
+    prints the signature table of <1, -2, sqrt2> over the quaternions."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    tour = text.split("## Library quick tour\n", 1)[1]
+    scope = {}
+    exec(tour.split("```python\n", 1)[1].split("```", 1)[0], scope)
+    table = scope["total_signature_h"](scope["h"])
     assert [v for _, v in table] == [-1, 1]
+    assert capsys.readouterr().out == f"{table}\n"
 
 
 def _sqrt2_with(command):
@@ -679,6 +679,61 @@ def test_malformed_command_arguments_are_parse_errors(command, key, tmp_path, ca
             parse_session(json.dumps(_sqrt2_with(dict(command, **{key: True}))[0]))
 
 
+_HAM = {"name": "ham", "family": "quat_symp", "a": "-1", "b": "-1"}
+
+
+@pytest.mark.parametrize("doc, path, message", [
+    ({"algebras": [dict(_HAM, a=True)]}, "algebras[0].a", "expected an element expression"),
+    ({"algebras": [dict(_HAM, a=["-1"])]}, "algebras[0].a",
+     "expected an element expression (string or integer)"),
+    ({"algebras": [dict(_HAM, a=-1)]}, None, None),
+    ({"field": ["0", "1"]}, "field", "field declaration must be an object"),
+    ({"field": {"min_poly": "x"}}, "field.min_poly",
+     "min_poly must be a coefficient list, constant first"),
+    ({"field": {"min_poly": ["0", "1"], "generator": "2x"}}, "field.generator",
+     "generator must be an identifier"),
+    ({"field": {"min_poly": [["0"], "1"]}}, "field.min_poly[0]", "expected a number"),
+    ({"algebras": ["ham"]}, "algebras[0]", "algebra declaration must be an object"),
+    ({"algebras": [dict(_HAM, n=True)]}, "algebras[0].n", "n must be a positive integer"),
+    ({"algebras": [_HAM], "forms": [{"name": "f1", "algebra": "ham", "diag": [["1", "0"]]}]},
+     "forms[0].diag[0]", "quat_symp entries are 4-component coordinate lists"),
+    ({"forms": ["f1"]}, "forms[0]", "form declaration must be an object"),
+    ({"forms": [{"name": "f1", "diag": ["1"], "gram": [["1"]]}]}, "forms[0]",
+     "a form is either 'diag' or 'gram'"),
+    ({"commands": ["sign"]}, "commands[0]", "command must be an object"),
+    ("[]", "$", "document must be a JSON object"),
+    ({"algebras": [_HAM, _HAM]}, "algebras[1]", "duplicate algebra name 'ham'"),
+    ({"forms": [{"name": "a1", "diag": ["1"]}]}, "forms[0]", "duplicate name 'a1'"),
+    ({"seed": True}, "seed", "seed must be an integer"),
+    ({"commands": {"op": "orderings"}}, "commands", "commands must be a list"),
+], ids=["element-boolean", "element-list", "element-integer", "field-not-object",
+        "min-poly-not-list", "generator-not-identifier", "coefficient-not-number",
+        "algebra-not-object", "n-boolean", "entry-wrong-length", "form-not-object",
+        "form-diag-and-gram", "command-not-object", "document-not-object",
+        "duplicate-algebra", "duplicate-name", "seed-boolean", "commands-not-list"])
+def test_parse_errors_name_their_path(doc, path, message):
+    """Each raise site of the document head reports its message at its JSON
+    path; a bare integer is an element.  A boolean n used to be read as 1,
+    and a boolean seed was accepted."""
+    text = doc if isinstance(doc, str) else minimal_doc(**doc)
+    if message is None:
+        assert parse_session(text).algebras["ham"].quat.a == -1
+        return
+    with pytest.raises(SessionParseError) as exc:
+        parse_session(text)
+    assert (exc.value.path, exc.value.message) == (path, message)
+
+
+def _verify_term(**changes):
+    """An sos-verify command whose one certificate term has the changes;
+    None drops the key."""
+    term = {"weight_subset": [], "vector": [[["1", "0", "0", "0"]]], "generator_index": 0}
+    term.update(changes)
+    term = {k: v for k, v in term.items() if v is not None}
+    return {"op": "sos-verify", "algebra": "ham", "element": _UNIT,
+            "certificate": {"terms": [term]}}
+
+
 @pytest.mark.parametrize("command, key, message", [
     ({"op": "sign", "form": "qtheta"}, "ordering", "missing required key"),
     ({"op": "eta-max", "algebra": "ham", "element": _UNIT}, "ordering",
@@ -702,15 +757,31 @@ def test_malformed_command_arguments_are_parse_errors(command, key, tmp_path, ca
      f"at most {MAX_SLOTS} entries"),
     (dict(_IDEALS, trials=1001), "trials", "at most 1000"),
     ({"op": "morita-check", "algebra": "ham", "samples": 1001}, "samples", "at most 1000"),
+    (_verify_term(generator_index=True), "certificate.terms[0].generator_index",
+     "generator_index must be an integer"),
+    (_verify_term(generator_index="0"), "certificate.terms[0].generator_index",
+     "generator_index must be an integer"),
+    (_verify_term(generator_index=None), "certificate.terms[0].generator_index",
+     "missing required key 'generator_index'"),
+    (_verify_term(vector=None), "certificate.terms[0].vector",
+     "missing required key 'vector'"),
+    (_verify_term(weight_subset="0"), "certificate.terms[0].weight_subset",
+     "weight_subset must be a list of integers"),
+    (_verify_term(weight_subset=[True]), "certificate.terms[0].weight_subset",
+     "weight_subset must be a list of integers"),
 ], ids=["missing-ordering", "missing-ordering-eta-max", "misspelt-max-terms",
         "ordering-true", "orientation-true", "trials-zero", "trials-negative",
         "samples-zero", "max-terms-zero", "height-above-cap", "max-terms-above-cap",
-        "slots-above-cap", "trials-above-cap", "samples-above-cap"])
+        "slots-above-cap", "trials-above-cap", "samples-above-cap",
+        "generator-index-true", "generator-index-string", "generator-index-missing",
+        "vector-missing", "weight-subset-string", "weight-subset-of-booleans"])
 def test_check_rejects_what_would_run_wrong(command, key, message, tmp_path, capsys):
     """Each of these used to pass `check` and then run on a silent default:
     a dropped key, a misspelt key ignored, a boolean read as 1, or zero
     trials reported as a pass; or run without bound, as a 24-slot sos-find
-    whose search pool holds 4^24 terms per vector."""
+    whose search pool holds 4^24 terms per vector; or fail as it ran, as a
+    certificate term with a string or no generator index (a TypeError or
+    KeyError record)."""
     doc, path = _sqrt2_with(command)
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(doc), encoding="utf-8")

@@ -46,8 +46,7 @@ SO2 = AlgebraWithInvolution(QQ, "split_orth", 2)
 
 
 def test_signature_kernel_membership():
-    eta = reference_form(HAMILTON1)
-    pair = PrimeIdealPair("signature", HAMILTON1, eta, ordering=P0)
+    pair = PrimeIdealPair("signature", HAMILTON1, ordering=P0)
     q0 = QuadraticForm(QQ, [1, -1])
     h0 = HermitianForm.diagonal(HAMILTON1, [1, -2])
     assert ideal_membership(q0, h0, pair) == (True, True)
@@ -57,15 +56,14 @@ def test_signature_kernel_membership():
 
 
 def test_mod_p_membership_and_validation():
-    eta = reference_form(HAMILTON1)
-    pair = PrimeIdealPair("mod_p", HAMILTON1, eta, ordering=P0, p=3)
+    pair = PrimeIdealPair("mod_p", HAMILTON1, ordering=P0, p=3)
     q = QuadraticForm(QQ, [1, 1, 1])
     h = HermitianForm.diagonal(HAMILTON1, [1, 1, 1])
     assert ideal_membership(q, h, pair) == (True, True)
     with pytest.raises(ValueError):
-        PrimeIdealPair("mod_p", HAMILTON1, eta, ordering=P0, p=2)
+        PrimeIdealPair("mod_p", HAMILTON1, ordering=P0, p=2)
     with pytest.raises(ValueError):
-        PrimeIdealPair("mod_p", HAMILTON1, eta, ordering=P0, p=9)
+        PrimeIdealPair("mod_p", HAMILTON1, ordering=P0, p=9)
 
 
 def test_image_generator_values():
@@ -76,25 +74,23 @@ def test_image_generator_values():
 
 
 def test_fundamental_membership_closed():
-    eta = reference_form(HAMILTON1)
     desc = FundamentalDescriptor([], closed=True)
-    pair = PrimeIdealPair("fundamental", HAMILTON1, eta, descriptor=desc)
+    pair = PrimeIdealPair("fundamental", HAMILTON1, descriptor=desc)
     even_zero = HermitianForm.diagonal(HAMILTON1, [1, -2])  # rank 2, sig 0
     assert ideal_membership(QuadraticForm(QQ, [1, 1]), even_zero, pair) == (True, True)
     odd = HermitianForm.diagonal(HAMILTON1, [1])
     assert ideal_membership(QuadraticForm(QQ, [1]), odd, pair) == (False, False)
     # adding a generator enlarges N
     desc2 = FundamentalDescriptor([odd], closed=True)
-    pair2 = PrimeIdealPair("fundamental", HAMILTON1, eta, descriptor=desc2)
+    pair2 = PrimeIdealPair("fundamental", HAMILTON1, descriptor=desc2)
     assert ideal_membership(QuadraticForm(QQ, [1]), odd, pair2)[1]
 
 
 def test_prime_property_passes_for_honest_pairs():
-    eta = reference_form(HAMILTON1)
     for pair in (
-        PrimeIdealPair("signature", HAMILTON1, eta, ordering=P0),
-        PrimeIdealPair("mod_p", HAMILTON1, eta, ordering=P0, p=5),
-        PrimeIdealPair("fundamental", HAMILTON1, eta,
+        PrimeIdealPair("signature", HAMILTON1, ordering=P0),
+        PrimeIdealPair("mod_p", HAMILTON1, ordering=P0, p=5),
+        PrimeIdealPair("fundamental", HAMILTON1,
                        descriptor=FundamentalDescriptor([], closed=True)),
     ):
         assert prime_property_sample(pair).passed
@@ -116,10 +112,9 @@ def test_fabricated_raw_descriptor_fails_ideal_axiom():
     # over Q(sqrt2) a raw descriptor without the fundamental-ideal closure
     # fails the ideal axiom
     alg = AlgebraWithInvolution(SQRT2, "split_orth", 1)
-    eta = reference_form(alg)
     theta = SQRT2.gen
     gen = HermitianForm.diagonal(alg, [1, 1, theta])  # table (3, 1)
-    pair = PrimeIdealPair("fundamental", alg, eta,
+    pair = PrimeIdealPair("fundamental", alg,
                           descriptor=FundamentalDescriptor([gen], closed=False))
     report = prime_property_sample(pair)
     assert not report.passed
@@ -135,13 +130,12 @@ def test_morphism_triviality_flag():
 
 def test_morphism_distinctness():
     alg = AlgebraWithInvolution(SQRT2, "quat_symp", 1, a=-1, b=-1)
-    eta = reference_form(alg)
     p1, p2 = SQRT2.orderings
     res = morphism_distinctness(alg, p1, p2)
     assert not res.equivalent
     from hermsig.hermitian import signature
 
-    assert signature(res.witness, p1, eta) != signature(res.witness, p2, eta)
+    assert signature(res.witness, p1) != signature(res.witness, p2)
     assert morphism_distinctness(alg, p1, p1).equivalent
 
 
@@ -258,10 +252,9 @@ def test_morita_cone_maps_quat2():
 
 
 def test_full_span_descriptor_reported_not_proper():
-    eta = reference_form(HAMILTON1)
     odd = HermitianForm.diagonal(HAMILTON1, [1])
     even = HermitianForm.diagonal(HAMILTON1, [1, 1])
-    pair = PrimeIdealPair("fundamental", HAMILTON1, eta,
+    pair = PrimeIdealPair("fundamental", HAMILTON1,
                           descriptor=FundamentalDescriptor([odd, even], closed=True))
     report = prime_property_sample(pair)
     assert not report.passed and report.failed_axiom == "proper"
@@ -270,14 +263,13 @@ def test_full_span_descriptor_reported_not_proper():
 
 def test_mod_p_membership_on_even_image_family():
     skew = AlgebraWithInvolution(QQ, "quat_skew", 1, a=1, b=1)
-    eta = reference_form(skew)
-    pair = PrimeIdealPair("mod_p", skew, eta, ordering=P0, p=3)
+    pair = PrimeIdealPair("mod_p", skew, ordering=P0, p=3)
     k = skew.quat.k
     # rank-3 diagonal of the definite generator: signature +-6 = c * (+-3)
     h = HermitianForm.diagonal(skew, [skew.scalar_element(k)] * 3)
     from hermsig.hermitian import signature as sig
 
-    value = sig(h, P0, eta)
+    value = sig(h, P0)
     assert abs(value) == 6
     in_i, in_n = ideal_membership(QuadraticForm(QQ, [1, 1, 1]), h, pair)
     assert (in_i, in_n) == (True, True)
@@ -431,9 +423,8 @@ def _grid_descriptors(alg):
 def test_prime_property_matches_the_sampled_oracle(alg, closed):
     """On every family and descriptor the exact decision gives the sampled
     oracle's answer at 30 trials, and its witness shows the failure."""
-    eta = reference_form(alg)
     for generators in _grid_descriptors(alg):
-        pair = PrimeIdealPair("fundamental", alg, eta,
+        pair = PrimeIdealPair("fundamental", alg,
                               descriptor=FundamentalDescriptor(generators, closed))
         exact = prime_property_sample(pair)
         oracle = sampled_prime_check(pair, random.Random(30), trials=30)
@@ -451,13 +442,12 @@ def test_topology_compare_quat_skew_matrix():
 
 
 def _assert_separated(alg, pairs):
-    eta = reference_form(alg)
     orderings = alg.field.orderings
     for i, j in pairs:
         res = morphism_distinctness(alg, orderings[i], orderings[j])
         assert not res.equivalent
-        assert (signature(res.witness, orderings[i], eta)
-                != signature(res.witness, orderings[j], eta)), (alg, i, j)
+        assert (signature(res.witness, orderings[i])
+                != signature(res.witness, orderings[j])), (alg, i, j)
 
 
 CONE_SEARCH_F5 = [

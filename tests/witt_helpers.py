@@ -121,6 +121,6 @@ def torsion_test_q(form):
     return all(signature_q(form, p) == 0 for p in form.field.orderings)
 
 
-def torsion_test_h(h, reference):
+def torsion_test_h(h):
     """Local-global: torsion iff the full signature table vanishes."""
-    return all(v == 0 for _, v in total_signature_h(h, reference))
+    return all(v == 0 for _, v in total_signature_h(h))
