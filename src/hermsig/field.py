@@ -1,14 +1,16 @@
 """Exact arithmetic in real number fields.
 
 A field is Q[x]/(m) for a monic squarefree m over Q.  Its orderings are the
-real roots of m, each stored as an isolating interval with dyadic endpoints:
-one integer Sturm sequence per field, of primitive pseudo-remainders, decides
-that m is squarefree and isolates the roots by bisection on dyadic integers.
-All sign decisions are exact and run on integers: a sign is read off an
-integer interval evaluation over the root's current interval, refined by
+real roots of m, each stored as an isolating interval with dyadic endpoints.
+One integer algorithm does the polynomial work: the remainder chain of
+primitive pseudo-remainders (`_remainder_chain`).  On m and m' it is the
+field's Sturm sequence, which decides that m is squarefree and isolates the
+roots by bisection on dyadic integers; on m and an element it ends at their
+gcd.  All sign decisions are exact and run on integers: a sign is read off
+an integer interval evaluation over the root's current interval, refined by
 bisection, and only an element whose enclosure still contains 0 goes
-through the zero test: a coprimality check with the minimal polynomial
-modulo a prime, then, only if that is inconclusive, a gcd over Q.
+through the zero test: whether its gcd with m changes sign over the
+ordering's defining interval.
 An element keeps its integer multiplication matrix once built: products
 by it are matrix-vector products, and inverses solve the matrix by
 fraction-free (Bareiss) elimination.  No floating point anywhere.
@@ -43,47 +45,33 @@ def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs[:n])
 
 
-def poly_divmod(p: tuple, q: tuple) -> tuple[tuple, tuple]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    for k in range(len(p) - len(q), -1, -1):
-        c = rem[k + len(q) - 1] / lead
-        if c:
-            quo[k] = c
-            for j, b in enumerate(q):
-                rem[k + j] -= c * b
-    return _trim(quo), _trim(rem)
-
-
-def poly_gcd(p: tuple, q: tuple) -> tuple:
-    """Monic gcd via the Euclidean algorithm."""
-    while q:
-        p, q = q, poly_divmod(p, q)[1]
-    return tuple(c / p[-1] for c in p)
-
-
 def poly_deriv(p: tuple) -> tuple:
     return _trim([i * c for i, c in enumerate(p)][1:])
 
 
-def sturm_chain(p: tuple) -> list[tuple[int, ...]]:
-    """The Sturm chain p, p', -rem(p_(k-1), p_k), ... of p as primitive
-    integer polynomials with the signs of the rational chain: each remainder
-    is a pseudo-remainder (`_pseudo_rem`), scaled by |lc p_k|^(delta+1) > 0,
-    negated and divided by its positive content.  It ends at gcd(p, p'), a
-    constant exactly when p is squarefree."""
-    chain = [_primitive(p)]
-    if len(p) > 1:
-        chain.append(_primitive(poly_deriv(chain[0])))
-        while len(chain[-1]) > 1:
-            rem = _pseudo_rem(chain[-2], chain[-1])
-            if not rem:
-                break
-            chain.append(_primitive([-c for c in rem]))
+def _remainder_chain(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, ...]]:
+    """a, b, -rem(a, b), ... for integer a and nonzero b, each remainder a
+    pseudo-remainder (`_pseudo_rem`), scaled by a positive power of lc b,
+    negated and divided by its positive content (Collins' primitive
+    remainder sequence), so it has the signs of the rational sequence.  It
+    ends at a constant or at the last member that divides the one before:
+    gcd(a, b) up to a nonzero rational factor."""
+    chain = [a, b]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(_primitive([-c for c in rem]))
     return chain
+
+
+def sturm_chain(p: tuple) -> list[tuple[int, ...]]:
+    """The Sturm chain p, p', -rem(p_(k-1), p_k), ... of p of degree >= 1,
+    as primitive integer polynomials: the remainder chain of p and p'
+    (`_remainder_chain`).  It ends at gcd(p, p'), a constant exactly when p
+    is squarefree."""
+    p = _primitive(p)
+    return _remainder_chain(p, _primitive(poly_deriv(p)))
 
 
 def _primitive(p: Sequence[RationalLike]) -> tuple[int, ...]:
@@ -121,12 +109,6 @@ def _scaled_eval(p: Sequence[int], n: int, dd: int = 1) -> int:
 def _sign_variations(values: Iterable[int]) -> int:
     signs = [v > 0 for v in values if v]
     return sum(map(ne, signs, signs[1:]))
-
-
-def count_roots(chain: list[tuple], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]; exact for squarefree p."""
-    return (_sign_variations(_scaled_eval(p, lo.numerator, lo.denominator) for p in chain)
-            - _sign_variations(_scaled_eval(p, hi.numerator, hi.denominator) for p in chain))
 
 
 def cauchy_bound(p: tuple) -> int:
@@ -260,8 +242,14 @@ class NumberField:
             # already reduced, with integer coefficients: the numerators over 1
             return _canonical(self, vec, 1)
         vec = [Fraction(c) for c in vec]
-        rem = poly_divmod(tuple(vec), self.min_poly)[1] if len(vec) > self.degree else _trim(vec)
-        return _from_fractions(self, rem)
+        den = math.lcm(*(c.denominator for c in vec))
+        num = [c.numerator * (den // c.denominator) for c in vec]
+        if len(num) > self.degree:
+            # L^delta num = q L*m + rem, for L = lc(L*m) > 0 and delta the
+            # number of reduction steps: the element is rem / (den L^delta)
+            den *= self._scaled_m[-1] ** (len(num) - self.degree)
+            num = list(_pseudo_rem(num, self._scaled_m))
+        return _canonical(self, num, den)
 
     @cached_property
     def zero(self) -> "FieldElement":
@@ -492,7 +480,7 @@ class FieldElement:
             if not rows[k][k]:
                 r = next((r for r in range(k + 1, d) if rows[r][k]), None)
                 if r is None:
-                    raise _zero_divisor(field, poly_gcd(self.coeffs, field.min_poly))
+                    raise _zero_divisor(field, _remainder_chain(field._scaled_m, self.num)[-1])
                 rows[k], rows[r] = rows[r], rows[k]
                 swaps += 1
             pivot_row = rows[k]
@@ -659,58 +647,29 @@ class Ordering:
         return f"Ordering#{self.index}({self.lo}, {self.hi})"
 
 
-def _zero_divisor(field: NumberField, g: tuple) -> ReducibleModulusError:
+def _zero_divisor(field: NumberField, g: Sequence[int]) -> ReducibleModulusError:
     """The error for a nonzero element that shares the proper factor g
-    (monic, 0 < deg g < d) with m."""
+    (integer, 0 < deg g < d) with m; the message names g / lc g."""
+    factor = _from_fractions(field, [Fraction(c, g[-1]) for c in g])
     return ReducibleModulusError(
         "element is a zero divisor, not invertible: the minimal polynomial "
-        f"has the factor {render_element(_from_fractions(field, g))}")
-
-
-# The prime of the coprimality pre-check in _zero_test; any prime would do.
-ZERO_TEST_PRIME = 2**31 - 1
-
-
-def _coprime_mod_prime(a: FieldElement) -> bool:
-    """Whether the numerator of a and the integer-scaled L*m are coprime
-    modulo ZERO_TEST_PRIME p, for p not dividing L (False when p | L).  If
-    they are, a and m are coprime over Q: a common factor of degree >= 1,
-    taken primitive in Z[x], has a leading coefficient dividing L, so it
-    keeps its degree mod p and divides both there."""
-    fld, p = a.field, ZERO_TEST_PRIME
-    f = [c % p for c in fld._scaled_m]
-    if not f[-1]:
-        return False
-    g = [c % p for c in a.num]
-    while g and not g[-1]:
-        g.pop()
-    while g:
-        # f <- f mod g in F_p[x], eliminating the top term of f each step
-        k = len(g) - 1
-        inv = pow(g[-1], -1, p)
-        for top in range(len(f) - 1, k - 1, -1):
-            c = f[top] * inv % p
-            if c:
-                for j in range(k):
-                    f[top - k + j] = (f[top - k + j] - c * g[j]) % p
-        del f[k:]
-        while f and not f[-1]:
-            f.pop()
-        f, g = g, f
-    return len(f) == 1
+        f"has the factor {render_element(factor)}")
 
 
 def _zero_test(a: FieldElement, ordering: Ordering) -> None:
-    """Raise ReducibleModulusError if the nonzero a is 0 at the ordering:
-    gcd(a, m) has a root in its defining interval.  In a field no nonzero
-    element vanishes at a root of m, so that gcd is a proper factor of m.
-    A zero divisor that does not vanish at the ordering keeps its sign, so
-    the answer does not depend on how far the interval was refined.  The
-    gcd over Q runs only when a and m are not coprime modulo a prime."""
-    if _coprime_mod_prime(a):
-        return
-    g = poly_gcd(a.coeffs, a.field.min_poly)
-    if len(g) > 1 and count_roots(sturm_chain(g), ordering.lo, ordering.hi) >= 1:
+    """Raise ReducibleModulusError if the nonzero a is 0 at the ordering.
+    In a field no nonzero element vanishes at a root of m, so one that does
+    is a zero divisor.  It does exactly when g = gcd(L*m, num a), the last
+    member of their remainder chain (`_remainder_chain`), changes sign
+    between the ends lo, hi of the ordering's defining interval: g divides
+    the squarefree m, so it has at most the one root of m inside, a simple
+    one, and the ends are roots of m, hence of g, neither.  The defining
+    interval never changes, so the answer does not depend on how far the
+    ordering was refined."""
+    g = _remainder_chain(a.field._scaled_m, a.num)[-1]
+    lo, hi = ordering.lo, ordering.hi
+    if _scaled_eval(g, lo.numerator, lo.denominator) * \
+            _scaled_eval(g, hi.numerator, hi.denominator) < 0:
         raise _zero_divisor(a.field, g)
 
 
@@ -720,10 +679,11 @@ def sign_at(a: FieldElement, ordering: Ordering) -> int:
     The numerator polynomial is evaluated over the current root interval
     [L/D, H/D] by integer interval Horner: step j adds num[j] * D^(e-j),
     so the enclosure is the rational one times D^e > 0.  While it contains
-    0 the interval is bisected; the zero test (_zero_test) runs once,
-    before the first bisection, because refinement never ends on a true
-    zero.  Only the zero element has sign 0: a nonzero element that is 0
-    at the ordering proves m reducible and raises ReducibleModulusError.
+    0 the interval is bisected; the zero test (`_zero_test`, a sign change
+    of gcd(L*m, num) over the defining interval) runs once, before the
+    first bisection, because refinement never ends on a true zero.  Only
+    the zero element has sign 0: a nonzero element that is 0 at the
+    ordering proves m reducible and raises ReducibleModulusError.
     """
     if a.field != ordering.field:
         raise FieldMismatchError("element and ordering belong to different fields")

@@ -391,13 +391,16 @@ def _certificate(spec, doc, args, path):
 
 
 def _check_terms(spec: dict, path: str) -> None:
-    """Each certificate term is an object with a `vector` and an integer
-    `generator_index`, and its `weight_subset`, if any, lists integers."""
+    """The certificate has no key but `terms`; each term is an object with
+    a `vector` and an integer `generator_index`, no unknown key, and a
+    `weight_subset`, if any, that lists integers."""
+    _check_keys(spec, {"terms"}, path)
     terms = spec.get("terms", [])
     if not isinstance(terms, list) or any(not isinstance(t, dict) for t in terms):
         raise SessionParseError("terms must be a list of objects", f"{path}.terms")
     for j, term in enumerate(terms):
         where = f"{path}.terms[{j}]"
+        _check_keys(term, {"weight_subset", "weight_root", "vector", "generator_index"}, where)
         for key in ("vector", "generator_index"):
             if key not in term:
                 raise SessionParseError(f"missing required key {key!r}", f"{where}.{key}")
@@ -469,7 +472,7 @@ ARGS = {
     "a": Arg(list, _element),                   # absent: the op's own generator
     "slots": Arg(list, _slots, (), cap=MAX_SLOTS),
     "certificate": Arg(dict, _certificate),
-    "copies": Arg(int),                         # absent: as many as the certificate uses
+    "copies": Arg(int, positive=True),          # absent: as many as the certificate uses
     "height": Arg(int, positive=True, cap=MAX_SEARCH_HEIGHT),  # absent: --search-height
     "max_terms": Arg(int, positive=True, cap=MAX_SEARCH_TERMS),  # absent: --search-terms
     "ext": Arg(None, _ext),

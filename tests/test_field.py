@@ -11,17 +11,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hermsig.errors import FieldMismatchError, HermsigError, ReducibleModulusError
 from hermsig.field import (
     QQ,
-    ZERO_TEST_PRIME,
     FieldElement,
     NumberField,
-    _coprime_mod_prime,
     _rational_root,
+    _remainder_chain,
+    _scaled_eval,
+    _sign_variations,
     _zero_test,
     cauchy_bound,
-    count_roots,
     four_square_decomposition,
-    poly_divmod,
-    poly_gcd,
+    render_element,
     sign_at,
     sturm_chain,
 )
@@ -77,6 +76,35 @@ def poly_mul(p, q):
     return _trim(out)
 
 
+def poly_divmod(p, q):
+    """Quotient and remainder of p by the nonzero q."""
+    rem = list(p)
+    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    for k in range(len(p) - len(q), -1, -1):
+        c = rem[k + len(q) - 1] / q[-1]
+        if c:
+            quo[k] = c
+            for j, b in enumerate(q):
+                rem[k + j] -= c * b
+    return _trim(quo), _trim(rem)
+
+
+def poly_gcd(p, q):
+    """Monic gcd by the Euclidean algorithm."""
+    while q:
+        p, q = q, poly_divmod(p, q)[1]
+    return tuple(c / p[-1] for c in p)
+
+
+def count_roots(chain, lo, hi):
+    """Number of distinct real roots in (lo, hi] of the squarefree p whose
+    integer Sturm chain (`sturm_chain`) is `chain`: the drop in its sign
+    variations from lo to hi."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    return (_sign_variations(_scaled_eval(q, lo.numerator, lo.denominator) for q in chain)
+            - _sign_variations(_scaled_eval(q, hi.numerator, hi.denominator) for q in chain))
+
+
 def poly_eval_interval(p, lo, hi):
     """Exact interval Horner evaluation of p over [lo, hi]."""
     alo = ahi = Fraction(0)
@@ -100,7 +128,7 @@ class FractionSigns:
         if not coeffs:
             return 0
         g = poly_gcd(coeffs, m)
-        if len(g) > 1 and count_roots(sturm_chain(g), ordering.lo, ordering.hi) >= 1:
+        if len(g) > 1 and fraction_sturm_count(g, ordering.lo, ordering.hi) >= 1:
             return 0
         key = id(ordering)
         lo, hi = self.current.get(key, (ordering.lo, ordering.hi))
@@ -680,14 +708,21 @@ def test_reducible_modulus_fails_loudly(modulus, element, factor, signs):
     assert got == signs
 
 
+# The prime p = 2^31 - 1, and sqrt 2 mod p (p = 7 mod 8): a gcd taken
+# modulo p would see a common factor of x - s and x^2 - 2, and a modulus
+# whose denominators p divides loses its degree there.
+_P = 2**31 - 1
+_S = pow(2, (_P + 1) // 4, _P)
+
+
 @st.composite
 def _zero_test_case(draw):
     """m = f * g, reducible when g has degree >= 1, where lead(f) is 1, 2 or
-    the pre-check's prime p (the monic m then has denominators 2 or p), and
-    a nonzero element h, or f * h, which shares the factor f with m."""
+    the prime p (the monic m then has denominators 2 or p), and a nonzero
+    element h, or f * h, which shares the factor f with m."""
     small = st.integers(-3, 3)
     f = draw(st.lists(small, min_size=1, max_size=2))
-    f.append(draw(st.sampled_from([1, 2, ZERO_TEST_PRIME])))
+    f.append(draw(st.sampled_from([1, 2, _P])))
     g = draw(st.lists(small, max_size=3)) + [1]
     try:
         field = lazy_field(poly_mul(tuple(f), tuple(g)))
@@ -700,46 +735,89 @@ def _zero_test_case(draw):
     return field, a
 
 
-_P = ZERO_TEST_PRIME
-# sqrt 2 mod p (p = 7 mod 8): x - s shares a root with x^2 - 2 mod p only
-_S = pow(2, (_P + 1) // 4, _P)
 _PRECHECK_CASES = [
-    # (modulus, element, coprime mod p)
+    # (modulus, element, coprime over Q)
     (F5.min_poly, [1, 1], True),
     ([6, 0, -5, 0, 1], [-2, 0, 1], False),             # shares x^2 - 2
     (poly_mul((-1, _P), (-2, 0, 1)), [-1, _P], False),  # shares p x - 1; p divides L
-    (poly_mul((-1, _P), (-2, 0, 1)), [0, 1], False),    # coprime, but p divides L
-    ([-2, 0, 1], [-_S, 1], False),                      # coprime over Q, not mod p
+    (poly_mul((-1, _P), (-2, 0, 1)), [0, 1], True),     # coprime, p divides L
+    ([-2, 0, 1], [-_S, 1], True),                       # coprime over Q, not mod p
 ]
 
 
 def _check_zero_test(field, a):
-    """The modular pre-check says coprime only when poly_gcd(a, m) is 1, and
-    never when the prime divides the denominators of m; the zero test raises
-    exactly where that gcd has a root in the ordering's interval."""
+    """The zero test raises exactly where the Fraction gcd of a and m has a
+    root in the ordering's defining interval, and names that gcd; refining
+    the ordering first changes nothing."""
     g = poly_gcd(a.coeffs, field.min_poly)
-    if _coprime_mod_prime(a):
-        assert g == (1,)
-        assert field._scaled_m[-1] % ZERO_TEST_PRIME != 0
-    for p in field.orderings:
-        if len(g) > 1 and count_roots(sturm_chain(g), p.lo, p.hi) >= 1:
-            with pytest.raises(ReducibleModulusError):
+    for refinements in (0, 3):
+        for p in field.orderings:
+            for _ in range(refinements):
+                p._refine_once()
+            if len(g) > 1 and fraction_sturm_count(g, p.lo, p.hi) >= 1:
+                factor = re.escape(render_element(field.element(list(g))))
+                with pytest.raises(ReducibleModulusError, match=rf"factor {factor}$"):
+                    _zero_test(a, p)
+            else:
                 _zero_test(a, p)
-        else:
-            _zero_test(a, p)
 
 
 @pytest.mark.parametrize("modulus, element, coprime", _PRECHECK_CASES)
 def test_zero_test_precheck_cases(modulus, element, coprime):
+    """Moduli and elements on which a zero test modulo the prime p would
+    mislead: the zero test over Q sees through each."""
     field = lazy_field(modulus)
     a = field.element(element)
-    assert _coprime_mod_prime(a) is coprime
+    assert (poly_gcd(a.coeffs, field.min_poly) == (1,)) is coprime
     _check_zero_test(field, a)
 
 
 @given(_zero_test_case())
 def test_zero_test_precheck_agrees_with_the_gcd(case):
     _check_zero_test(*case)
+
+
+_chain_coeffs = st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=4)
+
+
+def _integer_multiple(p):
+    """The integer polynomial L p, for L the lcm of the denominators of p."""
+    big = math.lcm(*(c.denominator for c in p))
+    return tuple(int(c * big) for c in p)
+
+
+@given(st.lists(_chain_coeffs, min_size=1, max_size=3), st.lists(_chain_coeffs, max_size=3),
+       st.lists(_chain_coeffs, min_size=1, max_size=4), st.booleans())
+@example([0], [-2, 0], [-_S, 1], False)  # x (x^2 - 2) and x - s: coprime over Q
+@example([-2, 0], [-3, 0], [1, 0, 1], True)  # (x^2 - 2)(x^2 - 3) and (x^2 - 2)(1 + x^2)
+@example([Fraction(1, 3)], [Fraction(-1, 2)], [1], False)
+def test_remainder_chain_ends_at_the_fraction_gcd(f, g, h, shared):
+    """The last member of the remainder chain of L*m and an integer
+    multiple of a (of degree < deg m) is gcd(a, m) up to a nonzero rational
+    factor: for m = f g with a = f h mod m, which shares f, and with a = h
+    mod m, mostly coprime to m; every remainder is a primitive integer
+    polynomial."""
+    f, g = tuple(map(Fraction, f)) + (Fraction(1),), tuple(map(Fraction, g)) + (Fraction(1),)
+    m = poly_mul(f, g)
+    a = poly_divmod(poly_mul(f, tuple(map(Fraction, h))) if shared else _trim(h), m)[1]
+    assume(a)
+    chain = _remainder_chain(_integer_multiple(m), _integer_multiple(a))
+    assert all(type(c) is int for q in chain for c in q)
+    assert all(math.gcd(*q) == 1 for q in chain[2:])
+    last = chain[-1]
+    assert tuple(Fraction(c, last[-1]) for c in last) == poly_gcd(a, m)
+
+
+@given(st.sampled_from([QQ] + ORACLE_FIELDS),
+       st.lists(_rationals | st.integers(-10**6, 10**6), max_size=12))
+@example(F5, [Fraction(1, 3)] + [0] * 9 + [7])
+@example(ORACLE_FIELDS[2], [1, 0, 0, 0, 1])
+def test_element_of_a_long_vector_is_the_fraction_remainder(field, coeffs):
+    """A vector longer than d reduces by a pseudo-remainder modulo L*m to
+    the canonical element of its remainder modulo m over Q."""
+    got = field.element(coeffs)
+    _assert_canonical(got)
+    assert got.coeffs == poly_divmod(tuple(map(Fraction, coeffs)), field.min_poly)[1]
 
 
 _int_coeffs = st.lists(st.integers(-10**12, 10**12) | st.booleans(), max_size=8)

@@ -522,6 +522,19 @@ def test_fixture_reports_match_golden(name):
     assert proc.stdout == expected
 
 
+def test_reducible_modulus_ends_in_typed_error_records(capsys):
+    """(x^2 - 2)(x^2 - 3) has no rational root, so it builds, with four
+    orderings; a form entry that is 0 at one of them is a zero divisor, and
+    each command that meets one ends in a ReducibleModulusError record that
+    names the factor, not in endless bisection.  Errors exit with code 3."""
+    assert main(["run", str(FIXTURES / "reducible_modulus.json")]) == 3
+    report = capsys.readouterr().out
+    assert report == (FIXTURES / "reducible_modulus.expected.json").read_text(encoding="utf-8")
+    errors = [r["error"] for r in json.loads(report) if r["status"] == "error"]
+    assert errors and all(e.startswith("ReducibleModulusError: ") and
+                          e.endswith("factor -3 + x^2") for e in errors)
+
+
 @pytest.mark.parametrize("workload", ["sig_tables", "cone_search", "small_forms"])
 def test_workload_reports_match_golden(workload):
     """The benchmark's session document for each workload at seed 1, from
@@ -769,19 +782,27 @@ def _verify_term(**changes):
      "weight_subset must be a list of integers"),
     (_verify_term(weight_subset=[True]), "certificate.terms[0].weight_subset",
      "weight_subset must be a list of integers"),
+    (dict(_verify_term(), certificate={"term": []}), "certificate.term", "unknown key 'term'"),
+    (_verify_term(weight_subst=[0]), "certificate.terms[0].weight_subst",
+     "unknown key 'weight_subst'"),
+    (dict(_verify_term(), copies=0), "copies", "a positive integer"),
+    (dict(_verify_term(), copies=-3, certificate={"terms": []}), "copies",
+     "a positive integer"),
 ], ids=["missing-ordering", "missing-ordering-eta-max", "misspelt-max-terms",
         "ordering-true", "orientation-true", "trials-zero", "trials-negative",
         "samples-zero", "max-terms-zero", "height-above-cap", "max-terms-above-cap",
         "slots-above-cap", "trials-above-cap", "samples-above-cap",
         "generator-index-true", "generator-index-string", "generator-index-missing",
-        "vector-missing", "weight-subset-string", "weight-subset-of-booleans"])
+        "vector-missing", "weight-subset-string", "weight-subset-of-booleans",
+        "certificate-key-misspelt", "term-key-misspelt", "copies-zero", "copies-negative"])
 def test_check_rejects_what_would_run_wrong(command, key, message, tmp_path, capsys):
     """Each of these used to pass `check` and then run on a silent default:
-    a dropped key, a misspelt key ignored, a boolean read as 1, or zero
-    trials reported as a pass; or run without bound, as a 24-slot sos-find
-    whose search pool holds 4^24 terms per vector; or fail as it ran, as a
-    certificate term with a string or no generator index (a TypeError or
-    KeyError record)."""
+    a dropped key, a misspelt key ignored (also in a certificate or its
+    terms), a boolean read as 1, zero trials reported as a pass, or the
+    zero element verified as a sum over -3 copies; or run without bound,
+    as a 24-slot sos-find whose search pool holds 4^24 terms per vector; or
+    fail as it ran, as a certificate term with a string or no generator
+    index (a TypeError or KeyError record), or one over 0 copies."""
     doc, path = _sqrt2_with(command)
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(doc), encoding="utf-8")
