@@ -18,10 +18,11 @@ algebra with its standard involution defined by two data, the products of
 its basis elements e_s e_t = c e_k and the diagonal norm form of Nrd.  F(sqrt(delta)) is the
 table sqrt(delta)^2 = delta with norms (1, -delta); (a, b)_F is the
 quaternion table with norms (1, -a, -b, ab).  Their entries are one class,
-``Entry``, and F and the ring share one protocol (``zero``, ``one``,
-``basis``, ``norms``, ``from_coords``, and entries with ``conj``, ``coords``,
-``trd``, ``is_zero``), so no code branches on the family name.  Everything
-is immutable and exact.
+``Entry``: one integer vector over one denominator, multiplied on the right
+through an integer matrix kept on the right operand.  F and the ring share
+one protocol (``zero``, ``one``, ``basis``, ``norms``, ``from_coords``, and
+entries with ``conj``, ``coords``, ``trd``, ``is_zero``), so no code
+branches on the family name.  Everything is immutable and exact.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
+from operator import add, mul, sub
 
-from .errors import AlgebraMismatchError, UnsupportedError
-from .field import FieldElement, NumberField, Ordering, sign_at
+from .errors import AlgebraMismatchError, FieldMismatchError, UnsupportedError
+from .field import FieldElement, NumberField, Ordering, _canonical, sign_at
 from .quadforms import diagonalize
 
 # ---------------------------------------------------------------------------
@@ -42,53 +44,128 @@ from .quadforms import diagonalize
 class EntryRing:
     """A composition algebra over F with its standard involution.
 
-    The F-basis is e_0 = 1, e_1, ..., e_{d-1}; conj fixes e_0 and negates
+    The F-basis is e_0 = 1, e_1, ..., e_{r-1}; conj fixes e_0 and negates
     the others, so Trd(x) = 2 x_0, and Nrd is the diagonal form
     sum norms[t] x_t^2.  A ring is given by its products e_s e_t = c e_k
-    for s, t >= 1 (``table[(s, t)] = (c, k)``, c in F or an integer) and
-    by ``norms``; rings over one field are equal when their norms are,
-    which determine the table of each constructor below.
+    for s, t >= 1 (``table[(s, t)] = (c, k)``, c in F or an integer; for
+    each s, t -> k is one-to-one) and by ``norms``; rings over one field are
+    equal when their norms are, which determine the table of each
+    constructor below.
+
+    An entry (`Entry`) is one integer vector over one denominator, and a
+    product x y is the integer right-multiplication matrix of y applied to
+    the vector of x.  That matrix is assembled block by block from the
+    multiplication matrices of the coordinates of y (`NumberField._columns`)
+    and the table: block (k, s) is the matrix of c y_t for e_s e_t = c e_k.
+    The table's constants are folded in once, here, for E the least common
+    denominator that makes every E c integral: ``_blocks[k][s]`` is
+    (t, f, i) with E c = f when c is rational (i None), else
+    E c = f * (the constant whose integer matrix on numerators is
+    ``_consts[i]``), f = +-1, each such constant kept once up to sign.  So
+    the matrix of y is over y.den * E * L^(d-1) (``_scale``).
     """
 
     def __init__(self, field: NumberField, norms: tuple, table: dict):
         self.field = field
         self.norms = norms
-        self.dim = d = len(norms)
+        self.dim = dim = len(norms)
+        deg = field.degree
+        scale = field._scaled_m[-1] ** (deg - 1)
+        products = {}  # (k, s) -> (t, c) for e_s e_t = c e_k
+        for s in range(dim):
+            for t in range(dim):
+                c, k = (1, s + t) if s == 0 or t == 0 else table[s, t]
+                products[k, s] = t, field.one * c
+        big = math.lcm(*(c.den * (1 if c.is_rational() else scale)
+                         for _, c in products.values()))
+        consts: list = []
 
-        def product(s, t):  # e_s e_t = sign c e_k as (k, sign, c), c None for +-1
-            c, k = (1, s + t) if s == 0 or t == 0 else table[s, t]
-            c = field.one * c
-            return k, -1 if c == -1 else 1, None if c in (1, -1) else c
+        def folded(t, c):
+            if c.is_rational():
+                return t, c.num[0] * (big // c.den), None
+            f = 1 if c.num[-1] > 0 else -1
+            rows, sc = (c * f)._matrix()
+            m = tuple(tuple(big // (c.den * sc) * v for v in row) for row in rows)
+            if m not in consts:
+                consts.append(m)
+            return t, f, consts.index(m)
 
-        self._mul = tuple(tuple(product(s, t) for t in range(d)) for s in range(d))
+        self._blocks = tuple(tuple(folded(*products[k, s]) for s in range(dim))
+                             for k in range(dim))
+        self._consts = tuple(consts)
+        self._scale = big * scale
+        self._zero_cols = [[0] * deg] * deg
+        self._width = dim * deg  # the length of an entry's vector
+        self._pads = tuple((0,) * (deg - i) for i in range(deg + 1))
         self._hash = hash((field, norms))
 
-    def dot(self, terms: Iterable[tuple], base: "Entry | None" = None) -> "Entry":
+    def dot(self, terms: Iterable[tuple], base: "Entry | None" = None,
+            scalar_only: bool = False) -> "Entry":
         """base + sum of sign * x * y over the (sign, x, y) in terms, None
-        standing for 0 (as `NumberField.dot`): one `NumberField.dot` per
-        coordinate, over the products of nonzero coordinates."""
-        out = [[] for _ in range(self.dim)]
+        standing for 0 (as `NumberField.dot`): each product is the matrix
+        of y (`Entry._matrix`) applied to the vector of x, or, for a y that
+        is an F-scalar and has no matrix yet, x scaled by y (`_scaled`); the
+        sum is taken over a common denominator and normalized once.  With
+        `scalar_only`, only the F-scalar coordinate of the sum is computed,
+        and the others are returned as 0: all of a sum known to be
+        conj-fixed, or what a reduced trace reads."""
+        d = self.field.degree
+        size = d if scalar_only else self._width
+        acc, den = (None, 1) if base is None else (list(base.num[:size]), base.den)
         for sign, x, y in terms:
-            # zero coordinates are common (scalars, basis entries): skip them
-            for xs, row in zip(x.c, self._mul):
-                if xs.num:
-                    for yt, (k, e, c) in zip(y.c, row):
-                        if yt.num:
-                            out[k].append((sign * e, xs if c is None else xs * c, yt))
-        dot = self.field.dot
-        return Entry(self, tuple([dot(t, b) for t, b in zip(
-            out, (None,) * self.dim if base is None else base.c)]))
+            xn, yn = x.num, y.num
+            if not any(xn) or not any(yn):
+                continue
+            if y._mat is None and not any(yn[d:]):
+                # F is central: no matrix is built for a scalar
+                c = y.c[0]
+                v, vden = _scaled(xn[:size], c, d)
+                vden *= x.den
+            else:
+                rows, mden = y._matrix()
+                v = [sum(map(mul, xn, row)) for row in rows[:size]]
+                vden = x.den * mden
+            if acc is None:
+                acc, den = v if sign > 0 else [-u for u in v], vden
+                continue
+            if vden != den:
+                g = math.gcd(den, vden)
+                if vden != g:
+                    acc = [u * (vden // g) for u in acc]
+                if den != g:
+                    v = [u * (den // g) for u in v]
+                den = den // g * vden
+            acc = list(map(add if sign > 0 else sub, acc, v))
+        if acc is None:
+            return self.zero
+        return _entry(self, acc + [0] * (self._width - size), den)
 
     def element(self, *coords) -> "Entry":
         cs = [c if isinstance(c, FieldElement) else self.field.element(c) for c in coords]
-        return Entry(self, tuple(cs) + (self.field.zero,) * (self.dim - len(cs)))
+        return self.from_coords(cs + [self.field.zero] * (self.dim - len(cs)))
 
     def from_coords(self, coords: Sequence[FieldElement]) -> "Entry":
-        return Entry(self, tuple(coords))
+        field, pads = self.field, self._pads
+        # with den the lcm of the coordinates' denominators, each in lowest
+        # terms, the vector is in lowest terms too
+        den = math.lcm(*[c.den for c in coords])
+        num: list[int] = []
+        for c in coords:
+            if c.field is not field and c.field != field:
+                raise FieldMismatchError("entry coordinates from a different field")
+            cn = c.num
+            if c.den != den:
+                f = den // c.den
+                cn = [v * f for v in cn]
+            num += cn
+            num += pads[len(cn)]
+        e = Entry(self, tuple(num), den)
+        e._c = tuple(coords)
+        return e
 
     @cached_property
     def zero(self) -> "Entry":
-        return self.element()
+        return Entry(self, (0,) * self._width, 1)
 
     @cached_property
     def one(self) -> "Entry":
@@ -139,57 +216,161 @@ class QuaternionAlgebra(EntryRing):
         return self.basis[3]
 
 
+def _scaled(num: Sequence[int], c: FieldElement, d: int) -> tuple[list[int], int]:
+    """The vector num of coordinates (blocks of d) times the nonzero c, over
+    a denominator that is the returned factor times that of num: a scaling,
+    or the multiplication matrix of c applied to each block."""
+    if len(c.num) == 1:
+        return [c.num[0] * v for v in num], c.den
+    rows, s = c._matrix()
+    return ([sum(map(mul, num[i:i + d], row)) for i in range(0, len(num), d) for row in rows],
+            c.den * s)
+
+
+def _entry(ring: EntryRing, num: list[int], den: int) -> "Entry":
+    """The entry num/den in lowest terms (the zero vector over 1)."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
+    return Entry(ring, tuple(num), den)
+
+
 class Entry:
-    """An element of an entry ring: its coordinates in the basis e_t."""
+    """An element of an entry ring: its F-coordinates x_0, ..., x_{r-1} in
+    the basis e_t as one integer vector over one denominator.  Coordinate t
+    is sum_i num[t d + i] x^i / den (d the degree of F), with den > 0 and
+    gcd(den, num) = 1, so the representation is canonical: equality is
+    equality of (num, den), and an entry equal to a scalar of F hashes like
+    it.  A product by the entry on the right is its integer
+    right-multiplication matrix over Q applied to a vector (`_matrix`,
+    assembled by `EntryRing`), built on first use and kept.  The
+    coordinates as field elements (``c``, `coords`) are a view, built on
+    first use and kept."""
 
-    __slots__ = ("ring", "c")
+    __slots__ = ("ring", "num", "den", "_c", "_mat")
 
-    def __init__(self, ring: EntryRing, c: tuple[FieldElement, ...]):
+    def __init__(self, ring: EntryRing, num: tuple[int, ...], den: int):
         self.ring = ring
-        self.c = c
+        self.num = num
+        self.den = den
+        self._c = None
+        self._mat = None
+
+    @property
+    def c(self) -> tuple[FieldElement, ...]:
+        if self._c is None:
+            field, num, den = self.ring.field, self.num, self.den
+            d = field.degree
+            self._c = tuple(_canonical(field, list(num[i:i + d]), den)
+                            for i in range(0, len(num), d))
+        return self._c
+
+    def _matrix(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The right-multiplication matrix of the entry and its
+        denominator: x y = (rows applied to x.num) / (x.den * mden).  Each
+        block is the column list of one coordinate's multiplication matrix
+        (`NumberField._columns`), of a folded constant times it, or the
+        negation of one, each made once; a block row is their transpose."""
+        if self._mat is None:
+            ring = self.ring
+            field, num = ring.field, self.num
+            d = field.degree
+            ys = [num[i:i + d] for i in range(0, len(num), d)]
+            made: dict = {}  # (t, f, i) -> the columns of the block
+            rows: list = []
+            for block_row in ring._blocks:
+                cols: list = []
+                for t, f, i in block_row:
+                    y = ys[t]
+                    if not any(y):
+                        cols += ring._zero_cols
+                        continue
+                    block = made.get((t, f, i))
+                    if block is None:
+                        block = made.get((t, 1, i))
+                        if block is None:
+                            w = y if i is None else [sum(map(mul, y, r)) for r in ring._consts[i]]
+                            block = made[t, 1, i] = field._columns(w)[0]
+                        if f != 1:
+                            block = made[t, f, i] = [[f * v for v in col] for col in block]
+                    cols += block
+                rows += zip(*cols)
+            self._mat = tuple(rows), self.den * ring._scale
+        return self._mat
+
+    def _scalar(self, other) -> "FieldElement | None":
+        if isinstance(other, FieldElement):
+            field = self.ring.field
+            if other.field is not field and other.field != field:
+                raise FieldMismatchError("elements of different fields")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.ring.field.element(other)
+        return None
 
     def _lift(self, other) -> "Entry | None":
         if isinstance(other, Entry):
             if other.ring is not self.ring and other.ring != self.ring:
                 raise AlgebraMismatchError("entries from different entry rings")
             return other
-        if isinstance(other, (FieldElement, int, Fraction)):
-            return self.ring.element(other)
-        return None
+        c = self._scalar(other)
+        return None if c is None else self.ring.element(c)
 
-    def __add__(self, other):
+    def _add(self, other, op) -> "Entry":
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Entry(self.ring, tuple(p + q for p, q in zip(self.c, o.c)))
+        a, da, b, db = self.num, self.den, o.num, o.den
+        if da != db:
+            g = math.gcd(da, db)
+            a = [v * (db // g) for v in a]
+            b = [v * (da // g) for v in b]
+            da = da // g * db
+        return _entry(self.ring, list(map(op, a, b)), da)
+
+    def __add__(self, other):
+        return self._add(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Entry(self.ring, tuple(-p for p in self.c))
+        return Entry(self.ring, tuple(-v for v in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Entry(self.ring, tuple(p - q for p, q in zip(self.c, o.c)))
+        return self._add(other, sub)
 
     def __mul__(self, other):
-        if isinstance(other, (FieldElement, int, Fraction)):
-            return Entry(self.ring, tuple(p * other for p in self.c))
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.ring.dot(((1, self, o),))
+        c = self._scalar(other)
+        if c is None:
+            o = self._lift(other)
+            return NotImplemented if o is None else self.ring.dot(((1, self, o),))
+        if not c.num:
+            return self.ring.zero
+        v, vden = _scaled(self.num, c, self.ring.field.degree)
+        return _entry(self.ring, v, self.den * vden)
 
     # F is central, so a scalar on the left acts as on the right.
     __rmul__ = __mul__
 
     def conj(self) -> "Entry":
-        return Entry(self.ring, (self.c[0],) + tuple(-p for p in self.c[1:]))
+        num, d = self.num, self.ring.field.degree
+        return Entry(self.ring, num[:d] + tuple(-v for v in num[d:]), self.den)
+
+    def mirrors(self, other: "Entry", skew: bool = False) -> bool:
+        """other == conj(self), or -conj(self) when skew, without building
+        either."""
+        if other.den != self.den:
+            return False
+        a, b, d = self.num, other.num, self.ring.field.degree
+        if skew:
+            return a[d:] == b[d:] and all(u == -v for u, v in zip(a[:d], b[:d]))
+        return a[:d] == b[:d] and all(u == -v for u, v in zip(a[d:], b[d:]))
 
     def trd(self) -> FieldElement:
-        return self.c[0] + self.c[0]
+        field = self.ring.field
+        return _canonical(field, [2 * v for v in self.num[:field.degree]], self.den)
 
     def nrd(self) -> FieldElement:
         return self.ring.field.dot([(1, p * n, p) for p, n in zip(self.c, self.ring.norms) if p.num])
@@ -198,19 +379,33 @@ class Entry:
         return self.conj() * self.nrd().inverse()
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.c)
+        return not any(self.num)
 
     def coords(self) -> tuple[FieldElement, ...]:
         return self.c
 
+    def scalar_part(self) -> FieldElement:
+        """x_0, without building the other coordinates."""
+        if self._c is not None:
+            return self._c[0]
+        field = self.ring.field
+        return _canonical(field, list(self.num[:field.degree]), self.den)
+
     def __eq__(self, other):
-        if isinstance(other, (FieldElement, int, Fraction)):
-            other = self.ring.element(other)
-        return (isinstance(other, Entry) and (other.ring is self.ring or other.ring == self.ring)
-                and other.c == self.c)
+        if not isinstance(other, Entry):
+            if isinstance(other, FieldElement) and other.field != self.ring.field:
+                return False
+            c = self._scalar(other)
+            if c is None:
+                return NotImplemented
+            other = self.ring.element(c)
+        return (other.num == self.num and other.den == self.den
+                and (other.ring is self.ring or other.ring == self.ring))
 
     def __hash__(self):
-        return hash((self.ring, self.c))
+        # an entry equal to a scalar of F hashes like it
+        num, d = self.num, self.ring.field.degree
+        return hash((num, self.den)) if any(num[d:]) else hash(self.scalar_part())
 
     def __repr__(self):
         return f"Entry({', '.join(map(repr, self.c))})"

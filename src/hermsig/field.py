@@ -33,6 +33,10 @@ from .errors import FieldMismatchError, ReducibleModulusError
 
 RationalLike = int | str | Fraction
 
+# A float has no exact decimal meaning (0.1 is 3602879701896397 / 2^55), so
+# element coefficients refuse it.
+_NOT_A_FLOAT = "coefficients must be int, str or Fraction, not float"
+
 # ---------------------------------------------------------------------------
 # Dense polynomials over Q: tuples of Fractions, constant term first,
 # trailing zeros stripped; () is the zero polynomial.
@@ -213,11 +217,11 @@ class NumberField:
         # session.parse_element for the document that built this field
         self._parsed: dict[tuple[str, str], FieldElement] = {}
 
-    def _reduce(self, num: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The multiplication matrix of the integer polynomial num of degree
-        < d: rows R and the scale s = L^(d-1), with x^j num congruent to
-        sum_i R[i][j] x^i / s.  Column j + 1 is x times column j minus C/L
-        times L*m, for C the top coefficient: s times a multiple of 1/L^j."""
+    def _columns(self, num: Sequence[int]) -> tuple[list[list[int]], int]:
+        """The columns of the multiplication matrix of the integer polynomial
+        num of degree < d, and the scale s = L^(d-1): column j is x^j num
+        times s, reduced.  Column j + 1 is x times column j minus C/L times
+        L*m, for C the top coefficient: s times a multiple of 1/L^j."""
         *tail, lead = self._scaled_m
         d = self.degree
         s = lead ** (d - 1)
@@ -227,6 +231,12 @@ class NumberField:
             c = col[-1] // lead
             col = [v - c * t for v, t in zip([0, *col], tail)]
             cols.append(col)
+        return cols, s
+
+    def _reduce(self, num: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The multiplication matrix of num (`_columns`) by rows R, with
+        x^j num congruent to sum_i R[i][j] x^i / s."""
+        cols, s = self._columns(num)
         return tuple(zip(*cols)), s
 
     @cached_property
@@ -237,10 +247,14 @@ class NumberField:
     def element(self, coeffs: RationalLike | Iterable[RationalLike]) -> "FieldElement":
         if isinstance(coeffs, (int, str, Fraction)):
             coeffs = [coeffs]
+        elif isinstance(coeffs, float):
+            raise TypeError(_NOT_A_FLOAT)
         vec = list(coeffs)
         if len(vec) <= self.degree and all(type(c) is int for c in vec):
             # already reduced, with integer coefficients: the numerators over 1
             return _canonical(self, vec, 1)
+        if any(isinstance(c, float) for c in vec):
+            raise TypeError(_NOT_A_FLOAT)
         vec = [Fraction(c) for c in vec]
         den = math.lcm(*(c.denominator for c in vec))
         num = [c.numerator * (den // c.denominator) for c in vec]
@@ -555,7 +569,10 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElement):
-            return isinstance(other, (int, Fraction)) and self == self._lift(other)
+            # another type (an entry of a ring over this field) answers itself
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self == self._lift(other)
         return (other.num == self.num and other.den == self.den
                 and (other.field is self.field or other.field == self.field))
 
@@ -678,12 +695,17 @@ def sign_at(a: FieldElement, ordering: Ordering) -> int:
 
     The numerator polynomial is evaluated over the current root interval
     [L/D, H/D] by integer interval Horner: step j adds num[j] * D^(e-j),
-    so the enclosure is the rational one times D^e > 0.  While it contains
-    0 the interval is bisected; the zero test (`_zero_test`, a sign change
-    of gcd(L*m, num) over the defining interval) runs once, before the
-    first bisection, because refinement never ends on a true zero.  Only
-    the zero element has sign 0: a nonzero element that is 0 at the
-    ordering proves m reducible and raises ReducibleModulusError.
+    so the enclosure is the rational one times D^e > 0.  Each step bounds
+    v t, for v in the running enclosure and t in [L, H], by a corner of the
+    box: on an interval on one side of 0 the sign of each bound of v picks
+    its corner, two products per coefficient; on one that straddles 0 the
+    bounds are the least and greatest of the four products.  While the
+    enclosure contains 0 the interval is bisected; the zero test
+    (`_zero_test`, a sign change of gcd(L*m, num) over the defining
+    interval) runs once, before the first bisection, because refinement
+    never ends on a true zero.  Only the zero element has sign 0: a nonzero
+    element that is 0 at the ordering proves m reducible and raises
+    ReducibleModulusError.
     """
     if a.field != ordering.field:
         raise FieldMismatchError("element and ordering belong to different fields")
@@ -697,11 +719,29 @@ def sign_at(a: FieldElement, ordering: Ordering) -> int:
         lo_end, hi_end, dd = ordering._L, ordering._H, ordering._D
         vlo = vhi = 0
         pw = 1
-        for c in reversed(num):
-            cands = (vlo * lo_end, vlo * hi_end, vhi * lo_end, vhi * hi_end)
-            c *= pw
-            vlo, vhi = min(cands) + c, max(cands) + c
-            pw *= dd
+        if lo_end >= 0:
+            # t >= 0 on the interval: v t is least at (vlo, lo) when vlo >= 0,
+            # else at (vlo, hi); greatest at (vhi, hi) when vhi >= 0, else
+            # at (vhi, lo)
+            for c in reversed(num):
+                c *= pw
+                vlo, vhi = (vlo * (lo_end if vlo >= 0 else hi_end) + c,
+                            vhi * (hi_end if vhi >= 0 else lo_end) + c)
+                pw *= dd
+        elif hi_end <= 0:
+            # t <= 0: the mirror image, least at (vhi, lo) or (vhi, hi) and
+            # greatest at (vlo, hi) or (vlo, lo)
+            for c in reversed(num):
+                c *= pw
+                vlo, vhi = (vhi * (lo_end if vhi >= 0 else hi_end) + c,
+                            vlo * (hi_end if vlo >= 0 else lo_end) + c)
+                pw *= dd
+        else:
+            for c in reversed(num):
+                cands = (vlo * lo_end, vlo * hi_end, vhi * lo_end, vhi * hi_end)
+                c *= pw
+                vlo, vhi = min(cands) + c, max(cands) + c
+                pw *= dd
         if vlo > 0:
             return 1
         if vhi < 0:

@@ -24,6 +24,7 @@ from functools import cached_property
 from .algebras import (
     AlgebraElement,
     AlgebraWithInvolution,
+    Entry,
     SplitIsomorphism,
     is_invertible,
 )
@@ -47,7 +48,10 @@ class HermitianForm:
 
     def __init__(self, algebra: AlgebraWithInvolution, rows: Sequence[Sequence]):
         self.algebra = algebra
-        gram = tuple(tuple(algebra.entry(v) for v in row) for row in rows)
+        ring, entry = algebra.ring, algebra.entry
+        # entries of the ring (as the session parser gives) are taken as they are
+        gram = tuple(tuple(v if type(v) is Entry and v.ring is ring else entry(v) for v in row)
+                     for row in rows)
         size = len(gram)
         if any(len(row) != size for row in gram):
             raise ValueError("Gram matrix must be square")
@@ -56,14 +60,14 @@ class HermitianForm:
         # gram (also rows), size, ring and field: the input of diagonalize
         self.gram = self.rows = gram
         self.size = size
-        self.ring, self.field = algebra.ring, algebra.field
-        sign = -1 if algebra.skew_gram else 1
+        self.ring, self.field = ring, algebra.field
+        skew = algebra.skew_gram
         for r in range(size):
             for c in range(r, size):
-                lhs = gram[c][r].conj()
-                rhs = gram[r][c] if sign == 1 else -gram[r][c]
-                if lhs != rhs:
-                    kind = "skew-hermitian" if sign == -1 else "hermitian"
+                # conj is the identity on F, and no F-Gram is skew
+                if not (gram[r][c] == gram[c][r] if ring is self.field
+                        else gram[r][c].mirrors(gram[c][r], skew)):
+                    kind = "skew-hermitian" if skew else "hermitian"
                     raise ValueError(f"Gram matrix is not {kind} at ({r}, {c})")
 
     @classmethod
@@ -164,7 +168,9 @@ def _carrier(h: HermitianForm, ordering: Ordering) -> Sequence[FieldElement]:
     u = h.algebra.twist_at(ordering)
     values = []
     for q in pivots:
-        t, n = (u * q).trd(), q.nrd()
+        # Trd(u q) = Trd(q u): u, a basis entry, keeps its matrix, and the
+        # trace reads only the F-scalar coordinate
+        t, n = h.ring.dot(((1, q, u),), scalar_only=True).trd(), q.nrd()
         values += (n, -n) if t.is_zero() else (t, t * n)
     return values
 

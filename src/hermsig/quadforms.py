@@ -138,9 +138,12 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
     lam the first basis entry that makes the new m_ii = c lam +- conj(c lam)
     nonzero.  Each pivot d replaces the trailing block by its Schur
     complement m_rs - m_rp d^-1 m_ps on the lower triangle, mirrored.  Each
-    coordinate of m_rs - t m_ps, t = m_rp d^-1, is one multiply-accumulate
-    over F (`ring.dot`), normalized once, by the multiplication
-    matrices of the coordinates of m_ps, built once for every later row.
+    m_rs - t m_ps, t = m_rp d^-1, is one multiply-accumulate (`ring.dot`),
+    normalized once: over an entry ring, the right-multiplication matrix of
+    m_ps (`algebras.Entry`) applied to t, built once for every later row.
+    On a hermitian Gram over an entry ring the diagonal one,
+    m_rr - Nrd(m_rp) d^-1, is conj-fixed, so only its F-scalar coordinate
+    is computed.
 
     A skew pivot q with Nrd(q) = 0 is nilpotent (q^2 = -Nrd(q)) and has no
     inverse.  If q m_pr = 0 for every later row r, each m_pr lies in qD,
@@ -226,7 +229,7 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
         rp = order[p]
         mp = m[rp]
         rest = order[p + 1:]
-        d = mp[rp] if scalar or skew else mp[rp].coords()[0]
+        d = mp[rp] if scalar or skew else mp[rp].scalar_part()
         if skew and d.nrd().is_zero():
             r = next((r for r in rest if not (d * mp[r]).is_zero()), None)
             if r is None:
@@ -247,11 +250,16 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
             if a.is_zero():
                 continue
             t = a * inv
-            for s in rest[:idx + 1]:
+            for s in rest[:idx]:
                 b = mp[s]
                 if not b.is_zero():
                     v = mr[s] = ring.dot(((-1, t, b),), mr[s])
                     m[s][r] = v if scalar else (-v.conj() if skew else v.conj())
+            if scalar or skew:
+                mr[r] = ring.dot(((-1, t, mp[r]),), mr[r])
+            else:
+                # m_rr - a d^-1 conj(a) = m_rr - Nrd(a) d^-1 is conj-fixed
+                mr[r] = ring.dot(((-1, t, mp[r]),), mr[r], scalar_only=True)
             if scol is not None:
                 # e_r <- e_r - e_p d^-1 m_pr, and d^-1 m_pr = conj(t)
                 tc = t if scalar else t.conj()

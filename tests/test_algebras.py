@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -458,6 +459,135 @@ def test_table_products_match_closed_forms(case):
         inv = n.inverse()
         assert x.inverse().coords() == (p[0] * inv,) + tuple(-v * inv for v in p[1:])
         assert x * x.inverse() == ring.one == x.inverse() * x
+
+
+# The coordinate-wise reference for entry arithmetic: the table loop that
+# EntryRing.dot ran before entries multiplied through one integer matrix,
+# over the multiplication tables of the two constructors, on coordinates.
+def _reference_table(ring):
+    if isinstance(ring, QuaternionAlgebra):
+        a, b = ring.a, ring.b
+        table = {(1, 1): (a, 0), (1, 2): (1, 3), (1, 3): (a, 2),
+                 (2, 1): (-1, 3), (2, 2): (b, 0), (2, 3): (-b, 1),
+                 (3, 1): (-a, 2), (3, 2): (b, 1), (3, 3): (-a * b, 0)}
+        norms = (1, -a, -b, a * b)
+    else:
+        table, norms = {(1, 1): (ring.delta, 0)}, (1, -ring.delta)
+    return table, tuple(ring.field.one * n for n in norms)
+
+
+def _reference_dot(ring, terms, base=None):
+    """base + sum of sign * x * y, coordinate by coordinate."""
+    table, _ = _reference_table(ring)
+    out = list(base.coords()) if base is not None else [ring.field.zero] * ring.dim
+    for sign, x, y in terms:
+        for s, xs in enumerate(x.coords()):
+            for t, yt in enumerate(y.coords()):
+                c, k = (1, s + t) if s == 0 or t == 0 else table[s, t]
+                out[k] = out[k] + xs * yt * c * sign
+    return tuple(out)
+
+
+_with_denominators = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _entry_arithmetic_case(draw):
+    """A ring over Q, Q(sqrt 2) or F5 whose parameters have denominators,
+    a pool of entries (some F-scalars, some zero), a base and signed terms."""
+    field = draw(st.sampled_from([QQ, SQRT2, F5]))
+
+    def element(nonzero=False):
+        e = field.element(draw(st.lists(_with_denominators, min_size=1,
+                                        max_size=field.degree)))
+        return field.one / 3 if nonzero and e.is_zero() else e
+
+    if draw(st.booleans()):
+        ring = QuaternionAlgebra(field, element(True), element(True))
+    else:
+        ring = QuadExtension(field, element(True))
+
+    def entry():
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            return ring.zero
+        if kind == 1:  # an F-scalar
+            return ring.element(element())
+        return ring.from_coords([element() for _ in range(ring.dim)])
+
+    pool = [entry() for _ in range(4)]
+    terms = [(draw(st.sampled_from([1, -1])), draw(st.sampled_from(pool)),
+              draw(st.sampled_from(pool))) for _ in range(draw(st.integers(1, 4)))]
+    base = draw(st.sampled_from([None] + pool))
+    return ring, pool, terms, base
+
+
+def _assert_canonical_entry(e):
+    assert e.den > 0 and math.gcd(e.den, *e.num) == 1
+    assert len(e.num) == e.ring.dim * e.ring.field.degree
+
+
+@settings(max_examples=150, deadline=None)
+@given(_entry_arithmetic_case())
+def test_entry_arithmetic_matches_the_coordinate_reference(case):
+    """Products, multiply-accumulates, conj, Trd, Nrd, inverses, equality
+    and hashing of entries agree with coordinate-wise arithmetic over F,
+    whether the right operand's matrix is built or not."""
+    ring, pool, terms, base = case
+    field = ring.field
+    _, norms = _reference_table(ring)
+    got = ring.dot(terms, base)
+    _assert_canonical_entry(got)
+    assert got.coords() == _reference_dot(ring, terms, base)
+    for x in pool:
+        _assert_canonical_entry(x)
+        p = x.coords()
+        for y in pool:
+            want = _reference_dot(ring, [(1, x, y)])
+            assert (x * y).coords() == want
+            assert ring.dot(((1, x, y),), scalar_only=True) == ring.element(want[0])
+            y._matrix()  # the same product through the built matrix
+            assert (x * y).coords() == want
+            assert x.mirrors(y) == (y == x.conj())
+            assert x.mirrors(y, skew=True) == (y == -x.conj())
+        assert x.conj().coords() == (p[0],) + tuple(-v for v in p[1:])
+        assert x.mirrors(x.conj()) and x.mirrors(-x.conj(), skew=True)
+        assert x.trd() == p[0] + p[0] and x.scalar_part() == p[0]
+        n = sum((v * v * c for v, c in zip(p, norms)), field.zero)
+        assert x.nrd() == n
+        assert ring.dot(((1, x, x.conj()),), scalar_only=True) == ring.element(n)
+        if n.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        else:
+            inv = x.inverse()
+            assert inv.coords() == tuple(v / n for v in x.conj().coords())
+            assert x * inv == ring.one == inv * x
+        # equal however built, and equal entries hash alike
+        twin = ring.from_coords(list(p))
+        other = (x + pool[0]) - pool[0]
+        assert twin == x == other and hash(twin) == hash(x) == hash(other)
+        assert (x == pool[1]) == (p == pool[1].coords())
+        if all(v.is_zero() for v in p[1:]):
+            assert x == p[0] and p[0] == x and hash(x) == hash(p[0])
+        else:
+            assert x != p[0] and p[0] != x
+
+
+def test_an_entry_equal_to_a_scalar_hashes_like_it():
+    """Q.element(3) == F.element(3) held, but the two hashed differently,
+    so a set of both had two members."""
+    quat = QuaternionAlgebra(SQRT2, SQRT2.element(-1), SQRT2.element(-1))
+    three = SQRT2.element(3)
+    assert quat.element(3) == three and three == quat.element(3)
+    assert hash(quat.element(3)) == hash(three) == hash(3)
+    assert len({quat.element(3), three}) == len({three, quat.element(3)}) == 1
+    half_x = SQRT2.element([0, Fraction(1, 2)])
+    assert quat.element(half_x) == half_x and hash(quat.element(half_x)) == hash(half_x)
+    assert quat.element(Fraction(-2, 3)) == Fraction(-2, 3)
+    assert hash(quat.element(Fraction(-2, 3))) == hash(Fraction(-2, 3))
+    assert quat.i != three and three != quat.i and quat.element(3) != SQRT2.element(2)
+    assert quat.element(3) != NumberField([-3, 0, 1]).element(3)
 
 
 def rank_is_invertible(x):

@@ -280,6 +280,15 @@ def test_dividing_an_unsupported_operand_by_an_element_is_a_type_error():
     assert 2 / SQRT2.gen == SQRT2.gen and Fraction(1, 2) / SQRT2.gen == SQRT2.gen / 4
 
 
+@pytest.mark.parametrize("coeffs", [0.1, [0.1, 1], [1, 2, 0.5], [Fraction(1, 3), 2.0]])
+def test_element_refuses_a_float(coeffs):
+    """element([0.1, 1]) took the binary value of 0.1, 3602879701896397 /
+    2^55, and element(0.1) failed with "'float' object is not iterable"."""
+    with pytest.raises(TypeError, match=r"^coefficients must be int, str or Fraction, not float$"):
+        SQRT2.element(coeffs)
+    assert SQRT2.element(["0.1", 1]) == SQRT2.element([Fraction(1, 10), 1])
+
+
 def test_sign_multiplicative_on_samples():
     rng = random.Random(7)
     elems = [SQRT2.element([rng.randint(-4, 4), rng.randint(-4, 4)]) for _ in range(30)]
@@ -615,8 +624,33 @@ def _sign_case(draw, count=6):
     return m, vecs
 
 
+QUINTIC = (1, 3, -3, -4, 1, 1)
+ONE_REAL_ROOT = (Fraction(-1, 5), Fraction(-1, 3), 0, 1)
+
+
+def test_sign_examples_cover_each_side_of_zero():
+    """The examples below reach both two-product forms of `sign_at` and the
+    four-product one: the quintic's root intervals lie left of 0 (orderings
+    0-2) and right of it (3-4), and the cubic with one real root keeps the
+    interval (-B, B), which straddles 0, until its first bisection."""
+    quintic, cubic = lazy_field(QUINTIC), lazy_field(ONE_REAL_ROOT)
+    assert [p._H <= 0 for p in quintic.orderings] == [True] * 3 + [False] * 2
+    assert [p._L >= 0 for p in quintic.orderings] == [False] * 3 + [True] * 2
+    (root,) = cubic.orderings
+    assert root._L < 0 < root._H
+
+
 @given(_sign_case(), st.randoms(use_true_random=False))
+@example((QUINTIC, [(1, -2, 0, 1, 0), (Fraction(-7, 3), 0, 5, 0, -1), (0, 1),
+                    (3, Fraction(1, 2), -4, 0, 1), (-1, 0, 2, 1, -1), (0, 0, 1, -3)]),
+         random.Random(0))
+@example((ONE_REAL_ROOT, [(0, 1), (1, -3, 2), (Fraction(-1, 2), 0, 1), (2, 1, -1),
+                          (0, -5, 3), (Fraction(1, 7), 1)]),
+         random.Random(1))
 def test_sign_at_matches_fraction_oracle_in_any_query_order(case, rng):
+    """Signs and refinements match the Fraction oracle, whichever order the
+    queries come in, on root intervals left of 0, right of 0 and across
+    it (`test_sign_examples_cover_each_side_of_zero`)."""
     m, vecs = case
     queries = [(i, k) for i in range(len(vecs))
                for k in range(len(lazy_field(m).orderings))]

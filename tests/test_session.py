@@ -494,7 +494,8 @@ def test_subprocess_determinism(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["full_session", "sqrt2_session", "quintic_session",
-                                  "skew_session", "morita_session", "sos_bound_session"])
+                                  "skew_session", "morita_session", "sos_bound_session",
+                                  "entry_rings_session"])
 def test_fixture_reports_match_golden(name):
     """`hermsig run` on each fixture reproduces its recorded report byte for
     byte; the .expected.json files were written before the integer-numerator
@@ -510,7 +511,10 @@ def test_fixture_reports_match_golden(name):
     written while the cone, Morita and transfer layers still took a
     reference form and D's was transported from M_n(D)'s.  The sos_bound
     one, over the quintic, was written before the sos-find search had its
-    value bound: 1000 at the defaults then took 14 s to give `unknown`."""
+    value bound: 1000 at the defaults then took 14 s to give `unknown`.
+    The entry_rings one, over the quintic, was written while an entry
+    product was one field product per pair of coordinates: Grams of size 4
+    to 8 over F(sqrt(x - 3/2)), (-1/2, x)_F and (1, x)_F, and one at n = 2."""
     import subprocess
     import sys
 
@@ -943,7 +947,8 @@ def test_sos_find_certificate_verifies_with_the_same_keys(family, params, elemen
 
 
 @pytest.mark.parametrize("name", ["full_session", "sqrt2_session", "quintic_session",
-                                  "skew_session", "morita_session", "sos_bound_session"])
+                                  "skew_session", "morita_session", "sos_bound_session",
+                                  "entry_rings_session"])
 def test_fixture_reports_do_not_read_the_trace_form(monkeypatch, name):
     """Every command reads the congruence kernel: each golden report is
     reproduced with the trace form of a hermitian form unavailable."""
