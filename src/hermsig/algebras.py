@@ -75,24 +75,26 @@ class EntryRing:
         for s in range(dim):
             for t in range(dim):
                 c, k = (1, s + t) if s == 0 or t == 0 else table[s, t]
-                products[k, s] = t, field.one * c
+                # an element of F, or a rational made one: no product by field.one
+                products[k, s] = t, field.zero._lift(c)
         big = math.lcm(*(c.den * (1 if c.is_rational() else scale)
                          for _, c in products.values()))
-        consts: list = []
+        consts: list = []  # the non-rational constants, each once up to sign
 
         def folded(t, c):
             if c.is_rational():
                 return t, c.num[0] * (big // c.den), None
             f = 1 if c.num[-1] > 0 else -1
-            rows, sc = (c * f)._matrix()
-            m = tuple(tuple(big // (c.den * sc) * v for v in row) for row in rows)
-            if m not in consts:
-                consts.append(m)
-            return t, f, consts.index(m)
+            if f < 0:
+                c = -c
+            if c not in consts:
+                consts.append(c)
+            return t, f, consts.index(c)
 
         self._blocks = tuple(tuple(folded(*products[k, s]) for s in range(dim))
                              for k in range(dim))
-        self._consts = tuple(consts)
+        self._consts = tuple(tuple(tuple(big // (c.den * sc) * v for v in row) for row in rows)
+                             for c in consts for rows, sc in [c._matrix()])
         self._scale = big * scale
         self._zero_cols = [[0] * deg] * deg
         self._width = dim * deg  # the length of an entry's vector
@@ -219,12 +221,19 @@ class QuaternionAlgebra(EntryRing):
 def _scaled(num: Sequence[int], c: FieldElement, d: int) -> tuple[list[int], int]:
     """The vector num of coordinates (blocks of d) times the nonzero c, over
     a denominator that is the returned factor times that of num: a scaling,
-    or the multiplication matrix of c applied to each block."""
+    c scaled by each coordinate when all are rational, or the
+    multiplication matrix of c applied to each block."""
     if len(c.num) == 1:
         return [c.num[0] * v for v in num], c.den
+    blocks = range(0, len(num), d)
+    if not any(any(num[i + 1:i + d]) for i in blocks):
+        pad, out = [0] * (d - len(c.num)), []
+        for i in blocks:
+            out += [num[i] * w for w in c.num]
+            out += pad
+        return out, c.den
     rows, s = c._matrix()
-    return ([sum(map(mul, num[i:i + d], row)) for i in range(0, len(num), d) for row in rows],
-            c.den * s)
+    return [sum(map(mul, num[i:i + d], row)) for i in blocks for row in rows], c.den * s
 
 
 def _entry(ring: EntryRing, num: list[int], den: int) -> "Entry":

@@ -8,8 +8,8 @@ computation error (any error record).
 
 from __future__ import annotations
 
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .cones import (
     MAX_SEARCH_HEIGHT,
@@ -59,6 +59,36 @@ from .spectra import (
 )
 
 
+def _json(v, nl: str) -> str:
+    """v as json.dumps(v, indent=2, sort_keys=True) writes it, nested at the
+    line break and indent nl.  The types a report carries, and no subclass
+    of them: str (ASCII-escaped by the stdlib's C encoder), int, bool,
+    None, list, tuple and dict with str keys; any other value raises
+    TypeError."""
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_json(x, inner) for x in v]) + nl + "]"
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = nl + "  "
+        # a key that is not a str fails in the sort or in the quoting
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json(v[k], inner) for k in sorted(v)]) + nl + "}"
+    if v is None:
+        return "null"
+    if t is bool:
+        return "true" if v else "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 class Report:
     def __init__(self, records: list[dict]):
         self.records = records
@@ -68,15 +98,14 @@ class Report:
         return any(r.get("status") == "error" for r in self.records)
 
     def to_json(self) -> str:
-        return json.dumps(self.records, indent=2, sort_keys=True) + "\n"
+        return _json(self.records, "\n") + "\n"
 
     def to_table(self) -> str:
         lines = []
         for rec in self.records:
             lines.append(f"[{rec['index']}] {rec['op']}: {rec['status']}")
             body = rec.get("error") if rec["status"] == "error" else rec.get("result")
-            for line in json.dumps(body, indent=2, sort_keys=True).splitlines():
-                lines.append("    " + line)
+            lines.append("    " + _json(body, "\n    "))
         return "\n".join(lines) + "\n"
 
 

@@ -50,8 +50,9 @@ class HermitianForm:
         self.algebra = algebra
         ring, entry = algebra.ring, algebra.entry
         # entries of the ring (as the session parser gives) are taken as they are
-        gram = tuple(tuple(v if type(v) is Entry and v.ring is ring else entry(v) for v in row)
-                     for row in rows)
+        gram = tuple(tuple(v if type(v) is Entry and v.ring is ring
+                           or type(v) is FieldElement and v.field is ring else entry(v)
+                           for v in row) for row in rows)
         size = len(gram)
         if any(len(row) != size for row in gram):
             raise ValueError("Gram matrix must be square")
@@ -114,6 +115,12 @@ class HermitianForm:
         """The congruence kernel on the entry Gram."""
         return diagonalize(self)
 
+    @cached_property
+    def _pivot_norms(self) -> tuple[FieldElement, ...]:
+        """Nrd of each kernel pivot: the pure pivots of a skew Gram, which
+        the carrier reads at every ordering."""
+        return tuple(q.nrd() for q in self._kernel.pivots)
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, HermitianForm) and other.algebra == self.algebra
                 and other.gram == self.gram)
@@ -167,10 +174,10 @@ def _carrier(h: HermitianForm, ordering: Ordering) -> Sequence[FieldElement]:
         return pivots
     u = h.algebra.twist_at(ordering)
     values = []
-    for q in pivots:
+    for q, n in zip(pivots, h._pivot_norms):
         # Trd(u q) = Trd(q u): u, a basis entry, keeps its matrix, and the
         # trace reads only the F-scalar coordinate
-        t, n = h.ring.dot(((1, q, u),), scalar_only=True).trd(), q.nrd()
+        t = h.ring.dot(((1, q, u),), scalar_only=True).trd()
         values += (n, -n) if t.is_zero() else (t, t * n)
     return values
 
@@ -192,11 +199,10 @@ def raw_signature(h: HermitianForm, ordering: Ordering) -> int:
 def _nondegenerate_dim(h: HermitianForm) -> int:
     """F-dimension of the nondegenerate part of h: entry_dim per pivot, but
     2 for a quat_skew pivot with Nrd = 0, whose qD has dimension 2."""
-    pivots = h._kernel.pivots
     ed = h.algebra.entry_dim
     if not h.skew:
-        return len(pivots) * ed
-    return sum(2 if q.nrd().is_zero() else ed for q in pivots)
+        return len(h._kernel.pivots) * ed
+    return sum(2 if n.is_zero() else ed for n in h._pivot_norms)
 
 
 def witt_rank(h: HermitianForm) -> int:

@@ -22,11 +22,20 @@ from .field import FieldElement, NumberField, render_element
 from .hermitian import HermitianForm, going_up_algebra
 from .quadforms import GramQuadraticForm, QuadraticForm
 
+
+def _at(path) -> str:
+    """A JSON path given as a string, or as (path, index, ...) and formatted
+    only when a message needs it."""
+    if isinstance(path, str):
+        return path
+    return _at(path[0]) + "".join(f"[{i}]" for i in path[1:])
+
+
 class SessionParseError(Exception):
-    def __init__(self, message: str, path: str = "", line: int | None = None,
+    def __init__(self, message: str, path: str | tuple = "", line: int | None = None,
                  col: int | None = None):
         self.message = message
-        self.path = path
+        self.path = path = _at(path)
         self.line = line
         self.col = col
         where = path or (f"line {line}, column {col}" if line else "")
@@ -43,7 +52,7 @@ MAX_EXPONENT = 64  # the largest n in "^n", and of a product of nested exponents
 class _ExprParser:
     """Recursive descent over tokens, each lexed once (`advance`)."""
 
-    def __init__(self, text: str, gen_name: str, field: NumberField, path: str):
+    def __init__(self, text: str, gen_name: str, field: NumberField, path):
         self.text = text
         self.gen_name = gen_name
         self.field = field
@@ -154,21 +163,22 @@ class _ExprParser:
         return int(digits or 0)
 
 
-def parse_element(value, field: NumberField, gen_name: str, path: str) -> FieldElement:
+def parse_element(value, field: NumberField, gen_name: str, path) -> FieldElement:
     """The element an expression or integer denotes.  Each distinct string
     is parsed once per field, that is once per document: the result is kept
     on the field under (value, gen_name).  A failure is not kept, so each
-    bad occurrence reports its own path."""
-    if isinstance(value, bool):
-        raise SessionParseError("expected an element expression", path)
-    if isinstance(value, int):
-        return field.element(value)
+    bad occurrence reports its own path (`_at`: a string, or a tuple that
+    only an error formats)."""
     if isinstance(value, str):
         key = (value, gen_name)
         element = field._parsed.get(key)
         if element is None:
             element = field._parsed[key] = _ExprParser(value, gen_name, field, path).parse()
         return element
+    if isinstance(value, bool):
+        raise SessionParseError("expected an element expression", path)
+    if isinstance(value, int):
+        return field.element(value)
     raise SessionParseError("expected an element expression (string or integer)", path)
 
 
@@ -265,27 +275,27 @@ def _parse_algebra(spec, field: NumberField, gen: str, path: str) -> tuple[str, 
     return name, algebra
 
 
-def _parse_entry(value, algebra: AlgebraWithInvolution, gen: str, path: str):
-    ed = algebra.entry_dim
+def _parse_entry(value, algebra: AlgebraWithInvolution, gen: str, path):
+    ed, field = algebra.entry_dim, algebra.field
     if ed == 1 or not isinstance(value, list):
         # bare expressions denote scalar entries in any family
-        return algebra.entry(parse_element(value, algebra.field, gen, path))
+        e = parse_element(value, field, gen, path)
+        return e if ed == 1 else algebra.ring.from_coords([e] + [field.zero] * (ed - 1))
     if len(value) != ed:
         raise SessionParseError(
             f"{algebra.family} entries are {ed}-component coordinate lists", path)
-    coords = [parse_element(v, algebra.field, gen, f"{path}[{i}]")
-              for i, v in enumerate(value)]
-    return algebra.entry(coords)
+    return algebra.ring.from_coords(
+        [parse_element(v, field, gen, (path, i)) for i, v in enumerate(value)])
 
 
 def parse_algebra_element(value, algebra: AlgebraWithInvolution, gen: str,
-                          path: str) -> AlgebraElement:
+                          path) -> AlgebraElement:
     n = algebra.n
     if not isinstance(value, list) or len(value) != n \
             or any(not isinstance(r, list) or len(r) != n for r in value):
         raise SessionParseError(f"expected an {n}x{n} entry matrix", path)
-    rows = [[_parse_entry(value[r][c], algebra, gen, f"{path}[{r}][{c}]")
-             for c in range(n)] for r in range(n)]
+    rows = [[_parse_entry(v, algebra, gen, (path, r, c)) for c, v in enumerate(row)]
+            for r, row in enumerate(value)]
     try:
         return AlgebraElement(algebra, rows)
     except Exception as exc:
@@ -293,11 +303,11 @@ def parse_algebra_element(value, algebra: AlgebraWithInvolution, gen: str,
 
 
 def parse_diagonal(values: list, algebra: AlgebraWithInvolution, gen: str,
-                   path: str) -> list:
+                   path) -> list:
     """The diagonal of <a_1, ..., a_k>: entries when n = 1, else entry
     matrices."""
     parse = _parse_entry if algebra.n == 1 else parse_algebra_element
-    return [parse(v, algebra, gen, f"{path}[{i}]") for i, v in enumerate(values)]
+    return [parse(v, algebra, gen, (path, i)) for i, v in enumerate(values)]
 
 
 def _parse_form(spec, field: NumberField, gen: str,
@@ -318,7 +328,7 @@ def _parse_form(spec, field: NumberField, gen: str,
     where = f"{path}.{key}"
 
     def grid(parse):
-        return [[parse(v, f"{where}[{r}][{c}]") for c, v in enumerate(row)]
+        return [[parse(v, (where, r, c)) for c, v in enumerate(row)]
                 for r, row in enumerate(rows)]
 
     try:
@@ -326,7 +336,7 @@ def _parse_form(spec, field: NumberField, gen: str,
             def scalar(v, p):
                 return parse_element(v, field, gen, p)
             if key == "diag":
-                return name, QuadraticForm(field, [scalar(v, f"{where}[{i}]")
+                return name, QuadraticForm(field, [scalar(v, (where, i))
                                                    for i, v in enumerate(spec["diag"])])
             return name, GramQuadraticForm(field, grid(scalar))
         algebra = _resolve(spec["algebra"], algebras, "algebra", f"{path}.algebra")

@@ -16,7 +16,7 @@ from hermsig.algebras import (
     is_invertible,
     is_square_in_field,
 )
-from hermsig.errors import AlgebraMismatchError, UnsupportedError
+from hermsig.errors import AlgebraMismatchError, FieldMismatchError, UnsupportedError
 from hermsig.field import QQ, NumberField, sign_at
 from hermsig.session import parse_session
 from trace_oracle import default_twist
@@ -365,6 +365,16 @@ def test_entries_of_different_rings_do_not_mix():
     assert r1 != r3 and r1 == QuadExtension(QQ, QQ.element(-1)).basis[1]
 
 
+def test_ring_constants_from_another_field_are_refused():
+    """The table's constants are taken into F without a product by F's one,
+    and one from another field is still refused, not read over F."""
+    other = NumberField([-3, 0, 0, 0, 0, 1])
+    with pytest.raises(FieldMismatchError):
+        QuadExtension(F5, other.gen)
+    with pytest.raises(FieldMismatchError):
+        QuaternionAlgebra(F5, other.gen, F5.element(-1))
+
+
 # The closed-form products and norms the multiplication tables replace.
 def _quat_mul(a, b, p, q):
     w1, x1, y1, z1 = p
@@ -572,6 +582,23 @@ def test_entry_arithmetic_matches_the_coordinate_reference(case):
             assert x == p[0] and p[0] == x and hash(x) == hash(p[0])
         else:
             assert x != p[0] and p[0] != x
+
+
+@pytest.mark.parametrize("ring", [
+    QuaternionAlgebra(F5, F5.element(-1), F5.element([0, 1])),
+    QuadExtension(F5, F5.element([-3, 1])),
+], ids=["quaternion", "quadratic"])
+def test_rational_coordinates_scale_a_scalar_without_its_matrix(ring):
+    """An entry whose coordinates are all rational, times an F-scalar c that
+    is not, scales c by each coordinate: c keeps no multiplication matrix,
+    and the product is the coordinate-wise one."""
+    x = ring.element(*[Fraction(k - 2, k + 1) for k in range(ring.dim)])
+    c = F5.element([Fraction(1, 3), -2, 0, 5])
+    want = _reference_dot(ring, [(1, x, ring.element(c))])
+    assert (x * c).coords() == (c * x).coords() == want and c._mat is None
+    y = ring.element(c)  # an F-scalar entry with no matrix: dot scales by its coordinate
+    assert ring.dot(((1, x, y),)).coords() == want and y._mat is None
+    assert y.coords()[0]._mat is None
 
 
 def test_an_entry_equal_to_a_scalar_hashes_like_it():

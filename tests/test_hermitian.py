@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermsig.algebras import AlgebraWithInvolution
+from hermsig.algebras import AlgebraWithInvolution, Entry
 from hermsig.cones import PositiveCone
 from hermsig.errors import InvariantError, UnsupportedError
 from hermsig.field import QQ, NumberField
@@ -20,6 +20,7 @@ from hermsig.hermitian import (
     scharlau_transfer,
     signature,
     split_oracle_signature,
+    total_signature_h,
     sylvester_count_oracle,
     sylvester_decompose,
 )
@@ -241,6 +242,24 @@ def test_quat_skew_split_oracle_agreement():
         eps = 1 if base == raw else -1
         for h in forms:
             assert split_oracle_signature(h, P0) == eps * raw_signature(h, P0)
+
+
+def test_skew_pivot_norms_are_computed_once_per_form(monkeypatch):
+    """The carrier reads Nrd of each pure pivot at every ordering; once the
+    kernel exists, a total signature over the quintic field (five
+    orderings) computes each pivot's norm at most once."""
+    x = F5.gen
+    alg = AlgebraWithInvolution(F5, "quat_skew", 1, a=-x, b=1 + x)
+    i, j, k = alg.quat.i, alg.quat.j, alg.quat.k
+    h = HermitianForm.diagonal(alg, [alg.scalar_element(q) for q in (i, j + k, k * x)])
+    assert len(h._kernel.pivots) == 3
+    want = total_signature_h(HermitianForm.diagonal(
+        alg, [alg.scalar_element(q) for q in (i, j + k, k * x)]))
+    calls = []
+    nrd = Entry.nrd
+    monkeypatch.setattr(Entry, "nrd", lambda q: calls.append(q) or nrd(q))
+    assert total_signature_h(h) == want and total_signature_h(h) == want
+    assert len(calls) <= 3
 
 
 def test_rank1_skew_signatures_are_even_with_max_two():

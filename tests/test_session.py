@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hermsig.cli import main, run_session
+from hermsig.cli import Report, main, run_session
 from hermsig.cones import MAX_SEARCH_HEIGHT, MAX_SEARCH_TERMS, MAX_SLOTS
 from hermsig.hermitian import HermitianForm
 from hermsig.quadforms import GramQuadraticForm, QuadraticForm
@@ -526,6 +526,61 @@ def test_fixture_reports_match_golden(name):
     assert proc.stdout == expected
 
 
+def test_table_report_matches_golden(capsys):
+    """`hermsig run --format table` on the sqrt2 fixture reproduces its
+    recorded table byte for byte; the .expected.txt was written while each
+    record body was rendered by json.dumps."""
+    assert main(["run", str(FIXTURES / "sqrt2_session.json"), "--format", "table"]) == 0
+    expected = (FIXTURES / "sqrt2_session.expected.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+# Report values: every type a report carries, with the strings that need
+# escapes (quotes, backslashes, control and non-ASCII characters, lone
+# surrogates), ints beyond 64 bits, and nested empty containers.
+_ESCAPED = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\r\t\u2028\ud800é€\U0001f600 a{}[],:'))
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**200, 2**200) | st.text() | _ESCAPED,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text() | _ESCAPED, kids, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT_VALUES)
+def test_report_json_is_the_stdlib_format(value):
+    """The report writer emits what json.dumps(indent=2, sort_keys=True)
+    emits, byte for byte."""
+    assert Report(value).to_json() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["sign", "sos-find"]), st.booleans(),
+                          _REPORT_VALUES), max_size=4))
+def test_report_table_is_the_per_record_format(rows):
+    """Each record is its header line, then its result (or error) as
+    json.dumps(indent=2, sort_keys=True) writes it, each line indented by
+    four spaces."""
+    records = [{"index": i, "op": op, "status": "error" if failed else "ok",
+                "error" if failed else "result": body}
+               for i, (op, failed, body) in enumerate(rows)]
+    lines = []
+    for rec, (_, _, body) in zip(records, rows):
+        lines.append(f"[{rec['index']}] {rec['op']}: {rec['status']}")
+        lines += ["    " + line for line in
+                  json.dumps(body, indent=2, sort_keys=True).splitlines()]
+    assert Report(records).to_table() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, [{"a": 0.0}], {1: "a"}, {"a": 1, 2: "b"},
+                                   {("a",): 1}, [object()], {"a": {1, 2}}],
+                         ids=["float", "nested-float", "int-key", "mixed-keys",
+                              "tuple-key", "object", "set"])
+def test_report_writer_refuses_what_reports_never_carry(value):
+    with pytest.raises(TypeError):
+        Report(value).to_json()
+
+
 def test_reducible_modulus_ends_in_typed_error_records(capsys):
     """(x^2 - 2)(x^2 - 3) has no rational root, so it builds, with four
     orderings; a form entry that is 0 at one of them is a zero divisor, and
@@ -697,6 +752,13 @@ def test_malformed_command_arguments_are_parse_errors(command, key, tmp_path, ca
 
 
 _HAM = {"name": "ham", "family": "quat_symp", "a": "-1", "b": "-1"}
+_QUAT_ZERO = ["0", "0", "0", "0"]
+
+
+def _quat_gram(bad):
+    """A quat_symp Gram whose entry [1][1] is bad."""
+    return {"name": "h", "algebra": "ham",
+            "gram": [[["1", "0", "0", "0"], _QUAT_ZERO], [_QUAT_ZERO, bad]]}
 
 
 @pytest.mark.parametrize("doc, path, message", [
@@ -723,15 +785,32 @@ _HAM = {"name": "ham", "family": "quat_symp", "a": "-1", "b": "-1"}
     ({"forms": [{"name": "a1", "diag": ["1"]}]}, "forms[0]", "duplicate name 'a1'"),
     ({"seed": True}, "seed", "seed must be an integer"),
     ({"commands": {"op": "orderings"}}, "commands", "commands must be a list"),
+    ({"algebras": [_HAM], "forms": [_quat_gram(["1", "0", "x^", "0"])]},
+     "forms[0].gram[1][1][2]", "expected an exponent (at offset 2 in 'x^')"),
+    ({"forms": [{"name": "g", "gram": [["1", "0"], ["0", "1 + y"]]}]}, "forms[0].gram[1][1]",
+     "unknown name 'y'; the generator is 'x' (at offset 5 in '1 + y')"),
+    ({"algebras": [_HAM], "forms": [_quat_gram(["1", "0", "0"])]}, "forms[0].gram[1][1]",
+     "quat_symp entries are 4-component coordinate lists"),
+    ({"algebras": [_HAM], "forms": [_quat_gram(["1", False, "0", "0"])]},
+     "forms[0].gram[1][1][1]", "expected an element expression"),
+    ({"forms": [{"name": "q", "diag": ["1", "2 *"]}]}, "forms[0].diag[1]",
+     "expected a number, the generator or a parenthesis (at offset 3 in '2 *')"),
+    ({"algebras": [_HAM], "forms": [{"name": "h", "algebra": "ham",
+                                     "diag": [["1", "0", "0", "0"], ["1", "0", [], "0"]]}]},
+     "forms[0].diag[1][2]", "expected an element expression (string or integer)"),
 ], ids=["element-boolean", "element-list", "element-integer", "field-not-object",
         "min-poly-not-list", "generator-not-identifier", "coefficient-not-number",
         "algebra-not-object", "n-boolean", "entry-wrong-length", "form-not-object",
         "form-diag-and-gram", "command-not-object", "document-not-object",
-        "duplicate-algebra", "duplicate-name", "seed-boolean", "commands-not-list"])
+        "duplicate-algebra", "duplicate-name", "seed-boolean", "commands-not-list",
+        "quaternion-gram-coordinate", "quadratic-gram-scalar", "gram-coordinate-list-length",
+        "gram-boolean-coordinate", "quadratic-diagonal-scalar", "diagonal-list-coordinate"])
 def test_parse_errors_name_their_path(doc, path, message):
     """Each raise site of the document head reports its message at its JSON
     path; a bare integer is an element.  A boolean n used to be read as 1,
-    and a boolean seed was accepted."""
+    and a boolean seed was accepted.  Entry and coordinate paths are
+    formatted only for an error, and name the same place as when each was
+    formatted up front."""
     text = doc if isinstance(doc, str) else minimal_doc(**doc)
     if message is None:
         assert parse_session(text).algebras["ham"].quat.a == -1
