@@ -23,7 +23,7 @@ from .quadforms import (
     signature_q,
     total_signature_q,
 )
-from .algebras import AlgebraElement, AlgebraWithInvolution, Entry, is_invertible
+from .algebras import AlgebraElement, AlgebraWithInvolution, is_invertible
 from .hermitian import (
     HermitianForm,
     going_up,
@@ -72,7 +72,7 @@ __all__ = [
     "QuadraticForm", "GramQuadraticForm", "Diagonalization", "diagonalize",
     "signature_q", "total_signature_q", "harrison_set",
     # algebras with involution
-    "AlgebraWithInvolution", "AlgebraElement", "Entry", "is_invertible",
+    "AlgebraWithInvolution", "AlgebraElement", "is_invertible",
     # hermitian forms and signatures
     "HermitianForm", "reference_form", "raw_signature", "signature",
     "total_signature_h", "witt_rank", "scale_by_quadratic", "going_up",

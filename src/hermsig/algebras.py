@@ -13,35 +13,33 @@ Everything the code needs to know about a family is in its ``Family``
 record (the table ``FAMILIES``): the parameter names, the entry ring and
 its dimension over F, the trace-form divisor, whether Grams are skew, and
 the sign rules for nil orderings and X_sigma.  Elements are n x n matrices
-over the entry ring: F itself, or one ``EntryRing`` class, a composition
-algebra with its standard involution defined by two data, the products of
-its basis elements e_s e_t = c e_k and the diagonal norm form of Nrd.  F(sqrt(delta)) is the
-table sqrt(delta)^2 = delta with norms (1, -delta); (a, b)_F is the
-quaternion table with norms (1, -a, -b, ab).  Their entries are one class,
-``Entry``: one integer vector over one denominator, multiplied on the right
-through an integer matrix kept on the right operand.  F and the ring share
-one protocol (``zero``, ``one``, ``basis``, ``norms``, ``from_coords``, and
-entries with ``conj``, ``coords``, ``trd``, ``is_zero``), so no code
-branches on the family name.  Everything is immutable and exact.
+over the entry ring: F itself, the r = 1 ring, or an ``EntryRing``, a
+composition algebra with its standard involution given by the products
+e_s e_t = c e_k of its basis and the diagonal norm form of Nrd:
+F(sqrt(delta)) is the table sqrt(delta)^2 = delta with norms (1, -delta),
+(a, b)_F the quaternion table with norms (1, -a, -b, ab).  The entries of
+every ring are `field.FieldElement`s, and an entry ring adds only the
+builder of their multiplication matrices, so no code branches on the
+family name.  Everything is immutable and exact.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul, sub
+from operator import mul
 
-from .errors import AlgebraMismatchError, FieldMismatchError, UnsupportedError
-from .field import FieldElement, NumberField, Ordering, _canonical, sign_at
+from .errors import AlgebraMismatchError, UnsupportedError
+from .field import FieldElement, NumberField, Ordering, Ring, _common_ring, sign_at
 from .quadforms import diagonalize
 
 # ---------------------------------------------------------------------------
 # Entry rings.
 
 
-class EntryRing:
+class EntryRing(Ring):
     """A composition algebra over F with its standard involution.
 
     The F-basis is e_0 = 1, e_1, ..., e_{r-1}; conj fixes e_0 and negates
@@ -52,17 +50,17 @@ class EntryRing:
     equal when their norms are, which determine the table of each
     constructor below.
 
-    An entry (`Entry`) is one integer vector over one denominator, and a
-    product x y is the integer right-multiplication matrix of y applied to
-    the vector of x.  That matrix is assembled block by block from the
-    multiplication matrices of the coordinates of y (`NumberField._columns`)
-    and the table: block (k, s) is the matrix of c y_t for e_s e_t = c e_k.
+    Its elements are `FieldElement`s, as those of F are; what the ring adds
+    is the builder of the right-multiplication matrix of a vector that is
+    not an F-scalar (`_matrix_of`), assembled block by block from the
+    multiplication matrices of the coordinates (`NumberField._columns`) and
+    the table: block (k, s) is the matrix of c y_t for e_s e_t = c e_k.
     The table's constants are folded in once, here, for E the least common
     denominator that makes every E c integral: ``_blocks[k][s]`` is
     (t, f, i) with E c = f when c is rational (i None), else
     E c = f * (the constant whose integer matrix on numerators is
     ``_consts[i]``), f = +-1, each such constant kept once up to sign.  So
-    the matrix of y is over y.den * E * L^(d-1) (``_scale``).
+    the matrix is over E * L^(d-1) (``_scale``).
     """
 
     def __init__(self, field: NumberField, norms: tuple, table: dict):
@@ -70,13 +68,13 @@ class EntryRing:
         self.norms = norms
         self.dim = dim = len(norms)
         deg = field.degree
-        scale = field._scaled_m[-1] ** (deg - 1)
+        scale = field._scale
         products = {}  # (k, s) -> (t, c) for e_s e_t = c e_k
         for s in range(dim):
             for t in range(dim):
                 c, k = (1, s + t) if s == 0 or t == 0 else table[s, t]
                 # an element of F, or a rational made one: no product by field.one
-                products[k, s] = t, field.zero._lift(c)
+                products[k, s] = t, field.element(c)
         big = math.lcm(*(c.den * (1 if c.is_rational() else scale)
                          for _, c in products.values()))
         consts: list = []  # the non-rational constants, each once up to sign
@@ -97,92 +95,49 @@ class EntryRing:
                              for c in consts for rows, sc in [c._matrix()])
         self._scale = big * scale
         self._zero_cols = [[0] * deg] * deg
-        self._width = dim * deg  # the length of an entry's vector
-        self._pads = tuple((0,) * (deg - i) for i in range(deg + 1))
-        self._hash = hash((field, norms))
+        self._width = dim * deg  # the length of a full coordinate vector
 
-    def dot(self, terms: Iterable[tuple], base: "Entry | None" = None,
-            scalar_only: bool = False) -> "Entry":
-        """base + sum of sign * x * y over the (sign, x, y) in terms, None
-        standing for 0 (as `NumberField.dot`): each product is the matrix
-        of y (`Entry._matrix`) applied to the vector of x, or, for a y that
-        is an F-scalar and has no matrix yet, x scaled by y (`_scaled`); the
-        sum is taken over a common denominator and normalized once.  With
-        `scalar_only`, only the F-scalar coordinate of the sum is computed,
-        and the others are returned as 0: all of a sum known to be
-        conj-fixed, or what a reduced trace reads."""
-        d = self.field.degree
-        size = d if scalar_only else self._width
-        acc, den = (None, 1) if base is None else (list(base.num[:size]), base.den)
-        for sign, x, y in terms:
-            xn, yn = x.num, y.num
-            if not any(xn) or not any(yn):
-                continue
-            if y._mat is None and not any(yn[d:]):
-                # F is central: no matrix is built for a scalar
-                c = y.c[0]
-                v, vden = _scaled(xn[:size], c, d)
-                vden *= x.den
-            else:
-                rows, mden = y._matrix()
-                v = [sum(map(mul, xn, row)) for row in rows[:size]]
-                vden = x.den * mden
-            if acc is None:
-                acc, den = v if sign > 0 else [-u for u in v], vden
-                continue
-            if vden != den:
-                g = math.gcd(den, vden)
-                if vden != g:
-                    acc = [u * (vden // g) for u in acc]
-                if den != g:
-                    v = [u * (den // g) for u in v]
-                den = den // g * vden
-            acc = list(map(add if sign > 0 else sub, acc, v))
-        if acc is None:
-            return self.zero
-        return _entry(self, acc + [0] * (self._width - size), den)
+    def _matrix_of(self, num: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The right-multiplication matrix of the vector num and its scale:
+        x y = (rows applied to x.num) / (x.den * y.den * _scale).  Block
+        (k, s) is f times the column list of the multiplication matrix of
+        one coordinate (`NumberField._columns`), or of a folded constant
+        times it, each made once; a block row is their transpose."""
+        field, d = self.field, self.field.degree
+        ys = [num[i:i + d] for i in range(0, self._width, d)]
+        made: dict = {}  # (t, f, i), and (t, i) for f = 1 -> the columns of the block
+        rows: list = []
+        for block_row in self._blocks:
+            cols: list = []
+            for key in block_row:
+                block = made.get(key)
+                if block is None:
+                    t, f, i = key
+                    if not any(ys[t]):
+                        block = self._zero_cols
+                    else:
+                        block = made.get((t, i))
+                        if block is None:
+                            w = ys[t] if i is None else [sum(map(mul, ys[t], r))
+                                                         for r in self._consts[i]]
+                            block = made[t, i] = field._columns(w)
+                        if f != 1:
+                            block = [[f * v for v in col] for col in block]
+                    made[key] = block
+                cols += block
+            rows += zip(*cols)
+        return tuple(rows), self._scale
 
-    def element(self, *coords) -> "Entry":
-        cs = [c if isinstance(c, FieldElement) else self.field.element(c) for c in coords]
-        return self.from_coords(cs + [self.field.zero] * (self.dim - len(cs)))
-
-    def from_coords(self, coords: Sequence[FieldElement]) -> "Entry":
-        field, pads = self.field, self._pads
-        # with den the lcm of the coordinates' denominators, each in lowest
-        # terms, the vector is in lowest terms too
-        den = math.lcm(*[c.den for c in coords])
-        num: list[int] = []
-        for c in coords:
-            if c.field is not field and c.field != field:
-                raise FieldMismatchError("entry coordinates from a different field")
-            cn = c.num
-            if c.den != den:
-                f = den // c.den
-                cn = [v * f for v in cn]
-            num += cn
-            num += pads[len(cn)]
-        e = Entry(self, tuple(num), den)
-        e._c = tuple(coords)
-        return e
-
-    @cached_property
-    def zero(self) -> "Entry":
-        return Entry(self, (0,) * self._width, 1)
-
-    @cached_property
-    def one(self) -> "Entry":
-        return self.element(1)
-
-    @cached_property
-    def basis(self) -> tuple:
-        return tuple(self.element(*[0] * t, 1) for t in range(self.dim))
+    def element(self, *coords) -> FieldElement:
+        """The element with the given leading coordinates, the rest 0."""
+        return self.from_coords(list(coords) + [0] * (self.dim - len(coords)))
 
     def __eq__(self, other):
         return (isinstance(other, EntryRing) and other.field == self.field
                 and other.norms == self.norms)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.field, self.norms))
 
 
 class QuadExtension(EntryRing):
@@ -206,218 +161,16 @@ class QuaternionAlgebra(EntryRing):
             (3, 1): (-a, 2), (3, 2): (b, 1), (3, 3): (-ab, 0)})
 
     @property
-    def i(self) -> "Entry":
+    def i(self) -> FieldElement:
         return self.basis[1]
 
     @property
-    def j(self) -> "Entry":
+    def j(self) -> FieldElement:
         return self.basis[2]
 
     @property
-    def k(self) -> "Entry":
+    def k(self) -> FieldElement:
         return self.basis[3]
-
-
-def _scaled(num: Sequence[int], c: FieldElement, d: int) -> tuple[list[int], int]:
-    """The vector num of coordinates (blocks of d) times the nonzero c, over
-    a denominator that is the returned factor times that of num: a scaling,
-    c scaled by each coordinate when all are rational, or the
-    multiplication matrix of c applied to each block."""
-    if len(c.num) == 1:
-        return [c.num[0] * v for v in num], c.den
-    blocks = range(0, len(num), d)
-    if not any(any(num[i + 1:i + d]) for i in blocks):
-        pad, out = [0] * (d - len(c.num)), []
-        for i in blocks:
-            out += [num[i] * w for w in c.num]
-            out += pad
-        return out, c.den
-    rows, s = c._matrix()
-    return [sum(map(mul, num[i:i + d], row)) for i in blocks for row in rows], c.den * s
-
-
-def _entry(ring: EntryRing, num: list[int], den: int) -> "Entry":
-    """The entry num/den in lowest terms (the zero vector over 1)."""
-    if den != 1:
-        g = math.gcd(den, *num)
-        if g != 1:
-            num = [v // g for v in num]
-            den //= g
-    return Entry(ring, tuple(num), den)
-
-
-class Entry:
-    """An element of an entry ring: its F-coordinates x_0, ..., x_{r-1} in
-    the basis e_t as one integer vector over one denominator.  Coordinate t
-    is sum_i num[t d + i] x^i / den (d the degree of F), with den > 0 and
-    gcd(den, num) = 1, so the representation is canonical: equality is
-    equality of (num, den), and an entry equal to a scalar of F hashes like
-    it.  A product by the entry on the right is its integer
-    right-multiplication matrix over Q applied to a vector (`_matrix`,
-    assembled by `EntryRing`), built on first use and kept.  The
-    coordinates as field elements (``c``, `coords`) are a view, built on
-    first use and kept."""
-
-    __slots__ = ("ring", "num", "den", "_c", "_mat")
-
-    def __init__(self, ring: EntryRing, num: tuple[int, ...], den: int):
-        self.ring = ring
-        self.num = num
-        self.den = den
-        self._c = None
-        self._mat = None
-
-    @property
-    def c(self) -> tuple[FieldElement, ...]:
-        if self._c is None:
-            field, num, den = self.ring.field, self.num, self.den
-            d = field.degree
-            self._c = tuple(_canonical(field, list(num[i:i + d]), den)
-                            for i in range(0, len(num), d))
-        return self._c
-
-    def _matrix(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The right-multiplication matrix of the entry and its
-        denominator: x y = (rows applied to x.num) / (x.den * mden).  Each
-        block is the column list of one coordinate's multiplication matrix
-        (`NumberField._columns`), of a folded constant times it, or the
-        negation of one, each made once; a block row is their transpose."""
-        if self._mat is None:
-            ring = self.ring
-            field, num = ring.field, self.num
-            d = field.degree
-            ys = [num[i:i + d] for i in range(0, len(num), d)]
-            made: dict = {}  # (t, f, i) -> the columns of the block
-            rows: list = []
-            for block_row in ring._blocks:
-                cols: list = []
-                for t, f, i in block_row:
-                    y = ys[t]
-                    if not any(y):
-                        cols += ring._zero_cols
-                        continue
-                    block = made.get((t, f, i))
-                    if block is None:
-                        block = made.get((t, 1, i))
-                        if block is None:
-                            w = y if i is None else [sum(map(mul, y, r)) for r in ring._consts[i]]
-                            block = made[t, 1, i] = field._columns(w)[0]
-                        if f != 1:
-                            block = made[t, f, i] = [[f * v for v in col] for col in block]
-                    cols += block
-                rows += zip(*cols)
-            self._mat = tuple(rows), self.den * ring._scale
-        return self._mat
-
-    def _scalar(self, other) -> "FieldElement | None":
-        if isinstance(other, FieldElement):
-            field = self.ring.field
-            if other.field is not field and other.field != field:
-                raise FieldMismatchError("elements of different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.field.element(other)
-        return None
-
-    def _lift(self, other) -> "Entry | None":
-        if isinstance(other, Entry):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise AlgebraMismatchError("entries from different entry rings")
-            return other
-        c = self._scalar(other)
-        return None if c is None else self.ring.element(c)
-
-    def _add(self, other, op) -> "Entry":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        a, da, b, db = self.num, self.den, o.num, o.den
-        if da != db:
-            g = math.gcd(da, db)
-            a = [v * (db // g) for v in a]
-            b = [v * (da // g) for v in b]
-            da = da // g * db
-        return _entry(self.ring, list(map(op, a, b)), da)
-
-    def __add__(self, other):
-        return self._add(other, add)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Entry(self.ring, tuple(-v for v in self.num), self.den)
-
-    def __sub__(self, other):
-        return self._add(other, sub)
-
-    def __mul__(self, other):
-        c = self._scalar(other)
-        if c is None:
-            o = self._lift(other)
-            return NotImplemented if o is None else self.ring.dot(((1, self, o),))
-        if not c.num:
-            return self.ring.zero
-        v, vden = _scaled(self.num, c, self.ring.field.degree)
-        return _entry(self.ring, v, self.den * vden)
-
-    # F is central, so a scalar on the left acts as on the right.
-    __rmul__ = __mul__
-
-    def conj(self) -> "Entry":
-        num, d = self.num, self.ring.field.degree
-        return Entry(self.ring, num[:d] + tuple(-v for v in num[d:]), self.den)
-
-    def mirrors(self, other: "Entry", skew: bool = False) -> bool:
-        """other == conj(self), or -conj(self) when skew, without building
-        either."""
-        if other.den != self.den:
-            return False
-        a, b, d = self.num, other.num, self.ring.field.degree
-        if skew:
-            return a[d:] == b[d:] and all(u == -v for u, v in zip(a[:d], b[:d]))
-        return a[:d] == b[:d] and all(u == -v for u, v in zip(a[d:], b[d:]))
-
-    def trd(self) -> FieldElement:
-        field = self.ring.field
-        return _canonical(field, [2 * v for v in self.num[:field.degree]], self.den)
-
-    def nrd(self) -> FieldElement:
-        return self.ring.field.dot([(1, p * n, p) for p, n in zip(self.c, self.ring.norms) if p.num])
-
-    def inverse(self) -> "Entry":
-        return self.conj() * self.nrd().inverse()
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
-    def coords(self) -> tuple[FieldElement, ...]:
-        return self.c
-
-    def scalar_part(self) -> FieldElement:
-        """x_0, without building the other coordinates."""
-        if self._c is not None:
-            return self._c[0]
-        field = self.ring.field
-        return _canonical(field, list(self.num[:field.degree]), self.den)
-
-    def __eq__(self, other):
-        if not isinstance(other, Entry):
-            if isinstance(other, FieldElement) and other.field != self.ring.field:
-                return False
-            c = self._scalar(other)
-            if c is None:
-                return NotImplemented
-            other = self.ring.element(c)
-        return (other.num == self.num and other.den == self.den
-                and (other.ring is self.ring or other.ring == self.ring))
-
-    def __hash__(self):
-        # an entry equal to a scalar of F hashes like it
-        num, d = self.num, self.ring.field.degree
-        return hash((num, self.den)) if any(num[d:]) else hash(self.scalar_part())
-
-    def __repr__(self):
-        return f"Entry({', '.join(map(repr, self.c))})"
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +276,7 @@ class Family:
         names = " and ".join(self.params)
         if any(given.get(k) is None for k in self.params):
             raise ValueError(f"{self.name} requires {names}")
-        values = tuple(v if isinstance(v, FieldElement) else field.element(v)
-                       for v in (given[k] for k in self.params))
+        values = tuple(field.element(given[k]) for k in self.params)
         if any(v.is_zero() for v in values):
             raise ValueError(f"{names} must be nonzero")
         return values, self.build_ring(field, *values)
@@ -635,31 +387,25 @@ class AlgebraWithInvolution:
         return list(self._nonnil_tuple)
 
     # -- entries ----------------------------------------------------------------
-    @property
-    def entry_zero(self):
-        return self.ring.zero
-
-    @property
-    def entry_one(self):
-        return self.ring.one
-
     def entry(self, value):
         """Coerce a ready entry, a scalar of F or a coordinate sequence."""
-        if isinstance(value, Entry):
-            if value.ring is not self.ring and value.ring != self.ring:
+        if isinstance(value, (int, Fraction, str)):
+            value = self.field.element(value)
+        if isinstance(value, FieldElement):
+            if value.ring is self.ring:
+                return value
+            if _common_ring(self.ring, value.ring) is not self.ring:
                 raise AlgebraMismatchError("entry from a different entry ring")
-            return value
+            # an F-scalar: the same vector, read in this ring
+            return FieldElement(self.ring, value.num, value.den)
         ed = self.entry_dim
-        if isinstance(value, (int, Fraction, str, FieldElement)):
-            value = (value,) + (self.field.zero,) * (ed - 1)
         if not isinstance(value, (list, tuple)) or len(value) != ed:
             raise ValueError(f"{self.family} entries are scalars or "
                              f"{ed}-component coordinate lists over F")
-        return self.ring.from_coords(
-            [c if isinstance(c, FieldElement) else self.field.element(c) for c in value])
+        return self.ring.from_coords(value)
 
     # -- twists -------------------------------------------------------------------
-    def twist_at(self, ordering: Ordering) -> "Entry | None":
+    def twist_at(self, ordering: Ordering) -> FieldElement | None:
         """None for the hermitian families.  For quat_skew, the first of
         k, j, i with positive reduced norm at a non-nil ordering:
         Nrd(k) = ab, Nrd(j) = -b, Nrd(i) = -a.
@@ -682,15 +428,15 @@ class AlgebraWithInvolution:
 
     @cached_property
     def zero_element(self) -> "AlgebraElement":
-        return self.scalar_element(self.entry_zero)
+        return self.scalar_element(self.ring.zero)
 
     @cached_property
     def one_element(self) -> "AlgebraElement":
-        return self.scalar_element(self.entry_one)
+        return self.scalar_element(self.ring.one)
 
     def scalar_element(self, value) -> "AlgebraElement":
         e = self.entry(value)
-        z = self.entry_zero
+        z = self.ring.zero
         return AlgebraElement._of(self, [[e if r == c else z for c in range(self.n)]
                                          for r in range(self.n)])
 
@@ -708,7 +454,7 @@ class AlgebraWithInvolution:
         """Deterministic F-basis of the involution-symmetric elements: the
         basis entries e with conj(e) = +-e on the diagonal, then the pairs
         (e, +-conj(e)) at (r, c), (c, r) for every basis entry e."""
-        n, z = self.n, self.entry_zero
+        n, z = self.n, self.ring.zero
 
         def flip(e):
             return -e if self.skew_gram else e
@@ -777,17 +523,15 @@ class AlgebraElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (FieldElement, int, Fraction)):
+        if not isinstance(other, AlgebraElement):
             return self.scale(other)
         self._check(other)
         dot, cols = self.algebra.ring.dot, list(zip(*other.rows))
         return AlgebraElement._of(self.algebra, [
             [dot([(1, x, y) for x, y in zip(a, col)]) for col in cols] for a in self.rows])
 
-    def __rmul__(self, other):
-        if isinstance(other, (FieldElement, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    def __rmul__(self, other):  # c x, entry by entry
+        return AlgebraElement._of(self.algebra, [[other * a for a in row] for row in self.rows])
 
     def scale(self, c: int | Fraction | FieldElement) -> "AlgebraElement":
         return AlgebraElement._of(self.algebra, [[a * c for a in row] for row in self.rows])
@@ -799,7 +543,7 @@ class AlgebraElement:
 
     def trace(self):
         """Sum of diagonal entries, an entry-ring value."""
-        acc = self.algebra.entry_zero
+        acc = self.algebra.ring.zero
         for r in range(self.algebra.n):
             acc = acc + self.rows[r][r]
         return acc
@@ -841,12 +585,12 @@ class SplitIsomorphism:
             raise ValueError("split isomorphism requires a = 1")
         self.quat = quat
 
-    def apply(self, q: Entry) -> list[list[FieldElement]]:
+    def apply(self, q: FieldElement) -> list[list[FieldElement]]:
         b = self.quat.b
         w, x, y, z = q.coords()
         return [[w + x, b * (y + z)], [y - z, w - x]]
 
-    def apply_gram(self, entries: Sequence[Sequence[Entry]]) -> list[list[FieldElement]]:
+    def apply_gram(self, entries: Sequence[Sequence[FieldElement]]) -> list[list[FieldElement]]:
         """Blockwise image of a matrix over the quaternion algebra."""
         s = len(entries)
         out = [[None] * (2 * s) for _ in range(2 * s)]

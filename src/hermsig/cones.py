@@ -338,7 +338,7 @@ def find_sos_certificate(u: AlgebraElement, a: AlgebraElement | None = None,
     a_form = rank1_form(a, a_error)
     if not is_invertible(a):
         raise ValueError(a_error)
-    slot_elems = [e if isinstance(e, FieldElement) else fld.element(e) for e in slots]
+    slot_elems = [fld.element(e) for e in slots]
     t = len(slot_elems)
     # cones exist over the non-nil orderings only
     cones = [PositiveCone(alg, p, 1)

@@ -1,4 +1,4 @@
-"""Exact arithmetic in real number fields.
+"""Exact arithmetic in real number fields and their coefficient rings.
 
 A field is Q[x]/(m) for a monic squarefree m over Q.  Its orderings are the
 real roots of m, each stored as an isolating interval with dyadic endpoints.
@@ -11,9 +11,20 @@ an integer interval evaluation over the root's current interval, refined by
 bisection, and only an element whose enclosure still contains 0 goes
 through the zero test: whether its gcd with m changes sign over the
 ordering's defining interval.
-An element keeps its integer multiplication matrix once built: products
-by it are matrix-vector products, and inverses solve the matrix by
-fraction-free (Bareiss) elimination.  No floating point anywhere.
+
+F is the r = 1 coefficient ring of the catalogue, beside the entry rings
+F(sqrt(delta)) and (a, b)_F (`algebras.EntryRing`), and the elements of
+every ring are one class, `FieldElement`: F-coordinates as one canonical
+integer vector over one denominator, with one normalization
+(`_canonical`), one multiply-accumulate (`Ring.dot`) and one set of
+operators.  A ring supplies what differs: its norms and the builder of
+the multiplication matrix that products apply and keep on the right
+operand, reduction modulo m for F (`NumberField._matrix_of`) and block
+assembly from the table for an entry ring (`EntryRing._matrix_of`).  An
+element of an entry ring that equals a scalar of F equals that scalar and
+hashes like it, and a rational element hashes like its int or Fraction.
+Inverses in F solve the matrix by fraction-free (Bareiss) elimination.
+No floating point anywhere.
 
 A rational root of m (a linear factor) is found at construction.  Any
 other reducible m shows itself as a nonzero zero divisor: one that is 0 at
@@ -29,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add, mul, ne, sub
 
-from .errors import FieldMismatchError, ReducibleModulusError
+from .errors import AlgebraMismatchError, FieldMismatchError, ReducibleModulusError
 
 RationalLike = int | str | Fraction
 
@@ -189,11 +200,83 @@ def _rational_root(m: tuple[Fraction, ...]) -> Fraction | None:
 
 
 # ---------------------------------------------------------------------------
-# Number fields, elements, orderings.
+# Coefficient rings, elements, orderings.
 
 
-class NumberField:
-    """Q[x]/(m) for monic squarefree m; d = 1 gives Q itself."""
+class Ring:
+    """A coefficient ring: F itself (r = 1) or an entry ring F(sqrt(delta))
+    or (a, b)_F (`algebras.EntryRing`), with the F-basis e_0 = 1, ...,
+    e_{r-1}.  A ring has ``field`` (F), ``dim`` (r), ``norms`` (of Nrd),
+    ``_width`` (r d, d the degree of F) and ``_matrix_of``."""
+
+    @cached_property
+    def zero(self) -> "FieldElement":
+        return FieldElement(self, (), 1)
+
+    @cached_property
+    def one(self) -> "FieldElement":
+        return FieldElement(self, (1,), 1)
+
+    @cached_property
+    def basis(self) -> tuple["FieldElement", ...]:
+        d = self.field.degree
+        return tuple(FieldElement(self, (0,) * (t * d) + (1,), 1) for t in range(self.dim))
+
+    def from_coords(self, coords: Sequence) -> "FieldElement":
+        """The element with these coordinates, elements of F or what
+        `NumberField.element` takes.  With den the lcm of their denominators,
+        each in lowest terms, the vector is in lowest terms too."""
+        field, d = self.field, self.field.degree
+        if len(coords) != self.dim:
+            raise ValueError(f"elements of this ring have {self.dim} coordinates "
+                             f"over F, not {len(coords)}")
+        coords = [field.element(c) for c in coords]
+        den = math.lcm(*[c.den for c in coords])
+        num: list[int] = []
+        for t, c in enumerate(coords):
+            if c.num:
+                num += [0] * (t * d - len(num))
+                num += c.num if c.den == den else [v * (den // c.den) for v in c.num]
+        return FieldElement(self, tuple(num), den)
+
+    def dot(self, terms: Iterable[tuple], base: "FieldElement | None" = None,
+            scalar_only: bool = False) -> "FieldElement":
+        """base + sum of sign * x * y over the (sign, x, y) in terms, sign
+        +-1, None standing for 0: the products (`_product`) are summed over
+        a common denominator and normalized once, by one gcd and one trim.
+        With `scalar_only`, only the F-scalar coordinate of the sum is
+        computed, and the others are returned as 0: all of a sum known to
+        be conj-fixed, or what a reduced trace reads."""
+        d = self.field.degree
+        size = d if scalar_only else self._width
+        acc, den = (None, 1) if base is None else (
+            list(base.num[:size] if scalar_only else base.num), base.den)
+        for sign, x, y in terms:
+            if not x.num or not y.num:
+                continue
+            v, vden = _product(x, y, d, size)
+            if acc is None:
+                acc, den = v if sign > 0 else [-u for u in v], vden
+                continue
+            if len(acc) < len(v):
+                acc += [0] * (len(v) - len(acc))
+            if vden != den:
+                g = math.gcd(den, vden)
+                if vden != g:
+                    acc = [u * (vden // g) for u in acc]
+                if den != g:
+                    v = [u * (den // g) for u in v]
+                den = den // g * vden
+            acc[:len(v)] = map(add if sign > 0 else sub, acc, v)
+        return self.zero if acc is None else _canonical(self, acc, den)
+
+
+class NumberField(Ring):
+    """Q[x]/(m) for monic squarefree m; d = 1 gives Q itself.  As a ring it
+    is the r = 1 entry ring of the split_orth family: its own field, with
+    the identity involution and Nrd(x) = x^2."""
+
+    dim = 1
 
     def __init__(self, min_poly: Iterable[RationalLike]):
         coeffs = _trim([Fraction(c) for c in min_poly])
@@ -203,41 +286,43 @@ class NumberField:
             coeffs = tuple(c / coeffs[-1] for c in coeffs)
         # L*m, for L the lcm of the denominators of m: primitive with leading
         # one L, as a prime power exactly dividing L exactly divides some
-        # denominator.  _reduce and the orderings read m off it.
+        # denominator.  _matrix_of and the orderings read m off it.
         self._scaled_m: tuple[int, ...] = _primitive(coeffs)
         self._sturm = sturm_chain(self._scaled_m)
         if len(self._sturm[-1]) > 1:
             raise ValueError("minimal polynomial must be squarefree")
+        self.field = self
+        self.degree = self._width = len(coeffs) - 1
+        self._scale = self._scaled_m[-1] ** (self.degree - 1)  # of every matrix over F
         if len(coeffs) > 2 and (root := _rational_root(coeffs)) is not None:
             raise ReducibleModulusError("minimal polynomial is reducible: it has the "
-                                        f"factor {render_element(_from_fractions(self, (-root, 1)))}")
+                                        f"factor {render_element(self.element([-root, 1]))}")
         self.min_poly: tuple[Fraction, ...] = coeffs
-        self.degree: int = len(coeffs) - 1
+        self.norms = (self.one,)  # Nrd(x) = x^2
         # (expression, generator name) -> element, memoized by
         # session.parse_element for the document that built this field
         self._parsed: dict[tuple[str, str], FieldElement] = {}
 
-    def _columns(self, num: Sequence[int]) -> tuple[list[list[int]], int]:
+    def _columns(self, num: Sequence[int]) -> list[list[int]]:
         """The columns of the multiplication matrix of the integer polynomial
-        num of degree < d, and the scale s = L^(d-1): column j is x^j num
-        times s, reduced.  Column j + 1 is x times column j minus C/L times
-        L*m, for C the top coefficient: s times a multiple of 1/L^j."""
+        num of degree < d over the scale s = L^(d-1) (`_scale`): column j is
+        x^j num times s, reduced.  Column j + 1 is x times column j minus C/L
+        times L*m, for C the top coefficient: s times a multiple of 1/L^j."""
         *tail, lead = self._scaled_m
-        d = self.degree
-        s = lead ** (d - 1)
+        d, s = self.degree, self._scale
         col = [v * s for v in num] + [0] * (d - len(num))
         cols = [col]
         for _ in range(d - 1):
             c = col[-1] // lead
             col = [v - c * t for v, t in zip([0, *col], tail)]
             cols.append(col)
-        return cols, s
+        return cols
 
-    def _reduce(self, num: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The multiplication matrix of num (`_columns`) by rows R, with
-        x^j num congruent to sum_i R[i][j] x^i / s."""
-        cols, s = self._columns(num)
-        return tuple(zip(*cols)), s
+    def _matrix_of(self, num: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The multiplication matrix of num by reduction modulo m
+        (`_columns`), by rows R, with x^j num congruent to
+        sum_i R[i][j] x^i / s."""
+        return tuple(zip(*self._columns(num))), self._scale
 
     @cached_property
     def orderings(self) -> tuple["Ordering", ...]:
@@ -245,8 +330,14 @@ class NumberField:
         return tuple(Ordering(self, a, b, e, i) for i, (a, b, e) in enumerate(intervals))
 
     def element(self, coeffs: RationalLike | Iterable[RationalLike]) -> "FieldElement":
+        """The element with these coefficients; an element of F is taken as
+        it is, and one of another ring refused."""
         if isinstance(coeffs, (int, str, Fraction)):
             coeffs = [coeffs]
+        elif type(coeffs) is FieldElement:
+            if coeffs.ring is not self and coeffs.ring != self:
+                raise FieldMismatchError("not an element of this field")
+            return coeffs
         elif isinstance(coeffs, float):
             raise TypeError(_NOT_A_FLOAT)
         vec = list(coeffs)
@@ -266,54 +357,9 @@ class NumberField:
         return _canonical(self, num, den)
 
     @cached_property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (), 1)
-
-    @cached_property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, (1,), 1)
-
-    @cached_property
     def gen(self) -> "FieldElement":
         """The class of x; for d = 1 this is a rational number."""
         return self.element([0, 1])
-
-    # F as an entry ring (of the split_orth family): one coordinate, whose
-    # reduced norm is x^2.
-    @cached_property
-    def basis(self) -> tuple["FieldElement"]:
-        return (self.one,)
-
-    @cached_property
-    def norms(self) -> tuple["FieldElement"]:
-        return (self.one,)
-
-    def from_coords(self, coords: Sequence["FieldElement"]) -> "FieldElement":
-        return coords[0]
-
-    def dot(self, terms: Iterable[tuple], base: "FieldElement | None" = None) -> "FieldElement":
-        """base + sum of sign * a * b over the (sign, a, b) in terms, sign
-        +-1, None standing for 0: the products (`_product`) are summed over
-        a common denominator and normalized once, by one gcd and one trim."""
-        acc, den = (None, 1) if base is None else (list(base.num), base.den)
-        for sign, a, b in terms:
-            if not a.num or not b.num:
-                continue
-            v, vden = _product(a, b)
-            if acc is None:
-                acc, den = v if sign > 0 else [-u for u in v], vden
-                continue
-            if len(acc) < len(v):
-                acc += [0] * (len(v) - len(acc))
-            if vden != den:
-                g = math.gcd(den, vden)
-                if vden != g:
-                    acc = [u * (vden // g) for u in acc]
-                if den != g:
-                    v = [u * (den // g) for u in v]
-                den = den // g * vden
-            acc[:len(v)] = map(add if sign > 0 else sub, acc, v)
-        return FieldElement(self, (), 1) if acc is None else _canonical(self, acc, den)
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, NumberField) and self.min_poly == other.min_poly)
@@ -325,62 +371,89 @@ class NumberField:
         return f"NumberField({[str(c) for c in self.min_poly]})"
 
 
-#: The rationals as the degree-1 field Q[x]/(x).
-QQ = NumberField([0, 1])
+def _common_ring(r: Ring, s: Ring) -> Ring:
+    """The ring of a result of an r-element and an s-element: r when r = s,
+    else the entry ring of the two when the other is its field F."""
+    if r is s or r == s or s == r.field:
+        return r
+    if r == s.field:
+        return s
+    if r.field != s.field:
+        raise FieldMismatchError("elements of different fields")
+    raise AlgebraMismatchError("elements of different entry rings")
 
 
-def _canonical(field: NumberField, num: list[int], den: int) -> "FieldElement":
-    """The element num/den: trailing zeros dropped, lowest terms."""
+def _canonical(ring: Ring, num: list[int], den: int) -> "FieldElement":
+    """The element num/den of the ring: trailing zeros dropped, lowest
+    terms.  The one normalization of every ring."""
     while num and not num[-1]:
         num.pop()
     if not num:
-        return FieldElement(field, (), 1)
+        return FieldElement(ring, (), 1)
     if den != 1:
         g = math.gcd(den, *num)
         if g != 1:
             num = [v // g for v in num]
             den //= g
-    return FieldElement(field, tuple(num), den)
+    return FieldElement(ring, tuple(num), den)
 
 
-def _product(a: "FieldElement", b: "FieldElement") -> tuple[list[int], int]:
-    """The numerator and denominator of a * b for nonzero a and b, before
-    normalization: a scaling when one of them is rational, else the
-    multiplication matrix of b (`FieldElement._matrix`) applied to a."""
-    x, y = a.num, b.num
-    if len(x) == 1:
-        x, y = y, x
-    if len(y) == 1:
-        return [y[0] * v for v in x], a.den * b.den
-    rows, s = b._matrix()
-    return [sum(map(mul, x, row)) for row in rows], a.den * b.den * s
-
-
-def _from_fractions(field: NumberField, coeffs: Sequence[Fraction]) -> "FieldElement":
-    """The element with trimmed rational coefficients `coeffs`."""
-    den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    # With den the lcm of reduced denominators, num/den is in lowest terms.
-    return FieldElement(field, tuple(c.numerator * (den // c.denominator)
-                                     for c in coeffs), den)
+def _product(x: "FieldElement", y: "FieldElement", d: int,
+             size: int) -> tuple[list[int], int]:
+    """The numerator and denominator of x y (nonzero) before normalization,
+    up to coordinate `size` (blocks of d).  A rational operand scales the
+    other; else the matrix of y (`FieldElement._matrix`) applies to x, F
+    being central: an F-scalar x goes right, and the matrix of an F-scalar
+    y applies to each coordinate of x, unless they are all rational and
+    scale y."""
+    xn, yn = x.num, y.num
+    lx, ly = len(xn), len(yn)
+    if ly == 1:
+        return [yn[0] * v for v in xn[:size]], x.den * y.den
+    if 1 < lx <= d >= ly:
+        rows, s = y._matrix()
+        return [sum(map(mul, xn, row)) for row in rows], x.den * y.den * s
+    if lx == 1:
+        return [xn[0] * v for v in yn[:size]], x.den * y.den
+    if ly > d:
+        if lx > d:
+            rows, s = y._matrix()
+            return [sum(map(mul, xn, row)) for row in rows[:size]], x.den * y.den * s
+        x, y, xn, yn, lx, ly = y, x, yn, xn, ly, lx
+    den = x.den * y.den
+    blocks = range(0, min(lx, size), d)
+    if any(any(xn[i + 1:i + d]) for i in blocks):
+        rows, s = y._matrix()
+        return [sum(map(mul, xn[i:i + d], row)) for i in blocks for row in rows], den * s
+    out: list[int] = []
+    for i in blocks:
+        if xn[i]:
+            out += [0] * (i - len(out))
+            out += [xn[i] * w for w in yn]
+    return out, den
 
 
 class FieldElement:
-    """Element of a NumberField: its reduced representative sum c_i x^i
-    (i < d) stored as integer numerators over one common denominator,
-    c_i = num[i] / den, with den > 0, gcd(den, num) = 1 and no trailing
-    zero in num.  The representation is canonical, so equality is
-    equality of (num, den).  A product by a non-rational element is an
-    integer matrix-vector product by its multiplication matrix, built on
-    first use and kept (`_matrix`, which `inverse` and `norm` eliminate);
-    a sum of products (`NumberField.dot`) is normalized once."""
+    """An element of a coefficient ring (`Ring`): its F-coordinates x_0,
+    ..., x_{r-1} as one integer vector over one common denominator,
+    coordinate t being sum_i num[t d + i] x^i / den (d the degree of F),
+    with den > 0, gcd(den, num) = 1 and no trailing zero in num.  So
+    equality is equality of (num, den) over compatible rings, and an
+    F-scalar of an entry ring (len(num) <= d) has the (num, den) of the
+    element of F it equals.  A product by y applies the multiplication
+    matrix of y, built on first use and kept (`_matrix`)."""
 
-    __slots__ = ("field", "num", "den", "_mat")
+    __slots__ = ("ring", "num", "den", "_mat")
 
-    def __init__(self, field: NumberField, num: tuple[int, ...], den: int):
-        self.field = field
+    def __init__(self, ring: Ring, num: tuple[int, ...], den: int):
+        self.ring = ring
         self.num = num
         self.den = den
         self._mat = None
+
+    @property
+    def field(self) -> NumberField:
+        return self.ring.field
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -388,16 +461,13 @@ class FieldElement:
         den = self.den
         return tuple(Fraction(n, den) for n in self.num)
 
-    # -- coercion -----------------------------------------------------------
-    def _lift(self, other) -> "FieldElement | None":
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatchError("elements of different fields")
+    def _coerce(self, other) -> "FieldElement | None":
+        """other as an element, None for a type it does not know."""
+        if type(other) is FieldElement:
             return other
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return FieldElement(self.field, (), 1)
-            return FieldElement(self.field, (int(other.numerator),), other.denominator)
+            return FieldElement(self.ring.field, (int(other.numerator),) if other else (),
+                                other.denominator)
         return None
 
     # -- predicates ---------------------------------------------------------
@@ -414,18 +484,55 @@ class FieldElement:
             raise ValueError("element is not rational")
         return Fraction(self.num[0], self.den)
 
-    # -- as an entry: the involution is trivial on F ------------------------
+    # -- the involution and the coordinates -----------------------------------
     def conj(self) -> "FieldElement":
-        return self
+        """The involution: it fixes the F-scalars and negates the other
+        coordinates."""
+        num, d = self.num, self.ring.field.degree
+        if len(num) <= d:
+            return self
+        return FieldElement(self.ring, num[:d] + tuple([-v for v in num[d:]]), self.den)
 
-    def coords(self) -> tuple["FieldElement"]:
-        return (self,)
+    def mirrors(self, other: "FieldElement", skew: bool = False) -> bool:
+        """other == conj(self), or -conj(self) when skew, without building
+        either."""
+        a, b, d = self.num, other.num, self.ring.field.degree
+        if other.den != self.den or len(a) != len(b):
+            return False
+        if skew:
+            return a[d:] == b[d:] and all(u == -v for u, v in zip(a[:d], b[:d]))
+        return a[:d] == b[:d] and all(u == -v for u, v in zip(a[d:], b[d:]))
+
+    def coords(self) -> tuple["FieldElement", ...]:
+        """x_0, ..., x_{r-1}, elements of F."""
+        field, num, den = self.ring.field, self.num, self.den
+        d = field.degree
+        return tuple(_canonical(field, list(num[i:i + d]), den)
+                     for i in range(0, self.ring._width, d))
+
+    def scalar_part(self) -> "FieldElement":
+        """x_0, an element of F, without building the other coordinates."""
+        field = self.ring.field
+        return _canonical(field, list(self.num[:field.degree]), self.den)
 
     def trd(self) -> "FieldElement":
-        return self
+        """The reduced trace x + conj(x) = 2 x_0 of an entry ring; on F,
+        the trace of M_1(F), x itself."""
+        if self.ring is self.ring.field:
+            return self
+        return self.scalar_part() * 2
+
+    def nrd(self) -> "FieldElement":
+        """The reduced norm x conj(x), sum_t norms[t] x_t^2, in F."""
+        ring = self.ring
+        return ring.field.dot([(1, p * n, p) for p, n in zip(self.coords(), ring.norms) if p.num])
 
     # -- arithmetic ----------------------------------------------------------
-    def _add(self, o: "FieldElement", sign: int) -> "FieldElement":
+    def _add(self, other, sign: int) -> "FieldElement":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        ring = self.ring if o.ring is self.ring else _common_ring(self.ring, o.ring)
         a, da = self.num, self.den
         b, db = o.num, o.den
         if da == db:
@@ -441,53 +548,54 @@ class FieldElement:
         sb *= sign
         for i, v in enumerate(b):
             out[i] += v * sb
-        return _canonical(self.field, out, den)
+        return _canonical(ring, out, den)
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self._add(o, 1)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-v for v in self.num), self.den)
+        return FieldElement(self.ring, tuple(-v for v in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self._add(o, -1)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        """The one-term case of `NumberField.dot`."""
-        o = self._lift(other)
+        """The one-term case of `Ring.dot`."""
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
+        ring = self.ring if o.ring is self.ring else _common_ring(self.ring, o.ring)
         if not self.num or not o.num:
-            return FieldElement(self.field, (), 1)
-        return _canonical(self.field, *_product(self, o))
+            return ring.zero
+        return _canonical(ring, *_product(self, o, ring.field.degree, ring._width))
 
+    # only a scalar of F comes on the left through __rmul__, and F is central
     __rmul__ = __mul__
 
     def _matrix(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The multiplication matrix of num (at least two coefficients) and
-        its scale (`NumberField._reduce`), built on first use and kept."""
+        """The multiplication matrix R of num and its scale s, built on
+        first use and kept: x y = (R x.num) / (x.den y.den s).  F builds it
+        for an F-scalar, whose matrix acts on each coordinate, else the
+        ring (`NumberField._matrix_of`, `EntryRing._matrix_of`)."""
         if self._mat is None:
-            self._mat = self.field._reduce(self.num)
+            ring = self.ring
+            field = ring.field
+            self._mat = (ring if len(self.num) > field.degree else field)._matrix_of(self.num)
         return self._mat
 
     def _eliminate(self) -> tuple[list[list[int]], int, int]:
         """Fraction-free (Bareiss) elimination of [M | e_0], for M the
-        multiplication matrix of num (`_matrix`).  Returns the rows, the
-        last pivot prev and the number of row swaps; det M = (-1)^swaps
+        multiplication matrix of num (`_matrix`) over F.  Returns the rows,
+        the last pivot prev and the number of row swaps; det M = (-1)^swaps
         prev.  M is singular exactly when the element is a zero divisor,
         which raises ReducibleModulusError."""
-        field, d = self.field, self.field.degree
+        field = self.ring
+        d = field.degree
         rows = [list(r) + [int(i == 0)] for i, r in enumerate(self._matrix()[0])]
         prev, swaps = 1, 0
         for k in range(d):
@@ -508,15 +616,17 @@ class FieldElement:
         return rows, prev, swaps
 
     def inverse(self) -> "FieldElement":
-        """Solve num * y = 1 for the multiplication matrix of num
-        (`_eliminate`)."""
-        num, field = self.num, self.field
+        """1 / x: in an entry ring conj(x) Nrd(x)^-1; in F, the solution of
+        num * y = 1 for the multiplication matrix of num (`_eliminate`)."""
+        num, ring = self.num, self.ring
         if not num:
             raise ZeroDivisionError("division by zero")
         if len(num) == 1:
             c = num[0]
-            return FieldElement(field, (self.den if c > 0 else -self.den,), abs(c))
-        d = field.degree
+            return FieldElement(ring, (self.den if c > 0 else -self.den,), abs(c))
+        if ring is not ring.field:
+            return self.conj() * self.nrd().inverse()
+        d = ring.degree
         rows, prev, _ = self._eliminate()
         # prev = +-det(M), so det * solution is integral: back-substitute
         # z_i = prev * y_i exactly, for M y = e_0.
@@ -530,26 +640,27 @@ class FieldElement:
         # M = s * (multiplication by num), so 1 / num = s y
         sign = 1 if prev > 0 else -1
         den = self.den * self._mat[1] * sign
-        return _canonical(field, [den * v for v in z], prev * sign)
+        return _canonical(ring, [den * v for v in z], prev * sign)
 
     def norm(self) -> Fraction:
-        """N(e), the determinant of multiplication by e.  For e = num / den
-        it is N(num) / den^d, and the matrix M that `_eliminate` reduces is
-        s times multiplication by num, so det M = s^d N(num)."""
-        num, d = self.num, self.field.degree
+        """N(e), the determinant of multiplication by e in F.  For
+        e = num / den it is N(num) / den^d, and the matrix M that
+        `_eliminate` reduces is s times multiplication by num, so
+        det M = s^d N(num)."""
+        num, d = self.num, _field_of(self, "the norm N_F/Q").degree
         if len(num) <= 1:
             return Fraction(num[0] if num else 0, self.den) ** d
         _, prev, swaps = self._eliminate()
         return Fraction(-prev if swaps % 2 else prev, (self._mat[1] * self.den) ** d)
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -558,7 +669,7 @@ class FieldElement:
         """Square-and-multiply from the lowest bit, never multiplying by 1."""
         if n < 0:
             return self.inverse() ** (-n)
-        acc, base = self.field.one if not n else None, self
+        acc, base = self.ring.one if not n else None, self
         while n:
             if n & 1:
                 acc = base if acc is None else acc * base
@@ -568,13 +679,15 @@ class FieldElement:
         return acc
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldElement):
-            # another type (an entry of a ring over this field) answers itself
+        if type(other) is not FieldElement:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            return self == self._lift(other)
-        return (other.num == self.num and other.den == self.den
-                and (other.field is self.field or other.field == self.field))
+            return (self.den == other.denominator
+                    and self.num == ((int(other.numerator),) if other else ()))
+        if other.num != self.num or other.den != self.den:
+            return False
+        r, s = self.ring, other.ring
+        return r is s or r == s or s == r.field or r == s.field
 
     def __hash__(self) -> int:
         # a rational element hashes like the int or Fraction it equals
@@ -585,11 +698,24 @@ class FieldElement:
         return hash(n) if self.den == 1 else hash(Fraction(n, self.den))
 
     def __repr__(self) -> str:
-        return f"<{render_element(self)}>"
+        return f"<{', '.join(render_element(c) for c in self.coords())}>"
+
+
+#: The rationals as the degree-1 field Q[x]/(x).
+QQ = NumberField([0, 1])
+
+
+def _field_of(a: FieldElement, what: str) -> NumberField:
+    """The ring of a, which must be a field: an element of an entry ring
+    has no sign, norm over Q or polynomial representative."""
+    if a.ring is not a.ring.field:
+        raise FieldMismatchError(f"{what} is defined for elements of F, not of an entry ring")
+    return a.ring
 
 
 def render_element(a: FieldElement, gen: str = "x") -> str:
     """Canonical human/machine string: polynomial in the generator."""
+    _field_of(a, "rendering")
     if a.is_zero():
         return "0"
     parts = []
@@ -667,7 +793,7 @@ class Ordering:
 def _zero_divisor(field: NumberField, g: Sequence[int]) -> ReducibleModulusError:
     """The error for a nonzero element that shares the proper factor g
     (integer, 0 < deg g < d) with m; the message names g / lc g."""
-    factor = _from_fractions(field, [Fraction(c, g[-1]) for c in g])
+    factor = field.element([Fraction(c, g[-1]) for c in g])
     return ReducibleModulusError(
         "element is a zero divisor, not invertible: the minimal polynomial "
         f"has the factor {render_element(factor)}")
@@ -683,11 +809,11 @@ def _zero_test(a: FieldElement, ordering: Ordering) -> None:
     one, and the ends are roots of m, hence of g, neither.  The defining
     interval never changes, so the answer does not depend on how far the
     ordering was refined."""
-    g = _remainder_chain(a.field._scaled_m, a.num)[-1]
+    g = _remainder_chain(a.ring._scaled_m, a.num)[-1]
     lo, hi = ordering.lo, ordering.hi
     if _scaled_eval(g, lo.numerator, lo.denominator) * \
             _scaled_eval(g, hi.numerator, hi.denominator) < 0:
-        raise _zero_divisor(a.field, g)
+        raise _zero_divisor(a.ring, g)
 
 
 def sign_at(a: FieldElement, ordering: Ordering) -> int:
@@ -707,7 +833,7 @@ def sign_at(a: FieldElement, ordering: Ordering) -> int:
     element that is 0 at the ordering proves m reducible and raises
     ReducibleModulusError.
     """
-    if a.field != ordering.field:
+    if a.ring is not ordering.field and _field_of(a, "a sign") != ordering.field:
         raise FieldMismatchError("element and ordering belong to different fields")
     num = a.num
     if not num:

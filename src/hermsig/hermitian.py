@@ -24,7 +24,6 @@ from functools import cached_property
 from .algebras import (
     AlgebraElement,
     AlgebraWithInvolution,
-    Entry,
     SplitIsomorphism,
     is_invertible,
 )
@@ -48,11 +47,7 @@ class HermitianForm:
 
     def __init__(self, algebra: AlgebraWithInvolution, rows: Sequence[Sequence]):
         self.algebra = algebra
-        ring, entry = algebra.ring, algebra.entry
-        # entries of the ring (as the session parser gives) are taken as they are
-        gram = tuple(tuple(v if type(v) is Entry and v.ring is ring
-                           or type(v) is FieldElement and v.field is ring else entry(v)
-                           for v in row) for row in rows)
+        gram = tuple(tuple(map(algebra.entry, row)) for row in rows)
         size = len(gram)
         if any(len(row) != size for row in gram):
             raise ValueError("Gram matrix must be square")
@@ -61,13 +56,11 @@ class HermitianForm:
         # gram (also rows), size, ring and field: the input of diagonalize
         self.gram = self.rows = gram
         self.size = size
-        self.ring, self.field = ring, algebra.field
+        self.ring, self.field = algebra.ring, algebra.field
         skew = algebra.skew_gram
         for r in range(size):
             for c in range(r, size):
-                # conj is the identity on F, and no F-Gram is skew
-                if not (gram[r][c] == gram[c][r] if ring is self.field
-                        else gram[r][c].mirrors(gram[c][r], skew)):
+                if not gram[r][c].mirrors(gram[c][r], skew):
                     kind = "skew-hermitian" if skew else "hermitian"
                     raise ValueError(f"Gram matrix is not {kind} at ({r}, {c})")
 
@@ -95,7 +88,7 @@ class HermitianForm:
                 blocks.append(algebra.scalar_element(v).rows)
         n = algebra.n
         size = n * len(blocks)
-        z = algebra.entry_zero
+        z = algebra.ring.zero
         rows = [[z] * size for _ in range(size)]
         for b, block in enumerate(blocks):
             for r in range(n):
@@ -114,12 +107,6 @@ class HermitianForm:
     def _kernel(self) -> Diagonalization:
         """The congruence kernel on the entry Gram."""
         return diagonalize(self)
-
-    @cached_property
-    def _pivot_norms(self) -> tuple[FieldElement, ...]:
-        """Nrd of each kernel pivot: the pure pivots of a skew Gram, which
-        the carrier reads at every ordering."""
-        return tuple(q.nrd() for q in self._kernel.pivots)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HermitianForm) and other.algebra == self.algebra
@@ -146,7 +133,7 @@ def scale_by_quadratic(q: QuadraticForm, h: HermitianForm) -> HermitianForm:
     if q.field != h.algebra.field:
         raise AlgebraMismatchError("quadratic factor over a different field")
     alg = h.algebra
-    z = alg.entry_zero
+    z = alg.ring.zero
     s = h.size
     size = s * q.rank
     rows = [[z] * size for _ in range(size)]
@@ -174,7 +161,7 @@ def _carrier(h: HermitianForm, ordering: Ordering) -> Sequence[FieldElement]:
         return pivots
     u = h.algebra.twist_at(ordering)
     values = []
-    for q, n in zip(pivots, h._pivot_norms):
+    for q, n in zip(pivots, h._kernel.norms):
         # Trd(u q) = Trd(q u): u, a basis entry, keeps its matrix, and the
         # trace reads only the F-scalar coordinate
         t = h.ring.dot(((1, q, u),), scalar_only=True).trd()
@@ -202,7 +189,7 @@ def _nondegenerate_dim(h: HermitianForm) -> int:
     ed = h.algebra.entry_dim
     if not h.skew:
         return len(h._kernel.pivots) * ed
-    return sum(2 if n.is_zero() else ed for n in h._pivot_norms)
+    return sum(2 if n.is_zero() else ed for n in h._kernel.norms)
 
 
 def witt_rank(h: HermitianForm) -> int:
@@ -290,20 +277,16 @@ def total_signature_h(h: HermitianForm) -> list[tuple[Ordering, int]]:
 # Going-up and the trace-formula transfer.
 
 
-def _lift_field_element(e: FieldElement, ext: NumberField) -> FieldElement:
-    return ext.element(e.as_fraction())
-
-
 def going_up_algebra(algebra: AlgebraWithInvolution, ext: NumberField) -> AlgebraWithInvolution:
     if algebra.field.degree != 1:
         raise UnsupportedError("going-up supports base field Q only")
-    return algebra.rebuild(field=ext, coerce=lambda e: _lift_field_element(e, ext))
+    return algebra.rebuild(field=ext, coerce=lambda e: ext.element(e.as_fraction()))
 
 
 def going_up(h: HermitianForm, ext: NumberField) -> HermitianForm:
     """Reinterpret the structure constants and Gram entries over L."""
     target = going_up_algebra(h.algebra, ext)
-    rows = [[target.ring.from_coords([_lift_field_element(c, ext) for c in entry.coords()])
+    rows = [[target.ring.from_coords([c.as_fraction() for c in entry.coords()])
              for entry in row] for row in h.gram]
     return HermitianForm(target, rows)
 
@@ -323,7 +306,7 @@ def scharlau_transfer(h: HermitianForm) -> HermitianForm:
     d = ext.degree
     powers = [ext.element([0] * i + [1]) for i in range(d)]
     size = h.size * d
-    z = base_alg.entry_zero
+    z = base_alg.ring.zero
     rows = [[z] * size for _ in range(size)]
     for s in range(h.size):
         for t in range(h.size):
@@ -331,10 +314,8 @@ def scharlau_transfer(h: HermitianForm) -> HermitianForm:
             coords = g.coords()
             for alpha in range(d):
                 for beta in range(d):
-                    scaled = [field_trace(c * powers[alpha] * powers[beta])
-                              for c in coords]
                     rows[s * d + alpha][t * d + beta] = base_alg.ring.from_coords(
-                        [QQ.element(v) for v in scaled])
+                        [field_trace(c * powers[alpha] * powers[beta]) for c in coords])
     return HermitianForm(base_alg, rows)
 
 

@@ -23,20 +23,12 @@ from .field import (
 )
 
 
-def _as_element(field: NumberField, v) -> FieldElement:
-    if isinstance(v, FieldElement):
-        if v.field != field:
-            raise FieldMismatchError("entry from a different field")
-        return v
-    return field.element(v)
-
-
 class QuadraticForm:
     """Diagonal form <d_1, ..., d_k>; the empty list is the zero form."""
 
     def __init__(self, field: NumberField, entries: Iterable):
         self.field = field
-        self.entries: tuple[FieldElement, ...] = tuple(_as_element(field, e) for e in entries)
+        self.entries: tuple[FieldElement, ...] = tuple(map(field.element, entries))
         if any(e.is_zero() for e in self.entries):
             raise ValueError("diagonal entries must be nonzero")
 
@@ -61,25 +53,17 @@ class GramQuadraticForm:
     skew = False  # the input protocol of diagonalize
 
     def __init__(self, field: NumberField, rows: Sequence[Sequence]):
-        self.field = field
+        self.field = self.ring = field  # the input of diagonalize: ring is F
         self.rows: tuple[tuple[FieldElement, ...], ...] = tuple(
-            tuple(_as_element(field, v) for v in row) for row in rows
+            tuple(map(field.element, row)) for row in rows
         )
-        k = len(self.rows)
+        self.size = k = len(self.rows)
         if any(len(row) != k for row in self.rows):
             raise ValueError("Gram matrix must be square")
         for i in range(k):
             for j in range(i):
                 if self.rows[i][j] != self.rows[j][i]:
                     raise ValueError(f"Gram matrix not symmetric at ({i}, {j})")
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ring(self) -> NumberField:
-        return self.field
 
     @cached_property
     def _kernel(self) -> "Diagonalization":
@@ -93,15 +77,17 @@ class GramQuadraticForm:
 class Diagonalization:
     """Result of congruence reduction: S* G S = diag(pivots, 0, ..., 0), S*
     the conjugate transpose.  The pivots are F-scalars, except for a skew
-    Gram, whose pivots are pure quaternions.  `transform` is S, or None when
-    not asked for."""
+    Gram, whose pivots are pure quaternions, with their reduced norms in
+    `norms` (None otherwise).  `transform` is S, or None when not asked
+    for."""
 
     def __init__(self, field: NumberField, pivots: tuple, radical_dim: int,
-                 transform: tuple[tuple, ...] | None = None):
+                 transform: tuple[tuple, ...] | None = None, norms: tuple | None = None):
         self.field = field
         self.pivots = pivots
         self.radical_dim = radical_dim
         self.transform = transform
+        self.norms = norms
 
     @cached_property
     def form(self) -> QuadraticForm:
@@ -138,12 +124,10 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
     lam the first basis entry that makes the new m_ii = c lam +- conj(c lam)
     nonzero.  Each pivot d replaces the trailing block by its Schur
     complement m_rs - m_rp d^-1 m_ps on the lower triangle, mirrored.  Each
-    m_rs - t m_ps, t = m_rp d^-1, is one multiply-accumulate (`ring.dot`),
-    normalized once: over an entry ring, the right-multiplication matrix of
-    m_ps (`algebras.Entry`) applied to t, built once for every later row.
-    On a hermitian Gram over an entry ring the diagonal one,
-    m_rr - Nrd(m_rp) d^-1, is conj-fixed, so only its F-scalar coordinate
-    is computed.
+    m_rs - t m_ps, t = m_rp d^-1, is one multiply-accumulate (`ring.dot`)
+    through the matrix of m_ps, built once for every later row; on a
+    hermitian Gram the diagonal one, m_rr - Nrd(m_rp) d^-1, is conj-fixed,
+    so only its F-scalar coordinate is computed.
 
     A skew pivot q with Nrd(q) = 0 is nilpotent (q^2 = -Nrd(q)) and has no
     inverse.  If q m_pr = 0 for every later row r, each m_pr lies in qD,
@@ -151,8 +135,9 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
     Otherwise, for the first r with q m_pr != 0, e_p <- e_p + e_r t mu, mu
     the first basis entry with Trd(q m_pr mu) != 0: the new Nrd(m_pp) is a
     quartic in t with a simple root at 0, so one of t = 1..4 makes it
-    nonzero.  Zero rows are reported as the radical.  S is built only on
-    request.
+    nonzero.  Nrd of each diagonal entry the pivot search examines is
+    computed once; a skew pivot q is inverted as conj(q) Nrd(q)^-1, and
+    its norm kept.  Zero rows are the radical.  S is built on request.
     """
     field, ring = gram.field, gram.ring
     scalar = ring is field
@@ -167,7 +152,7 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
     scol = ([[ring.one if i == j else zero for i in range(k)] for j in range(k)]
             if with_transform else None)
 
-    def mirror(v):  # m_sr from m_rs over an entry ring
+    def mirror(v):  # m_sr from m_rs (conj is the identity on F)
         return -v.conj() if skew else v.conj()
 
     def sheared(rp, r, c):
@@ -190,12 +175,18 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
             scol[rp] = [a + b * c for a, b in zip(scol[rp], scol[r])]
 
     diag: list = []
+    norms: list = []
     for p in range(k):
         pivot = next((pos for pos in range(p, k) if not m[order[pos]][order[pos]].is_zero()),
                      None)
+        norm = None  # Nrd of a skew pivot, once known
         if skew and pivot is not None:
-            pivot = next((pos for pos in range(pivot, k)
-                          if not m[order[pos]][order[pos]].nrd().is_zero()), pivot)
+            norm = field.zero  # unless a later entry has Nrd != 0
+            for pos in range(pivot, k):
+                e = m[order[pos]][order[pos]]
+                if not e.is_zero() and not (n := e.nrd()).is_zero():
+                    pivot, norm = pos, n
+                    break
         if pivot is None:
             off = next(((i, j) for i in range(p, k) for j in range(i + 1, k)
                         if not m[order[i]][order[j]].is_zero()), None)
@@ -230,20 +221,27 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
         mp = m[rp]
         rest = order[p + 1:]
         d = mp[rp] if scalar or skew else mp[rp].scalar_part()
-        if skew and d.nrd().is_zero():
-            r = next((r for r in rest if not (d * mp[r]).is_zero()), None)
-            if r is None:
-                inv = _generalized_inverse(d, ring)
-            else:
-                dm = d * mp[r]
-                mu = next(b for b in ring.basis if not (dm * b).trd().is_zero())
-                shear(p, r, next(mu * t for t in range(1, 5)
-                                 if not sheared(rp, r, mu * t).nrd().is_zero()))
-                d = mp[rp]
-                inv = d.inverse()
-        else:
+        if not skew:
             # The inverse also certifies that the pivot is not a zero divisor.
             inv = d.inverse()
+        else:
+            if norm is None:  # a pivot made by the hyperbolic step
+                norm = d.nrd()
+            if norm.is_zero():
+                r = next((r for r in rest if not (d * mp[r]).is_zero()), None)
+                if r is None:
+                    inv = _generalized_inverse(d, ring)
+                else:
+                    dm = d * mp[r]
+                    mu = next(b for b in ring.basis if not (dm * b).trd().is_zero())
+                    for c in range(1, 5):
+                        if not (norm := sheared(rp, r, mu * c).nrd()).is_zero():
+                            break
+                    shear(p, r, mu * c)
+                    d = mp[rp]
+            if not norm.is_zero():
+                inv = d.conj() * norm.inverse()
+            norms.append(norm)
         for idx, r in enumerate(rest):
             mr = m[r]
             a = mr[rp]
@@ -254,15 +252,12 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
                 b = mp[s]
                 if not b.is_zero():
                     v = mr[s] = ring.dot(((-1, t, b),), mr[s])
-                    m[s][r] = v if scalar else (-v.conj() if skew else v.conj())
-            if scalar or skew:
-                mr[r] = ring.dot(((-1, t, mp[r]),), mr[r])
-            else:
-                # m_rr - a d^-1 conj(a) = m_rr - Nrd(a) d^-1 is conj-fixed
-                mr[r] = ring.dot(((-1, t, mp[r]),), mr[r], scalar_only=True)
+                    m[s][r] = v if scalar else mirror(v)
+            # over an entry ring a hermitian m_rr - Nrd(m_rp) d^-1 is conj-fixed
+            mr[r] = ring.dot(((-1, t, mp[r]),), mr[r], scalar_only=not (skew or scalar))
             if scol is not None:
                 # e_r <- e_r - e_p d^-1 m_pr, and d^-1 m_pr = conj(t)
-                tc = t if scalar else t.conj()
+                tc = t.conj()
                 scol[r] = [x - y * tc for x, y in zip(scol[r], scol[rp])]
         diag.append(d)
 
@@ -270,7 +265,8 @@ def diagonalize(gram, *, with_transform: bool = False) -> Diagonalization:
     transform = None
     if scol is not None:
         transform = tuple(tuple(scol[order[c]][r] for c in range(k)) for r in range(k))
-    return Diagonalization(field, tuple(diag), radical, transform)
+    return Diagonalization(field, tuple(diag), radical, transform,
+                           tuple(norms) if skew else None)
 
 
 def signature_q(form: QuadraticForm | GramQuadraticForm, ordering: Ordering) -> int:
@@ -290,7 +286,7 @@ def total_signature_q(form: QuadraticForm | GramQuadraticForm) -> list[tuple[Ord
 
 def harrison_set(field: NumberField, slots: Sequence) -> list[Ordering]:
     """Orderings at which every slot is positive; all of X_F for no slots."""
-    elems = [_as_element(field, b) for b in slots]
+    elems = [field.element(b) for b in slots]
     if any(b.is_zero() for b in elems):
         raise ValueError("Harrison slots must be nonzero")
     return [p for p in field.orderings if all(sign_at(b, p) > 0 for b in elems)]

@@ -279,8 +279,7 @@ def _parse_entry(value, algebra: AlgebraWithInvolution, gen: str, path):
     ed, field = algebra.entry_dim, algebra.field
     if ed == 1 or not isinstance(value, list):
         # bare expressions denote scalar entries in any family
-        e = parse_element(value, field, gen, path)
-        return e if ed == 1 else algebra.ring.from_coords([e] + [field.zero] * (ed - 1))
+        return algebra.entry(parse_element(value, field, gen, path))
     if len(value) != ed:
         raise SessionParseError(
             f"{algebra.family} entries are {ed}-component coordinate lists", path)
@@ -538,18 +537,22 @@ def check_command(cmd, doc: "SessionDocument", path: str) -> None:
         _check_terms(cmd["certificate"], f"{path}.certificate")
 
 
+# Per op, (key, Arg, optional) for each key it takes that resolves, in ARGS
+# order: a later resolver reads the earlier ones (`_element` reads algebra).
+RESOLVED = {op: tuple((key, arg, key in optional) for key, arg in ARGS.items()
+                      if arg.resolve is not None and key in required + optional)
+            for op, (required, optional) in OPS.items()}
+
+
 def resolve_args(doc: "SessionDocument", cmd: dict, path: str) -> dict:
     """The handler arguments of a checked command: each present key
     resolved, each absent optional key at its default, and no key that
     resolves to nothing."""
-    optional = OPS[cmd["op"]][1]
     args: dict = {}
-    for key, arg in ARGS.items():
-        if arg.resolve is None:
-            continue
+    for key, arg, optional in RESOLVED[cmd["op"]]:
         if key in cmd:
             args[key] = arg.resolve(cmd[key], doc, args, f"{path}.{key}")
-        elif key in optional:
+        elif optional:
             args[key] = arg.default
     return args
 

@@ -359,7 +359,7 @@ def _generator_pool(algebra: AlgebraWithInvolution
     singleton is open, the space is discrete, and no other symmetric
     element can refine it."""
     fld, quat = algebra.field, algebra.quat
-    units = (quat.i, quat.j, quat.k) if algebra.skew_gram else (algebra.entry_one,)
+    units = (quat.i, quat.j, quat.k) if algebra.skew_gram else (algebra.ring.one,)
     seeds = algebra.sym_basis()
     seeds += [u for u in map(algebra.scalar_element, units) if u not in seeds]
     scalars = [(fld.one, None)]
@@ -448,7 +448,7 @@ def morita_cone_maps(algebra: AlgebraWithInvolution) -> MoritaConeReport:
     down = ConeSpace(algebra.collapsed())
     pairs = [(c.id_pair(), d.id_pair()) for c, d in zip(up.cones, down.cones)]
     same_labels = [c.id_pair() for c in up.cones] == [d.id_pair() for d in down.cones]
-    n, zero = algebra.n, algebra.entry_zero
+    n, zero = algebra.n, algebra.ring.zero
     ok = same_labels and all(
         up._h_single(algebra.element([[s.rows[0][0] if r == c == 0 else zero
                                        for c in range(n)] for r in range(n)]))

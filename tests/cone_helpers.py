@@ -74,7 +74,7 @@ def sampled_morita_checks(algebra, rng, samples=10):
             # a random column vector X as a matrix supported on one column
             col = [algebra.entry([rng.randint(-2, 2) for _ in range(algebra.entry_dim)])
                    for _ in range(n)]
-            x = algebra.element([[col[r] if c == 0 else algebra.entry_zero
+            x = algebra.element([[col[r] if c == 0 else algebra.ring.zero
                                   for c in range(n)] for r in range(n)])
             value = (x.conj_transpose() * m * x).rows[0][0]
             if not cone_down.contains(down_alg.element([[value]])):
@@ -261,7 +261,7 @@ def every_generator_pullback(algebra):
     one by one, with the cones paired by position."""
     up = ConeSpace(algebra)
     down = ConeSpace(algebra.collapsed())
-    n, zero = algebra.n, algebra.entry_zero
+    n, zero = algebra.n, algebra.ring.zero
     return all(
         up._h_single(algebra.element([[a.rows[0][0] if r == c == 0 else zero
                                        for c in range(n)] for r in range(n)]))

@@ -17,7 +17,7 @@ from hermsig.algebras import (
     is_square_in_field,
 )
 from hermsig.errors import AlgebraMismatchError, FieldMismatchError, UnsupportedError
-from hermsig.field import QQ, NumberField, sign_at
+from hermsig.field import QQ, NumberField, render_element, sign_at
 from hermsig.session import parse_session
 from trace_oracle import default_twist
 
@@ -315,7 +315,7 @@ def test_family_table(name):
     # the entry ring and its entries share one protocol
     base = AlgebraWithInvolution(QQ, name, 2, **params)
     ring = base.ring
-    assert len(ring.basis) == base.entry_dim and ring.basis[0] == base.entry_one
+    assert len(ring.basis) == base.entry_dim and ring.basis[0] == base.ring.one
     e = base.entry(list(range(1, entry_dim + 1)))
     assert ring.from_coords(e.coords()) == e
     assert e.conj().conj() == e and (e + e.conj()).trd() == e.trd() + e.trd()
@@ -534,7 +534,7 @@ def _entry_arithmetic_case(draw):
 
 def _assert_canonical_entry(e):
     assert e.den > 0 and math.gcd(e.den, *e.num) == 1
-    assert len(e.num) == e.ring.dim * e.ring.field.degree
+    assert len(e.num) <= e.ring.dim * e.ring.field.degree and (not e.num or e.num[-1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -699,3 +699,47 @@ def test_nil_decisions_at_every_ordering_of_the_fixture_algebras(name):
             p for p, nil in zip(doc.field.orderings, nils) if nil]
         got.append(got[0] if got else None)
         assert algebra.nonnil_orderings() == want
+
+
+def test_elements_take_exactly_the_ring_dimension_of_coordinates():
+    """`element(1, 2, 3, 4, 5)` over the Hamilton quaternions built a
+    5-long vector whose square silently dropped the fifth coordinate, and
+    `from_coords` took one coordinate over Q(i): both are refused, with the
+    count the ring expects."""
+    quat = QuaternionAlgebra(QQ, QQ.element(-1), QQ.element(-1))
+    with pytest.raises(ValueError, match="^elements of this ring have 4 coordinates over F, not 5$"):
+        quat.element(1, 2, 3, 4, 5)
+    with pytest.raises(ValueError, match="have 4 coordinates over F, not 5$"):
+        quat.from_coords([QQ.one] * 5)
+    x = quat.element(1, 2, 3, 4)
+    assert (x * x).coords() == tuple(QQ.element(c) for c in (-28, 4, 6, 8))
+    ext = QuadExtension(QQ, QQ.element(-1))
+    for coords in ([QQ.one], [QQ.one] * 3):
+        with pytest.raises(ValueError, match=f"have 2 coordinates over F, not {len(coords)}$"):
+            ext.from_coords(coords)
+    with pytest.raises(ValueError, match="have 1 coordinates over F, not 2$"):
+        QQ.from_coords([QQ.one, QQ.one])
+    assert ext.element(3) == ext.from_coords([QQ.element(3), QQ.zero]) == 3
+
+
+def test_operations_of_f_refuse_an_element_of_an_entry_ring():
+    """A sign, a rendering, the norm N_F/Q and a coordinate are elements of
+    F; an element of an entry ring is refused, even one that equals a scalar
+    of F, and its inverse is conj(x) Nrd(x)^-1, not the inverse of a matrix
+    over F."""
+    ext = QuadExtension(F5, F5.element(-1))
+    for e in (ext.basis[1], ext.element(F5.gen), ext.one):
+        with pytest.raises(FieldMismatchError, match="not of an entry ring"):
+            sign_at(e, F5.orderings[0])
+        with pytest.raises(FieldMismatchError, match="not of an entry ring"):
+            render_element(e)
+        with pytest.raises(FieldMismatchError, match="not of an entry ring"):
+            e.norm()
+    for coerce in (F5.element, lambda e: ext.from_coords([e, 0])):
+        with pytest.raises(FieldMismatchError, match="^not an element of this field$"):
+            coerce(ext.one)
+    assert F5.element(F5.gen) is F5.gen
+    x = ext.element(F5.gen, 1)
+    inv = x.inverse()
+    assert inv.ring is ext and inv == x.conj() * (x * x.conj()).scalar_part().inverse()
+    assert x * inv == inv * x == 1 and ext.element(F5.gen) == F5.gen

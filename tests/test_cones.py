@@ -760,7 +760,7 @@ def test_constructed_reference_form_and_maximal_generator(field, family):
         assert sorted(eta.certificate, key=lambda p: p.index) == nonnil
         assert all(eta.certificate.values())
         for p in nonnil:
-            unit = alg.scalar_element(alg.twist_at(p) if alg.skew_gram else alg.entry_one)
+            unit = alg.scalar_element(alg.twist_at(p) if alg.skew_gram else alg.ring.one)
             for eps in (1, -1):
                 cone = PositiveCone(alg, p, eps)
                 gen = maximal_generator(cone)

@@ -873,13 +873,11 @@ def test_element_from_integers_matches_the_fraction_route(field, coeffs):
 
 
 def test_hash_is_consistent_with_equality():
-    from hermsig.field import _from_fractions
-
     for field in (SQRT2, F5):
         x = field.gen
         built = field.element([Fraction(1, 2), -3])
         computed = (x * -6 + 1) / 2
-        from_fracs = _from_fractions(field, [Fraction(1, 2), Fraction(-3)])
+        from_fracs = FieldElement(field, (1, -6), 2)  # the canonical (num, den), given
         assert built == computed == from_fracs
         assert hash(built) == hash(computed) == hash(from_fracs)
         assert len({built, computed, from_fracs}) == 1

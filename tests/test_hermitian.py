@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermsig.algebras import AlgebraWithInvolution, Entry
+from hermsig.algebras import AlgebraWithInvolution
 from hermsig.cones import PositiveCone
 from hermsig.errors import InvariantError, UnsupportedError
-from hermsig.field import QQ, NumberField
+from hermsig.field import QQ, FieldElement, NumberField
 from hermsig.hermitian import (
     HermitianForm,
     ReferenceForm,
@@ -130,7 +130,7 @@ def congruence(h, s_rows):
         for r in range(n):
             row = []
             for c in range(n):
-                acc = alg.entry_zero
+                acc = alg.ring.zero
                 for t in range(n):
                     acc = acc + x[r][t] * y[t][c]
                 row.append(acc)
@@ -142,7 +142,7 @@ def congruence(h, s_rows):
 
 def random_unit_upper(alg, rng, size, height=1):
     ed = alg.entry_dim
-    rows = [[alg.entry_one if r == c else alg.entry_zero for c in range(size)]
+    rows = [[alg.ring.one if r == c else alg.ring.zero for c in range(size)]
             for r in range(size)]
     for r in range(size):
         for c in range(r + 1, size):
@@ -256,10 +256,38 @@ def test_skew_pivot_norms_are_computed_once_per_form(monkeypatch):
     want = total_signature_h(HermitianForm.diagonal(
         alg, [alg.scalar_element(q) for q in (i, j + k, k * x)]))
     calls = []
-    nrd = Entry.nrd
-    monkeypatch.setattr(Entry, "nrd", lambda q: calls.append(q) or nrd(q))
+    nrd = FieldElement.nrd
+    monkeypatch.setattr(FieldElement, "nrd", lambda q: calls.append(q) or nrd(q))
     assert total_signature_h(h) == want and total_signature_h(h) == want
     assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("params, pures, examined", [
+    # j + k has Nrd 0 over (1, 1): the search passes it at the first two
+    # steps and takes it last, as a nilpotent pivot
+    ((1, 1), lambda q, x: (q.j + q.k, q.i, q.k * x), 5),
+    ((-F5.gen, 1 + F5.gen), lambda q, x: (q.i, q.j + q.k, q.k * x), 3),
+], ids=["nilpotent", "invertible"])
+def test_skew_kernel_reads_each_pivot_norm_once(monkeypatch, params, pures, examined):
+    """Building the kernel of a 3-pivot quat_skew form over the quintic and
+    reading its pivot norms computes Nrd once per diagonal entry the pivot
+    search examines: not again in the nilpotency test, in the pivot's
+    inverse or for the carrier."""
+    a, b = params
+    alg = AlgebraWithInvolution(F5, "quat_skew", 1, a=a, b=b)
+    h = HermitianForm.diagonal(
+        alg, [alg.scalar_element(q) for q in pures(alg.quat, F5.gen)])
+    reference_form(alg)  # the reference form's own kernel, built before counting
+    calls = []
+    nrd = FieldElement.nrd
+    monkeypatch.setattr(FieldElement, "nrd", lambda q: calls.append(q) or nrd(q))
+    kernel = h._kernel
+    assert len(kernel.pivots) == 3 and len(kernel.norms) == 3
+    assert [n.is_zero() for n in kernel.norms] == [False, False, examined == 5]
+    total_signature_h(h)
+    assert len(calls) == examined
+    monkeypatch.undo()
+    assert kernel.norms == tuple(q.nrd() for q in kernel.pivots)
 
 
 def test_rank1_skew_signatures_are_even_with_max_two():
@@ -637,7 +665,7 @@ def _kernel_case(draw):
         r = draw(st.integers(0, s - 1))
         c = [[entry() for _ in range(s)] for _ in range(r)]
         d = [scalar() for _ in range(r)]
-        zero = alg.entry_zero
+        zero = alg.ring.zero
         gram = [[zero] * s for _ in range(s)]
         for i in range(s):
             for j in range(s):
@@ -648,7 +676,7 @@ def _kernel_case(draw):
         gram = [[raw[i][j] + raw[j][i].conj() for j in range(s)] for i in range(s)]
         if kind == "zero_diagonal":
             for i in range(s):
-                gram[i][i] = alg.entry_zero
+                gram[i][i] = alg.ring.zero
     return HermitianForm(alg, gram)
 
 
@@ -676,7 +704,7 @@ def test_kernel_matches_trace_form_oracle(h):
     s_rows, g, k = dec.transform, h.gram, h.size
     for i in range(k):
         for j in range(k):
-            acc = alg.entry_zero
+            acc = alg.ring.zero
             for r in range(k):
                 for c in range(k):
                     acc = acc + s_rows[r][i].conj() * g[r][c] * s_rows[c][j]
@@ -739,7 +767,7 @@ def _skew_case(draw):
         return (g * q * g.conj() if not g.nrd().is_zero() else q) * draw(st.sampled_from(
             (1, -2, field.gen)))
 
-    zero = alg.entry_zero
+    zero = alg.ring.zero
     if kind == "dependent":
         r = draw(st.integers(0, s - 1))
         c = [[entry() for _ in range(s)] for _ in range(r)]
@@ -830,7 +858,7 @@ def test_skew_kernel_matches_twisted_trace_oracle():
         assert dec.radical_dim == k - len(pivots)
         for i in range(k):
             for j in range(k):
-                acc = alg.entry_zero
+                acc = alg.ring.zero
                 for r in range(k):
                     for c in range(k):
                         acc = acc + s_rows[r][i].conj() * g[r][c] * s_rows[c][j]

@@ -140,7 +140,7 @@ RECORDS = {
     "hermitian.ReferenceForm": "form certificate",
     "hermitian.KnebuschReport": "holds transfer_side sum_side",
     "hermitian.SylvesterDecomposition": "weights positive negative radical_dim",
-    "quadforms.Diagonalization": "field pivots radical_dim transform=None",
+    "quadforms.Diagonalization": "field pivots radical_dim transform=None norms=None",
     "session.SessionDocument": "field gen_name algebras forms commands seed=0",
     "session.Arg": "json resolve=... default=None positive=False cap=None by_name=False",
     "spectra.FundamentalDescriptor": "generators closed=True",
@@ -180,7 +180,7 @@ def _exported_record_args():
     return [
         (CertTerm, ((), QQ.one, alg.one_element, 0)),
         (SquareCertificate, ([term],)),
-        (Diagonalization, (QQ, (QQ.one,), 0, None)),
+        (Diagonalization, (QQ, (QQ.one,), 0, None, None)),
         (PrimeIdealPair, ("mod_p", alg, QQ.orderings[0], 3, None)),
         (FundamentalDescriptor, ([eta.form], False)),
         (SessionDocument, (QQ, "x", {"ham": alg}, {}, [], 7)),

@@ -1173,3 +1173,63 @@ def test_readme_command_table_matches_the_schema():
     keys_section = text.split("### Command keys\n", 1)[1].split("\n### ", 1)[0]
     keys = re.findall(r"^\| `(\w+)` \|", keys_section, re.M)
     assert sorted(keys) == sorted(ARGS) and len(keys) == len(set(keys))
+
+
+def _recorded(key, resolve, calls, value, doc, args, path):
+    calls.append((key, json.dumps(value), tuple(args), path))
+    return resolve(value, doc, args, path)
+
+
+def test_resolve_args_walks_only_the_keys_of_its_op(monkeypatch):
+    """`resolve_args` walks only the keys its op can take (`RESOLVED`), in
+    `ARGS` order, and gives what the walk over all of `ARGS` gives: the same
+    resolver calls in the same order, on the same values, each seeing the
+    same earlier arguments, the same argument keys and the same defaults.
+    Every op of the schema, with all its optional keys and with none."""
+    import functools
+
+    from hermsig.session import ARGS, OPS, check_command, resolve_args
+
+    doc = parse_session(FULL.read_text())
+    first: dict = {}
+    for cmd in doc.commands:
+        first.setdefault(cmd["op"], cmd)
+    assert set(first) == set(OPS)
+    samples = {"slots": ["2"], "height": 2, "max_terms": 3, "copies": 1, "ordering": 0,
+               "p": 5, "q": "q1", "h": "h1", "generators": ["h1"], "closed": True,
+               "trials": 3, "samples": 3}
+    calls: list = []
+    for key, arg in ARGS.items():
+        if arg.resolve is not None:
+            monkeypatch.setattr(arg, "resolve", functools.partial(_recorded, key, arg.resolve, calls))
+
+    def full_walk(cmd, path):
+        optional = OPS[cmd["op"]][1]
+        args: dict = {}
+        for key, arg in ARGS.items():
+            if arg.resolve is None:
+                continue
+            if key in cmd:
+                args[key] = arg.resolve(cmd[key], doc, args, f"{path}.{key}")
+            elif key in optional:
+                args[key] = arg.default
+        return args
+
+    variants = 0
+    for op, cmd in first.items():
+        optional = OPS[op][1]
+        bare = {k: v for k, v in cmd.items() if k not in optional}
+        full = dict(bare, **{k: cmd.get(k, cmd["element"] if k == "a" else samples.get(k))
+                             for k in optional})
+        for variant in ([bare, full] if optional else [bare]):
+            check_command(variant, doc, "c")
+            calls.clear()
+            got = resolve_args(doc, variant, "c")
+            got_calls = calls[:]
+            calls.clear()
+            want = full_walk(variant, "c")
+            assert got_calls == calls and list(got) == list(want), op
+            assert all(type(got[k]) is type(want[k]) for k in want), op
+            assert all(got[k] is want[k] for k in want if k not in variant), op
+            variants += 1
+    assert variants == len(OPS) + sum(1 for _, optional in OPS.values() if optional)

@@ -355,7 +355,7 @@ def test_morita_tampered_seed_set_or_labels_are_not_ok(monkeypatch):
     alg = AlgebraWithInvolution(F5, "quat_skew", 2, a=1, b=1)
     assert morita_cone_maps(alg).ok and every_generator_pullback(alg)
     seed = ConeSpace(alg.collapsed())._pool[0][1]
-    n, zero = alg.n, alg.entry_zero
+    n, zero = alg.n, alg.ring.zero
     target = alg.element([[seed.rows[0][0] if r == c == 0 else zero
                            for c in range(n)] for r in range(n)]).coords()
     h_single = ConeSpace._h_single

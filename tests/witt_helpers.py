@@ -15,7 +15,6 @@ from hermsig.hermitian import HermitianForm, _nondegenerate_dim, total_signature
 from hermsig.quadforms import (
     GramQuadraticForm,
     QuadraticForm,
-    _as_element,
     field_trace,
     signature_q,
 )
@@ -30,7 +29,7 @@ def perp(h1, h2):
     """The orthogonal sum h1 perp h2 of hermitian forms."""
     if h2.algebra != h1.algebra:
         raise AlgebraMismatchError("forms over different algebras")
-    z = h1.algebra.entry_zero
+    z = h1.algebra.ring.zero
     s1, s2 = h1.size, h2.size
     rows = [[z] * (s1 + s2) for _ in range(s1 + s2)]
     for r in range(s1):
@@ -49,7 +48,7 @@ def neg(h):
 
 def pfister(field, slots):
     """<<b_1, ..., b_t>> = tensor of <1, b_i>: all subset products, 2^t entries."""
-    elems = [_as_element(field, b) for b in slots]
+    elems = [field.element(b) for b in slots]
     if any(b.is_zero() for b in elems):
         raise ValueError("Pfister slots must be nonzero")
     entries = []
